@@ -12,27 +12,10 @@ import argparse
 import csv
 import sys
 
-import numpy as np
-
+from entdist.cli import EXIT_INPUT, parse_spectrum
 from entdist.protocol import incomplete_bounds
 from entdist.sdp import SDPProblem, solve_primal_ppt
-from entdist.states import (
-    ResourceSpectrum,
-    build_ensemble,
-    random_spectrum,
-    weyl_basis,
-)
-
-
-def pick_spectrum(args) -> ResourceSpectrum:
-    if args.spectrum == "uniform":
-        return ResourceSpectrum.uniform(args.dim)
-    if args.spectrum == "product":
-        return ResourceSpectrum.product(args.dim)
-    if args.spectrum == "random":
-        return random_spectrum(args.dim, np.random.default_rng(args.seed))
-    probs = [float(x) for x in args.spectrum.split(",")]
-    return ResourceSpectrum.from_probabilities(probs)
+from entdist.states import build_ensemble, weyl_basis
 
 
 def main() -> int:
@@ -46,8 +29,12 @@ def main() -> int:
     parser.add_argument("--out", help="CSV path (default stdout)")
     args = parser.parse_args()
 
-    basis = weyl_basis(args.dim)
-    spec = pick_spectrum(args)
+    try:
+        basis = weyl_basis(args.dim)
+        spec = parse_spectrum(args.spectrum, args.dim, amplitudes=False, seed=args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
     fields = ["n_states", "lower_completion", "lower_projector", "upper", "sdp"]
     sink = open(args.out, "w", newline="") if args.out else sys.stdout

@@ -58,19 +58,7 @@ from .states import (
     validate_basis,
     weyl_basis,
 )
-from .tensor import (
-    SubsystemLayout,
-    frobenius,
-    herm_eig,
-    is_hermitian,
-    is_psd,
-    min_eigenvalue,
-    partial_transpose,
-    permute_factors,
-    permute_ket,
-    psd_project,
-    transpose_party_a,
-)
+from .tensor import SubsystemLayout, frobenius
 
 __version__ = "0.1.0"
 
@@ -103,20 +91,12 @@ __all__ = [
     "four_factor_layout",
     "frobenius",
     "haar_random_unitary",
-    "herm_eig",
     "incomplete_bounds",
-    "is_hermitian",
-    "is_psd",
     "load_basis_file",
     "max_ent_state",
-    "min_eigenvalue",
     "negativity",
     "pair_layout",
-    "partial_transpose",
-    "permute_factors",
-    "permute_ket",
     "protocol_success",
-    "psd_project",
     "random_spectrum",
     "resource_state",
     "sample_protocol_success",
@@ -125,7 +105,6 @@ __all__ = [
     "simulate_protocol",
     "solve_primal_ppt",
     "teleport_residuals",
-    "transpose_party_a",
     "upsilon_spectrum_check",
     "validate_basis",
     "verify_dual_feasibility",

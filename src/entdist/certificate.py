@@ -11,7 +11,6 @@ ensemble member rather than trusted.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,7 +290,6 @@ def verify_dual_feasibility(
     tol: float = 1e-9,
     basis: MaxEntBasis | None = None,
     spec: ResourceSpectrum | None = None,
-    workers: int = 1,
 ) -> FeasibilityReport:
     """Check the dual constraint for every ensemble member.
 
@@ -299,9 +297,6 @@ def verify_dual_feasibility(
     smallest eigenvalue >= -tol * (1 + ||H||_F). When the generating basis
     and spectrum are supplied, the per-k structural residual is evaluated as
     well; otherwise those entries are reported as zero-length.
-
-    The per-k loop is pure and order-independent; ``workers`` > 1 fans it
-    out over a thread pool with results gathered back in index order.
     """
     if ens.layout.factor_dims != cert.layout.factor_dims:
         raise ValueError(
@@ -313,14 +308,10 @@ def verify_dual_feasibility(
             f"certificate built for {cert.n_states} states, ensemble has {len(ens)}"
         )
 
-    jobs = list(zip(ens.states, ens.priors))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            lambda_mins = list(
-                pool.map(lambda sp: _feasibility_margin(cert, *sp), jobs)
-            )
-    else:
-        lambda_mins = [_feasibility_margin(cert, *sp) for sp in jobs]
+    lambda_mins = [
+        _feasibility_margin(cert, state, prior)
+        for state, prior in zip(ens.states, ens.priors)
+    ]
 
     residuals: list[float] = []
     if basis is not None and spec is not None:

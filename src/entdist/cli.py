@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -69,12 +68,11 @@ class RunConfig:
     out: str | None
     csv: bool
     strategy: str
-    threads: int
     shots: int
     dump: str | None
 
 
-def _parse_spectrum(text: str, dim: int, amplitudes: bool, seed: int) -> ResourceSpectrum:
+def parse_spectrum(text: str, dim: int, amplitudes: bool, seed: int) -> ResourceSpectrum:
     if text == "uniform":
         return ResourceSpectrum.uniform(dim)
     if text == "product":
@@ -95,10 +93,8 @@ def _parse_spectrum(text: str, dim: int, amplitudes: bool, seed: int) -> Resourc
     return ResourceSpectrum.from_probabilities(values)
 
 
-def resolve_config(args: argparse.Namespace, environ=None) -> RunConfig:
+def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Validate and resolve CLI arguments; raises ValueError on bad input."""
-    environ = os.environ if environ is None else environ
-
     if args.basis_file is not None:
         basis = load_basis_file(args.basis_file)
         if args.dim is not None and args.dim != basis.dim:
@@ -117,19 +113,11 @@ def resolve_config(args: argparse.Namespace, environ=None) -> RunConfig:
         spec = None
         spectrum_label = "presets"
     else:
-        spec = _parse_spectrum(spectrum_label, dim, args.amplitudes, args.seed)
+        spec = parse_spectrum(spectrum_label, dim, args.amplitudes, args.seed)
 
     n_states = dim * dim if args.n_states is None else args.n_states
     if not 1 <= n_states <= dim * dim:
         raise ValueError(f"--n-states must lie in [1, {dim * dim}], got {n_states}")
-
-    raw_threads = environ.get("ENTDIST_THREADS", "1")
-    try:
-        threads = int(raw_threads)
-    except ValueError as exc:
-        raise ValueError(f"ENTDIST_THREADS must be an integer, got {raw_threads!r}") from exc
-    if threads < 1:
-        raise ValueError(f"ENTDIST_THREADS must be >= 1, got {threads}")
 
     for name in ("tol", "accuracy"):
         if getattr(args, name) <= 0:
@@ -151,7 +139,6 @@ def resolve_config(args: argparse.Namespace, environ=None) -> RunConfig:
         out=args.out,
         csv=args.csv,
         strategy=args.strategy,
-        threads=threads,
         shots=getattr(args, "shots", 0),
         dump=getattr(args, "dump", None),
     )
@@ -260,12 +247,7 @@ def cmd_certificate(config: RunConfig):
     cert = build_certificate(config.basis, config.spec, config.n_states)
     ens = build_ensemble(config.basis, config.spec, config.n_states)
     feas = verify_dual_feasibility(
-        cert,
-        ens,
-        config.tol,
-        basis=config.basis,
-        spec=config.spec,
-        workers=config.threads,
+        cert, ens, config.tol, basis=config.basis, spec=config.spec
     )
     ups = upsilon_spectrum_check(config.basis)
     passed = feas.passed and ups.passed
@@ -335,7 +317,6 @@ def cmd_sandwich(config: RunConfig):
         max_iters=config.max_iters,
         tol=config.tol,
         strategy=config.strategy,
-        workers=config.threads,
     )
     payload = {"command": "sandwich", **report.to_dict()}
     rows = [
@@ -378,9 +359,7 @@ def _verify_one(config: RunConfig, label: str, spec: ResourceSpectrum) -> list[d
 
     cert = build_certificate(basis, spec)
     ens = build_ensemble(basis, spec, d * d)
-    feas = verify_dual_feasibility(
-        cert, ens, config.tol, basis=basis, spec=spec, workers=config.threads
-    )
+    feas = verify_dual_feasibility(cert, ens, config.tol, basis=basis, spec=spec)
     check(
         "certificate_trace",
         abs(cert.trace_value - fef(spec)) <= 1e-12,

@@ -20,7 +20,7 @@ from .certificate import DualCertificate, FeasibilityReport, build_certificate, 
 from .measures import fef
 from .protocol import incomplete_bounds, protocol_success
 from .states import Ensemble, MaxEntBasis, ResourceSpectrum, build_ensemble
-from .tensor import SubsystemLayout
+from .tensor import SubsystemLayout, psd_clip, transpose_party_a
 
 DEFAULT_ACCURACY = 1e-4
 DEFAULT_MAX_ITERS = 50000
@@ -95,23 +95,6 @@ class SDPResult:
         }
 
 
-def _pt_stack(stack: np.ndarray, da: int, db: int) -> np.ndarray:
-    """Partial transpose of every matrix in an (n, D, D) stack over party A."""
-    n = stack.shape[0]
-    return (
-        stack.reshape(n, da, db, da, db)
-        .transpose(0, 3, 2, 1, 4)
-        .reshape(n, da * db, da * db)
-    )
-
-
-def _psd_stack(stack: np.ndarray) -> np.ndarray:
-    """Eigenvalue clip of every matrix in a Hermitian stack."""
-    w, v = np.linalg.eigh(stack)
-    w = np.clip(w, 0.0, None)
-    return (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
-
-
 def _affine_project(stack: np.ndarray) -> np.ndarray:
     """Shift the stack so the operators sum to the identity exactly."""
     n, dim = stack.shape[0], stack.shape[1]
@@ -123,11 +106,18 @@ def _objective(cost: np.ndarray, stack: np.ndarray) -> float:
     return float(np.einsum("kij,kji->", cost, stack).real)
 
 
-def _residuals(stack: np.ndarray, da: int, db: int) -> tuple[float, float]:
+def _ppt_clip(stack: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
+    """Project every matrix of the stack onto the PPT cone."""
+    return transpose_party_a(psd_clip(transpose_party_a(stack, layout)), layout)
+
+
+def _residuals(stack: np.ndarray, layout: SubsystemLayout) -> tuple[float, float]:
     dim = stack.shape[1]
     primal = float(np.linalg.norm(stack.sum(axis=0) - np.eye(dim)))
-    eig_min = float(np.linalg.eigvalsh(stack).min())
-    eig_min = min(eig_min, float(np.linalg.eigvalsh(_pt_stack(stack, da, db)).min()))
+    eig_min = min(
+        float(np.linalg.eigvalsh(stack).min()),
+        float(np.linalg.eigvalsh(transpose_party_a(stack, layout)).min()),
+    )
     return primal, min(0.0, eig_min)
 
 
@@ -140,8 +130,8 @@ def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
     returns the best iterate with converged=False rather than raising.
     """
     n = len(problem.states)
-    da, db = problem.layout.dim_a, problem.layout.dim_b
-    dim = problem.layout.dim
+    layout = problem.layout
+    dim = layout.dim
     rho_step = problem.step
 
     cost = np.stack([p * s for p, s in zip(problem.priors, problem.states)])
@@ -157,8 +147,8 @@ def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
 
     for it in range(1, problem.max_iters + 1):
         x_affine = _affine_project(z - duals[0])
-        x_psd = _psd_stack(z - duals[1])
-        x_ppt = _pt_stack(_psd_stack(_pt_stack(z - duals[2], da, db)), da, db)
+        x_psd = psd_clip(z - duals[1])
+        x_ppt = _ppt_clip(z - duals[2], layout)
 
         z = (
             x_affine + duals[0] + x_psd + duals[1] + x_ppt + duals[2]
@@ -170,7 +160,7 @@ def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
         iterations = it
         if it % _CHECK_EVERY == 0 or it == problem.max_iters:
             obj = _objective(cost, z)
-            primal_res, cone_res = _residuals(z, da, db)
+            primal_res, cone_res = _residuals(z, layout)
             history.append(obj)
             lag = _STALL_WINDOW // _CHECK_EVERY
             if len(history) > lag:
@@ -201,9 +191,7 @@ def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
             }
         )
 
-    rounded = _affine_project(z)
-    rounded = _psd_stack(rounded)
-    rounded = _pt_stack(_psd_stack(_pt_stack(rounded, da, db)), da, db)
+    rounded = _ppt_clip(psd_clip(_affine_project(z)), layout)
     rounded_value = _objective(cost, rounded)
 
     return SDPResult(
@@ -279,7 +267,6 @@ def sandwich_report(
     max_iters: int = DEFAULT_MAX_ITERS,
     tol: float = 1e-9,
     strategy: str = "completion",
-    workers: int = 1,
 ) -> SandwichReport:
     """Compute all three routes to the success probability and compare.
 
@@ -294,9 +281,7 @@ def sandwich_report(
         n_states = d * d
     ens = build_ensemble(basis, spec, n_states)
     cert = build_certificate(basis, spec, n_states)
-    feas = verify_dual_feasibility(
-        cert, ens, tol, basis=basis, spec=spec, workers=workers
-    )
+    feas = verify_dual_feasibility(cert, ens, tol, basis=basis, spec=spec)
     upper_unclipped = dual_bound_from_certificate(cert, ens, tol, report=feas)
     upper = min(1.0, upper_unclipped)
 

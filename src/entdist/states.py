@@ -8,6 +8,7 @@ relabelling swap and A1, A2, B1, B2 after it; the swap exchanges factors
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,8 @@ class ResourceSpectrum:
         object.__setattr__(self, "coeffs", a)
         if len(a) < 2:
             raise ValueError("a resource spectrum needs at least two coefficients")
+        if not all(math.isfinite(x) for x in a):
+            raise ValueError(f"Schmidt coefficients must be finite, got {a}")
         if any(x < 0 for x in a):
             raise ValueError(f"Schmidt coefficients must be nonnegative, got {a}")
         if any(a[i] < a[i + 1] for i in range(len(a) - 1)):
@@ -319,13 +322,21 @@ def load_basis_file(path) -> MaxEntBasis:
         raise ValueError(f"malformed basis file {path}: unitaries must be a list")
     unitaries = []
     for idx, entries in enumerate(raw):
-        if len(entries) != d * d:
+        if not (
+            isinstance(entries, list)
+            and len(entries) == d * d
+            and all(isinstance(z, list) and len(z) == 2 for z in entries)
+        ):
             raise ValueError(
-                f"unitary {idx} has {len(entries)} entries, expected {d * d}"
+                f"malformed basis file {path}: unitary {idx} is not a list "
+                f"of {d * d} [re, im] pairs"
             )
-        flat = np.array(
-            [complex(float(re), float(im)) for re, im in entries], dtype=complex
-        )
+        try:
+            flat = np.array(
+                [complex(float(re), float(im)) for re, im in entries], dtype=complex
+            )
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed basis file {path}: unitary {idx}: {exc}") from exc
         unitaries.append(flat.reshape(d, d))
     return MaxEntBasis(dim=d, unitaries=tuple(unitaries))
 

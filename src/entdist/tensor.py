@@ -92,16 +92,18 @@ def require_hermitian(M: np.ndarray, rtol: float = HERMITICITY_RTOL) -> None:
         )
 
 
-def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product, (A⊗B)[i*rB+k, j*cB+l] = A[i,j] B[k,l]."""
-    return np.kron(A, B)
-
-
 def partial_transpose(
     M: np.ndarray, layout: SubsystemLayout, factors: Iterable[int]
 ) -> np.ndarray:
-    """Transpose the listed factors of M, leaving the others untouched."""
-    layout.check_matrix(M)
+    """Transpose the listed factors of M, leaving the others untouched.
+
+    M is one matrix or a stack M[..., D, D]; every matrix in a stack is
+    transposed alike and the batch axes stay in front.
+    """
+    if M.ndim < 2 or M.shape[-2:] != (layout.dim, layout.dim):
+        raise ValueError(
+            f"matrix shape {M.shape} does not match layout dimension {layout.dim}"
+        )
     dims = layout.factor_dims
     n = len(dims)
     factors = set(int(f) for f in factors)
@@ -109,14 +111,18 @@ def partial_transpose(
         raise ValueError(f"factor indices must lie in [0, {n}), got {sorted(factors)}")
     if not factors:
         return M.copy()
-    axes = list(range(2 * n))
+    b = M.ndim - 2
+    axes = list(range(b + 2 * n))
     for f in factors:
-        axes[f], axes[n + f] = axes[n + f], axes[f]
-    return M.reshape(dims * 2).transpose(axes).reshape(M.shape)
+        axes[b + f], axes[b + n + f] = axes[b + n + f], axes[b + f]
+    return M.reshape(M.shape[:b] + dims * 2).transpose(axes).reshape(M.shape)
 
 
 def transpose_party_a(M: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
-    """Partial transpose over every factor on party A's side of the cut."""
+    """Partial transpose over every factor on party A's side of the cut.
+
+    Accepts one matrix or a stack M[..., D, D], like ``partial_transpose``.
+    """
     return partial_transpose(M, layout, layout.party_a)
 
 
@@ -170,8 +176,17 @@ def is_psd(M: np.ndarray, rtol: float = PSD_MEMBERSHIP_RTOL) -> bool:
     return min_eigenvalue(M) >= -rtol * (1.0 + frobenius(M))
 
 
+def psd_clip(M: np.ndarray) -> np.ndarray:
+    """Clip negative eigenvalues at zero, for one matrix or a stack M[..., D, D].
+
+    Unchecked: every matrix is taken to be Hermitian.
+    """
+    w, v = np.linalg.eigh(M)
+    w = np.clip(w, 0.0, None)
+    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
 def psd_project(M: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     """Frobenius-nearest PSD matrix: clip negative eigenvalues at zero."""
-    w, V = herm_eig(M, rtol)
-    wc = np.maximum(w, 0.0)
-    return (V * wc) @ V.conj().T
+    require_hermitian(M, rtol)
+    return psd_clip(M)

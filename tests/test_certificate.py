@@ -113,14 +113,6 @@ class TestFeasibility:
             report = verify_dual_feasibility(cert, ens, 1e-9, basis=basis, spec=spec)
             assert report.passed
 
-    def test_workers_do_not_change_results(self, d2_setup):
-        basis, spec = d2_setup
-        cert = build_certificate(basis, spec)
-        ens = build_ensemble(basis, spec, 4)
-        serial = verify_dual_feasibility(cert, ens, 1e-9)
-        threaded = verify_dual_feasibility(cert, ens, 1e-9, workers=4)
-        assert serial.lambda_mins == threaded.lambda_mins
-
     def test_mismatched_ensemble_rejected(self, d2_setup):
         basis, spec = d2_setup
         cert = build_certificate(basis, spec, n_states=3)

@@ -65,18 +65,17 @@ class TestDeterminism:
         _, second, _ = run(capsys, *argv)
         assert first == second
 
-    def test_thread_count_does_not_change_output(self, capsys, monkeypatch):
-        argv = ("certificate", "--dim", "2", "--spectrum", "0.8,0.2")
-        _, serial, _ = run(capsys, *argv)
-        monkeypatch.setenv("ENTDIST_THREADS", "4")
-        _, threaded, _ = run(capsys, *argv)
-        assert serial == threaded
-
 
 class TestExitCodes:
     def test_unnormalized_spectrum(self, capsys):
         code, _, err = run(capsys, "fef", "--dim", "2", "--spectrum", "0.8,0.3")
         assert code == EXIT_INPUT
+        assert "error:" in err
+
+    def test_nan_spectrum(self, capsys):
+        code, out, err = run(capsys, "fef", "--dim", "2", "--spectrum", "nan,0.5")
+        assert code == EXIT_INPUT
+        assert out == ""
         assert "error:" in err
 
     def test_wrong_length_spectrum(self, capsys):
@@ -89,6 +88,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "basis", "--basis-file", str(bad))
         assert code == EXIT_INPUT
         assert "malformed" in err
+
+    def test_non_list_unitaries_in_basis_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"dim": 2, "unitaries": [1, 2]}')
+        code, _, err = run(capsys, "basis", "--basis-file", str(bad))
+        assert code == EXIT_INPUT
+        assert "error:" in err
 
     def test_basis_file_dim_mismatch(self, capsys, tmp_path):
         import numpy as np

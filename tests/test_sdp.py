@@ -22,7 +22,7 @@ from entdist.states import (
     random_spectrum,
     weyl_basis,
 )
-from entdist.tensor import kron, transpose_party_a
+from entdist.tensor import transpose_party_a
 
 BELL_SPEC = ResourceSpectrum.from_probabilities([0.8, 0.2])
 
@@ -83,7 +83,7 @@ class TestSolver:
     def test_local_unitary_invariance(self):
         """Conjugating every state by V (x) W fixes the optimum."""
         rng = np.random.default_rng(31)
-        v = kron(haar_random_unitary(4, rng), haar_random_unitary(4, rng))
+        v = np.kron(haar_random_unitary(4, rng), haar_random_unitary(4, rng))
         ens = build_ensemble(weyl_basis(2), BELL_SPEC, 4)
         rotated = SDPProblem(
             states=tuple(v @ rho @ v.conj().T for rho in ens.density_operators()),
@@ -125,6 +125,13 @@ class TestProblemValidation:
         ens = build_ensemble(weyl_basis(2), BELL_SPEC, 4)
         states = list(ens.density_operators())
         states[0] = 2.0 * states[0]
+        with pytest.raises(ValueError):
+            SDPProblem(states=tuple(states), priors=ens.priors, layout=ens.layout)
+
+    def test_stacked_state(self):
+        ens = build_ensemble(weyl_basis(2), BELL_SPEC, 4)
+        states = list(ens.density_operators())
+        states[0] = np.stack([states[0], states[0]])
         with pytest.raises(ValueError):
             SDPProblem(states=tuple(states), priors=ens.priors, layout=ens.layout)
 

@@ -15,9 +15,11 @@ from entdist.tensor import (
     partial_transpose,
     permute_factors,
     permute_ket,
+    psd_clip,
     psd_project,
     transpose_party_a,
 )
+from entdist.states import four_factor_layout
 
 
 def random_matrix(rng, dim):
@@ -53,6 +55,12 @@ def test_layout_shape_checks():
         lay.check_matrix(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         lay.check_ket(np.zeros(3))
+    # one matrix is expected here; only the transpose path takes stacks
+    stack = np.zeros((3, 4, 4), dtype=complex)
+    with pytest.raises(ValueError):
+        lay.check_matrix(stack)
+    with pytest.raises(ValueError):
+        permute_factors(stack, lay, (1, 0))
 
 
 @settings(max_examples=25, deadline=None)
@@ -94,6 +102,39 @@ def test_transpose_party_a_matches_explicit_factors():
     assert np.array_equal(
         transpose_party_a(m, lay), partial_transpose(m, lay, (0, 1))
     )
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [SubsystemLayout((2, 3), cut=1), four_factor_layout(2)],
+    ids=["pair_2x3", "four_factor_2"],
+)
+def test_partial_transpose_of_stack_matches_each_matrix(layout):
+    rng = np.random.default_rng(8)
+    stack = np.stack([random_matrix(rng, layout.dim) for _ in range(4)])
+    batched = partial_transpose(stack, layout, (0,))
+    party_a = transpose_party_a(stack, layout)
+    for k, m in enumerate(stack):
+        assert np.array_equal(batched[k], partial_transpose(m, layout, (0,)))
+        assert np.array_equal(party_a[k], transpose_party_a(m, layout))
+    deep = transpose_party_a(stack.reshape(2, 2, layout.dim, layout.dim), layout)
+    assert np.array_equal(deep.reshape(stack.shape), party_a)
+
+
+def test_partial_transpose_rejects_wrong_stack_shape():
+    lay = SubsystemLayout((2, 2), cut=1)
+    for bad in (np.zeros(4), np.zeros((3, 4, 5)), np.zeros((3, 3, 3))):
+        with pytest.raises(ValueError):
+            partial_transpose(bad, lay, (0,))
+
+
+def test_psd_clip_of_stack_matches_psd_project():
+    rng = np.random.default_rng(12)
+    stack = np.stack([random_hermitian(rng, 6) for _ in range(5)])
+    clipped = psd_clip(stack)
+    assert clipped.shape == stack.shape
+    for k, h in enumerate(stack):
+        assert np.allclose(clipped[k], psd_project(h), rtol=0.0, atol=1e-12)
 
 
 def test_permute_factors_composes():
