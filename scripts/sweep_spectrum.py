@@ -18,7 +18,7 @@ from entdist.certificate import build_certificate
 from entdist.measures import fef
 from entdist.protocol import protocol_success
 from entdist.sdp import SDPProblem, solve_primal_ppt
-from entdist.states import ResourceSpectrum, build_ensemble, weyl_basis
+from entdist.states import ResourceSpectrum, weyl_basis
 
 
 def main() -> int:
@@ -49,9 +49,8 @@ def main() -> int:
             "sdp": "",
         }
         if args.sdp:
-            ens = build_ensemble(basis, spec, 4)
             result = solve_primal_ppt(
-                SDPProblem.from_ensemble(ens, accuracy=args.accuracy)
+                SDPProblem.from_basis(basis, spec, accuracy=args.accuracy)
             )
             row["sdp"] = f"{result.primal_value:.8f}"
         writer.writerow(row)

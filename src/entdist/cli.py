@@ -2,8 +2,10 @@
 
 Every subcommand resolves its inputs into a RunConfig before any numerics
 run, emits a JSON report (or a flat CSV table with --csv) to stdout or
---out, and exits 0 on success, 1 on a numerical check failure, 2 on bad
-input. Reports are byte-identical for identical configuration and seed.
+--out, and exits 0 on success, 1 on a numerical check failure or a solve
+that did not converge, 2 on bad input. A run whose dense matrices would
+exceed MAX_DENSE_BYTES is refused as bad input before anything is built.
+Reports are byte-identical for identical configuration and seed.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .states import (
     MaxEntBasis,
     ResourceSpectrum,
     build_ensemble,
+    closes_under_products,
     dump_basis_file,
     load_basis_file,
     random_spectrum,
@@ -49,6 +52,11 @@ EXIT_NUMERICAL = 1
 EXIT_INPUT = 2
 
 _PRESETS = ("uniform", "product", "random")
+
+# Refuse a run whose dense d^4 x d^4 matrices would need more than this.
+MAX_DENSE_BYTES = 4 * 2**30
+# Dense matrices the certificate route holds at its peak.
+_CERTIFICATE_MATRICES = 8
 
 
 @dataclass(frozen=True)
@@ -93,8 +101,40 @@ def parse_spectrum(text: str, dim: int, amplitudes: bool, seed: int) -> Resource
     return ResourceSpectrum.from_probabilities(values)
 
 
+def dense_bytes(command: str, dim: int, n_states: int, covariant: bool) -> int:
+    """Estimated peak bytes of the dense d^4 x d^4 complex matrices a run holds.
+
+    The solver keeps about 16 matrices per iterated operator (one when the
+    program is covariant, else n_states) plus the n_states states and
+    operators; the certificate route keeps a few more.
+    """
+    solver = 16 * (1 if covariant else n_states) + 2 * n_states
+    matrices = {
+        "certificate": _CERTIFICATE_MATRICES,
+        "verify": _CERTIFICATE_MATRICES,
+        "sdp": solver,
+        "sandwich": solver + _CERTIFICATE_MATRICES,
+    }[command]
+    return 16 * dim**8 * matrices
+
+
+def _check_size(command: str, dim: int, n_states: int, basis: MaxEntBasis | None) -> None:
+    if command not in ("certificate", "verify", "sdp", "sandwich"):
+        return
+    # The built-in Weyl basis (basis is None here) closes under products.
+    covariant = n_states == dim * dim and (basis is None or closes_under_products(basis))
+    need = dense_bytes(command, dim, n_states, covariant)
+    if need > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"{command} at d={dim} with {n_states} states needs about "
+            f"{need / 2**30:.3g} GiB of dense matrices, more than the "
+            f"{MAX_DENSE_BYTES / 2**30:.3g} GiB limit"
+        )
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Validate and resolve CLI arguments; raises ValueError on bad input."""
+    basis = None
     if args.basis_file is not None:
         basis = load_basis_file(args.basis_file)
         if args.dim is not None and args.dim != basis.dim:
@@ -106,7 +146,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         dim = 2 if args.dim is None else args.dim
         if dim < 2:
             raise ValueError(f"dimension must be at least 2, got {dim}")
-        basis = weyl_basis(dim)
 
     spectrum_label = args.spectrum if args.spectrum is not None else "uniform"
     if args.command == "verify" and args.spectrum is None:
@@ -124,6 +163,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"--{name} must be positive")
     if args.max_iters < 1:
         raise ValueError("--max-iters must be at least 1")
+
+    _check_size(args.command, dim, n_states, basis)
+    if basis is None:
+        basis = weyl_basis(dim)
 
     return RunConfig(
         command=args.command,
@@ -274,10 +317,13 @@ def cmd_certificate(config: RunConfig):
 
 
 def cmd_sdp(config: RunConfig):
-    ens = build_ensemble(config.basis, config.spec, config.n_states)
     result = solve_primal_ppt(
-        SDPProblem.from_ensemble(
-            ens, accuracy=config.accuracy, max_iters=config.max_iters
+        SDPProblem.from_basis(
+            config.basis,
+            config.spec,
+            config.n_states,
+            accuracy=config.accuracy,
+            max_iters=config.max_iters,
         )
     )
     payload = {
@@ -289,7 +335,7 @@ def cmd_sdp(config: RunConfig):
         **result.to_dict(),
     }
     rows = list(result.trace)
-    return EXIT_OK, payload, rows
+    return EXIT_OK if result.converged else EXIT_NUMERICAL, payload, rows
 
 
 def cmd_bounds(config: RunConfig):

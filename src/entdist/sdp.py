@@ -8,6 +8,14 @@ are exact (the affine step is a closed-form mean shift, the cone steps are
 eigenvalue clips, and partial transposition is a Frobenius isometry so
 transpose-clip-transpose projects onto the PPT cone). The iteration is
 deterministic: fixed initialization, fixed summation order, no randomness.
+
+A problem that carries an orbit is covariant: its states are
+rho_k = W_k rho_0 W_k† with W_k the k-th basis unitary on B1. Summing W_k X W_k†
+over a trace-orthogonal basis of d² unitaries gives d Tr_B1(X) ⊗ I_B1, which
+commutes with every W_k, and the cone clips commute with W_k too, so from
+the covariant start every iterate keeps P_k = W_k P_0 W_k†. The loop then
+carries P_0 alone: the sum of the whole measurement becomes the twirl of
+P_0 and the objective counts P_0 once for each of the d² operators.
 """
 
 from __future__ import annotations
@@ -19,8 +27,23 @@ import numpy as np
 from .certificate import DualCertificate, FeasibilityReport, build_certificate, verify_dual_feasibility
 from .measures import fef
 from .protocol import incomplete_bounds, protocol_success
-from .states import Ensemble, MaxEntBasis, ResourceSpectrum, build_ensemble
-from .tensor import SubsystemLayout, psd_clip, transpose_party_a
+from .states import (
+    B1_FACTOR,
+    Ensemble,
+    MaxEntBasis,
+    ResourceSpectrum,
+    build_ensemble,
+    closes_under_products,
+    four_factor_layout,
+    validate_basis,
+)
+from .tensor import (
+    SubsystemLayout,
+    conjugate_factor,
+    factor_twirl,
+    psd_clip,
+    transpose_party_a,
+)
 
 DEFAULT_ACCURACY = 1e-4
 DEFAULT_MAX_ITERS = 50000
@@ -33,7 +56,12 @@ _STALL_WINDOW = 50
 
 @dataclass(frozen=True)
 class SDPProblem:
-    """Discrimination instance: states, priors, cut, and solver options."""
+    """Discrimination instance: states, priors, cut, and solver options.
+
+    ``orbit``, when given, holds the d² basis unitaries U_k with
+    states[k] = W_k states[0] W_k† for W_k = U_k acting on B1, and the
+    solver iterates on one operator.
+    """
 
     states: tuple[np.ndarray, ...]
     priors: tuple[float, ...]
@@ -41,6 +69,7 @@ class SDPProblem:
     accuracy: float = DEFAULT_ACCURACY
     max_iters: int = DEFAULT_MAX_ITERS
     step: float = DEFAULT_STEP
+    orbit: tuple[np.ndarray, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         states = tuple(np.asarray(s, dtype=complex) for s in self.states)
@@ -59,6 +88,26 @@ class SDPProblem:
                 raise ValueError(f"state {i} is not positive semidefinite")
         if self.accuracy <= 0 or self.max_iters < 1 or self.step <= 0:
             raise ValueError("accuracy, max_iters, and step must be positive")
+        if self.orbit:
+            self._check_orbit()
+
+    def _check_orbit(self) -> None:
+        orbit = tuple(np.asarray(u, dtype=complex) for u in self.orbit)
+        object.__setattr__(self, "orbit", orbit)
+        report = validate_basis(orbit)
+        if not (report.accepted and report.complete):
+            raise ValueError("an orbit must be a complete trace-orthogonal unitary basis")
+        if self.layout != four_factor_layout(report.dim):
+            raise ValueError(f"an orbit needs the A1,A2,B1,B2 layout of dimension {report.dim}")
+        if len(orbit) != len(self.states):
+            raise ValueError(f"orbit has {len(orbit)} unitaries for {len(self.states)} states")
+        if any(p != self.priors[0] for p in self.priors):
+            raise ValueError("a covariant problem needs uniform priors")
+        rho0 = self.states[0]
+        for k, (u, rho) in enumerate(zip(orbit, self.states)):
+            moved = conjugate_factor(rho0, u, self.layout, B1_FACTOR)
+            if np.max(np.abs(moved - rho)) > 1e-10:
+                raise ValueError(f"state {k} is not state 0 moved by unitary {k} on B1")
 
     @classmethod
     def from_ensemble(cls, ens: Ensemble, **options) -> "SDPProblem":
@@ -67,6 +116,27 @@ class SDPProblem:
             priors=ens.priors,
             layout=ens.layout,
             **options,
+        )
+
+    @classmethod
+    def from_basis(
+        cls,
+        basis: MaxEntBasis,
+        spec: ResourceSpectrum,
+        n_states: int | None = None,
+        **options,
+    ) -> "SDPProblem":
+        """The program for the first n_states basis states (all d² by default).
+
+        A complete basis whose unitaries close under products up to a phase
+        comes with its orbit, so the solver iterates on one operator; any
+        other set of states is solved operator by operator.
+        """
+        n = len(basis) if n_states is None else n_states
+        ens = build_ensemble(basis, spec, n)
+        covariant = n == len(basis) and closes_under_products(basis)
+        return cls.from_ensemble(
+            ens, orbit=basis.unitaries if covariant else (), **options
         )
 
 
@@ -95,10 +165,9 @@ class SDPResult:
         }
 
 
-def _affine_project(stack: np.ndarray) -> np.ndarray:
-    """Shift the stack so the operators sum to the identity exactly."""
-    n, dim = stack.shape[0], stack.shape[1]
-    dev = (stack.sum(axis=0) - np.eye(dim)) / n
+def _affine_project(stack: np.ndarray, total, n: int) -> np.ndarray:
+    """Shift the stack so the n operators of the measurement sum to the identity."""
+    dev = (total(stack) - np.eye(stack.shape[1])) / n
     return stack - dev[None, :, :]
 
 
@@ -111,14 +180,24 @@ def _ppt_clip(stack: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
     return transpose_party_a(psd_clip(transpose_party_a(stack, layout)), layout)
 
 
-def _residuals(stack: np.ndarray, layout: SubsystemLayout) -> tuple[float, float]:
-    dim = stack.shape[1]
-    primal = float(np.linalg.norm(stack.sum(axis=0) - np.eye(dim)))
+def _residuals(stack: np.ndarray, total, layout: SubsystemLayout) -> tuple[float, float]:
+    primal = float(np.linalg.norm(total(stack) - np.eye(stack.shape[1])))
     eig_min = min(
         float(np.linalg.eigvalsh(stack).min()),
         float(np.linalg.eigvalsh(transpose_party_a(stack, layout)).min()),
     )
     return primal, min(0.0, eig_min)
+
+
+def _measurement_sum(problem: SDPProblem):
+    """(number of iterated operators, map from their stack to the sum of all n).
+
+    A covariant problem iterates on P_0 alone, whose orbit sums to the twirl
+    d Tr_B1(P_0) ⊗ I_B1; any other problem iterates on every operator.
+    """
+    if problem.orbit:
+        return 1, lambda stack: factor_twirl(stack[0], problem.layout, B1_FACTOR)
+    return len(problem.states), lambda stack: stack.sum(axis=0)
 
 
 def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
@@ -127,15 +206,19 @@ def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
     Runs the consensus splitting until max(primal residual, cone violation,
     relative objective change over the stall window) drops below the target
     accuracy, checking every few iterations; hitting the iteration cap
-    returns the best iterate with converged=False rather than raising.
+    returns the best iterate with converged=False rather than raising. A
+    covariant problem runs the same iterations on one orbit representative
+    and expands it into all n operators at the end.
     """
     n = len(problem.states)
     layout = problem.layout
     dim = layout.dim
     rho_step = problem.step
+    kept, total = _measurement_sum(problem)
+    multiplicity = n // kept
 
-    cost = np.stack([p * s for p, s in zip(problem.priors, problem.states)])
-    z = np.stack([np.eye(dim, dtype=complex) / n] * n)
+    cost = np.stack([p * s for p, s in zip(problem.priors[:kept], problem.states)])
+    z = np.stack([np.eye(dim, dtype=complex) / n] * kept)
     duals = [np.zeros_like(z) for _ in range(3)]
     drive = cost / (3.0 * rho_step)
 
@@ -146,7 +229,7 @@ def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
     primal_res = cone_res = np.inf
 
     for it in range(1, problem.max_iters + 1):
-        x_affine = _affine_project(z - duals[0])
+        x_affine = _affine_project(z - duals[0], total, n)
         x_psd = psd_clip(z - duals[1])
         x_ppt = _ppt_clip(z - duals[2], layout)
 
@@ -159,8 +242,8 @@ def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
 
         iterations = it
         if it % _CHECK_EVERY == 0 or it == problem.max_iters:
-            obj = _objective(cost, z)
-            primal_res, cone_res = _residuals(z, layout)
+            obj = multiplicity * _objective(cost, z)
+            primal_res, cone_res = _residuals(z, total, layout)
             history.append(obj)
             lag = _STALL_WINDOW // _CHECK_EVERY
             if len(history) > lag:
@@ -180,7 +263,7 @@ def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
                 converged = True
                 break
 
-    primal_value = _objective(cost, z)
+    primal_value = multiplicity * _objective(cost, z)
     if not trace or trace[-1]["iteration"] != iterations:
         trace.append(
             {
@@ -191,13 +274,20 @@ def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
             }
         )
 
-    rounded = _ppt_clip(psd_clip(_affine_project(z)), layout)
-    rounded_value = _objective(cost, rounded)
+    rounded = _ppt_clip(psd_clip(_affine_project(z, total, n)), layout)
+    rounded_value = multiplicity * _objective(cost, rounded)
+
+    if problem.orbit:
+        operators = tuple(
+            conjugate_factor(z[0], u, layout, B1_FACTOR) for u in problem.orbit
+        )
+    else:
+        operators = tuple(z)
 
     return SDPResult(
         primal_value=primal_value,
         rounded_value=rounded_value,
-        operators=tuple(z),
+        operators=operators,
         primal_residual=primal_res,
         cone_residual=cone_res,
         iterations=iterations,
@@ -291,7 +381,9 @@ def sandwich_report(
         lower = incomplete_bounds(basis, spec, n_states, strategy=strategy).lower
 
     result = solve_primal_ppt(
-        SDPProblem.from_ensemble(ens, accuracy=accuracy, max_iters=max_iters)
+        SDPProblem.from_basis(
+            basis, spec, n_states, accuracy=accuracy, max_iters=max_iters
+        )
     )
 
     slack = accuracy + 1e-6

@@ -19,6 +19,8 @@ BASIS_DEFECT_TOL = 1e-10
 
 # B1 <-> A2 exchange on the (A1, B1, A2, B2) ordering.
 SWAP_B1_A2 = (0, 2, 1, 3)
+# Position of B1, where the basis unitaries act, in the (A1, A2, B1, B2) ordering.
+B1_FACTOR = 2
 
 
 def four_factor_layout(d: int) -> SubsystemLayout:
@@ -178,6 +180,21 @@ class MaxEntBasis:
 
     def kets(self) -> list[np.ndarray]:
         return [max_ent_state(U) for U in self.unitaries]
+
+
+def closes_under_products(basis: MaxEntBasis) -> bool:
+    """True when every product U_j U_k is a phase times some U_m of the basis.
+
+    The d² unitaries are an orthogonal operator basis, so the overlaps
+    |Tr(U_m† V)|/d of a unitary V have squares summing to 1 over m, and V
+    is a phase times some U_m exactly when its largest overlap is 1.
+    """
+    u = np.stack(basis.unitaries)
+    for uj in u:
+        overlaps = np.abs(np.einsum("mab,kab->km", u.conj(), uj @ u)) / basis.dim
+        if overlaps.max(axis=1).min() < 1.0 - BASIS_DEFECT_TOL:
+            return False
+    return True
 
 
 def weyl_basis(d: int) -> MaxEntBasis:

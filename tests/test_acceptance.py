@@ -18,7 +18,7 @@ from entdist.certificate import (
 )
 from entdist.measures import fef
 from entdist.protocol import incomplete_bounds, protocol_success, teleport_residuals
-from entdist.sdp import SDPProblem, solve_primal_ppt
+from entdist.sdp import DEFAULT_ACCURACY, SDPProblem, sandwich_report, solve_primal_ppt
 from entdist.states import (
     ResourceSpectrum,
     build_ensemble,
@@ -50,8 +50,7 @@ def d3_spectra() -> list[tuple[str, ResourceSpectrum]]:
 
 
 def sdp_value(basis, spec, n_states) -> float:
-    ens = build_ensemble(basis, spec, n_states)
-    result = solve_primal_ppt(SDPProblem.from_ensemble(ens))
+    result = solve_primal_ppt(SDPProblem.from_basis(basis, spec, n_states))
     assert result.converged
     return result.primal_value
 
@@ -279,5 +278,30 @@ def test_criterion_9_gram_cross_check(acceptance_log):
     ok = worst <= 1e-12
     line = report(
         acceptance_log, 9, ok, f"20 pairs, worst gram mismatch = {worst:.2e}"
+    )
+    assert ok, line
+
+
+def test_criterion_10_d4_sandwich(acceptance_log):
+    """d=4 complete Weyl basis, seeded random spectrum: protocol, solver and
+    certificate all agree with F within the solver accuracy plus 1e-6."""
+    start = time.perf_counter()
+    spec = random_spectrum(4, np.random.default_rng(SPECTRUM_SEED))
+    target = fef(spec)
+    sandwich = sandwich_report(weyl_basis(4), spec)
+    elapsed = time.perf_counter() - start
+
+    slack = DEFAULT_ACCURACY + 1e-6
+    worst = max(
+        abs(value - target)
+        for value in (sandwich.lower, sandwich.sdp_value, sandwich.upper)
+    )
+    ok = sandwich.agreement and sandwich.result.converged and worst <= slack
+    line = report(
+        acceptance_log,
+        10,
+        ok,
+        f"F={target:.8f} sdp={sandwich.sdp_value:.8f} worst dev={worst:.2e} "
+        f"iterations={sandwich.result.iterations} elapsed={elapsed:.1f}s",
     )
     assert ok, line

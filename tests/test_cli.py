@@ -6,7 +6,14 @@ import json
 
 import pytest
 
-from entdist.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
+from entdist.cli import (
+    EXIT_INPUT,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    MAX_DENSE_BYTES,
+    dense_bytes,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -123,6 +130,38 @@ class TestExitCodes:
         )
         assert code == EXIT_NUMERICAL
         assert "agreement failed" in err
+
+    def test_unconverged_sdp_is_a_numerical_failure_with_a_report(self, capsys):
+        code, out, _ = run(
+            capsys, "sdp", "--dim", "2", "--spectrum", "0.8,0.2",
+            "--max-iters", "10",
+        )
+        assert code == EXIT_NUMERICAL
+        payload = json.loads(out)
+        assert payload["converged"] is False
+        assert payload["iterations"] == 10
+
+    def test_oversized_run_is_refused(self, capsys):
+        code, out, err = run(capsys, "certificate", "--dim", "20")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "error:" in err and "GiB" in err
+
+
+class TestSizeEstimate:
+    def test_counts_dense_matrices(self):
+        matrix = 16 * 3**8
+        assert dense_bytes("certificate", 3, 9, False) == 8 * matrix
+        assert dense_bytes("verify", 3, 9, False) == 8 * matrix
+        assert dense_bytes("sdp", 3, 9, False) == (16 * 9 + 18) * matrix
+        assert dense_bytes("sdp", 3, 9, True) == (16 + 18) * matrix
+        assert dense_bytes("sandwich", 3, 9, True) == (16 + 18 + 8) * matrix
+
+    def test_limit_separates_the_sizes_that_run_from_the_ones_that_cannot(self):
+        assert dense_bytes("sandwich", 5, 25, True) < MAX_DENSE_BYTES
+        assert dense_bytes("certificate", 5, 25, False) < MAX_DENSE_BYTES
+        assert dense_bytes("sdp", 6, 35, False) > MAX_DENSE_BYTES
+        assert dense_bytes("certificate", 20, 400, False) > MAX_DENSE_BYTES
 
 
 class TestCommands:

@@ -26,6 +26,15 @@ def test_sweep_spectrum_writes_csv():
     assert len(lines) == 4
 
 
+def test_sweep_spectrum_solves_every_point():
+    proc = run_script("sweep_spectrum.py", "--steps", "2", "--sdp")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+    assert len(rows) == 2
+    for row in rows:
+        assert abs(float(row[4]) - float(row[1])) < 1e-3
+
+
 def test_incomplete_bounds_scan_writes_csv():
     proc = run_script("incomplete_bounds_scan.py", "--dim", "2", "--spectrum", "0.8,0.2")
     assert proc.returncode == 0, proc.stderr

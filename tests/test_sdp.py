@@ -10,14 +10,18 @@ from entdist.certificate import (
 )
 from entdist.measures import fef
 from entdist.sdp import (
+    DEFAULT_ACCURACY,
     SDPProblem,
     dual_bound_from_certificate,
     sandwich_report,
     solve_primal_ppt,
 )
 from entdist.states import (
+    MaxEntBasis,
     ResourceSpectrum,
     build_ensemble,
+    closes_under_products,
+    conjugated_basis,
     haar_random_unitary,
     random_spectrum,
     weyl_basis,
@@ -25,6 +29,28 @@ from entdist.states import (
 from entdist.tensor import transpose_party_a
 
 BELL_SPEC = ResourceSpectrum.from_probabilities([0.8, 0.2])
+QUTRIT_SPEC = ResourceSpectrum.from_probabilities([0.55, 0.30, 0.15])
+
+
+def twisted_clock_basis(seed: int) -> MaxEntBasis:
+    """Complete d=3 basis X^a diag(e^{i theta_aj} w^{bj}) with random phases.
+
+    Trace-orthogonal for any theta, but the products of its unitaries leave
+    the set, so it is not a group up to phases.
+    """
+    d = 3
+    theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (d, d))
+    theta[0] = 0.0
+    shift = np.roll(np.eye(d), 1, axis=0)
+    w = np.exp(2j * np.pi * np.arange(d) / d)
+    return MaxEntBasis(
+        dim=d,
+        unitaries=tuple(
+            np.linalg.matrix_power(shift, a) @ np.diag(np.exp(1j * theta[a]) * w**b)
+            for a in range(d)
+            for b in range(d)
+        ),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +138,69 @@ class TestSolver:
         d = bell_result.to_dict()
         assert "operators" not in d
         assert d["primal_value"] == bell_result.primal_value
+
+
+class TestCovariantPath:
+    @pytest.mark.parametrize(
+        "basis, spec",
+        [
+            (weyl_basis(2), BELL_SPEC),
+            (
+                conjugated_basis(
+                    weyl_basis(2), haar_random_unitary(2, np.random.default_rng(41))
+                ),
+                BELL_SPEC,
+            ),
+            (weyl_basis(3), QUTRIT_SPEC),
+        ],
+        ids=["weyl2", "haar-weyl2", "weyl3"],
+    )
+    def test_matches_the_full_solver(self, basis, spec):
+        d = basis.dim
+        covariant = SDPProblem.from_basis(basis, spec)
+        assert len(covariant.orbit) == d * d
+        full = SDPProblem.from_ensemble(build_ensemble(basis, spec, d * d))
+        assert full.orbit == ()
+        a, b = solve_primal_ppt(covariant), solve_primal_ppt(full)
+        assert a.iterations == b.iterations
+        assert a.converged and b.converged
+        for name in ("primal_value", "rounded_value", "primal_residual", "cone_residual"):
+            assert abs(getattr(a, name) - getattr(b, name)) <= 1e-10, name
+        assert len(a.operators) == d * d
+        for x, y in zip(a.operators, b.operators):
+            assert np.max(np.abs(x - y)) <= 1e-10
+        for row_a, row_b in zip(a.trace, b.trace):
+            assert row_a["iteration"] == row_b["iteration"]
+            assert abs(row_a["objective"] - row_b["objective"]) <= 1e-10
+
+    def test_basis_that_does_not_close_is_solved_in_full(self):
+        basis = twisted_clock_basis(5)
+        assert not closes_under_products(basis)
+        problem = SDPProblem.from_basis(basis, QUTRIT_SPEC)
+        assert problem.orbit == ()
+        result = solve_primal_ppt(problem)
+        assert result.converged
+        assert abs(result.primal_value - fef(QUTRIT_SPEC)) <= DEFAULT_ACCURACY + 1e-6
+
+    def test_incomplete_set_is_solved_in_full(self):
+        problem = SDPProblem.from_basis(weyl_basis(2), BELL_SPEC, 3)
+        assert problem.orbit == ()
+        assert len(solve_primal_ppt(problem).operators) == 3
+
+    def test_orbit_must_move_state_zero_onto_every_state(self):
+        ens = build_ensemble(weyl_basis(2), BELL_SPEC, 4)
+        other = conjugated_basis(
+            weyl_basis(2), haar_random_unitary(2, np.random.default_rng(3))
+        )
+        with pytest.raises(ValueError, match="moved"):
+            SDPProblem.from_ensemble(ens, orbit=other.unitaries)
+        with pytest.raises(ValueError, match="complete"):
+            SDPProblem.from_ensemble(ens, orbit=weyl_basis(2).unitaries[:3])
+
+    def test_orbit_needs_one_unitary_per_state(self):
+        ens = build_ensemble(weyl_basis(2), BELL_SPEC, 3)
+        with pytest.raises(ValueError, match="4 unitaries for 3 states"):
+            SDPProblem.from_ensemble(ens, orbit=weyl_basis(2).unitaries)
 
 
 class TestProblemValidation:
