@@ -33,12 +33,11 @@ from .protocol import (
     simulate_protocol,
     teleport_residuals,
 )
-from .sdp import SDPProblem, sandwich_report, solve_primal_ppt
+from .sdp import SDPProblem, is_covariant, sandwich_report, solve_primal_ppt
 from .states import (
     MaxEntBasis,
     ResourceSpectrum,
     build_ensemble,
-    closes_under_products,
     dump_basis_file,
     load_basis_file,
     random_spectrum,
@@ -101,14 +100,15 @@ def parse_spectrum(text: str, dim: int, amplitudes: bool, seed: int) -> Resource
     return ResourceSpectrum.from_probabilities(values)
 
 
-def dense_bytes(command: str, dim: int, n_states: int, covariant: bool) -> int:
+def dense_bytes(command: str, dim: int, n_states: int) -> int:
     """Estimated peak bytes of the dense d^4 x d^4 complex matrices a run holds.
 
     The solver keeps about 16 matrices per iterated operator (one when the
     program is covariant, else n_states) plus the n_states states and
     operators; the certificate route keeps a few more.
     """
-    solver = 16 * (1 if covariant else n_states) + 2 * n_states
+    iterated = 1 if is_covariant(dim, n_states) else n_states
+    solver = 16 * iterated + 2 * n_states
     matrices = {
         "certificate": _CERTIFICATE_MATRICES,
         "verify": _CERTIFICATE_MATRICES,
@@ -118,12 +118,10 @@ def dense_bytes(command: str, dim: int, n_states: int, covariant: bool) -> int:
     return 16 * dim**8 * matrices
 
 
-def _check_size(command: str, dim: int, n_states: int, basis: MaxEntBasis | None) -> None:
+def _check_size(command: str, dim: int, n_states: int) -> None:
     if command not in ("certificate", "verify", "sdp", "sandwich"):
         return
-    # The built-in Weyl basis (basis is None here) closes under products.
-    covariant = n_states == dim * dim and (basis is None or closes_under_products(basis))
-    need = dense_bytes(command, dim, n_states, covariant)
+    need = dense_bytes(command, dim, n_states)
     if need > MAX_DENSE_BYTES:
         raise ValueError(
             f"{command} at d={dim} with {n_states} states needs about "
@@ -164,7 +162,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.max_iters < 1:
         raise ValueError("--max-iters must be at least 1")
 
-    _check_size(args.command, dim, n_states, basis)
+    _check_size(args.command, dim, n_states)
     if basis is None:
         basis = weyl_basis(dim)
 

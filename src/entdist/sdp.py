@@ -15,7 +15,9 @@ over a trace-orthogonal basis of d² unitaries gives d Tr_B1(X) ⊗ I_B1, which
 commutes with every W_k, and the cone clips commute with W_k too, so from
 the covariant start every iterate keeps P_k = W_k P_0 W_k†. The loop then
 carries P_0 alone: the sum of the whole measurement becomes the twirl of
-P_0 and the objective counts P_0 once for each of the d² operators.
+P_0 and the objective counts P_0 once for each of the d² operators. Every
+complete basis qualifies (its first unitary is the identity, so state k is
+state 0 moved by W_k); the basis need not be a group.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .states import (
     MaxEntBasis,
     ResourceSpectrum,
     build_ensemble,
-    closes_under_products,
     four_factor_layout,
     validate_basis,
 )
@@ -52,6 +53,14 @@ DEFAULT_STEP = 0.5
 _CHECK_EVERY = 25
 _TRACE_EVERY = 100
 _STALL_WINDOW = 50
+
+
+def is_covariant(dim: int, n_states: int) -> bool:
+    """Whether the first n_states states of a basis are solved on one operator.
+
+    Only the complete set of d² states is covariant; a subset breaks the orbit.
+    """
+    return n_states == dim * dim
 
 
 @dataclass(frozen=True)
@@ -110,7 +119,16 @@ class SDPProblem:
                 raise ValueError(f"state {k} is not state 0 moved by unitary {k} on B1")
 
     @classmethod
-    def from_ensemble(cls, ens: Ensemble, **options) -> "SDPProblem":
+    def from_ensemble(
+        cls, ens: Ensemble, basis: MaxEntBasis | None = None, **options
+    ) -> "SDPProblem":
+        """The program for an ensemble, solved operator by operator.
+
+        Given the basis that built the ensemble, a complete ensemble carries
+        the basis unitaries as its orbit and is solved on one operator.
+        """
+        if basis is not None and is_covariant(basis.dim, len(ens)):
+            options.setdefault("orbit", basis.unitaries)
         return cls(
             states=tuple(ens.density_operators()),
             priors=ens.priors,
@@ -126,18 +144,9 @@ class SDPProblem:
         n_states: int | None = None,
         **options,
     ) -> "SDPProblem":
-        """The program for the first n_states basis states (all d² by default).
-
-        A complete basis whose unitaries close under products up to a phase
-        comes with its orbit, so the solver iterates on one operator; any
-        other set of states is solved operator by operator.
-        """
+        """The program for the first n_states basis states (all d² by default)."""
         n = len(basis) if n_states is None else n_states
-        ens = build_ensemble(basis, spec, n)
-        covariant = n == len(basis) and closes_under_products(basis)
-        return cls.from_ensemble(
-            ens, orbit=basis.unitaries if covariant else (), **options
-        )
+        return cls.from_ensemble(build_ensemble(basis, spec, n), basis, **options)
 
 
 @dataclass(frozen=True)
@@ -381,9 +390,7 @@ def sandwich_report(
         lower = incomplete_bounds(basis, spec, n_states, strategy=strategy).lower
 
     result = solve_primal_ppt(
-        SDPProblem.from_basis(
-            basis, spec, n_states, accuracy=accuracy, max_iters=max_iters
-        )
+        SDPProblem.from_ensemble(ens, basis, accuracy=accuracy, max_iters=max_iters)
     )
 
     slack = accuracy + 1e-6

@@ -182,21 +182,6 @@ class MaxEntBasis:
         return [max_ent_state(U) for U in self.unitaries]
 
 
-def closes_under_products(basis: MaxEntBasis) -> bool:
-    """True when every product U_j U_k is a phase times some U_m of the basis.
-
-    The d² unitaries are an orthogonal operator basis, so the overlaps
-    |Tr(U_m† V)|/d of a unitary V have squares summing to 1 over m, and V
-    is a phase times some U_m exactly when its largest overlap is 1.
-    """
-    u = np.stack(basis.unitaries)
-    for uj in u:
-        overlaps = np.abs(np.einsum("mab,kab->km", u.conj(), uj @ u)) / basis.dim
-        if overlaps.max(axis=1).min() < 1.0 - BASIS_DEFECT_TOL:
-            return False
-    return True
-
-
 def weyl_basis(d: int) -> MaxEntBasis:
     """Shift-and-clock basis: U_(a,b) = X^a Z^b for a,b in 0..d-1.
 

@@ -151,17 +151,17 @@ class TestExitCodes:
 class TestSizeEstimate:
     def test_counts_dense_matrices(self):
         matrix = 16 * 3**8
-        assert dense_bytes("certificate", 3, 9, False) == 8 * matrix
-        assert dense_bytes("verify", 3, 9, False) == 8 * matrix
-        assert dense_bytes("sdp", 3, 9, False) == (16 * 9 + 18) * matrix
-        assert dense_bytes("sdp", 3, 9, True) == (16 + 18) * matrix
-        assert dense_bytes("sandwich", 3, 9, True) == (16 + 18 + 8) * matrix
+        assert dense_bytes("certificate", 3, 9) == 8 * matrix
+        assert dense_bytes("verify", 3, 9) == 8 * matrix
+        assert dense_bytes("sdp", 3, 8) == (16 * 8 + 16) * matrix
+        assert dense_bytes("sdp", 3, 9) == (16 + 18) * matrix
+        assert dense_bytes("sandwich", 3, 9) == (16 + 18 + 8) * matrix
 
     def test_limit_separates_the_sizes_that_run_from_the_ones_that_cannot(self):
-        assert dense_bytes("sandwich", 5, 25, True) < MAX_DENSE_BYTES
-        assert dense_bytes("certificate", 5, 25, False) < MAX_DENSE_BYTES
-        assert dense_bytes("sdp", 6, 35, False) > MAX_DENSE_BYTES
-        assert dense_bytes("certificate", 20, 400, False) > MAX_DENSE_BYTES
+        assert dense_bytes("sandwich", 5, 25) < MAX_DENSE_BYTES
+        assert dense_bytes("certificate", 5, 25) < MAX_DENSE_BYTES
+        assert dense_bytes("sdp", 6, 35) > MAX_DENSE_BYTES
+        assert dense_bytes("certificate", 20, 400) > MAX_DENSE_BYTES
 
 
 class TestCommands:
