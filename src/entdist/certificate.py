@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .tensor import (
     SubsystemLayout,
     frobenius,
     herm_eig,
-    min_eigenvalue,
     partial_transpose,
     permute_factors,
     require_hermitian,
@@ -240,48 +240,89 @@ class FeasibilityReport:
         }
 
 
+@lru_cache(maxsize=None)
+def _schmidt_sectors(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index stacks of the sectors of A1,A2,B1,B2 fixed by the pair {a2, b2}.
+
+    Returns (diagonal, paired): row i of the first lists the d^2 indices with
+    a2 = b2 = i, and each row of the second the 2d^2 indices with
+    {a2, b2} = {i, j}, i < j, in lexicographic order. Together the rows
+    partition the d^4 indices. The arrays are read-only.
+    """
+    idx = np.arange(d**4).reshape(d, d, d, d)
+    diagonal = np.stack([idx[:, i, :, i].reshape(-1) for i in range(d)])
+    paired = np.stack(
+        [
+            np.concatenate([idx[:, i, :, j].reshape(-1), idx[:, j, :, i].reshape(-1)])
+            for i in range(d)
+            for j in range(i + 1, d)
+        ]
+    )
+    diagonal.setflags(write=False)
+    paired.setflags(write=False)
+    return diagonal, paired
+
+
 def _feasibility_margin(cert: DualCertificate, state: np.ndarray, prior: float):
+    """Certified lower bound on the smallest eigenvalue of T_A(H - p Phi).
+
+    The dense shifted operator is built and checked for Hermiticity, then
+    diagonalised sector by sector (see ``_schmidt_sectors``). Whatever lies
+    outside the sectors, E, is bounded by Weyl's inequality: lambda_min >=
+    min over sectors of lambda_min - ||E||_F. For the ensembles of
+    ``build_ensemble`` E is exactly zero and the bound is the dense minimum.
+    """
     rho = np.outer(state, state.conj())
     shifted = transpose_party_a(cert.h_swapped - prior * rho, cert.layout)
-    return min_eigenvalue(shifted)
+    require_hermitian(shifted)
+    block_min = np.inf
+    for stack in _schmidt_sectors(cert.dim):
+        rows, cols = stack[:, :, None], stack[:, None, :]
+        block_min = min(block_min, float(np.linalg.eigvalsh(shifted[rows, cols]).min()))
+        shifted[rows, cols] = 0.0
+    return block_min - frobenius(shifted)
 
 
-def _decomposition_residual(
+def _decomposition_residuals(
     cert: DualCertificate,
     basis: MaxEntBasis,
     spec: ResourceSpectrum,
-    parts: CertificateParts,
-    k: int,
-    prior: float,
-) -> float:
+    priors: tuple[float, ...],
+) -> list[float]:
     """Structural identity behind feasibility, checked on the factored side.
 
-    Both transposes applied to the certificate minus the weighted k-th state
-    must equal (scale/d^3) * [Y_k (x) Gamma + 2 sum a_i a_j (1 - Y_k/2) (x)
-    |ij-><ij-|]; the two sides are computed by unrelated code paths.
+    For each k, both transposes applied to the certificate minus the weighted
+    k-th state must equal (scale/d^3) * [Y_k (x) Gamma + (1 - Y_k/2) (x)
+    2 sum a_i a_j |ij-><ij-|]; the two sides are computed by unrelated code
+    paths.
     """
     d = cert.dim
-    psi = max_ent_state(basis.unitaries[k])
-    psi_rho = np.outer(psi, psi.conj())
+    parts = certificate_parts(basis, spec)
     tau = resource_state(spec)
     tau_rho = np.outer(tau, tau.conj())
     lay4 = SubsystemLayout((d, d, d, d), cut=2)
-
-    lhs = partial_transpose(
-        cert.h_factored - prior * np.kron(psi_rho, tau_rho), lay4, (0, 2)
-    )
-
     a = spec.coeffs
-    ups = parts.upsilons[k]
-    half = np.eye(d * d, dtype=complex) - 0.5 * ups
-    rhs = np.kron(ups, parts.gamma_op)
+    antisym = np.zeros((d * d, d * d), dtype=complex)
     idx = 0
     for i in range(d):
         for j in range(i + 1, d):
-            rhs += 2.0 * a[i] * a[j] * np.kron(half, parts.antisym[idx])
+            antisym += 2.0 * a[i] * a[j] * parts.antisym[idx]
             idx += 1
-    rhs *= cert.scale / d**3
-    return frobenius(lhs - rhs)
+
+    residuals = []
+    for k, prior in enumerate(priors):
+        psi = max_ent_state(basis.unitaries[k])
+        psi_rho = np.outer(psi, psi.conj())
+        lhs = partial_transpose(
+            cert.h_factored - prior * np.kron(psi_rho, tau_rho), lay4, (0, 2)
+        )
+        ups = parts.upsilons[k]
+        half = np.eye(d * d, dtype=complex) - 0.5 * ups
+        rhs = np.kron(ups, parts.gamma_op)
+        rhs += np.kron(half, antisym)
+        rhs *= cert.scale / d**3
+        residuals.append(frobenius(lhs - rhs))
+    return residuals
 
 
 def verify_dual_feasibility(
@@ -294,9 +335,15 @@ def verify_dual_feasibility(
     """Check the dual constraint for every ensemble member.
 
     The report passes iff every shifted operator T_A(H - p_k Phi_k) has
-    smallest eigenvalue >= -tol * (1 + ||H||_F). When the generating basis
-    and spectrum are supplied, the per-k structural residual is evaluated as
-    well; otherwise those entries are reported as zero-length.
+    smallest eigenvalue >= -tol * (1 + ||H||_F). Each ``lambda_mins`` entry
+    is a certified lower bound on that eigenvalue: the resource is Schmidt
+    diagonal, so the operator splits into d sectors of size d^2 (a2 = b2)
+    and d(d-1)/2 of size 2d^2 ({a2, b2} = {i, j}), which are diagonalised
+    one by one; whatever lies outside them is subtracted by its Frobenius
+    norm (Weyl's inequality), and is exactly zero for the ensembles of
+    ``build_ensemble``. When the generating basis and spectrum are
+    supplied, the per-k structural residual is evaluated as well; otherwise
+    those entries are reported as zero-length.
     """
     if ens.layout.factor_dims != cert.layout.factor_dims:
         raise ValueError(
@@ -315,11 +362,7 @@ def verify_dual_feasibility(
 
     residuals: list[float] = []
     if basis is not None and spec is not None:
-        parts = certificate_parts(basis, spec)
-        residuals = [
-            _decomposition_residual(cert, basis, spec, parts, k, ens.priors[k])
-            for k in range(len(ens))
-        ]
+        residuals = _decomposition_residuals(cert, basis, spec, ens.priors)
 
     threshold = -tol * (1.0 + frobenius(cert.h_swapped))
     passed = all(lm >= threshold for lm in lambda_mins)

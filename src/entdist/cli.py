@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -37,10 +38,11 @@ from .sdp import SDPProblem, is_covariant, sandwich_report, solve_primal_ppt
 from .states import (
     MaxEntBasis,
     ResourceSpectrum,
+    basis_from_entries,
     build_ensemble,
     dump_basis_file,
-    load_basis_file,
     random_spectrum,
+    read_basis_file,
     validate_basis,
     weyl_basis,
 )
@@ -52,10 +54,14 @@ EXIT_INPUT = 2
 
 _PRESETS = ("uniform", "product", "random")
 
-# Refuse a run whose dense d^4 x d^4 matrices would need more than this.
+# Refuse a run whose dense arrays would need more than this.
 MAX_DENSE_BYTES = 4 * 2**30
-# Dense matrices the certificate route holds at its peak.
+# Dense d^4 x d^4 matrices the certificate route holds at its peak.
 _CERTIFICATE_MATRICES = 8
+# Basis-sized arrays (d^2 matrices of d x d, 16 d^4 bytes) that fef with a basis
+# file, basis, protocol and bounds hold at their peak. Parsing a basis file's
+# JSON alone costs about 14 of them (tracemalloc peaks at d = 6-16).
+_BASIS_ARRAYS = 16
 
 
 @dataclass(frozen=True)
@@ -67,7 +73,7 @@ class RunConfig:
     spec: ResourceSpectrum | None
     spectrum_label: str
     n_states: int
-    basis: MaxEntBasis
+    basis: MaxEntBasis | None
     tol: float
     accuracy: float
     max_iters: int
@@ -101,12 +107,15 @@ def parse_spectrum(text: str, dim: int, amplitudes: bool, seed: int) -> Resource
 
 
 def dense_bytes(command: str, dim: int, n_states: int) -> int:
-    """Estimated peak bytes of the dense d^4 x d^4 complex matrices a run holds.
+    """Estimated peak bytes of the dense arrays a run holds.
 
-    The solver keeps about 16 matrices per iterated operator (one when the
-    program is covariant, else n_states) plus the n_states states and
-    operators; the certificate route keeps a few more.
+    Commands that only build the basis hold a fixed number of basis-sized
+    arrays. The solver keeps about 16 d^4 x d^4 matrices per iterated
+    operator (one when the program is covariant, else n_states) plus the
+    n_states states and operators; the certificate route keeps a few more.
     """
+    if command in ("fef", "basis", "protocol", "bounds"):
+        return 16 * dim**4 * _BASIS_ARRAYS
     iterated = 1 if is_covariant(dim, n_states) else n_states
     solver = 16 * iterated + 2 * n_states
     matrices = {
@@ -119,31 +128,28 @@ def dense_bytes(command: str, dim: int, n_states: int) -> int:
 
 
 def _check_size(command: str, dim: int, n_states: int) -> None:
-    if command not in ("certificate", "verify", "sdp", "sandwich"):
-        return
     need = dense_bytes(command, dim, n_states)
     if need > MAX_DENSE_BYTES:
         raise ValueError(
             f"{command} at d={dim} with {n_states} states needs about "
-            f"{need / 2**30:.3g} GiB of dense matrices, more than the "
+            f"{need / 2**30:.3g} GiB of dense arrays, more than the "
             f"{MAX_DENSE_BYTES / 2**30:.3g} GiB limit"
         )
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Validate and resolve CLI arguments; raises ValueError on bad input."""
-    basis = None
+    entries = None
     if args.basis_file is not None:
-        basis = load_basis_file(args.basis_file)
-        if args.dim is not None and args.dim != basis.dim:
+        dim, entries = read_basis_file(args.basis_file)
+        if args.dim is not None and args.dim != dim:
             raise ValueError(
-                f"--dim {args.dim} contradicts basis file dimension {basis.dim}"
+                f"--dim {args.dim} contradicts basis file dimension {dim}"
             )
-        dim = basis.dim
     else:
         dim = 2 if args.dim is None else args.dim
-        if dim < 2:
-            raise ValueError(f"dimension must be at least 2, got {dim}")
+    if dim < 2:
+        raise ValueError(f"dimension must be at least 2, got {dim}")
 
     spectrum_label = args.spectrum if args.spectrum is not None else "uniform"
     if args.command == "verify" and args.spectrum is None:
@@ -162,9 +168,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.max_iters < 1:
         raise ValueError("--max-iters must be at least 1")
 
-    _check_size(args.command, dim, n_states)
-    if basis is None:
-        basis = weyl_basis(dim)
+    # fef needs no basis, but a basis file it is given is still validated.
+    basis = None
+    if entries is not None or args.command != "fef":
+        _check_size(args.command, dim, n_states)
+        if entries is not None:
+            basis = basis_from_entries(dim, entries, args.basis_file)
+        else:
+            basis = weyl_basis(dim)
 
     return RunConfig(
         command=args.command,
@@ -199,15 +210,32 @@ def _plain(obj):
 
 
 def emit(config: RunConfig, payload: dict, rows: list[dict]) -> None:
+    """Write the report; one holding a non-finite number is a numerical failure.
+
+    The whole text is formatted before anything is written, so a refused
+    report leaves stdout empty.
+    """
     if config.csv:
+        rows = [_plain(row) for row in rows]
+        if any(
+            isinstance(v, float) and not math.isfinite(v)
+            for row in rows
+            for v in row.values()
+        ):
+            raise RuntimeError("report holds a non-finite number")
         buffer = io.StringIO()
         writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(_plain(row))
+        writer.writerows(rows)
         text = buffer.getvalue()
     else:
-        text = json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n"
+        try:
+            text = (
+                json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False)
+                + "\n"
+            )
+        except ValueError as exc:
+            raise RuntimeError(f"report holds a non-finite number: {exc}") from exc
     if config.out:
         with open(config.out, "w", encoding="utf-8") as handle:
             handle.write(text)

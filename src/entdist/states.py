@@ -127,21 +127,22 @@ def validate_basis(unitaries) -> BasisValidation:
             raise ValueError(
                 f"inconsistent dimensions: expected {(d, d)}, got {U.shape}"
             )
-    eye = np.eye(d)
-    unit_defect = max(float(np.max(np.abs(U.conj().T @ U - eye))) for U in mats)
-    orth_defect = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            orth_defect = max(
-                orth_defect, abs(np.trace(mats[i].conj().T @ mats[j]))
-            )
-    complete = len(mats) == d * d
+    n = len(mats)
+    stack = np.stack(mats)
+    products = stack.conj().swapaxes(1, 2) @ stack
+    unit_defect = float(np.max(np.abs(products - np.eye(d))))
+    # gram[i, j] = Tr(U_i^dagger U_j), one product over the flattened stack.
+    flat = stack.reshape(n, d * d)
+    gram = flat.conj() @ flat.T
+    off_diagonal = np.abs(gram[np.triu_indices(n, 1)])
+    orth_defect = float(off_diagonal.max()) if off_diagonal.size else 0.0
+    complete = n == d * d
     accepted = unit_defect < BASIS_DEFECT_TOL and orth_defect < BASIS_DEFECT_TOL
     return BasisValidation(
-        count=len(mats),
+        count=n,
         dim=d,
         unitarity_defect=unit_defect,
-        orthogonality_defect=float(orth_defect),
+        orthogonality_defect=orth_defect,
         complete=complete,
         accepted=accepted,
     )
@@ -308,20 +309,29 @@ def conjugated_basis(basis: MaxEntBasis, V: np.ndarray) -> MaxEntBasis:
     )
 
 
-def load_basis_file(path) -> MaxEntBasis:
-    """Read a basis from JSON: {"dim": d, "unitaries": [[[re, im], ...], ...]}.
+def read_basis_file(path) -> tuple[int, list]:
+    """Read the dimension and the raw unitary entries of a basis file.
 
-    Each unitary is a flat row-major list of [re, im] pairs of length d^2.
+    Nothing is built from the entries yet, so a caller can judge the size
+    of the basis from its dimension first; ``basis_from_entries`` builds it.
     """
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     try:
         d = int(payload["dim"])
         raw = payload["unitaries"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed basis file {path}: {exc}") from exc
     if not isinstance(raw, list):
         raise ValueError(f"malformed basis file {path}: unitaries must be a list")
+    return d, raw
+
+
+def basis_from_entries(d: int, raw: list, path) -> MaxEntBasis:
+    """Build and validate the basis read from the basis file at ``path``.
+
+    Each unitary is a flat row-major list of [re, im] pairs of length d^2.
+    """
     unitaries = []
     for idx, entries in enumerate(raw):
         if not (
@@ -341,6 +351,12 @@ def load_basis_file(path) -> MaxEntBasis:
             raise ValueError(f"malformed basis file {path}: unitary {idx}: {exc}") from exc
         unitaries.append(flat.reshape(d, d))
     return MaxEntBasis(dim=d, unitaries=tuple(unitaries))
+
+
+def load_basis_file(path) -> MaxEntBasis:
+    """Read a basis from JSON: {"dim": d, "unitaries": [[[re, im], ...], ...]}."""
+    d, raw = read_basis_file(path)
+    return basis_from_entries(d, raw, path)
 
 
 def dump_basis_file(basis: MaxEntBasis, path) -> None:

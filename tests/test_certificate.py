@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from entdist.certificate import (
+    _decomposition_residuals,
+    _feasibility_margin,
+    _schmidt_sectors,
     build_certificate,
     certificate_parts,
     check_swap_transpose_identity,
@@ -14,15 +17,25 @@ from entdist.certificate import (
 )
 from entdist.measures import fef
 from entdist.states import (
+    Ensemble,
     ResourceSpectrum,
     build_ensemble,
+    conjugated_basis,
+    haar_random_unitary,
     max_ent_state,
     pair_layout,
     random_spectrum,
     resource_state,
     weyl_basis,
 )
-from entdist.tensor import frobenius, is_psd, min_eigenvalue, partial_transpose
+from entdist.tensor import (
+    SubsystemLayout,
+    frobenius,
+    is_psd,
+    min_eigenvalue,
+    partial_transpose,
+    transpose_party_a,
+)
 
 
 @pytest.fixture(scope="module")
@@ -246,3 +259,121 @@ def test_shifted_operators_are_psd_not_just_marginal(d2_setup):
         cert.layout,
     )
     assert min_eigenvalue(shifted) > -1e-12
+
+
+def _dense_shifted(cert, state, prior):
+    rho = np.outer(state, state.conj())
+    return transpose_party_a(cert.h_swapped - prior * rho, cert.layout)
+
+
+def _off_sector_norm(M, d):
+    """Frobenius norm of M outside the Schmidt sectors, from a boolean mask."""
+    inside = np.zeros(M.shape, dtype=bool)
+    for stack in _schmidt_sectors(d):
+        for sector in stack:
+            inside[np.ix_(sector, sector)] = True
+    return frobenius(np.where(inside, 0.0, M))
+
+
+def _sector_cases():
+    rng = np.random.default_rng(404)
+    for d in (2, 3, 4):
+        spec = random_spectrum(d, rng)
+        weyl = weyl_basis(d)
+        rotated = conjugated_basis(weyl, haar_random_unitary(d, rng))
+        yield pytest.param(weyl, spec, d * d, id=f"weyl-d{d}")
+        yield pytest.param(rotated, spec, d * d, id=f"haar-d{d}")
+        yield pytest.param(rotated, spec, d + 1, id=f"haar-d{d}-N{d + 1}")
+
+
+class TestSectorMargin:
+    """The sector-by-sector margin against the dense eigenvalue oracle."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_sectors_partition_the_indices(self, d):
+        diagonal, paired = _schmidt_sectors(d)
+        assert diagonal.shape == (d, d * d)
+        assert paired.shape == (d * (d - 1) // 2, 2 * d * d)
+        together = np.concatenate([diagonal.reshape(-1), paired.reshape(-1)])
+        assert np.array_equal(np.sort(together), np.arange(d**4))
+
+    @pytest.mark.parametrize("basis, spec, n", list(_sector_cases()))
+    def test_matches_the_dense_minimum(self, basis, spec, n):
+        cert = build_certificate(basis, spec, n)
+        ens = build_ensemble(basis, spec, n)
+        report = verify_dual_feasibility(cert, ens, 1e-9)
+        assert report.passed
+        for state, prior, margin in zip(ens.states, ens.priors, report.lambda_mins):
+            shifted = _dense_shifted(cert, state, prior)
+            # the ensembles the package builds leave nothing outside the sectors
+            assert _off_sector_norm(shifted, cert.dim) == 0.0
+            assert abs(margin - min_eigenvalue(shifted)) <= 1e-12
+
+    def test_states_that_break_the_sectors_get_a_lower_bound(self):
+        d = 2
+        rng = np.random.default_rng(405)
+        spec = ResourceSpectrum.from_probabilities([0.7, 0.3])
+        cert = build_certificate(weyl_basis(d), spec)
+        g = rng.standard_normal((d**4, d * d)) + 1j * rng.standard_normal((d**4, d * d))
+        q, _ = np.linalg.qr(g)
+        ens = Ensemble(
+            layout=cert.layout,
+            states=tuple(q.T),
+            priors=(1.0 / (d * d),) * (d * d),
+        )
+        for state, prior in zip(ens.states, ens.priors):
+            shifted = _dense_shifted(cert, state, prior)
+            assert _off_sector_norm(shifted, d) > 1e-3
+            assert _feasibility_margin(cert, state, prior) <= min_eigenvalue(shifted)
+
+
+    def test_non_hermitian_shifted_operator_is_refused(self, d2_setup):
+        basis, spec = d2_setup
+        cert = build_certificate(basis, spec)
+        ens = build_ensemble(basis, spec, 4)
+        skewed = cert.h_swapped.copy()
+        skewed[0, 1] += 1e-3
+        # eigvalsh reads one triangle only, so the dense check must catch this
+        object.__setattr__(cert, "h_swapped", skewed)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            _feasibility_margin(cert, ens.states[0], ens.priors[0])
+
+
+def _per_pair_residuals(cert, basis, spec, priors):
+    """The decomposition residual with one kron per antisymmetric projector."""
+    d = cert.dim
+    parts = certificate_parts(basis, spec)
+    tau = resource_state(spec)
+    tau_rho = np.outer(tau, tau.conj())
+    lay4 = SubsystemLayout((d, d, d, d), cut=2)
+    a = spec.coeffs
+    out = []
+    for k, prior in enumerate(priors):
+        psi = max_ent_state(basis.unitaries[k])
+        lhs = partial_transpose(
+            cert.h_factored - prior * np.kron(np.outer(psi, psi.conj()), tau_rho),
+            lay4,
+            (0, 2),
+        )
+        ups = parts.upsilons[k]
+        half = np.eye(d * d, dtype=complex) - 0.5 * ups
+        rhs = np.kron(ups, parts.gamma_op)
+        idx = 0
+        for i in range(d):
+            for j in range(i + 1, d):
+                rhs += 2.0 * a[i] * a[j] * np.kron(half, parts.antisym[idx])
+                idx += 1
+        rhs *= cert.scale / d**3
+        out.append(frobenius(lhs - rhs))
+    return out
+
+
+@pytest.mark.parametrize("basis, spec, n", list(_sector_cases())[:6])
+def test_one_kron_residual_matches_the_per_pair_sum(basis, spec, n):
+    cert = build_certificate(basis, spec, n)
+    priors = (1.0 / n,) * n
+    got = _decomposition_residuals(cert, basis, spec, priors)
+    want = _per_pair_residuals(cert, basis, spec, priors)
+    assert len(got) == n
+    assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-14
+    assert max(got) < 1e-12

@@ -3,9 +3,11 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
+import entdist.cli as cli
 from entdist.cli import (
     EXIT_INPUT,
     EXIT_NUMERICAL,
@@ -147,6 +149,61 @@ class TestExitCodes:
         assert out == ""
         assert "error:" in err and "GiB" in err
 
+    @pytest.mark.parametrize("command", ["fef", "basis", "protocol", "bounds"])
+    def test_oversized_basis_is_refused_before_it_is_built(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the basis was built")
+
+        monkeypatch.setattr(cli, "weyl_basis", never)
+        monkeypatch.setattr(cli, "basis_from_entries", never)
+        if command == "fef":
+            # only a basis file makes fef build a basis
+            path = tmp_path / "huge.json"
+            path.write_text('{"dim": 100, "unitaries": []}')
+            argv = [command, "--basis-file", str(path)]
+        else:
+            argv = [command, "--dim", "100"]
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "error:" in err and "GiB" in err
+
+    @pytest.mark.parametrize("as_csv", [False, True])
+    def test_non_finite_report_is_a_numerical_failure(self, capsys, monkeypatch, as_csv):
+        def handler(config):
+            payload = {"command": "fef", "fef": float("nan")}
+            return EXIT_OK, payload, [{"fef": float("nan")}]
+
+        monkeypatch.setitem(cli._HANDLERS, "fef", handler)
+        argv = ["fef", "--dim", "2"] + (["--csv"] if as_csv else [])
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert "numerical failure:" in err
+
+
+class TestBasisUse:
+    def test_fef_builds_no_basis(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("fef built a basis")
+
+        monkeypatch.setattr(cli, "weyl_basis", never)
+        payload = run_json(capsys, "fef", "--dim", "16")
+        assert payload["fef"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_fef_still_validates_a_basis_file(self, capsys, tmp_path):
+        path = tmp_path / "twice.json"
+        identity = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+        path.write_text(json.dumps({"dim": 2, "unitaries": [identity] * 4}))
+        code, out, err = run(capsys, "fef", "--basis-file", str(path))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "basis rejected" in err
+
 
 class TestSizeEstimate:
     def test_counts_dense_matrices(self):
@@ -162,6 +219,13 @@ class TestSizeEstimate:
         assert dense_bytes("certificate", 5, 25) < MAX_DENSE_BYTES
         assert dense_bytes("sdp", 6, 35) > MAX_DENSE_BYTES
         assert dense_bytes("certificate", 20, 400) > MAX_DENSE_BYTES
+
+    @pytest.mark.parametrize("command", ["fef", "basis", "protocol", "bounds"])
+    def test_basis_commands_count_basis_sized_arrays(self, command):
+        assert dense_bytes(command, 3, 9) == 16 * 16 * 3**4
+        assert dense_bytes(command, 3, 4) == dense_bytes(command, 3, 9)
+        assert dense_bytes(command, 64, 64**2) <= MAX_DENSE_BYTES
+        assert dense_bytes(command, 65, 65**2) > MAX_DENSE_BYTES
 
 
 class TestCommands:

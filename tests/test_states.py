@@ -162,6 +162,39 @@ class TestEnsemble:
         assert tau[1] == tau[2] == 0.0
 
 
+def _loop_validation(mats):
+    """The pairwise Python loop validate_basis replaced, kept as the oracle."""
+    d = mats[0].shape[0]
+    unit = max(float(np.max(np.abs(U.conj().T @ U - np.eye(d)))) for U in mats)
+    orth = 0.0
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            orth = max(orth, abs(np.trace(mats[i].conj().T @ mats[j])))
+    return unit, float(orth)
+
+
+class TestBatchedValidation:
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_matches_the_pairwise_loop(self, d):
+        rng = np.random.default_rng(31 + d)
+        weyl = weyl_basis(d).unitaries
+        rotated = conjugated_basis(weyl_basis(d), haar_random_unitary(d, rng)).unitaries
+        skewed = (weyl[0] + 1e-6 * rng.standard_normal((d, d)),) + weyl[1:]
+        for mats in (weyl, rotated, rotated[: d + 1], skewed, weyl[:1]):
+            report = validate_basis(mats)
+            unit, orth = _loop_validation(mats)
+            assert abs(report.unitarity_defect - unit) <= 1e-15
+            assert abs(report.orthogonality_defect - orth) <= 1e-15
+            accepted = unit < 1e-10 and orth < 1e-10
+            assert report.accepted == accepted
+            assert report.complete == (len(mats) == d * d)
+        assert not validate_basis(skewed).accepted
+
+    def test_rejects_mixed_shapes(self):
+        with pytest.raises(ValueError):
+            validate_basis([np.eye(2), np.eye(3)])
+
+
 class TestConjugatedBasis:
     def test_still_a_valid_basis(self):
         rng = np.random.default_rng(13)
@@ -192,6 +225,9 @@ class TestBasisFile:
         with pytest.raises(ValueError):
             load_basis_file(bad)
         bad.write_text('{"unitaries": []}')
+        with pytest.raises(ValueError):
+            load_basis_file(bad)
+        bad.write_text('{"dim": 1e999, "unitaries": []}')
         with pytest.raises(ValueError):
             load_basis_file(bad)
 
