@@ -12,10 +12,10 @@ import argparse
 import csv
 import sys
 
-from entdist.cli import EXIT_INPUT, parse_spectrum
+from entdist.cli import EXIT_INPUT, MAX_DENSE_BYTES, dense_bytes, parse_spectrum
 from entdist.protocol import incomplete_bounds
 from entdist.sdp import SDPProblem, solve_primal_ppt
-from entdist.states import build_ensemble, weyl_basis
+from entdist.states import weyl_basis
 
 
 def main() -> int:
@@ -29,9 +29,20 @@ def main() -> int:
     parser.add_argument("--out", help="CSV path (default stdout)")
     args = parser.parse_args()
 
+    sizes = range(args.dim + 1, args.dim * args.dim + 1)
     try:
-        basis = weyl_basis(args.dim)
         spec = parse_spectrum(args.spectrum, args.dim, amplitudes=False, seed=args.seed)
+        solved = sizes if args.sdp else ()
+        need = max(
+            [dense_bytes("bounds", args.dim, args.dim * args.dim)]
+            + [dense_bytes("sdp", args.dim, n) for n in solved]
+        )
+        if need > MAX_DENSE_BYTES:
+            raise ValueError(
+                f"scan at d={args.dim} needs about {need / 2**30:.3g} GiB of dense "
+                f"arrays, more than the {MAX_DENSE_BYTES / 2**30:.3g} GiB limit"
+            )
+        basis = weyl_basis(args.dim)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -41,7 +52,7 @@ def main() -> int:
     writer = csv.DictWriter(sink, fieldnames=fields)
     writer.writeheader()
 
-    for n in range(args.dim + 1, args.dim * args.dim + 1):
+    for n in sizes:
         completion = incomplete_bounds(basis, spec, n)
         projector = incomplete_bounds(basis, spec, n, strategy="projector")
         row = {
@@ -52,9 +63,8 @@ def main() -> int:
             "sdp": "",
         }
         if args.sdp:
-            ens = build_ensemble(basis, spec, n)
             result = solve_primal_ppt(
-                SDPProblem.from_ensemble(ens, accuracy=args.accuracy)
+                SDPProblem.from_basis(basis, spec, n, accuracy=args.accuracy)
             )
             row["sdp"] = f"{result.primal_value:.8f}"
         writer.writerow(row)

@@ -9,23 +9,19 @@ an analytic dual certificate (upper bound), and a first-order PPT solver
 """
 
 from .certificate import (
-    CertificateParts,
     DualCertificate,
     FeasibilityReport,
     UpsilonReport,
     build_certificate,
-    certificate_parts,
     check_swap_transpose_identity,
     upsilon_spectrum_check,
     verify_dual_feasibility,
 )
 from .measures import fef, fef_pure, negativity
 from .protocol import (
-    CompletionStates,
     IncompleteBounds,
     ProtocolRun,
     ResidualEnsemble,
-    default_completion,
     incomplete_bounds,
     protocol_success,
     sample_protocol_success,
@@ -63,8 +59,6 @@ from .tensor import SubsystemLayout, frobenius
 __version__ = "0.1.0"
 
 __all__ = [
-    "CertificateParts",
-    "CompletionStates",
     "DualCertificate",
     "Ensemble",
     "FeasibilityReport",
@@ -80,10 +74,8 @@ __all__ = [
     "UpsilonReport",
     "build_certificate",
     "build_ensemble",
-    "certificate_parts",
     "check_swap_transpose_identity",
     "conjugated_basis",
-    "default_completion",
     "dual_bound_from_certificate",
     "dump_basis_file",
     "fef",

@@ -90,34 +90,6 @@ def upsilon(basis: MaxEntBasis, k: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CertificateParts:
-    """Projector ingredients of the certificate, kept for structure checks."""
-
-    dim: int
-    diag: tuple[np.ndarray, ...]
-    sym: tuple[np.ndarray, ...]
-    antisym: tuple[np.ndarray, ...]
-    gamma_op: np.ndarray
-    upsilons: tuple[np.ndarray, ...]
-
-
-def certificate_parts(basis: MaxEntBasis, spec: ResourceSpectrum) -> CertificateParts:
-    if spec.dim != basis.dim:
-        raise ValueError(
-            f"spectrum dimension {spec.dim} does not match basis {basis.dim}"
-        )
-    diag, sym, antisym = pair_projectors(basis.dim)
-    return CertificateParts(
-        dim=basis.dim,
-        diag=tuple(diag),
-        sym=tuple(sym),
-        antisym=tuple(antisym),
-        gamma_op=gamma_operator(spec),
-        upsilons=tuple(upsilon(basis, k) for k in range(len(basis))),
-    )
-
-
-@dataclass(frozen=True)
 class DualCertificate:
     """Dual-feasible operator in both factor orderings.
 
@@ -297,16 +269,21 @@ def _decomposition_residuals(
     paths.
     """
     d = cert.dim
-    parts = certificate_parts(basis, spec)
+    if spec.dim != basis.dim:
+        raise ValueError(
+            f"spectrum dimension {spec.dim} does not match basis {basis.dim}"
+        )
+    gamma_op = gamma_operator(spec)
     tau = resource_state(spec)
     tau_rho = np.outer(tau, tau.conj())
     lay4 = SubsystemLayout((d, d, d, d), cut=2)
     a = spec.coeffs
+    _, _, projectors = pair_projectors(d)
     antisym = np.zeros((d * d, d * d), dtype=complex)
     idx = 0
     for i in range(d):
         for j in range(i + 1, d):
-            antisym += 2.0 * a[i] * a[j] * parts.antisym[idx]
+            antisym += 2.0 * a[i] * a[j] * projectors[idx]
             idx += 1
 
     residuals = []
@@ -316,9 +293,9 @@ def _decomposition_residuals(
         lhs = partial_transpose(
             cert.h_factored - prior * np.kron(psi_rho, tau_rho), lay4, (0, 2)
         )
-        ups = parts.upsilons[k]
+        ups = upsilon(basis, k)
         half = np.eye(d * d, dtype=complex) - 0.5 * ups
-        rhs = np.kron(ups, parts.gamma_op)
+        rhs = np.kron(ups, gamma_op)
         rhs += np.kron(half, antisym)
         rhs *= cert.scale / d**3
         residuals.append(frobenius(lhs - rhs))

@@ -22,8 +22,8 @@ import numpy as np
 
 from .certificate import (
     build_certificate,
-    certificate_parts,
     check_swap_transpose_identity,
+    pair_projectors,
     upsilon_spectrum_check,
     verify_dual_feasibility,
 )
@@ -32,7 +32,6 @@ from .protocol import (
     incomplete_bounds,
     sample_protocol_success,
     simulate_protocol,
-    teleport_residuals,
 )
 from .sdp import SDPProblem, is_covariant, sandwich_report, solve_primal_ppt
 from .states import (
@@ -425,8 +424,7 @@ def _verify_one(config: RunConfig, label: str, spec: ResourceSpectrum) -> list[d
     )
     check("protocol_per_term", run.max_term_deviation <= 1e-10, run.max_term_deviation)
 
-    res = teleport_residuals(basis, spec)
-    gram_diag = float(np.max(np.abs(np.diag(res.gram) - 1.0)))
+    gram_diag = float(np.max(np.abs(np.diag(run.residuals.gram) - 1.0)))
     check("gram_normalized", gram_diag <= 1e-12, gram_diag)
 
     cert = build_certificate(basis, spec)
@@ -444,8 +442,8 @@ def _verify_one(config: RunConfig, label: str, spec: ResourceSpectrum) -> list[d
         feas.worst_decomposition_residual,
     )
 
-    parts = certificate_parts(basis, spec)
-    total = sum(parts.diag) + sum(parts.sym) + sum(parts.antisym)
+    diag, sym, antisym = pair_projectors(d)
+    total = sum(diag) + sum(sym) + sum(antisym)
     completeness = frobenius(total - np.eye(d * d))
     check("projector_completeness", completeness <= 1e-12, completeness)
 

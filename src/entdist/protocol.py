@@ -5,9 +5,9 @@ the receiving lab holding a residual ket gamma_i = (1 (x) U_i)|tau>, reducing
 the task to single-lab discrimination of the gammas. Measuring them in the
 maximally entangled basis of that lab succeeds with probability equal to the
 fully entangled fraction of the resource, term by term. For a set of N < d^2
-states the same measurement extended by completion states (or by a single
-remainder projector) gives a computable lower bound, and the scaled
-certificate trace gives the matching upper bound.
+states the same measurement, with each unused outcome (or their sum, a single
+remainder projector) credited to a residual, gives a computable lower bound,
+and the scaled certificate trace gives the matching upper bound.
 """
 
 from __future__ import annotations
@@ -17,19 +17,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import fef
-from .states import MaxEntBasis, ResourceSpectrum, max_ent_state
+from .states import MaxEntBasis, ResourceSpectrum
 from .tensor import require_hermitian
 
 GRAM_CROSS_TOL = 1e-12
-COMPLETION_ORTHO_TOL = 1e-10
+TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class ResidualEnsemble:
-    """Post-teleportation kets and their Gram matrix."""
+    """Post-teleportation kets, one per row of ``gammas``, and their Gram matrix."""
 
     dim: int
-    gammas: tuple[np.ndarray, ...]
+    gammas: np.ndarray
     gram: np.ndarray
 
     def __post_init__(self):
@@ -59,27 +59,20 @@ def teleport_residuals(
         raise ValueError(f"n_states must lie in [1, {d * d}], got {n_states}")
 
     a = np.asarray(spec.coeffs)
-    gammas = [
-        (np.diag(a.astype(complex)) @ U.T).reshape(-1)
-        for U in basis.unitaries[:n_states]
-    ]
-    gram = np.array(
-        [[np.vdot(gi, gj) for gj in gammas] for gi in gammas], dtype=complex
-    )
-    closed = np.array(
-        [
-            [
-                np.sum(a * a * np.diag(Ui.conj().T @ Uj))
-                for Uj in basis.unitaries[:n_states]
-            ]
-            for Ui in basis.unitaries[:n_states]
-        ],
-        dtype=complex,
-    )
+    unitaries = np.stack(basis.unitaries[:n_states])
+    gammas = (a[:, None] * unitaries.transpose(0, 2, 1)).reshape(n_states, d * d)
+    gram = gammas.conj() @ gammas.T
+    closed = np.einsum("k,imk,jmk->ij", a * a, unitaries.conj(), unitaries)
     defect = float(np.max(np.abs(gram - closed)))
     if defect > GRAM_CROSS_TOL:
         raise ValueError(f"Gram cross-check failed: defect {defect:.3e}")
-    return ResidualEnsemble(dim=d, gammas=tuple(gammas), gram=gram)
+    return ResidualEnsemble(dim=d, gammas=gammas, gram=gram)
+
+
+def _outcome_matrix(basis: MaxEntBasis, residuals: ResidualEnsemble) -> np.ndarray:
+    """P[i, j] = |<psi_j|gamma_i>|^2: residual i measured in the whole basis."""
+    kets = np.stack(basis.kets())
+    return np.abs(residuals.gammas @ kets.conj().T) ** 2
 
 
 @dataclass(frozen=True)
@@ -105,20 +98,16 @@ def simulate_protocol(basis: MaxEntBasis, spec: ResourceSpectrum) -> ProtocolRun
     receiving lab; outcome i on residual i counts as success. Outcome
     distributions are checked to sum to one.
     """
-    d = basis.dim
     residuals = teleport_residuals(basis, spec)
-    kets = basis.kets()
-    per_state = []
-    for i, gamma in enumerate(residuals.gammas):
-        dist = np.array([abs(np.vdot(psi, gamma)) ** 2 for psi in kets])
-        if abs(dist.sum() - 1.0) > 1e-12:
-            raise ValueError(f"outcome distribution for state {i} is not normalized")
-        per_state.append(float(dist[i]))
-    value = float(np.mean(per_state))
+    outcomes = _outcome_matrix(basis, residuals)
+    off = np.flatnonzero(np.abs(outcomes.sum(axis=1) - 1.0) > 1e-12)
+    if off.size:
+        raise ValueError(f"outcome distribution for state {off[0]} is not normalized")
+    per_state = tuple(float(p) for p in np.diag(outcomes))
     return ProtocolRun(
-        dim=d,
-        value=value,
-        per_state=tuple(per_state),
+        dim=basis.dim,
+        value=float(np.mean(per_state)),
+        per_state=per_state,
         expected=fef(spec),
         residuals=residuals,
     )
@@ -142,52 +131,16 @@ def sample_protocol_success(
     """
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
-    d = basis.dim
-    n = d * d
-    residuals = teleport_residuals(basis, spec)
-    kets = basis.kets()
+    n = len(basis)
+    outcomes = _outcome_matrix(basis, teleport_residuals(basis, spec))
     counts = rng.multinomial(shots, [1.0 / n] * n)
     hits = 0
     for i, draws in enumerate(counts):
         if draws == 0:
             continue
-        dist = np.array([abs(np.vdot(psi, residuals.gammas[i])) ** 2 for psi in kets])
-        dist = dist / dist.sum()
-        outcomes = rng.choice(n, size=draws, p=dist)
-        hits += int(np.sum(outcomes == i))
+        dist = outcomes[i] / outcomes[i].sum()
+        hits += int(np.sum(rng.choice(n, size=draws, p=dist) == i))
     return hits / shots
-
-
-@dataclass(frozen=True)
-class CompletionStates:
-    """Extra orthonormal measurement directions for an incomplete set."""
-
-    kets: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        kets = tuple(np.asarray(v, dtype=complex) for v in self.kets)
-        object.__setattr__(self, "kets", kets)
-        for i, v in enumerate(kets):
-            if abs(np.linalg.norm(v) - 1.0) > COMPLETION_ORTHO_TOL:
-                raise ValueError(f"completion state {i} is not normalized")
-            for j in range(i + 1, len(kets)):
-                if abs(np.vdot(v, kets[j])) > COMPLETION_ORTHO_TOL:
-                    raise ValueError(f"completion states {i} and {j} overlap")
-
-    def __len__(self) -> int:
-        return len(self.kets)
-
-
-def default_completion(basis: MaxEntBasis, n_states: int) -> CompletionStates:
-    """The unused basis states, a maximally entangled completion."""
-    d = basis.dim
-    if not 1 <= n_states < d * d:
-        raise ValueError(
-            f"completion requires 1 <= n_states < {d * d}, got {n_states}"
-        )
-    return CompletionStates(
-        kets=tuple(max_ent_state(U) for U in basis.unitaries[n_states:])
-    )
 
 
 @dataclass(frozen=True)
@@ -195,8 +148,9 @@ class IncompleteBounds:
     """Lower and upper bounds on the N-state success probability.
 
     Iterates as (lower, upper). ``assignments`` records, per completion
-    direction, which residual claimed it (ties to the lowest index);
-    ``in_range`` flags whether N sits in the locally indistinguishable
+    direction (one entry for the projector), which residual claimed it: the
+    lowest index within TIE_TOL of the largest overlap, which ``overlaps``
+    holds. ``in_range`` flags whether N sits in the locally indistinguishable
     regime d+1 <= N <= d^2 the bounds are framed for.
     """
 
@@ -231,18 +185,21 @@ def incomplete_bounds(
     basis: MaxEntBasis,
     spec: ResourceSpectrum,
     n_states: int,
-    completion: CompletionStates | None = None,
     strategy: str = "completion",
 ) -> IncompleteBounds:
     """Bracket the success probability for the first n_states basis states.
 
-    With the "completion" strategy the receiver measures in the N basis
-    directions plus the completion states, and every completion outcome is
-    mapped back to the residual most likely to have produced it: lower =
-    F + (1/N) sum_i max_j |<psi'_i|gamma_j>|^2. The "projector" strategy
-    lumps the remainder into a single orthocomplement projector Q and scores
-    only its best residual: lower = F + (1/N) max_j <gamma_j|Q|gamma_j>.
-    Either way upper = min(1, (d^2/N) F) and lower <= upper is enforced.
+    The receiver measures in the whole basis, so the completion is the
+    unused basis states psi_j, j >= N. With the "completion" strategy every
+    completion outcome is mapped back to the residual most likely to have
+    produced it: lower = F + (1/N) sum_j max_i |<psi_j|gamma_i>|^2. The
+    "projector" strategy lumps the completion into one projector
+    Q = sum_{j>=N} |psi_j><psi_j|, the orthocomplement of the measured set
+    since the basis is complete, and scores only its best residual:
+    lower = F + (1/N) max_i <gamma_i|Q|gamma_i>. Each outcome goes to the
+    lowest index within TIE_TOL of the maximum, and ``overlaps`` keeps the
+    maximum itself. Either way upper = min(1, (d^2/N) F) and lower <= upper
+    is enforced.
     """
     d = basis.dim
     if spec.dim != d:
@@ -252,52 +209,17 @@ def incomplete_bounds(
     if strategy not in ("completion", "projector"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    if completion is None:
-        if n_states == d * d:
-            completion = CompletionStates(kets=())
-        else:
-            completion = default_completion(basis, n_states)
-    if len(completion) != d * d - n_states:
-        raise ValueError(
-            f"completion has {len(completion)} states, expected {d * d - n_states}"
-        )
-    basis_kets = basis.kets()[:n_states]
-    for i, v in enumerate(completion.kets):
-        worst = max(
-            (abs(np.vdot(v, psi)) for psi in basis_kets), default=0.0
-        )
-        if worst > COMPLETION_ORTHO_TOL:
-            raise ValueError(
-                f"completion state {i} overlaps the measured set by {worst:.3e}"
-            )
+    outcomes = _outcome_matrix(basis, teleport_residuals(basis, spec, n_states))
+    # One column per completion outcome, one row per residual that may claim it.
+    scores = outcomes[:, n_states:]
+    if strategy == "projector":
+        scores = scores.sum(axis=1, keepdims=True)
+    best = scores.max(axis=0)
+    assignments = np.argmax(scores >= best - TIE_TOL, axis=0)
+    overlaps = [float(m) for m in best]
 
-    residuals = teleport_residuals(basis, spec, n_states)
     fef_value = fef(spec)
-
-    assignments: list[int] = []
-    overlaps: list[float] = []
-    if strategy == "completion":
-        for v in completion.kets:
-            per_j = np.array(
-                [abs(np.vdot(v, g)) ** 2 for g in residuals.gammas]
-            )
-            j = int(np.argmax(per_j))
-            assignments.append(j)
-            overlaps.append(float(per_j[j]))
-        bonus = sum(overlaps) / n_states
-    else:
-        proj = np.eye(d * d, dtype=complex)
-        for psi in basis_kets:
-            proj -= np.outer(psi, psi.conj())
-        per_j = np.array(
-            [float(np.vdot(g, proj @ g).real) for g in residuals.gammas]
-        )
-        j = int(np.argmax(per_j))
-        assignments.append(j)
-        overlaps.append(float(per_j[j]))
-        bonus = overlaps[0] / n_states
-
-    lower = fef_value + bonus
+    lower = fef_value + sum(overlaps) / n_states
     upper = min(1.0, (d * d / n_states) * fef_value)
     if lower > upper + 1e-12:
         raise RuntimeError(
@@ -310,7 +232,7 @@ def incomplete_bounds(
         lower=float(lower),
         upper=float(upper),
         fef_value=fef_value,
-        assignments=tuple(assignments),
+        assignments=tuple(int(i) for i in assignments),
         overlaps=tuple(overlaps),
         in_range=d + 1 <= n_states <= d * d,
     )

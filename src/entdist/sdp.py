@@ -48,7 +48,8 @@ from .tensor import (
 
 DEFAULT_ACCURACY = 1e-4
 DEFAULT_MAX_ITERS = 50000
-DEFAULT_STEP = 0.5
+# Penalty step of the three-way consensus splitting.
+STEP = 0.5
 
 _CHECK_EVERY = 25
 _TRACE_EVERY = 100
@@ -77,7 +78,6 @@ class SDPProblem:
     layout: SubsystemLayout
     accuracy: float = DEFAULT_ACCURACY
     max_iters: int = DEFAULT_MAX_ITERS
-    step: float = DEFAULT_STEP
     orbit: tuple[np.ndarray, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
@@ -95,8 +95,8 @@ class SDPProblem:
                 raise ValueError(f"state {i} does not have unit trace")
             if np.linalg.eigvalsh(rho)[0] < -1e-10:
                 raise ValueError(f"state {i} is not positive semidefinite")
-        if self.accuracy <= 0 or self.max_iters < 1 or self.step <= 0:
-            raise ValueError("accuracy, max_iters, and step must be positive")
+        if self.accuracy <= 0 or self.max_iters < 1:
+            raise ValueError("accuracy and max_iters must be positive")
         if self.orbit:
             self._check_orbit()
 
@@ -222,14 +222,13 @@ def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
     n = len(problem.states)
     layout = problem.layout
     dim = layout.dim
-    rho_step = problem.step
     kept, total = _measurement_sum(problem)
     multiplicity = n // kept
 
     cost = np.stack([p * s for p, s in zip(problem.priors[:kept], problem.states)])
     z = np.stack([np.eye(dim, dtype=complex) / n] * kept)
     duals = [np.zeros_like(z) for _ in range(3)]
-    drive = cost / (3.0 * rho_step)
+    drive = cost / (3.0 * STEP)
 
     history: list[float] = []
     trace: list[dict] = []

@@ -8,8 +8,8 @@ from entdist.certificate import (
     _feasibility_margin,
     _schmidt_sectors,
     build_certificate,
-    certificate_parts,
     check_swap_transpose_identity,
+    gamma_operator,
     pair_projectors,
     upsilon,
     upsilon_spectrum_check,
@@ -151,30 +151,30 @@ class TestParts:
 
     def test_gamma_psd_and_trace(self):
         spec = ResourceSpectrum.from_probabilities([0.5, 0.3, 0.2])
-        parts = certificate_parts(weyl_basis(3), spec)
-        assert is_psd(parts.gamma_op)
+        gamma_op = gamma_operator(spec)
+        assert is_psd(gamma_op)
         # trace = sum a_i^2 + sum_{i<j} a_i a_j
         a = np.asarray(spec.coeffs)
         expect = float(np.sum(a * a) + sum(
             a[i] * a[j] for i in range(3) for j in range(i + 1, 3)
         ))
-        assert np.trace(parts.gamma_op).real == pytest.approx(expect, abs=1e-12)
+        assert np.trace(gamma_op).real == pytest.approx(expect, abs=1e-12)
 
     def test_transposed_resource_reconstruction(self):
         """T_first(tau) = Gamma - sum a_i a_j |ij-><ij-|."""
         d = 3
         spec = ResourceSpectrum.from_probabilities([0.6, 0.3, 0.1])
-        parts = certificate_parts(weyl_basis(d), spec)
+        _, _, antisym = pair_projectors(d)
         tau = resource_state(spec)
         lhs = partial_transpose(
             np.outer(tau, tau.conj()), pair_layout(d), (0,)
         )
-        rhs = parts.gamma_op.copy()
+        rhs = gamma_operator(spec)
         a = spec.coeffs
         idx = 0
         for i in range(d):
             for j in range(i + 1, d):
-                rhs -= a[i] * a[j] * parts.antisym[idx]
+                rhs -= a[i] * a[j] * antisym[idx]
                 idx += 1
         assert frobenius(lhs - rhs) < 1e-12
 
@@ -342,7 +342,8 @@ class TestSectorMargin:
 def _per_pair_residuals(cert, basis, spec, priors):
     """The decomposition residual with one kron per antisymmetric projector."""
     d = cert.dim
-    parts = certificate_parts(basis, spec)
+    gamma_op = gamma_operator(spec)
+    _, _, antisym = pair_projectors(d)
     tau = resource_state(spec)
     tau_rho = np.outer(tau, tau.conj())
     lay4 = SubsystemLayout((d, d, d, d), cut=2)
@@ -355,13 +356,13 @@ def _per_pair_residuals(cert, basis, spec, priors):
             lay4,
             (0, 2),
         )
-        ups = parts.upsilons[k]
+        ups = upsilon(basis, k)
         half = np.eye(d * d, dtype=complex) - 0.5 * ups
-        rhs = np.kron(ups, parts.gamma_op)
+        rhs = np.kron(ups, gamma_op)
         idx = 0
         for i in range(d):
             for j in range(i + 1, d):
-                rhs += 2.0 * a[i] * a[j] * np.kron(half, parts.antisym[idx])
+                rhs += 2.0 * a[i] * a[j] * np.kron(half, antisym[idx])
                 idx += 1
         rhs *= cert.scale / d**3
         out.append(frobenius(lhs - rhs))

@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from entdist.measures import fef
 from entdist.protocol import (
-    CompletionStates,
-    default_completion,
     incomplete_bounds,
     protocol_success,
     sample_protocol_success,
@@ -18,7 +16,6 @@ from entdist.states import (
     ResourceSpectrum,
     conjugated_basis,
     haar_random_unitary,
-    max_ent_state,
     random_spectrum,
     weyl_basis,
 )
@@ -112,32 +109,6 @@ class TestProtocol:
             )
 
 
-class TestCompletion:
-    def test_default_completion_counts(self):
-        basis = weyl_basis(3)
-        comp = default_completion(basis, 5)
-        assert len(comp) == 4
-
-    def test_default_completion_is_orthogonal_to_measured_set(self):
-        basis = weyl_basis(2)
-        comp = default_completion(basis, 3)
-        measured = basis.kets()[:3]
-        for v in comp.kets:
-            for psi in measured:
-                assert abs(np.vdot(v, psi)) < 1e-12
-
-    def test_errors_on_full_basis(self):
-        with pytest.raises(ValueError):
-            default_completion(weyl_basis(2), 4)
-
-    def test_completion_states_validate(self):
-        v = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-        with pytest.raises(ValueError):
-            CompletionStates(kets=(v, v))
-        with pytest.raises(ValueError):
-            CompletionStates(kets=(2.0 * v,))
-
-
 class TestIncompleteBounds:
     def test_three_state_benchmark(self):
         """lower = F + (1/3)(a1 - a2)^2/2 = (2/3)(1 + a1 a2)."""
@@ -196,18 +167,69 @@ class TestIncompleteBounds:
         assert lower == pytest.approx(2.0 / 3.0 * 1.4, abs=1e-10)
         assert upper == pytest.approx(1.0)
 
-    def test_custom_completion_must_match_count(self):
-        comp = default_completion(weyl_basis(2), 3)
-        with pytest.raises(ValueError):
-            incomplete_bounds(weyl_basis(2), BELL_SPEC, 2, completion=comp)
-
-    def test_overlapping_completion_rejected(self):
-        bad = CompletionStates(kets=(max_ent_state(np.eye(2)),))
-        with pytest.raises(ValueError):
-            incomplete_bounds(weyl_basis(2), BELL_SPEC, 3, completion=bad)
-
 
 def test_tie_break_picks_lowest_index():
-    """A maximally entangled resource ties every overlap at zero."""
-    bounds = incomplete_bounds(weyl_basis(3), ResourceSpectrum.uniform(3), 6)
-    assert bounds.assignments == (0, 0, 0)
+    """Ties go to the lowest index whichever way roundoff leans."""
+    uniform = ResourceSpectrum.uniform(3)
+    skewed = ResourceSpectrum.from_probabilities([0.6, 0.3, 0.1])
+    cases = [
+        # a maximally entangled resource ties every overlap at zero
+        (uniform, 6, "completion", (0, 0, 0)),
+        (uniform, 6, "projector", (0,)),
+        # residuals 3 and 4 overlap the first unused direction equally
+        (skewed, 5, "completion", (3, 0, 0, 0)),
+        (skewed, 5, "projector", (3,)),
+    ]
+    for spec, n, strategy, expected in cases:
+        bounds = incomplete_bounds(weyl_basis(3), spec, n, strategy=strategy)
+        assert bounds.assignments == expected
+        assert min(bounds.overlaps) >= 0.0
+
+
+def _loop_oracle(basis, spec, n, strategy):
+    """Per-state successes, Gram matrix and bound by per-pair loops over kets."""
+    a = np.asarray(spec.coeffs)
+    gammas = [(np.diag(a.astype(complex)) @ u.T).reshape(-1) for u in basis.unitaries]
+    kets = basis.kets()
+    per_state = [abs(np.vdot(kets[i], g)) ** 2 for i, g in enumerate(gammas)]
+    gram = np.array([[np.vdot(g, h) for h in gammas] for g in gammas])
+    if strategy == "completion":
+        columns = [
+            np.array([abs(np.vdot(v, g)) ** 2 for g in gammas[:n]]) for v in kets[n:]
+        ]
+    else:
+        proj = np.eye(len(kets), dtype=complex)
+        for psi in kets[:n]:
+            proj -= np.outer(psi, psi.conj())
+        columns = [np.array([np.vdot(g, proj @ g).real for g in gammas[:n]])]
+    overlaps = [float(col.max()) for col in columns]
+    lower = fef(spec) + sum(overlaps) / n
+    return per_state, gram, lower, overlaps, columns
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(2024)
+    for d in (2, 3, 4):
+        yield pytest.param(weyl_basis(d), random_spectrum(d, rng), id=f"weyl-d{d}")
+        basis = conjugated_basis(weyl_basis(d), haar_random_unitary(d, rng))
+        yield pytest.param(basis, random_spectrum(d, rng), id=f"haar-d{d}")
+
+
+@pytest.mark.parametrize("basis, spec", list(_oracle_cases()))
+def test_outcome_matrix_matches_the_per_pair_loops(basis, spec):
+    d = basis.dim
+    per_state, gram, _, _, _ = _loop_oracle(basis, spec, d * d, "completion")
+    run = simulate_protocol(basis, spec)
+    assert np.max(np.abs(np.array(run.per_state) - per_state)) <= 1e-14
+    assert np.max(np.abs(run.residuals.gram - gram)) <= 1e-14
+    for n in range(1, d * d):
+        for strategy in ("completion", "projector"):
+            _, _, lower, overlaps, columns = _loop_oracle(basis, spec, n, strategy)
+            bounds = incomplete_bounds(basis, spec, n, strategy=strategy)
+            assert abs(bounds.lower - lower) <= 1e-14
+            assert np.max(np.abs(np.array(bounds.overlaps) - overlaps)) <= 1e-14
+            assert len(bounds.assignments) == len(columns)
+            for col, assigned in zip(columns, bounds.assignments):
+                top = np.sort(col)[::-1]
+                if len(top) == 1 or top[0] - top[1] > 1e-12:
+                    assert assigned == int(np.argmax(col))

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,3 +49,25 @@ def test_incomplete_bounds_scan_rejects_wrong_length_spectrum():
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_incomplete_bounds_scan_solves_every_size():
+    proc = run_script(
+        "incomplete_bounds_scan.py", "--dim", "2", "--spectrum", "0.8,0.2", "--sdp"
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["3", "4"]
+    # F = (sqrt(0.8) + sqrt(0.2))^2 / 2 = 0.9; the complete row meets it
+    assert abs(float(rows[1][4]) - 0.9) <= 1e-4 + 1e-6
+
+
+def test_incomplete_bounds_scan_refuses_oversized_runs():
+    start = time.perf_counter()
+    proc = run_script("incomplete_bounds_scan.py", "--dim", "100")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert elapsed < 1.0
