@@ -5,17 +5,20 @@ run, emits a JSON report (or a flat CSV table with --csv) to stdout or
 --out, and exits 0 on success, 1 on a numerical check failure or a solve
 that did not converge, 2 on bad input. A run whose dense matrices would
 exceed MAX_DENSE_BYTES is refused as bad input before anything is built.
-Reports are byte-identical for identical configuration and seed.
+Reports are byte-identical for identical configuration and seed; progress
+lines go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +85,8 @@ class RunConfig:
     strategy: str
     shots: int
     dump: str | None
+    sdp: bool
+    steps: int | None
 
 
 def parse_spectrum(text: str, dim: int, amplitudes: bool, seed: int) -> ResourceSpectrum:
@@ -126,7 +131,13 @@ def dense_bytes(command: str, dim: int, n_states: int) -> int:
     return 16 * dim**8 * matrices
 
 
-def _check_size(command: str, dim: int, n_states: int) -> None:
+def _check_size(command: str, dim: int, n_states: int, sdp: bool) -> None:
+    # A sweep runs all three routes on the complete basis, like sandwich. A
+    # scan holds what bounds holds; with --sdp its largest solve is N = d^2 - 1.
+    if command == "sweep":
+        command, n_states = "sandwich", dim * dim
+    elif command == "scan":
+        command, n_states = ("sdp", dim * dim - 1) if sdp else ("bounds", dim * dim)
     need = dense_bytes(command, dim, n_states)
     if need > MAX_DENSE_BYTES:
         raise ValueError(
@@ -149,6 +160,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         dim = 2 if args.dim is None else args.dim
     if dim < 2:
         raise ValueError(f"dimension must be at least 2, got {dim}")
+    if args.command == "sweep" and dim != 2:
+        raise ValueError(f"sweep walks the qubit spectrum and needs d=2, got {dim}")
 
     spectrum_label = args.spectrum if args.spectrum is not None else "uniform"
     if args.command == "verify" and args.spectrum is None:
@@ -162,15 +175,23 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"--n-states must lie in [1, {dim * dim}], got {n_states}")
 
     for name in ("tol", "accuracy"):
-        if getattr(args, name) <= 0:
-            raise ValueError(f"--{name} must be positive")
+        value = getattr(args, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"--{name} must be positive and finite, got {value}")
     if args.max_iters < 1:
         raise ValueError("--max-iters must be at least 1")
+    shots = getattr(args, "shots", 0)
+    if shots < 0:
+        raise ValueError(f"--shots must not be negative, got {shots}")
+    steps = getattr(args, "steps", None)
+    if steps is not None and steps < 2:
+        raise ValueError(f"--steps must be at least 2, got {steps}")
+    sdp = getattr(args, "sdp", False)
 
     # fef needs no basis, but a basis file it is given is still validated.
     basis = None
     if entries is not None or args.command != "fef":
-        _check_size(args.command, dim, n_states)
+        _check_size(args.command, dim, n_states, sdp)
         if entries is not None:
             basis = basis_from_entries(dim, entries, args.basis_file)
         else:
@@ -190,8 +211,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         out=args.out,
         csv=args.csv,
         strategy=args.strategy,
-        shots=getattr(args, "shots", 0),
+        shots=shots,
         dump=getattr(args, "dump", None),
+        sdp=sdp,
+        steps=steps,
     )
 
 
@@ -341,16 +364,20 @@ def cmd_certificate(config: RunConfig):
     return EXIT_OK if passed else EXIT_NUMERICAL, payload, rows
 
 
-def cmd_sdp(config: RunConfig):
-    result = solve_primal_ppt(
+def _solve(config: RunConfig, spec: ResourceSpectrum, n_states: int):
+    return solve_primal_ppt(
         SDPProblem.from_basis(
             config.basis,
-            config.spec,
-            config.n_states,
+            spec,
+            n_states,
             accuracy=config.accuracy,
             max_iters=config.max_iters,
         )
     )
+
+
+def cmd_sdp(config: RunConfig):
+    result = _solve(config, config.spec, config.n_states)
     payload = {
         "command": "sdp",
         "dim": config.dim,
@@ -403,6 +430,59 @@ def cmd_sandwich(config: RunConfig):
     ]
     code = EXIT_OK if report.agreement else EXIT_NUMERICAL
     return code, payload, rows
+
+
+def _table(config: RunConfig, rows: list[dict], results: list, **fields):
+    """Report of a sweep or scan; with --sdp, any unconverged solve exits 1."""
+    converged = all(result.converged for result in results)
+    payload = {"command": config.command, "dim": config.dim, **fields, "rows": rows}
+    if config.sdp:
+        payload.update(
+            accuracy=config.accuracy, max_iters=config.max_iters, converged=converged
+        )
+    return EXIT_OK if converged else EXIT_NUMERICAL, payload, rows
+
+
+def cmd_sweep(config: RunConfig):
+    basis = config.basis
+    rows, results = [], []
+    for p1 in np.linspace(0.5, 1.0, config.steps):
+        spec = ResourceSpectrum.from_probabilities([p1, 1.0 - p1])
+        row = {
+            "p1": p1,
+            "fef": fef(spec),
+            "protocol": simulate_protocol(basis, spec).value,
+            "certificate": build_certificate(basis, spec).trace_value,
+            "sdp": None,
+        }
+        if config.sdp:
+            results.append(_solve(config, spec, len(basis)))
+            row["sdp"] = results[-1].primal_value
+        rows.append(row)
+    return _table(config, rows, results, steps=config.steps)
+
+
+def cmd_scan(config: RunConfig):
+    basis, spec, d = config.basis, config.spec, config.dim
+    rows, results = [], []
+    for n in range(d + 1, d * d + 1):
+        start = time.perf_counter()
+        completion = incomplete_bounds(basis, spec, n)
+        projector = incomplete_bounds(basis, spec, n, strategy="projector")
+        row = {
+            "n_states": n,
+            "lower_completion": completion.lower,
+            "lower_projector": projector.lower,
+            "upper": completion.upper,
+            "sdp": None,
+        }
+        if config.sdp:
+            results.append(_solve(config, spec, n))
+            row["sdp"] = results[-1].primal_value
+        rows.append(row)
+        elapsed = time.perf_counter() - start
+        print(f"scan: N={n} in {elapsed:.2f} s (N = {d + 1}..{d * d})", file=sys.stderr)
+    return _table(config, rows, results, **_spectrum_fields(spec))
 
 
 def _verify_one(config: RunConfig, label: str, spec: ResourceSpectrum) -> list[dict]:
@@ -526,6 +606,8 @@ _HANDLERS = {
     "bounds": cmd_bounds,
     "sandwich": cmd_sandwich,
     "verify": cmd_verify,
+    "sweep": cmd_sweep,
+    "scan": cmd_scan,
 }
 
 _COMMAND_HELP = {
@@ -537,9 +619,13 @@ _COMMAND_HELP = {
     "bounds": "lower and upper bounds for an incomplete set",
     "sandwich": "protocol lower bound, SDP value, certificate upper bound",
     "verify": "run the full invariant suite at one dimension",
+    "sweep": "tabulate all three routes along the qubit spectrum",
+    "scan": "tabulate the incomplete-set bracket for N = d+1 ... d^2",
 }
 
 
+# Built once per process: building it costs more than a small d = 2 run.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--dim", type=int, default=None, help="local dimension d (default 2)")
@@ -589,6 +675,10 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="write the resolved basis to this path as a basis file",
             )
+        if name in ("sweep", "scan"):
+            p.add_argument("--sdp", action="store_true", help="also solve the PPT program for every row")
+        if name == "sweep":
+            p.add_argument("--steps", type=int, default=26, help="grid points p1 on [0.5, 1] (default 26)")
     return parser
 
 

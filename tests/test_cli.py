@@ -1,11 +1,14 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entdist.cli as cli
 from entdist.cli import (
@@ -119,11 +122,22 @@ class TestExitCodes:
         assert code == EXIT_INPUT
 
     def test_nonpositive_tolerance(self, capsys):
-        code, _, _ = run(
-            capsys, "certificate", "--dim", "2", "--spectrum", "uniform",
-            "--tol", "0",
-        )
-        assert code == EXIT_INPUT
+        # Also the non-finite values, which a plain "<= 0" test lets through
+        # (sdp --accuracy=nan ran all 50,000 iterations), and the negative or
+        # too small counts.
+        cases = [
+            (command, f"{flag}={value}")
+            for command, flag in (("certificate", "--tol"), ("sdp", "--accuracy"))
+            for value in ("0", "nan", "inf", "-inf")
+        ]
+        cases += [("protocol", "--shots=-5"), ("sweep", "--steps=1"), ("sweep", "--steps=0")]
+        for command, flag in cases:
+            start = time.perf_counter()
+            code, out, err = run(capsys, command, "--dim", "2", flag)
+            assert time.perf_counter() - start < 0.5, flag
+            assert code == EXIT_INPUT, flag
+            assert out == ""
+            assert "error:" in err
 
     def test_starved_solver_is_a_numerical_failure(self, capsys):
         code, _, err = run(
@@ -149,7 +163,7 @@ class TestExitCodes:
         assert out == ""
         assert "error:" in err and "GiB" in err
 
-    @pytest.mark.parametrize("command", ["fef", "basis", "protocol", "bounds"])
+    @pytest.mark.parametrize("command", ["fef", "basis", "protocol", "bounds", "scan"])
     def test_oversized_basis_is_refused_before_it_is_built(
         self, capsys, tmp_path, monkeypatch, command
     ):
@@ -184,6 +198,31 @@ class TestExitCodes:
         assert code == EXIT_NUMERICAL
         assert out == ""
         assert "numerical failure:" in err
+
+
+    def test_scan_is_sized_by_its_largest_solve(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the basis was built")
+
+        # the bounds alone fit at d = 6; the solve at N = 35 does not
+        assert dense_bytes("bounds", 6, 36) < MAX_DENSE_BYTES
+        monkeypatch.setattr(cli, "weyl_basis", never)
+        code, out, err = run(capsys, "scan", "--dim", "6", "--sdp")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "error:" in err and "15.8 GiB" in err
+
+    def test_failed_parse_leaves_the_cached_parser_usable(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        argv = ("fef", "--dim", "2", "--spectrum", "0.8,0.2")
+        _, before, _ = run(capsys, *argv)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fef", "--dim", "x"])
+        assert exit_info.value.code == EXIT_INPUT
+        capsys.readouterr()
+        code, after, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert after == before
 
 
 class TestBasisUse:
@@ -293,6 +332,117 @@ class TestCommands:
         assert {"uniform", "product", "random"} <= labels
 
 
+class TestTables:
+    """The qubit spectrum sweep and the incomplete-set scan."""
+
+    def test_sweep_writes_csv(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--steps", "3", "--csv")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert lines[0] == "p1,fef,protocol,certificate,sdp"
+        assert len(lines) == 4
+        assert all(line.endswith(",") for line in lines[1:])
+
+    def test_sweep_solves_every_point(self, capsys):
+        payload = run_json(capsys, "sweep", "--steps", "2", "--sdp")
+        assert payload["converged"]
+        assert [row["p1"] for row in payload["rows"]] == [0.5, 1.0]
+        for row in payload["rows"]:
+            assert row["protocol"] == pytest.approx(row["fef"], abs=1e-12)
+            assert row["certificate"] == pytest.approx(row["fef"], abs=1e-12)
+            assert abs(row["sdp"] - row["fef"]) < 1e-3
+
+    def test_sweep_needs_qubits(self, capsys):
+        code, out, err = run(capsys, "sweep", "--dim", "3")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "error:" in err
+
+    def test_scan_writes_csv(self, capsys):
+        code, out, err = run(capsys, "scan", "--dim", "2", "--spectrum", "0.8,0.2", "--csv")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert lines[0] == "n_states,lower_completion,lower_projector,upper,sdp"
+        assert len(lines) == 3
+        # one progress line per N on stderr
+        assert [line.split()[1] for line in err.splitlines()] == ["N=3", "N=4"]
+
+    def test_scan_rejects_wrong_length_spectrum(self, capsys):
+        code, out, err = run(capsys, "scan", "--dim", "3", "--spectrum", "0.5,0.5")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "error:" in err
+
+    def test_scan_solves_every_size(self, capsys):
+        payload = run_json(capsys, "scan", "--dim", "2", "--spectrum", "0.8,0.2", "--sdp")
+        assert payload["converged"]
+        rows = payload["rows"]
+        assert [row["n_states"] for row in rows] == [3, 4]
+        # F = (sqrt(0.8) + sqrt(0.2))^2 / 2 = 0.9; the complete row meets it
+        assert abs(rows[1]["sdp"] - 0.9) <= 1e-4 + 1e-6
+        for row in rows:
+            assert row["lower_completion"] <= row["sdp"] + 1e-4 + 1e-6
+            assert row["sdp"] <= row["upper"] + 1e-4 + 1e-6
+
+    def test_scan_matches_the_recorded_bracket(self, capsys):
+        # n_states, lower_completion, lower_projector, upper, as tabulated to
+        # 12 decimals for --dim 3 --spectrum random --seed 4
+        recorded = [
+            (4, "0.899551035395", "0.899551035395", "1.000000000000"),
+            (5, "0.879461242474", "0.879461242474", "1.000000000000"),
+            (6, "0.866068047193", "0.866068047193", "1.000000000000"),
+            (7, "0.885201183309", "0.885201183309", "1.000000000000"),
+            (8, "0.874438794244", "0.874438794244", "0.974326553093"),
+            (9, "0.866068047193", "0.866068047193", "0.866068047193"),
+        ]
+        payload = run_json(
+            capsys, "scan", "--dim", "3", "--spectrum", "random", "--seed", "4"
+        )
+        assert "converged" not in payload
+        got = [
+            (
+                row["n_states"],
+                *(f"{row[k]:.12f}" for k in ("lower_completion", "lower_projector", "upper")),
+            )
+            for row in payload["rows"]
+        ]
+        assert got == recorded
+        assert all(row["sdp"] is None for row in payload["rows"])
+
+    def test_scan_rows_are_both_strategies_bounds(self, capsys):
+        # at d = 4 the two lower bounds differ for some N
+        from entdist.states import weyl_basis
+
+        payload = run_json(
+            capsys, "scan", "--dim", "4", "--spectrum", "random", "--seed", "1"
+        )
+        basis = weyl_basis(4)
+        spec = cli.parse_spectrum("random", 4, amplitudes=False, seed=1)
+        differ = 0
+        for row in payload["rows"]:
+            completion = cli.incomplete_bounds(basis, spec, row["n_states"])
+            projector = cli.incomplete_bounds(
+                basis, spec, row["n_states"], strategy="projector"
+            )
+            assert row["lower_completion"] == completion.lower
+            assert row["lower_projector"] == projector.lower
+            assert row["upper"] == completion.upper
+            differ += completion.lower - projector.lower > 1e-6
+        assert [row["n_states"] for row in payload["rows"]] == list(range(5, 17))
+        assert differ > 0
+
+    def test_unconverged_scan_is_a_numerical_failure_with_a_report(self, capsys):
+        code, out, _ = run(
+            capsys, "scan", "--dim", "2", "--spectrum", "0.8,0.2", "--sdp",
+            "--max-iters", "10",
+        )
+        assert code == EXIT_NUMERICAL
+        payload = json.loads(out)
+        assert payload["converged"] is False
+        assert payload["max_iters"] == 10
+        assert [row["n_states"] for row in payload["rows"]] == [3, 4]
+
+
 class TestFiles:
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "fef.json"
@@ -327,3 +477,101 @@ class TestFiles:
             "--basis-file", str(path),
         )
         assert payload["value"] == pytest.approx(0.9, abs=1e-12)
+
+
+def _mostly(valid: list, malformed):
+    """Three draws in four from the valid values, the fourth from malformed."""
+    return st.integers(0, 3).flatmap(
+        lambda k: malformed if k == 0 else st.sampled_from(valid)
+    )
+
+
+def _basis_files():
+    from entdist.states import weyl_basis
+
+    weyl = [
+        [[z.real, z.imag] for z in u.reshape(-1)] for u in weyl_basis(2).unitaries
+    ]
+    identity = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers(-2, 3) | st.floats() | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=12,
+    )
+    malformed = st.one_of(
+        json_values,
+        st.fixed_dictionaries({"dim": json_values, "unitaries": json_values}),
+        st.fixed_dictionaries(
+            {
+                "dim": st.sampled_from([2.0, "2", 3, -1, 10**9]),
+                "unitaries": st.sampled_from([weyl, weyl[:3], [identity] * 4, [weyl[0][:3]]]),
+            }
+        ),
+    )
+    return _mostly([{"dim": 2, "unitaries": weyl}], malformed)
+
+
+def _floats(valid: list[str]):
+    return _mostly(valid, st.floats().map(repr) | st.text(max_size=4))
+
+
+_COMMON_FLAGS = {
+    "--dim": _mostly(["2"], st.sampled_from(["0", "1", "-2", "100", "2.5", "x", ""])),
+    "--spectrum": _mostly(
+        ["uniform", "product", "random", "0.8,0.2", "0.7,0.3"],
+        st.sampled_from(["0.8,0.3", "nan,0.5", "inf,0", "-0.2,1.2", "0.5", "a,b", ","])
+        | st.text(max_size=8),
+    ),
+    "--n-states": _mostly(["1", "3", "4"], st.sampled_from(["-1", "0", "5", "x", "1e3"])),
+    "--tol": _floats(["1e-9", "1e-6"]),
+    "--accuracy": _floats(["1e-4", "1e-2"]),
+    "--strategy": _mostly(["completion", "projector"], st.just("other")),
+    "--seed": _mostly(["0", "7"], st.sampled_from(["-1", "x"])),
+    "--basis-file": _basis_files(),
+}
+_MAX_ITERS = _mostly(["1", "5", "20"], st.sampled_from(["0", "-1", "x"]))
+_COMMAND_FLAGS = {
+    "protocol": {"--shots": _mostly(["0", "10"], st.sampled_from(["-5", "x"]))},
+    "sweep": {"--steps": _mostly(["2", "3"], st.sampled_from(["1", "0", "-3", "x"]))},
+}
+
+
+@st.composite
+def _command_lines(draw):
+    """A command and flags for it; --max-iters stays at most 20 and d at 2."""
+    command = draw(st.sampled_from(sorted(cli._HANDLERS)))
+    flags = draw(
+        st.fixed_dictionaries(
+            {"--max-iters": _MAX_ITERS},
+            optional={**_COMMON_FLAGS, **_COMMAND_FLAGS.get(command, {})},
+        )
+    )
+    switches = ["--csv", "--amplitudes"] + (["--sdp"] if command in ("sweep", "scan") else [])
+    return command, flags, sorted(draw(st.sets(st.sampled_from(switches))))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(command_line=_command_lines())
+def test_fuzzed_arguments_exit_cleanly(tmp_path_factory, command_line):
+    """Any argument mix exits 0, 1 or 2; 2 prints nothing; JSON stays JSON."""
+    command, flags, switches = command_line
+    argv = [command, *switches]
+    for flag, value in flags.items():
+        if flag == "--basis-file":
+            path = tmp_path_factory.mktemp("fuzz") / "basis.json"
+            path.write_text(json.dumps(value))
+            value = path
+        argv.append(f"{flag}={value}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_NUMERICAL, EXIT_INPUT), argv
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_INPUT:
+        assert out.getvalue() == "", argv
+    elif out.getvalue() and "--csv" not in switches:
+        json.loads(out.getvalue())
