@@ -60,6 +60,9 @@ _PRESETS = ("uniform", "product", "random")
 MAX_DENSE_BYTES = 4 * 2**30
 # Dense d^4 x d^4 matrices the certificate route holds at its peak.
 _CERTIFICATE_MATRICES = 8
+# d^2 x d^2 matrices the solve of a complete basis holds on its pair (X, Y);
+# tracemalloc peaks at 30-33 of them at d = 4-8.
+_PAIR_ARRAYS = 40
 # Basis-sized arrays (d^2 matrices of d x d, 16 d^4 bytes) that fef with a basis
 # file, basis, protocol and bounds hold at their peak. Parsing a basis file's
 # JSON alone costs about 14 of them (tracemalloc peaks at d = 6-16).
@@ -114,21 +117,24 @@ def dense_bytes(command: str, dim: int, n_states: int) -> int:
     """Estimated peak bytes of the dense arrays a run holds.
 
     Commands that only build the basis hold a fixed number of basis-sized
-    arrays. The solver keeps about 16 d^4 x d^4 matrices per iterated
-    operator (one when the program is covariant, else n_states) plus the
-    n_states states and operators; the certificate route keeps a few more.
+    arrays. The solve of a complete basis holds the basis and a fixed number
+    of d^2 x d^2 matrices; any other solve keeps about 16 d^4 x d^4 matrices
+    per operator plus the n_states states and operators. The certificate
+    route keeps a fixed number of d^4 x d^4 matrices.
     """
     if command in ("fef", "basis", "protocol", "bounds"):
         return 16 * dim**4 * _BASIS_ARRAYS
-    iterated = 1 if is_covariant(dim, n_states) else n_states
-    solver = 16 * iterated + 2 * n_states
-    matrices = {
-        "certificate": _CERTIFICATE_MATRICES,
-        "verify": _CERTIFICATE_MATRICES,
+    if is_covariant(dim, n_states):
+        solver = 16 * dim**4 * (_BASIS_ARRAYS + _PAIR_ARRAYS)
+    else:
+        solver = 16 * dim**8 * (16 + 2) * n_states
+    certificate = 16 * dim**8 * _CERTIFICATE_MATRICES
+    return {
+        "certificate": certificate,
+        "verify": certificate,
         "sdp": solver,
-        "sandwich": solver + _CERTIFICATE_MATRICES,
+        "sandwich": solver + certificate,
     }[command]
-    return 16 * dim**8 * matrices
 
 
 def _check_size(command: str, dim: int, n_states: int, sdp: bool) -> None:
@@ -163,6 +169,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.command == "sweep" and dim != 2:
         raise ValueError(f"sweep walks the qubit spectrum and needs d=2, got {dim}")
 
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     spectrum_label = args.spectrum if args.spectrum is not None else "uniform"
     if args.command == "verify" and args.spectrum is None:
         spec = None

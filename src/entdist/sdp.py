@@ -9,15 +9,28 @@ eigenvalue clips, and partial transposition is a Frobenius isometry so
 transpose-clip-transpose projects onto the PPT cone). The iteration is
 deterministic: fixed initialization, fixed summation order, no randomness.
 
-A problem that carries an orbit is covariant: its states are
-rho_k = W_k rho_0 W_k† with W_k the k-th basis unitary on B1. Summing W_k X W_k†
-over a trace-orthogonal basis of d² unitaries gives d Tr_B1(X) ⊗ I_B1, which
-commutes with every W_k, and the cone clips commute with W_k too, so from
-the covariant start every iterate keeps P_k = W_k P_0 W_k†. The loop then
-carries P_0 alone: the sum of the whole measurement becomes the twirl of
-P_0 and the objective counts P_0 once for each of the d² operators. Every
-complete basis qualifies (its first unitary is the identity, so state k is
-state 0 moved by W_k); the basis need not be a group.
+A complete basis (N = d²) is solved in the commutant of its symmetries.
+State k is W_k (Φ_0 ⊗ τ) W_k†, with W_k the k-th basis unitary on B1 and
+Φ_0 the maximally entangled projector on A1B1. Summing W_k M W_k† over a
+trace-orthogonal basis of d² unitaries gives d Tr_B1(M) ⊗ I_B1, and the
+cone clips commute with W_k, so from the covariant start every iterate
+keeps P_k = W_k P_0 W_k†. U ⊗ Ū on A1B1 fixes Φ_0, commutes with that
+twirl and maps the PPT cone onto itself, so P_0 also stays in its
+commutant: P_0 = Φ_0 ⊗ X + (I − Φ_0) ⊗ Y with X and Y on A2B2 (Rains,
+IEEE TIT 2001; Gatermann and Parrilo, JPAA 2004). The loop carries (X, Y):
+
+- PSD: P_0 ⪰ 0 exactly when X ⪰ 0 and Y ⪰ 0.
+- PPT: T_A1 Φ_0 = S/d, with S the swap of A1 and B1, so
+  T_A P_0 = Π_sym ⊗ M_s + Π_anti ⊗ M_a with M_s = (X^Γ + (d−1) Y^Γ)/d and
+  M_a = (−X^Γ + (d+1) Y^Γ)/d, where Γ transposes A2. Clipping both blocks
+  projects onto the cone; Y^Γ = (M_s + M_a)/2 and
+  X^Γ = ((d+1) M_s − (d−1) M_a)/2 map back.
+- Affine: the twirl of P_0 is I ⊗ (X + (d²−1) Y). With E = X + (d²−1) Y − I,
+  X and Y both shift by E/d², and the primal residual is d·‖E‖_F.
+- Objective: Σ_k Tr(Φ_k P_k)/d² = Tr(τ X).
+
+The twirl identity holds for every trace-orthogonal basis, which starts at
+the identity, so the complete program depends only on d and the spectrum.
 """
 
 from __future__ import annotations
@@ -30,21 +43,15 @@ from .certificate import DualCertificate, FeasibilityReport, build_certificate, 
 from .measures import fef
 from .protocol import incomplete_bounds, protocol_success
 from .states import (
-    B1_FACTOR,
     Ensemble,
     MaxEntBasis,
     ResourceSpectrum,
     build_ensemble,
     four_factor_layout,
-    validate_basis,
+    pair_layout,
+    resource_state,
 )
-from .tensor import (
-    SubsystemLayout,
-    conjugate_factor,
-    factor_twirl,
-    psd_clip,
-    transpose_party_a,
-)
+from .tensor import SubsystemLayout, psd_clip, transpose_party_a
 
 DEFAULT_ACCURACY = 1e-4
 DEFAULT_MAX_ITERS = 50000
@@ -57,7 +64,7 @@ _STALL_WINDOW = 50
 
 
 def is_covariant(dim: int, n_states: int) -> bool:
-    """Whether the first n_states states of a basis are solved on one operator.
+    """Whether the first n_states states of a basis are solved on the pair (X, Y).
 
     Only the complete set of d² states is covariant; a subset breaks the orbit.
     """
@@ -68,9 +75,9 @@ def is_covariant(dim: int, n_states: int) -> bool:
 class SDPProblem:
     """Discrimination instance: states, priors, cut, and solver options.
 
-    ``orbit``, when given, holds the d² basis unitaries U_k with
-    states[k] = W_k states[0] W_k† for W_k = U_k acting on B1, and the
-    solver iterates on one operator.
+    ``resource``, given in place of states, poses the complete program: the
+    d² states of any complete basis on that resource, with uniform priors,
+    solved on the pair (X, Y) of the module docstring.
     """
 
     states: tuple[np.ndarray, ...]
@@ -78,13 +85,22 @@ class SDPProblem:
     layout: SubsystemLayout
     accuracy: float = DEFAULT_ACCURACY
     max_iters: int = DEFAULT_MAX_ITERS
-    orbit: tuple[np.ndarray, ...] = field(default=(), repr=False)
+    resource: ResourceSpectrum | None = None
 
     def __post_init__(self):
         states = tuple(np.asarray(s, dtype=complex) for s in self.states)
         priors = tuple(float(p) for p in self.priors)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "priors", priors)
+        if self.accuracy <= 0 or self.max_iters < 1:
+            raise ValueError("accuracy and max_iters must be positive")
+        if self.resource is not None:
+            if states or priors or self.layout != four_factor_layout(self.resource.dim):
+                raise ValueError(
+                    "a complete program takes a resource in place of states and "
+                    f"the A1,A2,B1,B2 layout of dimension {self.resource.dim}"
+                )
+            return
         if len(states) != len(priors) or not states:
             raise ValueError("need one prior per state and at least one state")
         if abs(sum(priors) - 1.0) > 1e-12 or any(p < 0 for p in priors):
@@ -95,40 +111,10 @@ class SDPProblem:
                 raise ValueError(f"state {i} does not have unit trace")
             if np.linalg.eigvalsh(rho)[0] < -1e-10:
                 raise ValueError(f"state {i} is not positive semidefinite")
-        if self.accuracy <= 0 or self.max_iters < 1:
-            raise ValueError("accuracy and max_iters must be positive")
-        if self.orbit:
-            self._check_orbit()
-
-    def _check_orbit(self) -> None:
-        orbit = tuple(np.asarray(u, dtype=complex) for u in self.orbit)
-        object.__setattr__(self, "orbit", orbit)
-        report = validate_basis(orbit)
-        if not (report.accepted and report.complete):
-            raise ValueError("an orbit must be a complete trace-orthogonal unitary basis")
-        if self.layout != four_factor_layout(report.dim):
-            raise ValueError(f"an orbit needs the A1,A2,B1,B2 layout of dimension {report.dim}")
-        if len(orbit) != len(self.states):
-            raise ValueError(f"orbit has {len(orbit)} unitaries for {len(self.states)} states")
-        if any(p != self.priors[0] for p in self.priors):
-            raise ValueError("a covariant problem needs uniform priors")
-        rho0 = self.states[0]
-        for k, (u, rho) in enumerate(zip(orbit, self.states)):
-            moved = conjugate_factor(rho0, u, self.layout, B1_FACTOR)
-            if np.max(np.abs(moved - rho)) > 1e-10:
-                raise ValueError(f"state {k} is not state 0 moved by unitary {k} on B1")
 
     @classmethod
-    def from_ensemble(
-        cls, ens: Ensemble, basis: MaxEntBasis | None = None, **options
-    ) -> "SDPProblem":
-        """The program for an ensemble, solved operator by operator.
-
-        Given the basis that built the ensemble, a complete ensemble carries
-        the basis unitaries as its orbit and is solved on one operator.
-        """
-        if basis is not None and is_covariant(basis.dim, len(ens)):
-            options.setdefault("orbit", basis.unitaries)
+    def from_ensemble(cls, ens: Ensemble, **options) -> "SDPProblem":
+        """The program for an ensemble, solved operator by operator."""
         return cls(
             states=tuple(ens.density_operators()),
             priors=ens.priors,
@@ -144,14 +130,25 @@ class SDPProblem:
         n_states: int | None = None,
         **options,
     ) -> "SDPProblem":
-        """The program for the first n_states basis states (all d² by default)."""
+        """The program for the first n_states basis states (all d² by default).
+
+        The complete program builds no state: it depends on d and the spectrum.
+        """
         n = len(basis) if n_states is None else n_states
-        return cls.from_ensemble(build_ensemble(basis, spec, n), basis, **options)
+        if is_covariant(basis.dim, n):
+            layout = four_factor_layout(basis.dim)
+            return cls(states=(), priors=(), layout=layout, resource=spec, **options)
+        return cls.from_ensemble(build_ensemble(basis, spec, n), **options)
 
 
 @dataclass(frozen=True)
 class SDPResult:
-    """Solver output; residuals describe the returned operators."""
+    """Solver output; residuals describe the returned operators.
+
+    For a program posed by states, ``operators`` holds the n operators P_k.
+    For a complete program it holds the pair (X, Y), from which
+    P_k = W_k (Φ_0 ⊗ X + (I − Φ_0) ⊗ Y) W_k† for any complete basis.
+    """
 
     primal_value: float
     rounded_value: float
@@ -174,39 +171,80 @@ class SDPResult:
         }
 
 
-def _affine_project(stack: np.ndarray, total, n: int) -> np.ndarray:
-    """Shift the stack so the n operators of the measurement sum to the identity."""
-    dev = (total(stack) - np.eye(stack.shape[1])) / n
-    return stack - dev[None, :, :]
+class _Coordinates:
+    """How the consensus loop reads its stack of iterated matrices.
 
-
-def _objective(cost: np.ndarray, stack: np.ndarray) -> float:
-    return float(np.einsum("kij,kji->", cost, stack).real)
-
-
-def _ppt_clip(stack: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
-    """Project every matrix of the stack onto the PPT cone."""
-    return transpose_party_a(psd_clip(transpose_party_a(stack, layout)), layout)
-
-
-def _residuals(stack: np.ndarray, total, layout: SubsystemLayout) -> tuple[float, float]:
-    primal = float(np.linalg.norm(total(stack) - np.eye(stack.shape[1])))
-    eig_min = min(
-        float(np.linalg.eigvalsh(stack).min()),
-        float(np.linalg.eigvalsh(transpose_party_a(stack, layout)).min()),
-    )
-    return primal, min(0.0, eig_min)
-
-
-def _measurement_sum(problem: SDPProblem):
-    """(number of iterated operators, map from their stack to the sum of all n).
-
-    A covariant problem iterates on P_0 alone, whose orbit sums to the twirl
-    d Tr_B1(P_0) ⊗ I_B1; any other problem iterates on every operator.
+    ``cost`` drives each matrix and the objective counts it ``multiplicity``
+    times; the measurement has ``n`` operators. ``deviation`` is the defect
+    of the measurement's sum from the identity, whose Frobenius norm on the
+    full space is ``weight`` times its own. ``to_blocks`` maps the stack onto
+    matrices that are all PSD exactly when every partial transpose is, and
+    ``from_blocks`` maps them back.
     """
-    if problem.orbit:
-        return 1, lambda stack: factor_twirl(stack[0], problem.layout, B1_FACTOR)
-    return len(problem.states), lambda stack: stack.sum(axis=0)
+
+    def affine(self, stack: np.ndarray) -> np.ndarray:
+        """Shift the stack so the n operators of the measurement sum to the identity."""
+        return stack - self.deviation(stack)[None, :, :] / self.n
+
+    def ppt_clip(self, stack: np.ndarray) -> np.ndarray:
+        return self.from_blocks(psd_clip(self.to_blocks(stack)))
+
+    def objective(self, stack: np.ndarray) -> float:
+        return self.multiplicity * float(np.einsum("kij,kji->", self.cost, stack).real)
+
+    def residuals(self, stack: np.ndarray) -> tuple[float, float]:
+        primal = self.weight * float(np.linalg.norm(self.deviation(stack)))
+        eig_min = min(
+            float(np.linalg.eigvalsh(stack).min()),
+            float(np.linalg.eigvalsh(self.to_blocks(stack)).min()),
+        )
+        return primal, min(0.0, eig_min)
+
+
+class _Operators(_Coordinates):
+    """A program posed by states, iterated on every operator P_k."""
+
+    multiplicity = 1
+    weight = 1.0
+
+    def __init__(self, problem: SDPProblem):
+        self.layout = problem.layout
+        self.cost = np.stack([p * s for p, s in zip(problem.priors, problem.states)])
+        self.n = len(self.cost)
+
+    def deviation(self, stack: np.ndarray) -> np.ndarray:
+        return stack.sum(axis=0) - np.eye(stack.shape[1])
+
+    def to_blocks(self, stack: np.ndarray) -> np.ndarray:
+        return transpose_party_a(stack, self.layout)
+
+    from_blocks = to_blocks
+
+
+class _Pair(_Coordinates):
+    """The complete program, iterated on (X, Y) with P_0 = Φ_0 ⊗ X + (I − Φ_0) ⊗ Y."""
+
+    def __init__(self, spec: ResourceSpectrum):
+        d = self.d = spec.dim
+        self.n = self.multiplicity = d * d
+        self.weight = float(d)
+        self.layout = pair_layout(d)
+        tau = resource_state(spec)
+        self.cost = np.stack([np.outer(tau, tau.conj()), np.zeros((d * d, d * d))]) / self.n
+
+    def deviation(self, stack: np.ndarray) -> np.ndarray:
+        return stack[0] + (self.n - 1) * stack[1] - np.eye(self.n)
+
+    def to_blocks(self, stack: np.ndarray) -> np.ndarray:
+        """(M_s, M_a), the blocks of T_A P_0 on the symmetric and antisymmetric A1B1."""
+        d = self.d
+        gx, gy = transpose_party_a(stack, self.layout)
+        return np.stack([gx + (d - 1) * gy, (d + 1) * gy - gx]) / d
+
+    def from_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        d = self.d
+        ms, ma = blocks
+        return transpose_party_a(np.stack([(d + 1) * ms - (d - 1) * ma, ms + ma]) / 2, self.layout)
 
 
 def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
@@ -216,19 +254,12 @@ def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
     relative objective change over the stall window) drops below the target
     accuracy, checking every few iterations; hitting the iteration cap
     returns the best iterate with converged=False rather than raising. A
-    covariant problem runs the same iterations on one orbit representative
-    and expands it into all n operators at the end.
+    complete program runs the same iterations on the pair (X, Y).
     """
-    n = len(problem.states)
-    layout = problem.layout
-    dim = layout.dim
-    kept, total = _measurement_sum(problem)
-    multiplicity = n // kept
-
-    cost = np.stack([p * s for p, s in zip(problem.priors[:kept], problem.states)])
-    z = np.stack([np.eye(dim, dtype=complex) / n] * kept)
+    coords = _Operators(problem) if problem.resource is None else _Pair(problem.resource)
+    z = np.stack([np.eye(coords.cost.shape[1], dtype=complex) / coords.n] * len(coords.cost))
     duals = [np.zeros_like(z) for _ in range(3)]
-    drive = cost / (3.0 * STEP)
+    drive = coords.cost / (3.0 * STEP)
 
     history: list[float] = []
     trace: list[dict] = []
@@ -237,9 +268,9 @@ def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
     primal_res = cone_res = np.inf
 
     for it in range(1, problem.max_iters + 1):
-        x_affine = _affine_project(z - duals[0], total, n)
+        x_affine = coords.affine(z - duals[0])
         x_psd = psd_clip(z - duals[1])
-        x_ppt = _ppt_clip(z - duals[2], layout)
+        x_ppt = coords.ppt_clip(z - duals[2])
 
         z = (
             x_affine + duals[0] + x_psd + duals[1] + x_ppt + duals[2]
@@ -250,8 +281,8 @@ def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
 
         iterations = it
         if it % _CHECK_EVERY == 0 or it == problem.max_iters:
-            obj = multiplicity * _objective(cost, z)
-            primal_res, cone_res = _residuals(z, total, layout)
+            obj = coords.objective(z)
+            primal_res, cone_res = coords.residuals(z)
             history.append(obj)
             lag = _STALL_WINDOW // _CHECK_EVERY
             if len(history) > lag:
@@ -271,7 +302,7 @@ def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
                 converged = True
                 break
 
-    primal_value = multiplicity * _objective(cost, z)
+    primal_value = coords.objective(z)
     if not trace or trace[-1]["iteration"] != iterations:
         trace.append(
             {
@@ -282,20 +313,12 @@ def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
             }
         )
 
-    rounded = _ppt_clip(psd_clip(_affine_project(z, total, n)), layout)
-    rounded_value = multiplicity * _objective(cost, rounded)
-
-    if problem.orbit:
-        operators = tuple(
-            conjugate_factor(z[0], u, layout, B1_FACTOR) for u in problem.orbit
-        )
-    else:
-        operators = tuple(z)
+    rounded = coords.ppt_clip(psd_clip(coords.affine(z)))
 
     return SDPResult(
         primal_value=primal_value,
-        rounded_value=rounded_value,
-        operators=operators,
+        rounded_value=coords.objective(rounded),
+        operators=tuple(z),
         primal_residual=primal_res,
         cone_residual=cone_res,
         iterations=iterations,
@@ -389,7 +412,7 @@ def sandwich_report(
         lower = incomplete_bounds(basis, spec, n_states, strategy=strategy).lower
 
     result = solve_primal_ppt(
-        SDPProblem.from_ensemble(ens, basis, accuracy=accuracy, max_iters=max_iters)
+        SDPProblem.from_basis(basis, spec, n_states, accuracy=accuracy, max_iters=max_iters)
     )
 
     slack = accuracy + 1e-6

@@ -19,8 +19,6 @@ BASIS_DEFECT_TOL = 1e-10
 
 # B1 <-> A2 exchange on the (A1, B1, A2, B2) ordering.
 SWAP_B1_A2 = (0, 2, 1, 3)
-# Position of B1, where the basis unitaries act, in the (A1, A2, B1, B2) ordering.
-B1_FACTOR = 2
 
 
 def four_factor_layout(d: int) -> SubsystemLayout:

@@ -126,35 +126,6 @@ def transpose_party_a(M: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
     return partial_transpose(M, layout, layout.party_a)
 
 
-def conjugate_factor(
-    M: np.ndarray, U: np.ndarray, layout: SubsystemLayout, factor: int
-) -> np.ndarray:
-    """W M W† for W = U acting on one factor and the identity on the others."""
-    layout.check_matrix(M)
-    dims = layout.factor_dims
-    n = len(dims)
-    if U.shape != (dims[factor], dims[factor]):
-        raise ValueError(f"unitary shape {U.shape} does not match factor {factor}")
-    t = np.moveaxis(np.tensordot(U, M.reshape(dims * 2), axes=(1, factor)), 0, factor)
-    t = np.moveaxis(np.tensordot(t, U.conj(), axes=(n + factor, 1)), -1, n + factor)
-    return t.reshape(M.shape)
-
-
-def factor_twirl(M: np.ndarray, layout: SubsystemLayout, factor: int) -> np.ndarray:
-    """d_f Tr_f(M) ⊗ I_f, with the identity put back in place of factor f.
-
-    This is sum_k W_k M W_k† for every trace-orthogonal basis of d_f²
-    unitaries U_k acting on factor f.
-    """
-    layout.check_matrix(M)
-    dims = layout.factor_dims
-    n = len(dims)
-    d = dims[factor]
-    traced = np.trace(M.reshape(dims * 2), axis1=factor, axis2=n + factor)
-    t = np.moveaxis(np.multiply.outer(traced, d * np.eye(d)), (-2, -1), (factor, n + factor))
-    return t.reshape(M.shape)
-
-
 def permute_factors(
     M: np.ndarray, layout: SubsystemLayout, perm: Iterable[int]
 ) -> np.ndarray:

@@ -296,12 +296,38 @@ def test_criterion_10_d4_sandwich(acceptance_log):
         abs(value - target)
         for value in (sandwich.lower, sandwich.sdp_value, sandwich.upper)
     )
-    ok = sandwich.agreement and sandwich.result.converged and worst <= slack
+    ok = (
+        sandwich.agreement
+        and sandwich.result.converged
+        and sandwich.result.iterations == 250
+        and worst <= slack
+    )
     line = report(
         acceptance_log,
         10,
         ok,
         f"F={target:.8f} sdp={sandwich.sdp_value:.8f} worst dev={worst:.2e} "
         f"iterations={sandwich.result.iterations} elapsed={elapsed:.1f}s",
+    )
+    assert ok, line
+
+
+def test_criterion_11_d8_solver(acceptance_log):
+    """d=8 complete Weyl basis, seeded random spectrum: the solver converges
+    on the commutant pair to within the solver accuracy plus 1e-6 of F."""
+    start = time.perf_counter()
+    spec = random_spectrum(8, np.random.default_rng(SPECTRUM_SEED))
+    target = fef(spec)
+    result = solve_primal_ppt(SDPProblem.from_basis(weyl_basis(8), spec))
+    elapsed = time.perf_counter() - start
+
+    dev = abs(result.primal_value - target)
+    ok = result.converged and dev <= DEFAULT_ACCURACY + 1e-6 and elapsed < 20.0
+    line = report(
+        acceptance_log,
+        11,
+        ok,
+        f"F={target:.8f} sdp={result.primal_value:.8f} dev={dev:.2e} "
+        f"iterations={result.iterations} elapsed={elapsed:.1f}s",
     )
     assert ok, line

@@ -131,13 +131,20 @@ class TestExitCodes:
             for value in ("0", "nan", "inf", "-inf")
         ]
         cases += [("protocol", "--shots=-5"), ("sweep", "--steps=1"), ("sweep", "--steps=0")]
-        for command, flag in cases:
+        cases += [
+            ("protocol", "--seed=-1", "--shots=5"),
+            ("fef", "--seed=-1", "--spectrum=random"),
+            ("verify", "--seed=-1"),
+        ]
+        for command, *flags in cases:
             start = time.perf_counter()
-            code, out, err = run(capsys, command, "--dim", "2", flag)
-            assert time.perf_counter() - start < 0.5, flag
-            assert code == EXIT_INPUT, flag
+            code, out, err = run(capsys, command, "--dim", "2", *flags)
+            assert time.perf_counter() - start < 0.5, flags
+            assert code == EXIT_INPUT, flags
             assert out == ""
             assert "error:" in err
+            if "--seed=-1" in flags:
+                assert err == "error: --seed must be a non-negative integer, got -1\n"
 
     def test_starved_solver_is_a_numerical_failure(self, capsys):
         code, _, err = run(
@@ -247,16 +254,21 @@ class TestBasisUse:
 class TestSizeEstimate:
     def test_counts_dense_matrices(self):
         matrix = 16 * 3**8
+        # A complete solve holds 16 basis-sized and 40 pair-sized arrays,
+        # each of 16 d^4 bytes.
+        pair = 16 * 3**4 * (16 + 40)
         assert dense_bytes("certificate", 3, 9) == 8 * matrix
         assert dense_bytes("verify", 3, 9) == 8 * matrix
         assert dense_bytes("sdp", 3, 8) == (16 * 8 + 16) * matrix
-        assert dense_bytes("sdp", 3, 9) == (16 + 18) * matrix
-        assert dense_bytes("sandwich", 3, 9) == (16 + 18 + 8) * matrix
+        assert dense_bytes("sdp", 3, 9) == pair
+        assert dense_bytes("sandwich", 3, 9) == pair + 8 * matrix
 
     def test_limit_separates_the_sizes_that_run_from_the_ones_that_cannot(self):
         assert dense_bytes("sandwich", 5, 25) < MAX_DENSE_BYTES
         assert dense_bytes("certificate", 5, 25) < MAX_DENSE_BYTES
         assert dense_bytes("sdp", 6, 35) > MAX_DENSE_BYTES
+        assert dense_bytes("sdp", 16, 256) < MAX_DENSE_BYTES
+        assert dense_bytes("sdp", 48, 48**2) > MAX_DENSE_BYTES
         assert dense_bytes("certificate", 20, 400) > MAX_DENSE_BYTES
 
     @pytest.mark.parametrize("command", ["fef", "basis", "protocol", "bounds"])
@@ -289,6 +301,13 @@ class TestCommands:
         payload = run_json(capsys, "sdp", "--dim", "2", "--spectrum", "0.8,0.2")
         assert payload["primal_value"] == pytest.approx(0.9, abs=1e-3)
         assert payload["converged"]
+
+    def test_sdp_complete_basis_at_d6(self, capsys):
+        start = time.perf_counter()
+        payload = run_json(capsys, "sdp", "--dim", "6", "--spectrum", "uniform")
+        assert time.perf_counter() - start < 5.0
+        assert payload["converged"]
+        assert abs(payload["primal_value"] - 1.0) <= payload["accuracy"] + 1e-6
 
     def test_bounds_three_states(self, capsys):
         payload = run_json(

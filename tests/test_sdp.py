@@ -17,15 +17,18 @@ from entdist.sdp import (
     solve_primal_ppt,
 )
 from entdist.states import (
+    SWAP_B1_A2,
     MaxEntBasis,
     ResourceSpectrum,
     build_ensemble,
     conjugated_basis,
+    four_factor_layout,
     haar_random_unitary,
+    max_ent_state,
     random_spectrum,
     weyl_basis,
 )
-from entdist.tensor import transpose_party_a
+from entdist.tensor import permute_factors, transpose_party_a
 
 BELL_SPEC = ResourceSpectrum.from_probabilities([0.8, 0.2])
 QUTRIT_SPEC = ResourceSpectrum.from_probabilities([0.55, 0.30, 0.15])
@@ -36,7 +39,7 @@ def twisted_clock_basis(seed: int) -> MaxEntBasis:
 
     Trace-orthogonal for any theta, but the products of its unitaries leave
     the set, so it is not a group up to phases; the twirl identity that makes
-    the one-operator solve exact holds all the same.
+    the pair solve exact holds all the same.
     """
     d = 3
     theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (d, d))
@@ -51,6 +54,28 @@ def twisted_clock_basis(seed: int) -> MaxEntBasis:
             for b in range(d)
         ),
     )
+
+
+def expand_pair(pair, basis: MaxEntBasis) -> list[np.ndarray]:
+    """P_k = W_k (Φ_0 ⊗ X + (I − Φ_0) ⊗ Y) W_k† on A1, A2, B1, B2.
+
+    W_k is the k-th basis unitary on B1 and Φ_0 the maximally entangled
+    projector on A1B1: the operators a complete program's pair stands for.
+    """
+    d = basis.dim
+    ket = max_ent_state(np.eye(d))
+    phi = np.outer(ket, ket.conj())
+    x, y = pair
+    p0 = permute_factors(
+        np.kron(phi, x) + np.kron(np.eye(d * d) - phi, y),
+        four_factor_layout(d),
+        SWAP_B1_A2,
+    )
+    expanded = []
+    for u in basis.unitaries:
+        w = np.kron(np.kron(np.eye(d * d), u), np.eye(d))
+        expanded.append(w @ p0 @ w.conj().T)
+    return expanded
 
 
 @pytest.fixture(scope="module")
@@ -159,41 +184,49 @@ class TestCovariantPath:
     def test_matches_the_full_solver(self, basis, spec):
         d = basis.dim
         covariant = SDPProblem.from_basis(basis, spec)
-        assert len(covariant.orbit) == d * d
+        assert covariant.resource == spec and covariant.states == ()
         full = SDPProblem.from_ensemble(build_ensemble(basis, spec, d * d))
-        assert full.orbit == ()
+        assert full.resource is None
         a, b = solve_primal_ppt(covariant), solve_primal_ppt(full)
         assert a.iterations == b.iterations
         assert a.converged and b.converged
         assert abs(a.primal_value - fef(spec)) <= DEFAULT_ACCURACY + 1e-6
         for name in ("primal_value", "rounded_value", "primal_residual", "cone_residual"):
             assert abs(getattr(a, name) - getattr(b, name)) <= 1e-10, name
-        assert len(a.operators) == d * d
-        for x, y in zip(a.operators, b.operators):
+        assert [x.shape for x in a.operators] == [(d * d, d * d)] * 2
+        expanded = expand_pair(a.operators, basis)
+        assert len(expanded) == len(b.operators) == d * d
+        for x, y in zip(expanded, b.operators):
             assert np.max(np.abs(x - y)) <= 1e-10
+        assert len(a.trace) == len(b.trace)
         for row_a, row_b in zip(a.trace, b.trace):
             assert row_a["iteration"] == row_b["iteration"]
-            assert abs(row_a["objective"] - row_b["objective"]) <= 1e-10
+            for name in ("objective", "primal_residual", "cone_residual"):
+                assert abs(row_a[name] - row_b[name]) <= 1e-10, name
+
+    def test_complete_program_does_not_depend_on_the_basis(self):
+        bases = [
+            weyl_basis(3),
+            conjugated_basis(weyl_basis(3), haar_random_unitary(3, np.random.default_rng(43))),
+            twisted_clock_basis(5),
+        ]
+        results = [solve_primal_ppt(SDPProblem.from_basis(b, QUTRIT_SPEC)) for b in bases]
+        for result in results[1:]:
+            assert result.to_dict() == results[0].to_dict()
+            for x, y in zip(result.operators, results[0].operators, strict=True):
+                assert np.array_equal(x, y)
 
     def test_incomplete_set_is_solved_in_full(self):
         problem = SDPProblem.from_basis(weyl_basis(2), BELL_SPEC, 3)
-        assert problem.orbit == ()
+        assert problem.resource is None
         assert len(solve_primal_ppt(problem).operators) == 3
 
-    def test_orbit_must_move_state_zero_onto_every_state(self):
+    def test_complete_program_takes_a_matching_resource_and_no_states(self):
+        with pytest.raises(ValueError, match="dimension 3"):
+            SDPProblem.from_basis(weyl_basis(2), QUTRIT_SPEC)
         ens = build_ensemble(weyl_basis(2), BELL_SPEC, 4)
-        other = conjugated_basis(
-            weyl_basis(2), haar_random_unitary(2, np.random.default_rng(3))
-        )
-        with pytest.raises(ValueError, match="moved"):
-            SDPProblem.from_ensemble(ens, orbit=other.unitaries)
-        with pytest.raises(ValueError, match="complete"):
-            SDPProblem.from_ensemble(ens, orbit=weyl_basis(2).unitaries[:3])
-
-    def test_orbit_needs_one_unitary_per_state(self):
-        ens = build_ensemble(weyl_basis(2), BELL_SPEC, 3)
-        with pytest.raises(ValueError, match="4 unitaries for 3 states"):
-            SDPProblem.from_ensemble(ens, orbit=weyl_basis(2).unitaries)
+        with pytest.raises(ValueError, match="in place of states"):
+            SDPProblem.from_ensemble(ens, resource=BELL_SPEC)
 
 
 class TestProblemValidation:

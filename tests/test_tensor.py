@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from entdist.tensor import (
     SubsystemLayout,
-    conjugate_factor,
-    factor_twirl,
     frobenius,
     herm_eig,
     hermiticity_defect,
@@ -21,12 +19,7 @@ from entdist.tensor import (
     psd_project,
     transpose_party_a,
 )
-from entdist.states import (
-    conjugated_basis,
-    four_factor_layout,
-    haar_random_unitary,
-    weyl_basis,
-)
+from entdist.states import four_factor_layout
 
 
 def random_matrix(rng, dim):
@@ -142,27 +135,6 @@ def test_psd_clip_of_stack_matches_psd_project():
     assert clipped.shape == stack.shape
     for k, h in enumerate(stack):
         assert np.allclose(clipped[k], psd_project(h), rtol=0.0, atol=1e-12)
-
-
-def test_conjugate_factor_matches_the_full_unitary():
-    rng = np.random.default_rng(17)
-    layout = SubsystemLayout((2, 3, 2), cut=1)
-    m = random_matrix(rng, 12)
-    u = haar_random_unitary(3, rng)
-    w = np.kron(np.kron(np.eye(2), u), np.eye(2))
-    assert np.allclose(conjugate_factor(m, u, layout, 1), w @ m @ w.conj().T, atol=1e-12)
-    with pytest.raises(ValueError):
-        conjugate_factor(m, u, layout, 0)
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_factor_twirl_is_the_sum_over_a_unitary_basis(seed):
-    rng = np.random.default_rng(seed)
-    layout = SubsystemLayout((2, 3, 2), cut=1)
-    m = random_matrix(rng, 12)
-    basis = conjugated_basis(weyl_basis(3), haar_random_unitary(3, rng))
-    total = sum(conjugate_factor(m, u, layout, 1) for u in basis.unitaries)
-    assert np.allclose(factor_twirl(m, layout, 1), total, atol=1e-12)
 
 
 def test_permute_factors_composes():
