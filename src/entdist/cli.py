@@ -3,8 +3,9 @@
 Every subcommand resolves its inputs into a RunConfig before any numerics
 run, emits a JSON report (or a flat CSV table with --csv) to stdout or
 --out, and exits 0 on success, 1 on a numerical check failure or a solve
-that did not converge, 2 on bad input. A run whose dense matrices would
-exceed MAX_DENSE_BYTES is refused as bad input before anything is built.
+that did not converge, 2 on bad input. A subcommand offers only the flags
+its handler reads, so any other flag is bad input too. A run whose dense
+matrices would exceed MAX_DENSE_BYTES is refused before anything is built.
 Reports are byte-identical for identical configuration and seed; progress
 lines go to stderr.
 """
@@ -63,9 +64,9 @@ _CERTIFICATE_MATRICES = 8
 # d^2 x d^2 matrices the solve of a complete basis holds on its pair (X, Y);
 # tracemalloc peaks at 30-33 of them at d = 4-8.
 _PAIR_ARRAYS = 40
-# Basis-sized arrays (d^2 matrices of d x d, 16 d^4 bytes) that fef with a basis
-# file, basis, protocol and bounds hold at their peak. Parsing a basis file's
-# JSON alone costs about 14 of them (tracemalloc peaks at d = 6-16).
+# Basis-sized arrays (d^2 matrices of d x d, 16 d^4 bytes) that basis, protocol
+# and bounds hold at their peak. Parsing a basis file's JSON alone costs about
+# 14 of them (tracemalloc peaks at d = 6-16).
 _BASIS_ARRAYS = 16
 
 
@@ -89,7 +90,7 @@ class RunConfig:
     shots: int
     dump: str | None
     sdp: bool
-    steps: int | None
+    steps: int
 
 
 def parse_spectrum(text: str, dim: int, amplitudes: bool, seed: int) -> ResourceSpectrum:
@@ -171,13 +172,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-    spectrum_label = args.spectrum if args.spectrum is not None else "uniform"
-    if args.command == "verify" and args.spectrum is None:
-        spec = None
-        spectrum_label = "presets"
-    else:
-        spec = parse_spectrum(spectrum_label, dim, args.amplitudes, args.seed)
-
     n_states = dim * dim if args.n_states is None else args.n_states
     if not 1 <= n_states <= dim * dim:
         raise ValueError(f"--n-states must lie in [1, {dim * dim}], got {n_states}")
@@ -188,22 +182,27 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"--{name} must be positive and finite, got {value}")
     if args.max_iters < 1:
         raise ValueError("--max-iters must be at least 1")
-    shots = getattr(args, "shots", 0)
-    if shots < 0:
-        raise ValueError(f"--shots must not be negative, got {shots}")
-    steps = getattr(args, "steps", None)
-    if steps is not None and steps < 2:
-        raise ValueError(f"--steps must be at least 2, got {steps}")
-    sdp = getattr(args, "sdp", False)
+    if args.shots < 0:
+        raise ValueError(f"--shots must not be negative, got {args.shots}")
+    if args.steps < 2:
+        raise ValueError(f"--steps must be at least 2, got {args.steps}")
 
-    # fef needs no basis, but a basis file it is given is still validated.
+    if args.command != "fef":  # the one command that reads no basis
+        _check_size(args.command, dim, n_states, args.sdp)
+
+    # Only after the size guard: the spectrum alone holds d numbers.
+    spectrum_label = args.spectrum if args.spectrum is not None else "uniform"
+    if args.command == "verify" and args.spectrum is None:
+        spec = None
+        spectrum_label = "presets"
+    else:
+        spec = parse_spectrum(spectrum_label, dim, args.amplitudes, args.seed)
+
     basis = None
-    if entries is not None or args.command != "fef":
-        _check_size(args.command, dim, n_states, sdp)
-        if entries is not None:
-            basis = basis_from_entries(dim, entries, args.basis_file)
-        else:
-            basis = weyl_basis(dim)
+    if entries is not None:
+        basis = basis_from_entries(dim, entries, args.basis_file)
+    elif args.command != "fef":
+        basis = weyl_basis(dim)
 
     return RunConfig(
         command=args.command,
@@ -219,10 +218,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         out=args.out,
         csv=args.csv,
         strategy=args.strategy,
-        shots=shots,
-        dump=getattr(args, "dump", None),
-        sdp=sdp,
-        steps=steps,
+        shots=args.shots,
+        dump=args.dump,
+        sdp=args.sdp,
+        steps=args.steps,
     )
 
 
@@ -631,62 +630,63 @@ _COMMAND_HELP = {
     "scan": "tabulate the incomplete-set bracket for N = d+1 ... d^2",
 }
 
+_FLAGS = {
+    "--dim": dict(type=int, help="local dimension d (default 2)"),
+    "--spectrum": dict(help="comma-separated squared Schmidt weights, or uniform|product|random"),
+    "--amplitudes": dict(action="store_true", help="read --spectrum as Schmidt coefficients"),
+    "--seed": dict(type=int, default=0, help="seed for random spectra and sampling"),
+    "--basis-file": dict(help="JSON basis file instead of the built-in basis"),
+    "--n-states": dict(type=int, help="ensemble size N (default d^2)"),
+    "--tol": dict(type=float, default=1e-9, help="feasibility tolerance (default 1e-9)"),
+    "--accuracy": dict(type=float, default=1e-4, help="solver target accuracy (default 1e-4)"),
+    "--max-iters": dict(type=int, default=50000, help="solver iteration cap (default 50000)"),
+    "--strategy": dict(
+        choices=("completion", "projector"),
+        default="completion",
+        help="incomplete-set measurement strategy",
+    ),
+    "--shots": dict(type=int, default=0, help="also sample the measurement this many times"),
+    "--dump": dict(help="write the resolved basis to this path as a basis file"),
+    "--sdp": dict(action="store_true", help="also solve the PPT program for every row"),
+    "--steps": dict(type=int, default=26, help="grid points p1 on [0.5, 1] (default 26)"),
+    "--out": dict(help="write the report to this path instead of stdout"),
+    "--csv": dict(action="store_true", help="emit a flat CSV table instead of JSON"),
+}
+
+_SPECTRUM = ("--dim", "--spectrum", "--amplitudes", "--seed")
+_SOLVER = ("--accuracy", "--max-iters")
+# The flags each handler reads; every subcommand also takes --out and --csv.
+_COMMAND_FLAGS = {
+    "fef": _SPECTRUM,
+    "basis": ("--dim", "--basis-file", "--dump"),
+    "protocol": (*_SPECTRUM, "--basis-file", "--shots"),
+    "certificate": (*_SPECTRUM, "--basis-file", "--n-states", "--tol"),
+    "sdp": (*_SPECTRUM, "--basis-file", "--n-states", *_SOLVER),
+    "bounds": (*_SPECTRUM, "--basis-file", "--n-states", "--strategy"),
+    "sandwich": (*_SPECTRUM, "--basis-file", "--n-states", "--tol", *_SOLVER, "--strategy"),
+    "verify": (*_SPECTRUM, "--basis-file", "--tol"),
+    "sweep": ("--basis-file", "--steps", "--sdp", *_SOLVER),
+    "scan": (*_SPECTRUM, "--basis-file", "--sdp", *_SOLVER),
+}
+
 
 # Built once per process: building it costs more than a small d = 2 run.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--dim", type=int, default=None, help="local dimension d (default 2)")
-    common.add_argument(
-        "--spectrum",
-        default=None,
-        help="comma-separated squared Schmidt weights, or uniform|product|random",
-    )
-    common.add_argument(
-        "--amplitudes",
-        action="store_true",
-        help="interpret --spectrum entries as Schmidt coefficients instead",
-    )
-    common.add_argument("--n-states", type=int, default=None, help="ensemble size N (default d^2)")
-    common.add_argument("--basis-file", default=None, help="JSON basis file instead of the built-in basis")
-    common.add_argument("--tol", type=float, default=1e-9, help="feasibility tolerance (default 1e-9)")
-    common.add_argument("--accuracy", type=float, default=1e-4, help="solver target accuracy (default 1e-4)")
-    common.add_argument("--max-iters", type=int, default=50000, help="solver iteration cap (default 50000)")
-    common.add_argument("--seed", type=int, default=0, help="seed for random spectra and sampling")
-    common.add_argument("--out", default=None, help="write the report to this path instead of stdout")
-    common.add_argument("--csv", action="store_true", help="emit a flat CSV table instead of JSON")
-    common.add_argument(
-        "--strategy",
-        choices=("completion", "projector"),
-        default="completion",
-        help="incomplete-set measurement strategy",
-    )
-
     parser = argparse.ArgumentParser(
         prog="entdist",
         description="three independent routes to the entanglement-assisted "
         "discrimination probability of a maximally entangled basis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _COMMAND_HELP.items():
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        if name == "protocol":
-            p.add_argument(
-                "--shots",
-                type=int,
-                default=0,
-                help="also Monte-Carlo sample the measurement this many times",
-            )
-        if name == "basis":
-            p.add_argument(
-                "--dump",
-                default=None,
-                help="write the resolved basis to this path as a basis file",
-            )
-        if name in ("sweep", "scan"):
-            p.add_argument("--sdp", action="store_true", help="also solve the PPT program for every row")
-        if name == "sweep":
-            p.add_argument("--steps", type=int, default=26, help="grid points p1 on [0.5, 1] (default 26)")
+    # The defaults of the flags a subcommand is not offered fill its namespace.
+    defaults = {}
+    for name, flags in _COMMAND_FLAGS.items():
+        p = sub.add_parser(name, help=_COMMAND_HELP[name])
+        for flag in (*flags, "--out", "--csv"):
+            action = p.add_argument(flag, **_FLAGS[flag])
+            defaults[action.dest] = action.default
+    parser.set_defaults(**defaults)
     return parser
 
 

@@ -19,13 +19,9 @@ def fef(spec: ResourceSpectrum) -> float:
 
 
 def negativity(spec: ResourceSpectrum) -> float:
-    """sum_{i<j} a_i a_j."""
-    a = spec.coeffs
-    total = 0.0
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            total += a[i] * a[j]
-    return total
+    """sum_{i<j} a_i a_j, as sum_i a_i (a_{i+1} + ... + a_{d-1})."""
+    a = np.asarray(spec.coeffs)
+    return float(a[:-1] @ np.cumsum(a[::-1])[::-1][1:])
 
 
 def fef_pure(v: np.ndarray, layout: SubsystemLayout) -> float:

@@ -316,10 +316,11 @@ def read_basis_file(path) -> tuple[int, list]:
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     try:
-        d = int(payload["dim"])
-        raw = payload["unitaries"]
-    except (KeyError, TypeError, OverflowError) as exc:
+        d, raw = payload["dim"], payload["unitaries"]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed basis file {path}: {exc}") from exc
+    if type(d) is not int:
+        raise ValueError(f"malformed basis file {path}: dim must be an integer, got {d!r}")
     if not isinstance(raw, list):
         raise ValueError(f"malformed basis file {path}: unitaries must be a list")
     return d, raw

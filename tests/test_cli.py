@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -116,7 +117,7 @@ class TestExitCodes:
         path = tmp_path / "weyl3.json"
         dump_basis_file(weyl_basis(3), path)
         code, _, _ = run(
-            capsys, "fef", "--dim", "2", "--spectrum", "uniform",
+            capsys, "protocol", "--dim", "2", "--spectrum", "uniform",
             "--basis-file", str(path),
         )
         assert code == EXIT_INPUT
@@ -137,8 +138,10 @@ class TestExitCodes:
             ("verify", "--seed=-1"),
         ]
         for command, *flags in cases:
+            # sweep runs at d = 2 only and takes no --dim
+            dim = [] if command == "sweep" else ["--dim", "2"]
             start = time.perf_counter()
-            code, out, err = run(capsys, command, "--dim", "2", *flags)
+            code, out, err = run(capsys, command, *dim, *flags)
             assert time.perf_counter() - start < 0.5, flags
             assert code == EXIT_INPUT, flags
             assert out == ""
@@ -170,24 +173,17 @@ class TestExitCodes:
         assert out == ""
         assert "error:" in err and "GiB" in err
 
-    @pytest.mark.parametrize("command", ["fef", "basis", "protocol", "bounds", "scan"])
-    def test_oversized_basis_is_refused_before_it_is_built(
-        self, capsys, tmp_path, monkeypatch, command
-    ):
+    @pytest.mark.parametrize("command", ["basis", "protocol", "bounds", "scan"])
+    def test_oversized_basis_is_refused_before_it_is_built(self, capsys, monkeypatch, command):
         def never(*args, **kwargs):
             raise AssertionError("the basis was built")
 
         monkeypatch.setattr(cli, "weyl_basis", never)
         monkeypatch.setattr(cli, "basis_from_entries", never)
-        if command == "fef":
-            # only a basis file makes fef build a basis
-            path = tmp_path / "huge.json"
-            path.write_text('{"dim": 100, "unitaries": []}')
-            argv = [command, "--basis-file", str(path)]
-        else:
-            argv = [command, "--dim", "100"]
+        # the spectrum too holds d numbers, so it waits for the guard as well
+        monkeypatch.setattr(cli, "parse_spectrum", never)
         start = time.perf_counter()
-        code, out, err = run(capsys, *argv)
+        code, out, err = run(capsys, command, "--dim", "100")
         assert time.perf_counter() - start < 0.5
         assert code == EXIT_INPUT
         assert out == ""
@@ -232,6 +228,68 @@ class TestExitCodes:
         assert after == before
 
 
+# The flags each subcommand reads besides --out and --csv, written out apart
+# from the CLI's own table.
+_SPECTRUM = {"--dim", "--spectrum", "--amplitudes", "--seed"}
+_SOLVER = {"--accuracy", "--max-iters"}
+_READS = {
+    "fef": _SPECTRUM,
+    "basis": {"--dim", "--basis-file", "--dump"},
+    "protocol": _SPECTRUM | {"--basis-file", "--shots"},
+    "certificate": _SPECTRUM | {"--basis-file", "--n-states", "--tol"},
+    "sdp": _SPECTRUM | {"--basis-file", "--n-states"} | _SOLVER,
+    "bounds": _SPECTRUM | {"--basis-file", "--n-states", "--strategy"},
+    "sandwich": _SPECTRUM | {"--basis-file", "--n-states", "--tol", "--strategy"} | _SOLVER,
+    "verify": _SPECTRUM | {"--basis-file", "--tol"},
+    "sweep": {"--basis-file", "--steps", "--sdp"} | _SOLVER,
+    "scan": _SPECTRUM | {"--basis-file", "--sdp"} | _SOLVER,
+}
+
+
+def _subparsers() -> dict:
+    """Each subcommand's parser, read off the CLI's parser."""
+    (action,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+class TestFlags:
+    def test_each_subcommand_offers_exactly_the_flags_it_reads(self):
+        offered = {
+            name: {flag for a in parser._actions for flag in a.option_strings} - {"-h", "--help"}
+            for name, parser in _subparsers().items()
+        }
+        assert offered == {name: flags | {"--out", "--csv"} for name, flags in _READS.items()}
+        # 125 when every subcommand took every flag
+        assert sum(len(flags) for flags in offered.values()) == 84
+
+    def test_a_flag_not_offered_exits_2_and_is_named(self, capsys):
+        every = set().union(*_READS.values())
+        argvs = [
+            [command, flag] + ([] if flag in ("--amplitudes", "--sdp") else ["1"])
+            for command in _READS
+            for flag in sorted(every - _READS[command])
+        ]
+        # sweep reads none of these three, and basis reads no spectrum
+        argvs.append(
+            "sweep --steps 3 --spectrum 0.9,0.1 --n-states 2 --strategy projector".split()
+        )
+        argvs.append("basis --dim 2 --spectrum 0.3,0.3".split())
+        # the 10 x 14 (subcommand, flag) pairs less the 64 offered, and the two above
+        assert len(argvs) == 10 * len(every) - 64 + 2
+        for argv in argvs:
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            out, err = capsys.readouterr()
+            assert exit_info.value.code == EXIT_INPUT, argv
+            assert out == ""
+            refused = err.splitlines()[-1]
+            assert refused.startswith("entdist: error: unrecognized arguments: "), err
+            refused_flags = [a for a in argv if a.startswith("--") and a not in _READS[argv[0]]]
+            assert refused_flags and all(flag in refused for flag in refused_flags), err
+
+
 class TestBasisUse:
     def test_fef_builds_no_basis(self, capsys, monkeypatch):
         def never(*args, **kwargs):
@@ -241,11 +299,11 @@ class TestBasisUse:
         payload = run_json(capsys, "fef", "--dim", "16")
         assert payload["fef"] == pytest.approx(1.0, abs=1e-12)
 
-    def test_fef_still_validates_a_basis_file(self, capsys, tmp_path):
+    def test_basis_validates_a_basis_file(self, capsys, tmp_path):
         path = tmp_path / "twice.json"
         identity = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
         path.write_text(json.dumps({"dim": 2, "unitaries": [identity] * 4}))
-        code, out, err = run(capsys, "fef", "--basis-file", str(path))
+        code, out, err = run(capsys, "basis", "--basis-file", str(path))
         assert code == EXIT_INPUT
         assert out == ""
         assert "basis rejected" in err
@@ -371,11 +429,15 @@ class TestTables:
             assert row["certificate"] == pytest.approx(row["fef"], abs=1e-12)
             assert abs(row["sdp"] - row["fef"]) < 1e-3
 
-    def test_sweep_needs_qubits(self, capsys):
-        code, out, err = run(capsys, "sweep", "--dim", "3")
+    def test_sweep_needs_qubits(self, capsys, tmp_path):
+        from entdist.states import dump_basis_file, weyl_basis
+
+        path = tmp_path / "weyl3.json"
+        dump_basis_file(weyl_basis(3), path)
+        code, out, err = run(capsys, "sweep", "--basis-file", str(path))
         assert code == EXIT_INPUT
         assert out == ""
-        assert "error:" in err
+        assert err == "error: sweep walks the qubit spectrum and needs d=2, got 3\n"
 
     def test_scan_writes_csv(self, capsys):
         code, out, err = run(capsys, "scan", "--dim", "2", "--spectrum", "0.8,0.2", "--csv")
@@ -535,7 +597,8 @@ def _floats(valid: list[str]):
     return _mostly(valid, st.floats().map(repr) | st.text(max_size=4))
 
 
-_COMMON_FLAGS = {
+# A strategy for every flag that takes a value, except --out.
+_VALUES = {
     "--dim": _mostly(["2"], st.sampled_from(["0", "1", "-2", "100", "2.5", "x", ""])),
     "--spectrum": _mostly(
         ["uniform", "product", "random", "0.8,0.2", "0.7,0.3"],
@@ -548,25 +611,23 @@ _COMMON_FLAGS = {
     "--strategy": _mostly(["completion", "projector"], st.just("other")),
     "--seed": _mostly(["0", "7"], st.sampled_from(["-1", "x"])),
     "--basis-file": _basis_files(),
-}
-_MAX_ITERS = _mostly(["1", "5", "20"], st.sampled_from(["0", "-1", "x"]))
-_COMMAND_FLAGS = {
-    "protocol": {"--shots": _mostly(["0", "10"], st.sampled_from(["-5", "x"]))},
-    "sweep": {"--steps": _mostly(["2", "3"], st.sampled_from(["1", "0", "-3", "x"]))},
+    "--max-iters": _mostly(["1", "5", "20"], st.sampled_from(["0", "-1", "x"])),
+    "--shots": _mostly(["0", "10"], st.sampled_from(["-5", "x"])),
+    "--steps": _mostly(["2", "3"], st.sampled_from(["1", "0", "-3", "x"])),
+    # an empty name points --dump at a directory, which cannot be written
+    "--dump": _mostly(["dumped.json"], st.just("")),
 }
 
 
 @st.composite
 def _command_lines(draw):
-    """A command and flags for it; --max-iters stays at most 20 and d at 2."""
-    command = draw(st.sampled_from(sorted(cli._HANDLERS)))
-    flags = draw(
-        st.fixed_dictionaries(
-            {"--max-iters": _MAX_ITERS},
-            optional={**_COMMON_FLAGS, **_COMMAND_FLAGS.get(command, {})},
-        )
-    )
-    switches = ["--csv", "--amplitudes"] + (["--sdp"] if command in ("sweep", "scan") else [])
+    """A command and flags it offers; --max-iters stays at most 20 and d at 2."""
+    command = draw(st.sampled_from(sorted(cli._COMMAND_FLAGS)))
+    offered = (*cli._COMMAND_FLAGS[command], "--csv")
+    switches = [flag for flag in offered if cli._FLAGS[flag].get("action") == "store_true"]
+    values = {flag: _VALUES[flag] for flag in offered if flag not in switches}
+    required = {"--max-iters": values.pop("--max-iters")} if "--max-iters" in values else {}
+    flags = draw(st.fixed_dictionaries(required, optional=values))
     return command, flags, sorted(draw(st.sets(st.sampled_from(switches))))
 
 
@@ -581,6 +642,8 @@ def test_fuzzed_arguments_exit_cleanly(tmp_path_factory, command_line):
             path = tmp_path_factory.mktemp("fuzz") / "basis.json"
             path.write_text(json.dumps(value))
             value = path
+        elif flag == "--dump":
+            value = tmp_path_factory.mktemp("fuzz") / value
         argv.append(f"{flag}={value}")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

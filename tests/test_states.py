@@ -227,9 +227,11 @@ class TestBasisFile:
         bad.write_text('{"unitaries": []}')
         with pytest.raises(ValueError):
             load_basis_file(bad)
-        bad.write_text('{"dim": 1e999, "unitaries": []}')
-        with pytest.raises(ValueError):
-            load_basis_file(bad)
+        # dim must be a JSON integer, not a float, a string or a bool
+        for dim in ("1e999", "2.7", "2.9999", "2.0", '"2"', "true", "null"):
+            bad.write_text(f'{{"dim": {dim}, "unitaries": []}}')
+            with pytest.raises(ValueError, match="malformed basis file"):
+                load_basis_file(bad)
 
     def test_wrong_entry_count(self, tmp_path):
         bad = tmp_path / "short.json"
