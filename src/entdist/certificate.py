@@ -1,18 +1,21 @@
 """Analytic dual certificate for the PPT discrimination program.
 
-The certificate is assembled on the factored ordering A1, B1, A2, B2 where
-its structure is a plain tensor product, then carried to the A:B ordering
-by the B1<->A2 relabelling. Its trace equals the fully entangled fraction
-of the resource (times d^2/N when only N ensemble states are in play), and
-feasibility of the dual constraint is re-verified numerically for every
-ensemble member rather than trusted.
+On the factored ordering A1, B1, A2, B2 the certificate is the plain
+tensor product H = (scale/d^3) 1 (x) inner, and only the d^2 x d^2 factor
+inner on the resource pair A2, B2 is stored. Its trace equals the fully
+entangled fraction of the resource (times d^2/N when only N ensemble states
+are in play), and feasibility of the dual constraint is re-verified
+numerically for every ensemble member rather than trusted. The check runs
+on the A:B ordering A1, A2, B1, B2, the B1<->A2 relabelling applied as
+index arithmetic, one Schmidt sector of the resource at a time: no
+d^4 x d^4 matrix is formed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -28,6 +31,7 @@ from .states import (
     resource_state,
 )
 from .tensor import (
+    HERMITICITY_RTOL,
     SubsystemLayout,
     frobenius,
     herm_eig,
@@ -91,34 +95,63 @@ def upsilon(basis: MaxEntBasis, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Dual-feasible operator in both factor orderings.
+    """Dual-feasible operator H = (scale/d^3) * 1_{A1B1} (x) inner_{A2B2}.
 
-    ``h_factored`` lives on A1,B1,A2,B2 and ``h_swapped`` on A1,A2,B1,B2;
-    ``scale`` is d^2/N, equal to 1 for a complete ensemble. The trace equals
-    scale times the fully entangled fraction of the resource.
+    ``inner`` is the d^2 x d^2 factor on the resource pair A2,B2 and
+    ``scale`` is d^2/N, equal to 1 for a complete ensemble. H itself, a
+    d^4 x d^4 matrix, is never formed: on the A:B ordering A1,A2,B1,B2 it is
+    the same operator with B1 and A2 relabelled, which the feasibility check
+    applies as index arithmetic. The trace (scale/d) Tr inner equals scale
+    times the fully entangled fraction of the resource.
     """
 
     dim: int
     n_states: int
     scale: float
-    h_factored: np.ndarray
-    h_swapped: np.ndarray
+    inner: np.ndarray
     trace_value: float
     layout: SubsystemLayout
 
     def __post_init__(self):
-        require_hermitian(self.h_factored)
-        require_hermitian(self.h_swapped)
-        t_factored = float(np.trace(self.h_factored).real)
-        t_swapped = float(np.trace(self.h_swapped).real)
-        if abs(t_factored - t_swapped) > TRACE_MATCH_TOL:
+        require_hermitian(self.inner)
+        trace = self.scale / self.dim * float(np.trace(self.inner).real)
+        if abs(self.trace_value - trace) > TRACE_MATCH_TOL:
             raise ValueError(
-                f"trace changed under relabelling: {t_factored!r} vs {t_swapped!r}"
+                f"stored trace {self.trace_value!r} does not match {trace!r}"
             )
-        if abs(self.trace_value - t_factored) > TRACE_MATCH_TOL:
-            raise ValueError(
-                f"stored trace {self.trace_value!r} does not match {t_factored!r}"
-            )
+
+    @property
+    def coefficient(self) -> float:
+        """The factor scale/d^3 in front of 1 (x) inner."""
+        return self.scale / self.dim**3
+
+    @cached_property
+    def sector_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """T_A(H) on the sectors of ``_schmidt_sectors``, one stack per kind.
+
+        On A1,A2,B1,B2, T_A(H) = (scale/d^3) 1_{A1B1} (x) T_first(inner), so
+        a sector's block is T_first(inner) on its pair indices times the
+        identity on (a1, b1).
+        """
+        d = self.dim
+        inner_t = partial_transpose(self.inner, pair_layout(d), (0,))
+        eye = np.eye(d * d)[:, None, :]
+        stacks = []
+        for pairs in _pair_sectors(d):
+            n, q = pairs.shape
+            blocks = self.coefficient * inner_t[pairs[:, :, None], pairs[:, None, :]]
+            stacks.append((blocks[:, :, None, :, None] * eye).reshape(n, q * d * d, -1))
+        return tuple(stacks)
+
+    @cached_property
+    def off_sector_norm(self) -> float:
+        """Frobenius norm of T_A(H) off the sectors, a sum of squares.
+
+        T_first(inner) off the sectors counts d times, once per (a1, b1).
+        """
+        d = self.dim
+        inner_t = partial_transpose(self.inner, pair_layout(d), (0,))
+        return self.coefficient * d * frobenius(inner_t[_off_sector_masks(d)[0]])
 
 
 def build_certificate(
@@ -126,10 +159,11 @@ def build_certificate(
 ) -> DualCertificate:
     """Assemble the certificate for the first n_states ensemble members.
 
-    On the factored ordering the operator is (scale/d^3) * 1 (x) [tau +
-    2 sum_{i<j} a_i a_j T_first(|ij-><ij-|)]; the swapped copy is obtained by
-    exchanging the two middle factors. Raises when the construction violates
-    its own trace identity, which would signal a bug rather than bad input.
+    On the factored ordering A1,B1,A2,B2 the operator is (scale/d^3) * 1 (x)
+    [tau + 2 sum_{i<j} a_i a_j T_first(|ij-><ij-|)]; only the bracket, which
+    is diagonal with entries a_i a_j, is stored. Raises when the
+    construction violates its own trace identity, which would signal a bug
+    rather than bad input.
     """
     d = basis.dim
     if spec.dim != d:
@@ -152,10 +186,9 @@ def build_certificate(
             inner += 2.0 * a[i] * a[j] * partial_transpose(antisym[idx], lay2, (0,))
             idx += 1
 
-    h_factored = (scale / d**3) * np.kron(np.eye(d * d, dtype=complex), inner)
-    h_swapped = permute_factors(h_factored, four_factor_layout(d), SWAP_B1_A2)
-    trace_value = float(np.trace(h_factored).real)
-
+    # Tr H adds the d^4 diagonal entries of H, the diagonal of inner d^2 times.
+    diagonal = np.tile(scale / d**3 * np.diagonal(inner), d * d)
+    trace_value = float(diagonal.sum().real)
     expected = scale * fef(spec)
     if abs(trace_value - expected) > TRACE_MATCH_TOL:
         raise ValueError(
@@ -166,8 +199,7 @@ def build_certificate(
         dim=d,
         n_states=n_states,
         scale=scale,
-        h_factored=h_factored,
-        h_swapped=h_swapped,
+        inner=inner,
         trace_value=trace_value,
         layout=four_factor_layout(d),
     )
@@ -218,8 +250,9 @@ def _schmidt_sectors(d: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (diagonal, paired): row i of the first lists the d^2 indices with
     a2 = b2 = i, and each row of the second the 2d^2 indices with
-    {a2, b2} = {i, j}, i < j, in lexicographic order. Together the rows
-    partition the d^4 indices. The arrays are read-only.
+    {a2, b2} = {i, j}, i < j: each pair index of ``_pair_sectors`` in turn,
+    with (a1, b1) running row-major under it. Together the rows partition
+    the d^4 indices. The arrays are read-only.
     """
     idx = np.arange(d**4).reshape(d, d, d, d)
     diagonal = np.stack([idx[:, i, :, i].reshape(-1) for i in range(d)])
@@ -235,24 +268,95 @@ def _schmidt_sectors(d: int) -> tuple[np.ndarray, np.ndarray]:
     return diagonal, paired
 
 
+@lru_cache(maxsize=None)
+def _pair_sectors(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index stacks of the sectors of the pair A2,B2 fixed by {a2, b2}.
+
+    Returns (diagonal, paired): row i of the first holds the index of |ii>,
+    and each row of the second the indices of |ij> and |ji>, i < j, in
+    lexicographic order. Together the rows partition the d^2 indices. The
+    arrays are read-only.
+    """
+    i, j = np.triu_indices(d, 1)
+    diagonal = (np.arange(d) * (d + 1))[:, None]
+    paired = np.stack([i * d + j, j * d + i], axis=1)
+    diagonal.setflags(write=False)
+    paired.setflags(write=False)
+    return diagonal, paired
+
+
+@lru_cache(maxsize=None)
+def _off_sector_masks(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where an A2,B2 operator and a ket's pair marginal leave the sectors.
+
+    Returns (pair, marginal): pair[m, m'] is True when the pair indices m and
+    m' lie in different sectors, and marginal[x, y, z, w] is 1.0 when
+    {z, y} != {x, w} as sets (see ``_remainder``), else 0.0.
+    """
+    i, j = np.indices((d, d))
+    label = np.minimum(i, j) * d + np.maximum(i, j)  # names the set {a2, b2}
+    pair = label.reshape(-1, 1) != label.reshape(1, -1)
+    # label.T[y, z] is label[z, y]
+    marginal = (label.T[None, :, :, None] != label[:, None, None, :]).astype(float)
+    pair.setflags(write=False)
+    marginal.setflags(write=False)
+    return pair, marginal
+
+
+def _require_hermitian_blocks(blocks: np.ndarray) -> None:
+    """``require_hermitian`` for each matrix of a stack blocks[n, m, m]."""
+    defect = np.abs(blocks - blocks.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    norm = np.sqrt(np.einsum("nij,nij->n", blocks.conj(), blocks).real)
+    bound = HERMITICITY_RTOL * (1.0 + norm)
+    worst = int(np.argmax(defect - bound))
+    if defect[worst] > bound[worst]:
+        raise ValueError(
+            f"sector block {worst} is not Hermitian: defect "
+            f"{defect[worst]:.3e} exceeds {bound[worst]:.3e}"
+        )
+
+
+def _remainder(cert: DualCertificate, state: np.ndarray, prior: float) -> float:
+    """Upper bound on ||E||_F, the part of T_A(H - p |s><s|) off the sectors.
+
+    Each part is a sum of non-negative terms, never a difference of norms.
+    Entry ((a, b), (a', b')) of T_A(|s><s|) has modulus |s[a', b]| |s[a, b']|
+    and lies off the sectors exactly when {a2, b2} != {a2', b2'}, so its
+    off-sector norm squared is the sum of M[x, y] M[z, w] over
+    {z, y} != {x, w}, with the marginal M[a2, b2] = sum_{a1, b1} |s|^2. The
+    triangle inequality adds ``DualCertificate.off_sector_norm``. Both parts
+    are exactly zero for ``build_certificate`` and ``build_ensemble``.
+    """
+    d = cert.dim
+    weights = (np.abs(state.reshape(d, d, d, d)) ** 2).sum(axis=(0, 2))
+    marginal = _off_sector_masks(d)[1]
+    ket_square = float(np.einsum("xy,xyzw,zw->", weights, marginal, weights))
+    return cert.off_sector_norm + prior * math.sqrt(ket_square)
+
+
 def _feasibility_margin(cert: DualCertificate, state: np.ndarray, prior: float):
     """Certified lower bound on the smallest eigenvalue of T_A(H - p Phi).
 
-    The dense shifted operator is built and checked for Hermiticity, then
-    diagonalised sector by sector (see ``_schmidt_sectors``). Whatever lies
-    outside the sectors, E, is bounded by Weyl's inequality: lambda_min >=
-    min over sectors of lambda_min - ||E||_F. For the ensembles of
-    ``build_ensemble`` E is exactly zero and the bound is the dense minimum.
+    No d^4 x d^4 matrix is built. Each sector block (see
+    ``_schmidt_sectors``) is T_A(H) on the sector
+    (``DualCertificate.sector_blocks``) minus p times T_A(|s><s|) gathered
+    from the ket s as T_A(|s><s|)[(a, b), (a', b')] = s[a', b] conj(s[a, b']).
+    Every block is checked for Hermiticity, and the blocks of each stack are
+    diagonalised in one batch. Whatever lies outside the sectors, E, is
+    bounded by Weyl's inequality: lambda_min >= min over sectors of
+    lambda_min - ||E||_F, with ||E||_F bounded by ``_remainder``. For the
+    ensembles of ``build_ensemble`` E is exactly zero and the bound is the
+    dense minimum.
     """
-    rho = np.outer(state, state.conj())
-    shifted = transpose_party_a(cert.h_swapped - prior * rho, cert.layout)
-    require_hermitian(shifted)
+    n_pair = cert.dim**2
+    ket = state.reshape(n_pair, n_pair)  # rows a = (a1, a2), columns b = (b1, b2)
     block_min = np.inf
-    for stack in _schmidt_sectors(cert.dim):
-        rows, cols = stack[:, :, None], stack[:, None, :]
-        block_min = min(block_min, float(np.linalg.eigvalsh(shifted[rows, cols]).min()))
-        shifted[rows, cols] = 0.0
-    return block_min - frobenius(shifted)
+    for stack, h_blocks in zip(_schmidt_sectors(cert.dim), cert.sector_blocks):
+        gathered = ket[stack[:, :, None] // n_pair, stack[:, None, :] % n_pair]
+        shifted = h_blocks - prior * (gathered.swapaxes(1, 2) * gathered.conj())
+        _require_hermitian_blocks(shifted)
+        block_min = min(block_min, float(np.linalg.eigvalsh(shifted).min()))
+    return block_min - _remainder(cert, state, prior)
 
 
 def _decomposition_residuals(
@@ -266,17 +370,26 @@ def _decomposition_residuals(
     For each k, both transposes applied to the certificate minus the weighted
     k-th state must equal (scale/d^3) * [Y_k (x) Gamma + (1 - Y_k/2) (x)
     2 sum a_i a_j |ij-><ij-|]; the two sides are computed by unrelated code
-    paths.
+    paths. Every term is X_t (x) F_t, with X_t on A1,B1 and F_t on A2,B2,
+    and the four F_t are block-diagonal on the sectors of ``_pair_sectors``.
+    So the squared Frobenius norm of the difference is a sum over the
+    in-sector entries e of ||sum_t F_t[e] X_t||_F^2, with no d^4 x d^4
+    matrix formed; whatever of the F_t lies off the sectors enters through
+    the Gram matrices of the X_t and of those parts.
     """
     d = cert.dim
     if spec.dim != basis.dim:
         raise ValueError(
             f"spectrum dimension {spec.dim} does not match basis {basis.dim}"
         )
-    gamma_op = gamma_operator(spec)
+    lay2 = pair_layout(d)
     tau = resource_state(spec)
-    tau_rho = np.outer(tau, tau.conj())
-    lay4 = SubsystemLayout((d, d, d, d), cut=2)
+    left = np.stack(
+        [
+            partial_transpose(cert.inner, lay2, (0,)),
+            partial_transpose(np.outer(tau, tau.conj()), lay2, (0,)),
+        ]
+    )
     a = spec.coeffs
     _, _, projectors = pair_projectors(d)
     antisym = np.zeros((d * d, d * d), dtype=complex)
@@ -285,20 +398,31 @@ def _decomposition_residuals(
         for j in range(i + 1, d):
             antisym += 2.0 * a[i] * a[j] * projectors[idx]
             idx += 1
+    right = np.stack([gamma_operator(spec), antisym])
+    off = _off_sector_masks(d)[0]
+    inside = ~off
+    left_in, right_in = left[:, inside], right[:, inside]
+    off_parts = np.concatenate([left, right])[:, off]
+    off_gram = np.einsum("te,se->ts", off_parts.conj(), off_parts)
 
+    c = cert.coefficient
+    eye = np.eye(d * d, dtype=complex)
     residuals = []
     for k, prior in enumerate(priors):
         psi = max_ent_state(basis.unitaries[k])
-        psi_rho = np.outer(psi, psi.conj())
-        lhs = partial_transpose(
-            cert.h_factored - prior * np.kron(psi_rho, tau_rho), lay4, (0, 2)
-        )
+        psi_t = partial_transpose(np.outer(psi, psi.conj()), lay2, (0,))
+        left_ops = np.stack([c * eye, -prior * psi_t])
         ups = upsilon(basis, k)
-        half = np.eye(d * d, dtype=complex) - 0.5 * ups
-        rhs = np.kron(ups, gamma_op)
-        rhs += np.kron(half, antisym)
-        rhs *= cert.scale / d**3
-        residuals.append(frobenius(lhs - rhs))
+        right_ops = c * np.stack([ups, eye - 0.5 * ups])
+        # entry e of the sectors carries sum_t F_t[e] X_t on A1,B1
+        lhs = np.einsum("tab,te->eab", left_ops, left_in)
+        rhs = np.einsum("tab,te->eab", right_ops, right_in)
+        square = float(np.sum(np.abs(lhs - rhs) ** 2))
+        ops = np.concatenate([left_ops, -right_ops])
+        gram = np.einsum("tab,sab->ts", ops.conj(), ops)
+        # the Gram term is non-negative in exact arithmetic
+        square += max(float(np.sum(gram * off_gram).real), 0.0)
+        residuals.append(math.sqrt(square))
     return residuals
 
 
@@ -315,9 +439,11 @@ def verify_dual_feasibility(
     smallest eigenvalue >= -tol * (1 + ||H||_F). Each ``lambda_mins`` entry
     is a certified lower bound on that eigenvalue: the resource is Schmidt
     diagonal, so the operator splits into d sectors of size d^2 (a2 = b2)
-    and d(d-1)/2 of size 2d^2 ({a2, b2} = {i, j}), which are diagonalised
-    one by one; whatever lies outside them is subtracted by its Frobenius
-    norm (Weyl's inequality), and is exactly zero for the ensembles of
+    and d(d-1)/2 of size 2d^2 ({a2, b2} = {i, j}). Their blocks are
+    gathered from the certificate's factor and the ensemble ket, without
+    forming the d^4 x d^4 operator, and diagonalised; whatever lies outside
+    them is subtracted by a bound on its Frobenius norm (Weyl's
+    inequality), and is exactly zero for the ensembles of
     ``build_ensemble``. When the generating basis and spectrum are
     supplied, the per-k structural residual is evaluated as well; otherwise
     those entries are reported as zero-length.
@@ -341,7 +467,8 @@ def verify_dual_feasibility(
     if basis is not None and spec is not None:
         residuals = _decomposition_residuals(cert, basis, spec, ens.priors)
 
-    threshold = -tol * (1.0 + frobenius(cert.h_swapped))
+    # ||H||_F = (scale/d^3) ||1_{A1B1}||_F ||inner||_F
+    threshold = -tol * (1.0 + cert.coefficient * cert.dim * frobenius(cert.inner))
     passed = all(lm >= threshold for lm in lambda_mins)
     return FeasibilityReport(
         dim=cert.dim,

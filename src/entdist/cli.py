@@ -5,7 +5,7 @@ run, emits a JSON report (or a flat CSV table with --csv) to stdout or
 --out, and exits 0 on success, 1 on a numerical check failure or a solve
 that did not converge, 2 on bad input. A subcommand offers only the flags
 its handler reads, so any other flag is bad input too. A run whose dense
-matrices would exceed MAX_DENSE_BYTES is refused before anything is built.
+arrays would exceed MAX_DENSE_BYTES is refused before anything is built.
 Reports are byte-identical for identical configuration and seed; progress
 lines go to stderr.
 """
@@ -59,8 +59,16 @@ _PRESETS = ("uniform", "product", "random")
 
 # Refuse a run whose dense arrays would need more than this.
 MAX_DENSE_BYTES = 4 * 2**30
-# Dense d^4 x d^4 matrices the certificate route holds at its peak.
-_CERTIFICATE_MATRICES = 8
+# Bytes per Schmidt coefficient while fef builds and reads the spectrum;
+# tracemalloc peaks at 220-390 of them at d = 10^4-10^6.
+_SPECTRUM_BYTES = 400
+# Arrays of 16 d^6 bytes (the d^2 ensemble kets, or one stack of sector
+# blocks) the certificate route holds at its peak; tracemalloc peaks at
+# 10.7-11.4 of them at d = 4-7.
+_CERTIFICATE_ARRAYS = 12
+# Dense d^4 x d^4 matrices verify holds at its peak: the swap-transpose
+# check builds them from products of random d^2 x d^2 matrices.
+_VERIFY_MATRICES = 8
 # d^2 x d^2 matrices the solve of a complete basis holds on its pair (X, Y);
 # tracemalloc peaks at 30-33 of them at d = 4-8.
 _PAIR_ARRAYS = 40
@@ -117,22 +125,26 @@ def parse_spectrum(text: str, dim: int, amplitudes: bool, seed: int) -> Resource
 def dense_bytes(command: str, dim: int, n_states: int) -> int:
     """Estimated peak bytes of the dense arrays a run holds.
 
-    Commands that only build the basis hold a fixed number of basis-sized
-    arrays. The solve of a complete basis holds the basis and a fixed number
-    of d^2 x d^2 matrices; any other solve keeps about 16 d^4 x d^4 matrices
-    per operator plus the n_states states and operators. The certificate
-    route keeps a fixed number of d^4 x d^4 matrices.
+    fef holds only the d Schmidt coefficients. Commands that only build the
+    basis hold a fixed number of basis-sized arrays. The solve of a complete
+    basis holds the basis and a fixed number of d^2 x d^2 matrices; any
+    other solve keeps about 16 d^4 x d^4 matrices per operator plus the
+    n_states states and operators. The certificate route never forms a
+    d^4 x d^4 matrix and keeps a fixed number of 16 d^6-byte arrays; verify
+    adds the d^4 x d^4 matrices of its swap-transpose check.
     """
-    if command in ("fef", "basis", "protocol", "bounds"):
+    if command == "fef":
+        return _SPECTRUM_BYTES * dim
+    if command in ("basis", "protocol", "bounds"):
         return 16 * dim**4 * _BASIS_ARRAYS
     if is_covariant(dim, n_states):
         solver = 16 * dim**4 * (_BASIS_ARRAYS + _PAIR_ARRAYS)
     else:
         solver = 16 * dim**8 * (16 + 2) * n_states
-    certificate = 16 * dim**8 * _CERTIFICATE_MATRICES
+    certificate = 16 * dim**6 * _CERTIFICATE_ARRAYS
     return {
         "certificate": certificate,
-        "verify": certificate,
+        "verify": 16 * dim**8 * _VERIFY_MATRICES,
         "sdp": solver,
         "sandwich": solver + certificate,
     }[command]
@@ -147,8 +159,9 @@ def _check_size(command: str, dim: int, n_states: int, sdp: bool) -> None:
         command, n_states = ("sdp", dim * dim - 1) if sdp else ("bounds", dim * dim)
     need = dense_bytes(command, dim, n_states)
     if need > MAX_DENSE_BYTES:
+        states = "" if command == "fef" else f" with {n_states} states"
         raise ValueError(
-            f"{command} at d={dim} with {n_states} states needs about "
+            f"{command} at d={dim}{states} needs about "
             f"{need / 2**30:.3g} GiB of dense arrays, more than the "
             f"{MAX_DENSE_BYTES / 2**30:.3g} GiB limit"
         )
@@ -187,8 +200,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.steps < 2:
         raise ValueError(f"--steps must be at least 2, got {args.steps}")
 
-    if args.command != "fef":  # the one command that reads no basis
-        _check_size(args.command, dim, n_states, args.sdp)
+    for flag in ("out", "dump"):
+        if getattr(args, flag) == "":
+            raise ValueError(f"--{flag} needs a file name, got an empty path")
+
+    _check_size(args.command, dim, n_states, args.sdp)
 
     # Only after the size guard: the spectrum alone holds d numbers.
     spectrum_label = args.spectrum if args.spectrum is not None else "uniform"
@@ -265,7 +281,7 @@ def emit(config: RunConfig, payload: dict, rows: list[dict]) -> None:
             )
         except ValueError as exc:
             raise RuntimeError(f"report holds a non-finite number: {exc}") from exc
-    if config.out:
+    if config.out is not None:
         with open(config.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
@@ -307,7 +323,7 @@ def cmd_fef(config: RunConfig):
 def cmd_basis(config: RunConfig):
     report = validate_basis(config.basis.unitaries)
     payload = {"command": "basis", **report.to_dict()}
-    if config.dump:
+    if config.dump is not None:
         dump_basis_file(config.basis, config.dump)
         payload["dumped_to"] = config.dump
     rows = [report.to_dict()]

@@ -1,11 +1,16 @@
 """Dual certificate: construction, feasibility, and structural identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from entdist.certificate import (
+    DualCertificate,
     _decomposition_residuals,
     _feasibility_margin,
+    _pair_sectors,
+    _remainder,
     _schmidt_sectors,
     build_certificate,
     check_swap_transpose_identity,
@@ -17,10 +22,12 @@ from entdist.certificate import (
 )
 from entdist.measures import fef
 from entdist.states import (
+    SWAP_B1_A2,
     Ensemble,
     ResourceSpectrum,
     build_ensemble,
     conjugated_basis,
+    four_factor_layout,
     haar_random_unitary,
     max_ent_state,
     pair_layout,
@@ -34,8 +41,26 @@ from entdist.tensor import (
     is_psd,
     min_eigenvalue,
     partial_transpose,
+    permute_factors,
     transpose_party_a,
 )
+
+
+def _dense_h(cert):
+    """The d^4 x d^4 certificate on A1,B1,A2,B2 and on A1,A2,B1,B2.
+
+    The package never forms these matrices; the tests build them as the
+    oracle for its sector-by-sector route.
+    """
+    d = cert.dim
+    factored = cert.scale / d**3 * np.kron(np.eye(d * d, dtype=complex), cert.inner)
+    return factored, permute_factors(factored, four_factor_layout(d), SWAP_B1_A2)
+
+
+def _dense_shifted(cert, state, prior):
+    """T_A(H - p |s><s|) on A1,A2,B1,B2, built densely."""
+    rho = np.outer(state, state.conj())
+    return transpose_party_a(_dense_h(cert)[1] - prior * rho, cert.layout)
 
 
 @pytest.fixture(scope="module")
@@ -70,18 +95,39 @@ class TestBuild:
         expect = np.kron(
             np.eye(d * d, dtype=complex), np.outer(tau, tau.conj())
         ) / d**3
-        assert frobenius(cert.h_factored - expect) < 1e-14
+        assert frobenius(_dense_h(cert)[0] - expect) < 1e-14
         assert cert.trace_value == pytest.approx(1.0 / d, abs=1e-12)
 
     def test_swapped_copy_is_similar(self, d2_setup):
         basis, spec = d2_setup
-        cert = build_certificate(basis, spec)
-        assert np.trace(cert.h_swapped) == pytest.approx(
-            np.trace(cert.h_factored), abs=1e-13
-        )
-        w1 = np.linalg.eigvalsh(cert.h_factored)
-        w2 = np.linalg.eigvalsh(cert.h_swapped)
+        factored, swapped = _dense_h(build_certificate(basis, spec))
+        assert np.trace(swapped) == pytest.approx(np.trace(factored), abs=1e-13)
+        w1 = np.linalg.eigvalsh(factored)
+        w2 = np.linalg.eigvalsh(swapped)
         assert np.allclose(w1, w2, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_inner_factor_is_diagonal(self, d):
+        """tau + 2 sum a_i a_j T_first(|ij-><ij-|) = sum_ij a_i a_j |ij><ij|."""
+        rng = np.random.default_rng(103)
+        spec = random_spectrum(d, rng)
+        cert = build_certificate(weyl_basis(d), spec, d + 1)
+        a = np.asarray(spec.coeffs)
+        assert np.max(np.abs(cert.inner - np.diag(np.outer(a, a).ravel()))) < 1e-15
+        assert cert.trace_value == pytest.approx(np.trace(_dense_h(cert)[0]).real, abs=1e-14)
+
+    def test_stored_fields_are_checked(self, d2_setup):
+        basis, spec = d2_setup
+        cert = build_certificate(basis, spec)
+        fields = dict(
+            dim=2, n_states=4, scale=1.0, inner=cert.inner, layout=cert.layout
+        )
+        with pytest.raises(ValueError, match="does not match"):
+            DualCertificate(trace_value=cert.trace_value + 1e-9, **fields)
+        skewed = cert.inner.copy()
+        skewed[0, 3] += 1e-3
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DualCertificate(trace_value=cert.trace_value, **{**fields, "inner": skewed})
 
     def test_scaled_certificate_trace(self, d2_setup):
         basis, spec = d2_setup
@@ -243,7 +289,7 @@ def test_feasibility_threshold_scales_with_certificate_norm(d2_setup):
     ens = build_ensemble(basis, spec, 4)
     report = verify_dual_feasibility(cert, ens, 1e-9)
     assert report.threshold == pytest.approx(
-        -1e-9 * (1.0 + frobenius(cert.h_swapped))
+        -1e-9 * (1.0 + frobenius(_dense_h(cert)[1]))
     )
 
 
@@ -252,18 +298,7 @@ def test_shifted_operators_are_psd_not_just_marginal(d2_setup):
     basis, spec = d2_setup
     cert = build_certificate(basis, spec)
     ens = build_ensemble(basis, spec, 4)
-    from entdist.tensor import transpose_party_a
-
-    shifted = transpose_party_a(
-        cert.h_swapped - np.outer(ens.states[1], ens.states[1].conj()) / 4.0,
-        cert.layout,
-    )
-    assert min_eigenvalue(shifted) > -1e-12
-
-
-def _dense_shifted(cert, state, prior):
-    rho = np.outer(state, state.conj())
-    return transpose_party_a(cert.h_swapped - prior * rho, cert.layout)
+    assert min_eigenvalue(_dense_shifted(cert, ens.states[1], 1.0 / 4.0)) > -1e-12
 
 
 def _off_sector_norm(M, d):
@@ -286,62 +321,17 @@ def _sector_cases():
         yield pytest.param(rotated, spec, d + 1, id=f"haar-d{d}-N{d + 1}")
 
 
-class TestSectorMargin:
-    """The sector-by-sector margin against the dense eigenvalue oracle."""
-
-    @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_sectors_partition_the_indices(self, d):
-        diagonal, paired = _schmidt_sectors(d)
-        assert diagonal.shape == (d, d * d)
-        assert paired.shape == (d * (d - 1) // 2, 2 * d * d)
-        together = np.concatenate([diagonal.reshape(-1), paired.reshape(-1)])
-        assert np.array_equal(np.sort(together), np.arange(d**4))
-
-    @pytest.mark.parametrize("basis, spec, n", list(_sector_cases()))
-    def test_matches_the_dense_minimum(self, basis, spec, n):
-        cert = build_certificate(basis, spec, n)
-        ens = build_ensemble(basis, spec, n)
-        report = verify_dual_feasibility(cert, ens, 1e-9)
-        assert report.passed
-        for state, prior, margin in zip(ens.states, ens.priors, report.lambda_mins):
-            shifted = _dense_shifted(cert, state, prior)
-            # the ensembles the package builds leave nothing outside the sectors
-            assert _off_sector_norm(shifted, cert.dim) == 0.0
-            assert abs(margin - min_eigenvalue(shifted)) <= 1e-12
-
-    def test_states_that_break_the_sectors_get_a_lower_bound(self):
-        d = 2
-        rng = np.random.default_rng(405)
-        spec = ResourceSpectrum.from_probabilities([0.7, 0.3])
-        cert = build_certificate(weyl_basis(d), spec)
-        g = rng.standard_normal((d**4, d * d)) + 1j * rng.standard_normal((d**4, d * d))
-        q, _ = np.linalg.qr(g)
-        ens = Ensemble(
-            layout=cert.layout,
-            states=tuple(q.T),
-            priors=(1.0 / (d * d),) * (d * d),
-        )
-        for state, prior in zip(ens.states, ens.priors):
-            shifted = _dense_shifted(cert, state, prior)
-            assert _off_sector_norm(shifted, d) > 1e-3
-            assert _feasibility_margin(cert, state, prior) <= min_eigenvalue(shifted)
-
-
-    def test_non_hermitian_shifted_operator_is_refused(self, d2_setup):
-        basis, spec = d2_setup
-        cert = build_certificate(basis, spec)
-        ens = build_ensemble(basis, spec, 4)
-        skewed = cert.h_swapped.copy()
-        skewed[0, 1] += 1e-3
-        # eigvalsh reads one triangle only, so the dense check must catch this
-        object.__setattr__(cert, "h_swapped", skewed)
-        with pytest.raises(ValueError, match="not Hermitian"):
-            _feasibility_margin(cert, ens.states[0], ens.priors[0])
+def _random_kets(d, n, seed):
+    """n orthonormal kets on A1,A2,B1,B2 with mass off the Schmidt sectors."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d**4, n)) + 1j * rng.standard_normal((d**4, n))
+    return tuple(np.linalg.qr(g)[0].T)
 
 
 def _per_pair_residuals(cert, basis, spec, priors):
-    """The decomposition residual with one kron per antisymmetric projector."""
+    """The decomposition residual from dense d^4 x d^4 krons, one per projector."""
     d = cert.dim
+    factored = _dense_h(cert)[0]
     gamma_op = gamma_operator(spec)
     _, _, antisym = pair_projectors(d)
     tau = resource_state(spec)
@@ -352,7 +342,7 @@ def _per_pair_residuals(cert, basis, spec, priors):
     for k, prior in enumerate(priors):
         psi = max_ent_state(basis.unitaries[k])
         lhs = partial_transpose(
-            cert.h_factored - prior * np.kron(np.outer(psi, psi.conj()), tau_rho),
+            factored - prior * np.kron(np.outer(psi, psi.conj()), tau_rho),
             lay4,
             (0, 2),
         )
@@ -369,8 +359,92 @@ def _per_pair_residuals(cert, basis, spec, priors):
     return out
 
 
-@pytest.mark.parametrize("basis, spec, n", list(_sector_cases())[:6])
+class TestSectorMargin:
+    """The sector-by-sector route against the dense d^4 x d^4 oracle."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_sectors_partition_the_indices(self, d):
+        diagonal, paired = _schmidt_sectors(d)
+        assert diagonal.shape == (d, d * d)
+        assert paired.shape == (d * (d - 1) // 2, 2 * d * d)
+        together = np.concatenate([diagonal.reshape(-1), paired.reshape(-1)])
+        assert np.array_equal(np.sort(together), np.arange(d**4))
+        pairs = np.concatenate([stack.reshape(-1) for stack in _pair_sectors(d)])
+        assert np.array_equal(np.sort(pairs), np.arange(d * d))
+        # a sector of A1,A2,B1,B2 is a sector of the pair under every (a1, b1)
+        a2b2 = [(stack // (d * d) % d) * d + stack % d for stack in (diagonal, paired)]
+        for stack, pair_stack in zip(a2b2, _pair_sectors(d)):
+            assert np.array_equal(stack[:, :: d * d], pair_stack)
+
+    @pytest.mark.parametrize("basis, spec, n", list(_sector_cases()))
+    def test_matches_the_dense_minimum(self, basis, spec, n):
+        cert = build_certificate(basis, spec, n)
+        ens = build_ensemble(basis, spec, n)
+        report = verify_dual_feasibility(cert, ens, 1e-9)
+        assert report.passed
+        for state, prior, margin in zip(ens.states, ens.priors, report.lambda_mins):
+            shifted = _dense_shifted(cert, state, prior)
+            # the ensembles the package builds leave nothing outside the sectors
+            assert _off_sector_norm(shifted, cert.dim) == 0.0
+            assert _remainder(cert, state, prior) == 0.0
+            assert abs(margin - min_eigenvalue(shifted)) <= 1e-14
+
+    def test_states_that_break_the_sectors_get_a_lower_bound(self):
+        rng = np.random.default_rng(405)
+        for d in (2, 3, 4):
+            cert = build_certificate(weyl_basis(d), random_spectrum(d, rng))
+            ens = Ensemble(
+                layout=cert.layout,
+                states=_random_kets(d, d * d, 406),
+                priors=(1.0 / (d * d),) * (d * d),
+            )
+            report = verify_dual_feasibility(cert, ens, 1e-9)
+            for state, prior, margin in zip(ens.states, ens.priors, report.lambda_mins):
+                shifted = _dense_shifted(cert, state, prior)
+                off = _off_sector_norm(shifted, d)
+                assert off > 1e-3
+                assert abs(_remainder(cert, state, prior) - off) <= 1e-14
+                assert margin <= min_eigenvalue(shifted)
+
+    def test_the_certificates_own_off_sector_part_is_counted(self, d2_setup):
+        basis, spec = d2_setup
+        built = build_certificate(basis, spec)
+        inner = built.inner.copy()
+        # |00><01| lands off the sectors under T_first
+        inner[0, 1] += 1e-3
+        inner[1, 0] += 1e-3
+        cert = DualCertificate(
+            dim=2, n_states=4, scale=1.0, inner=inner,
+            trace_value=built.trace_value, layout=built.layout,
+        )
+        states = build_ensemble(basis, spec, 4).states + _random_kets(2, 1, 407)
+        for state in states:
+            shifted = _dense_shifted(cert, state, 0.25)
+            off = _off_sector_norm(shifted, 2)
+            remainder = _remainder(cert, state, 0.25)
+            assert off > 1e-4
+            # exact when only one of H and the ket leaves the sectors
+            assert remainder >= off - 1e-14
+            if state is not states[-1]:
+                assert abs(remainder - off) <= 1e-14
+            assert _feasibility_margin(cert, state, 0.25) <= min_eigenvalue(shifted)
+
+    def test_non_hermitian_shifted_operator_is_refused(self, d2_setup):
+        basis, spec = d2_setup
+        cert = build_certificate(basis, spec)
+        ens = build_ensemble(basis, spec, 4)
+        skewed = cert.inner.copy()
+        # |00><11| lands in the {0, 1} sector under T_first
+        skewed[0, 3] += 1e-3
+        # eigvalsh reads one triangle only, so the block check must catch this
+        object.__setattr__(cert, "inner", skewed)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            _feasibility_margin(cert, ens.states[0], ens.priors[0])
+
+
+@pytest.mark.parametrize("basis, spec, n", list(_sector_cases()))
 def test_one_kron_residual_matches_the_per_pair_sum(basis, spec, n):
+    """The sector-by-sector residual against dense krons, one per projector."""
     cert = build_certificate(basis, spec, n)
     priors = (1.0 / n,) * n
     got = _decomposition_residuals(cert, basis, spec, priors)
@@ -378,3 +452,19 @@ def test_one_kron_residual_matches_the_per_pair_sum(basis, spec, n):
     assert len(got) == n
     assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-14
     assert max(got) < 1e-12
+
+
+def test_d6_check_stays_below_one_dense_operator():
+    """Certificate and feasibility check at d = 6 hold less than one d^4 x d^4."""
+    d = 6
+    basis, spec = weyl_basis(d), ResourceSpectrum.uniform(d)
+    tracemalloc.start()
+    try:
+        cert = build_certificate(basis, spec)
+        ens = build_ensemble(basis, spec, d * d)
+        report = verify_dual_feasibility(cert, ens, 1e-9, basis=basis, spec=spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 16 * d**8

@@ -173,6 +173,39 @@ class TestExitCodes:
         assert out == ""
         assert "error:" in err and "GiB" in err
 
+    def test_oversized_spectrum_is_refused_before_it_is_built(self, capsys, monkeypatch):
+        # fef builds no basis, but its spectrum holds d numbers
+        code, out, _ = run(capsys, "fef", "--dim", "10000")
+        assert code == EXIT_OK and json.loads(out)["dim"] == 10000
+
+        def never(*args, **kwargs):
+            raise AssertionError("the spectrum was built")
+
+        monkeypatch.setattr(cli, "parse_spectrum", never)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "fef", "--dim", "1000000000")
+        assert time.perf_counter() - start < 0.5
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: fef at d=1000000000 needs about ")
+        assert "GiB" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fef", "--dim", "2", "--out", ""],
+            ["fef", "--dim", "2", "--out="],
+            ["basis", "--dim", "2", "--dump", ""],
+            ["certificate", "--dim", "2", "--csv", "--out", ""],
+        ],
+    )
+    def test_empty_paths_are_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        flag = "--dump" if "--dump" in argv else "--out"
+        assert err == f"error: {flag} needs a file name, got an empty path\n"
+
     @pytest.mark.parametrize("command", ["basis", "protocol", "bounds", "scan"])
     def test_oversized_basis_is_refused_before_it_is_built(self, capsys, monkeypatch, command):
         def never(*args, **kwargs):
@@ -315,11 +348,15 @@ class TestSizeEstimate:
         # A complete solve holds 16 basis-sized and 40 pair-sized arrays,
         # each of 16 d^4 bytes.
         pair = 16 * 3**4 * (16 + 40)
-        assert dense_bytes("certificate", 3, 9) == 8 * matrix
+        # The certificate route holds 12 arrays of 16 d^6 bytes, and no
+        # d^4 x d^4 matrix; verify's swap-transpose check holds 8 of those.
+        certificate = 12 * 16 * 3**6
+        assert dense_bytes("certificate", 3, 9) == certificate
+        assert dense_bytes("certificate", 3, 4) == certificate
         assert dense_bytes("verify", 3, 9) == 8 * matrix
         assert dense_bytes("sdp", 3, 8) == (16 * 8 + 16) * matrix
         assert dense_bytes("sdp", 3, 9) == pair
-        assert dense_bytes("sandwich", 3, 9) == pair + 8 * matrix
+        assert dense_bytes("sandwich", 3, 9) == pair + certificate
 
     def test_limit_separates_the_sizes_that_run_from_the_ones_that_cannot(self):
         assert dense_bytes("sandwich", 5, 25) < MAX_DENSE_BYTES
@@ -327,9 +364,19 @@ class TestSizeEstimate:
         assert dense_bytes("sdp", 6, 35) > MAX_DENSE_BYTES
         assert dense_bytes("sdp", 16, 256) < MAX_DENSE_BYTES
         assert dense_bytes("sdp", 48, 48**2) > MAX_DENSE_BYTES
+        assert dense_bytes("certificate", 16, 256) < MAX_DENSE_BYTES
+        assert dense_bytes("certificate", 17, 289) > MAX_DENSE_BYTES
         assert dense_bytes("certificate", 20, 400) > MAX_DENSE_BYTES
+        assert dense_bytes("sandwich", 16, 256) < MAX_DENSE_BYTES
+        assert dense_bytes("verify", 8, 64) < MAX_DENSE_BYTES
+        assert dense_bytes("verify", 9, 81) > MAX_DENSE_BYTES
 
-    @pytest.mark.parametrize("command", ["fef", "basis", "protocol", "bounds"])
+    def test_fef_counts_the_spectrum(self):
+        assert dense_bytes("fef", 10**4, 10**8) == 400 * 10**4
+        assert dense_bytes("fef", 10**7, 10**14) < MAX_DENSE_BYTES
+        assert dense_bytes("fef", 10**9, 10**18) > MAX_DENSE_BYTES
+
+    @pytest.mark.parametrize("command", ["basis", "protocol", "bounds"])
     def test_basis_commands_count_basis_sized_arrays(self, command):
         assert dense_bytes(command, 3, 9) == 16 * 16 * 3**4
         assert dense_bytes(command, 3, 4) == dense_bytes(command, 3, 9)
@@ -359,6 +406,13 @@ class TestCommands:
         payload = run_json(capsys, "sdp", "--dim", "2", "--spectrum", "0.8,0.2")
         assert payload["primal_value"] == pytest.approx(0.9, abs=1e-3)
         assert payload["converged"]
+
+    def test_certificate_at_d6(self, capsys):
+        start = time.perf_counter()
+        payload = run_json(capsys, "certificate", "--dim", "6", "--spectrum", "uniform")
+        assert time.perf_counter() - start < 3.0
+        assert payload["passed"]
+        assert abs(payload["trace_value"] - payload["fef"]) <= 1e-12
 
     def test_sdp_complete_basis_at_d6(self, capsys):
         start = time.perf_counter()
@@ -597,7 +651,7 @@ def _floats(valid: list[str]):
     return _mostly(valid, st.floats().map(repr) | st.text(max_size=4))
 
 
-# A strategy for every flag that takes a value, except --out.
+# A strategy for every flag that takes a value.
 _VALUES = {
     "--dim": _mostly(["2"], st.sampled_from(["0", "1", "-2", "100", "2.5", "x", ""])),
     "--spectrum": _mostly(
@@ -614,8 +668,9 @@ _VALUES = {
     "--max-iters": _mostly(["1", "5", "20"], st.sampled_from(["0", "-1", "x"])),
     "--shots": _mostly(["0", "10"], st.sampled_from(["-5", "x"])),
     "--steps": _mostly(["2", "3"], st.sampled_from(["1", "0", "-3", "x"])),
-    # an empty name points --dump at a directory, which cannot be written
+    # a name is placed in a fresh directory; an empty path stays empty
     "--dump": _mostly(["dumped.json"], st.just("")),
+    "--out": _mostly(["report.out"], st.just("")),
 }
 
 
@@ -623,7 +678,7 @@ _VALUES = {
 def _command_lines(draw):
     """A command and flags it offers; --max-iters stays at most 20 and d at 2."""
     command = draw(st.sampled_from(sorted(cli._COMMAND_FLAGS)))
-    offered = (*cli._COMMAND_FLAGS[command], "--csv")
+    offered = (*cli._COMMAND_FLAGS[command], "--out", "--csv")
     switches = [flag for flag in offered if cli._FLAGS[flag].get("action") == "store_true"]
     values = {flag: _VALUES[flag] for flag in offered if flag not in switches}
     required = {"--max-iters": values.pop("--max-iters")} if "--max-iters" in values else {}
@@ -642,7 +697,7 @@ def test_fuzzed_arguments_exit_cleanly(tmp_path_factory, command_line):
             path = tmp_path_factory.mktemp("fuzz") / "basis.json"
             path.write_text(json.dumps(value))
             value = path
-        elif flag == "--dump":
+        elif flag in ("--dump", "--out") and value:
             value = tmp_path_factory.mktemp("fuzz") / value
         argv.append(f"{flag}={value}")
     out, err = io.StringIO(), io.StringIO()
@@ -653,6 +708,8 @@ def test_fuzzed_arguments_exit_cleanly(tmp_path_factory, command_line):
             code = exc.code
     assert code in (EXIT_OK, EXIT_NUMERICAL, EXIT_INPUT), argv
     assert "Traceback" not in err.getvalue()
+    if "" in (flags.get("--dump"), flags.get("--out")):
+        assert code == EXIT_INPUT, argv
     if code == EXIT_INPUT:
         assert out.getvalue() == "", argv
     elif out.getvalue() and "--csv" not in switches:
