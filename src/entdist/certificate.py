@@ -1,21 +1,21 @@
 """Analytic dual certificate for the PPT discrimination program.
 
-On the factored ordering A1, B1, A2, B2 the certificate is the plain
-tensor product H = (scale/d^3) 1 (x) inner, and only the d^2 x d^2 factor
-inner on the resource pair A2, B2 is stored. Its trace equals the fully
-entangled fraction of the resource (times d^2/N when only N ensemble states
-are in play), and feasibility of the dual constraint is re-verified
-numerically for every ensemble member rather than trusted. The check runs
-on the A:B ordering A1, A2, B1, B2, the B1<->A2 relabelling applied as
-index arithmetic, one Schmidt sector of the resource at a time: no
-d^4 x d^4 matrix is formed.
+The certificate is H = (scale/d^3) 1 (x) sum_ij W_ij |ij><ij| on the
+factored ordering A1, B1, A2, B2, with the weights W = a a^T of the
+resource's Schmidt coefficients; only W is stored. H is diagonal, so no
+partial transpose moves it. Its trace equals the fully entangled fraction of
+the resource (times d^2/N when only N ensemble states are in play), and
+feasibility of the dual constraint is re-verified numerically for every
+ensemble member rather than trusted. The check runs on the A:B ordering
+A1, A2, B1, B2, the B1<->A2 relabelling applied as index arithmetic, one
+Schmidt sector of the resource at a time: no d^4 x d^4 matrix is formed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,10 +31,8 @@ from .states import (
     resource_state,
 )
 from .tensor import (
-    HERMITICITY_RTOL,
     SubsystemLayout,
     frobenius,
-    herm_eig,
     partial_transpose,
     permute_factors,
     require_hermitian,
@@ -95,26 +93,31 @@ def upsilon(basis: MaxEntBasis, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Dual-feasible operator H = (scale/d^3) * 1_{A1B1} (x) inner_{A2B2}.
+    """Dual-feasible operator H = (scale/d^3) * 1_{A1B1} (x) diag(W)_{A2B2}.
 
-    ``inner`` is the d^2 x d^2 factor on the resource pair A2,B2 and
-    ``scale`` is d^2/N, equal to 1 for a complete ensemble. H itself, a
-    d^4 x d^4 matrix, is never formed: on the A:B ordering A1,A2,B1,B2 it is
-    the same operator with B1 and A2 relabelled, which the feasibility check
-    applies as index arithmetic. The trace (scale/d) Tr inner equals scale
-    times the fully entangled fraction of the resource.
+    ``weights`` is the real d x d matrix W = a a^T, whose entry W[i, j] sits
+    on |ij> of the resource pair A2,B2, and ``scale`` is d^2/N, equal to 1
+    for a complete ensemble. H itself, a d^4 x d^4 matrix, is never formed:
+    on the A:B ordering A1,A2,B1,B2 it is the same diagonal with B1 and A2
+    relabelled, which the feasibility check applies as index arithmetic. The
+    trace (scale/d) sum W equals scale times the fully entangled fraction of
+    the resource.
     """
 
     dim: int
     n_states: int
     scale: float
-    inner: np.ndarray
+    weights: np.ndarray
     trace_value: float
-    layout: SubsystemLayout
 
     def __post_init__(self):
-        require_hermitian(self.inner)
-        trace = self.scale / self.dim * float(np.trace(self.inner).real)
+        d = self.dim
+        if self.weights.shape != (d, d) or np.iscomplexobj(self.weights):
+            raise ValueError(
+                f"weights must be a real {d} x {d} array, got "
+                f"{self.weights.dtype} of shape {self.weights.shape}"
+            )
+        trace = self.scale / d * float(self.weights.sum())
         if abs(self.trace_value - trace) > TRACE_MATCH_TOL:
             raise ValueError(
                 f"stored trace {self.trace_value!r} does not match {trace!r}"
@@ -122,36 +125,8 @@ class DualCertificate:
 
     @property
     def coefficient(self) -> float:
-        """The factor scale/d^3 in front of 1 (x) inner."""
+        """The factor scale/d^3 in front of 1 (x) diag(W)."""
         return self.scale / self.dim**3
-
-    @cached_property
-    def sector_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """T_A(H) on the sectors of ``_schmidt_sectors``, one stack per kind.
-
-        On A1,A2,B1,B2, T_A(H) = (scale/d^3) 1_{A1B1} (x) T_first(inner), so
-        a sector's block is T_first(inner) on its pair indices times the
-        identity on (a1, b1).
-        """
-        d = self.dim
-        inner_t = partial_transpose(self.inner, pair_layout(d), (0,))
-        eye = np.eye(d * d)[:, None, :]
-        stacks = []
-        for pairs in _pair_sectors(d):
-            n, q = pairs.shape
-            blocks = self.coefficient * inner_t[pairs[:, :, None], pairs[:, None, :]]
-            stacks.append((blocks[:, :, None, :, None] * eye).reshape(n, q * d * d, -1))
-        return tuple(stacks)
-
-    @cached_property
-    def off_sector_norm(self) -> float:
-        """Frobenius norm of T_A(H) off the sectors, a sum of squares.
-
-        T_first(inner) off the sectors counts d times, once per (a1, b1).
-        """
-        d = self.dim
-        inner_t = partial_transpose(self.inner, pair_layout(d), (0,))
-        return self.coefficient * d * frobenius(inner_t[_off_sector_masks(d)[0]])
 
 
 def build_certificate(
@@ -160,10 +135,11 @@ def build_certificate(
     """Assemble the certificate for the first n_states ensemble members.
 
     On the factored ordering A1,B1,A2,B2 the operator is (scale/d^3) * 1 (x)
-    [tau + 2 sum_{i<j} a_i a_j T_first(|ij-><ij-|)]; only the bracket, which
-    is diagonal with entries a_i a_j, is stored. Raises when the
-    construction violates its own trace identity, which would signal a bug
-    rather than bad input.
+    [tau + 2 sum_{i<j} a_i a_j T_first(|ij-><ij-|)]. The bracket is diagonal,
+    sum_ij a_i a_j |ij><ij|, so only its weights W = a a^T are stored; the
+    decomposition residual of ``verify_dual_feasibility`` re-checks that
+    identity. Raises when the construction violates its own trace identity,
+    which would signal a bug rather than bad input.
     """
     d = basis.dim
     if spec.dim != d:
@@ -174,21 +150,10 @@ def build_certificate(
         raise ValueError(f"n_states must lie in [1, {d * d}], got {n_states}")
     scale = (d * d) / n_states
 
-    a = spec.coeffs
-    tau = resource_state(spec)
-    tau_rho = np.outer(tau, tau.conj())
-    _, _, antisym = pair_projectors(d)
-    lay2 = pair_layout(d)
-    inner = tau_rho.copy()
-    idx = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            inner += 2.0 * a[i] * a[j] * partial_transpose(antisym[idx], lay2, (0,))
-            idx += 1
-
-    # Tr H adds the d^4 diagonal entries of H, the diagonal of inner d^2 times.
-    diagonal = np.tile(scale / d**3 * np.diagonal(inner), d * d)
-    trace_value = float(diagonal.sum().real)
+    a = np.asarray(spec.coeffs)
+    weights = np.outer(a, a)
+    # Tr H adds the d^4 diagonal entries of H, each weight d^2 times.
+    trace_value = scale / d * float(weights.sum())
     expected = scale * fef(spec)
     if abs(trace_value - expected) > TRACE_MATCH_TOL:
         raise ValueError(
@@ -199,9 +164,8 @@ def build_certificate(
         dim=d,
         n_states=n_states,
         scale=scale,
-        inner=inner,
+        weights=weights,
         trace_value=trace_value,
-        layout=four_factor_layout(d),
     )
 
 
@@ -250,9 +214,10 @@ def _schmidt_sectors(d: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (diagonal, paired): row i of the first lists the d^2 indices with
     a2 = b2 = i, and each row of the second the 2d^2 indices with
-    {a2, b2} = {i, j}, i < j: each pair index of ``_pair_sectors`` in turn,
-    with (a1, b1) running row-major under it. Together the rows partition
-    the d^4 indices. The arrays are read-only.
+    {a2, b2} = {i, j}, pairs i < j in lexicographic order: first those with
+    (a2, b2) = (i, j), then those with (j, i), (a1, b1) running row-major in
+    each. Together the rows partition the d^4 indices. The arrays are
+    read-only.
     """
     idx = np.arange(d**4).reshape(d, d, d, d)
     diagonal = np.stack([idx[:, i, :, i].reshape(-1) for i in range(d)])
@@ -263,23 +228,6 @@ def _schmidt_sectors(d: int) -> tuple[np.ndarray, np.ndarray]:
             for j in range(i + 1, d)
         ]
     )
-    diagonal.setflags(write=False)
-    paired.setflags(write=False)
-    return diagonal, paired
-
-
-@lru_cache(maxsize=None)
-def _pair_sectors(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index stacks of the sectors of the pair A2,B2 fixed by {a2, b2}.
-
-    Returns (diagonal, paired): row i of the first holds the index of |ii>,
-    and each row of the second the indices of |ij> and |ji>, i < j, in
-    lexicographic order. Together the rows partition the d^2 indices. The
-    arrays are read-only.
-    """
-    i, j = np.triu_indices(d, 1)
-    diagonal = (np.arange(d) * (d + 1))[:, None]
-    paired = np.stack([i * d + j, j * d + i], axis=1)
     diagonal.setflags(write=False)
     paired.setflags(write=False)
     return diagonal, paired
@@ -303,58 +251,50 @@ def _off_sector_masks(d: int) -> tuple[np.ndarray, np.ndarray]:
     return pair, marginal
 
 
-def _require_hermitian_blocks(blocks: np.ndarray) -> None:
-    """``require_hermitian`` for each matrix of a stack blocks[n, m, m]."""
-    defect = np.abs(blocks - blocks.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    norm = np.sqrt(np.einsum("nij,nij->n", blocks.conj(), blocks).real)
-    bound = HERMITICITY_RTOL * (1.0 + norm)
-    worst = int(np.argmax(defect - bound))
-    if defect[worst] > bound[worst]:
-        raise ValueError(
-            f"sector block {worst} is not Hermitian: defect "
-            f"{defect[worst]:.3e} exceeds {bound[worst]:.3e}"
-        )
-
-
 def _remainder(cert: DualCertificate, state: np.ndarray, prior: float) -> float:
     """Upper bound on ||E||_F, the part of T_A(H - p |s><s|) off the sectors.
 
-    Each part is a sum of non-negative terms, never a difference of norms.
-    Entry ((a, b), (a', b')) of T_A(|s><s|) has modulus |s[a', b]| |s[a, b']|
-    and lies off the sectors exactly when {a2, b2} != {a2', b2'}, so its
-    off-sector norm squared is the sum of M[x, y] M[z, w] over
-    {z, y} != {x, w}, with the marginal M[a2, b2] = sum_{a1, b1} |s|^2. The
-    triangle inequality adds ``DualCertificate.off_sector_norm``. Both parts
-    are exactly zero for ``build_certificate`` and ``build_ensemble``.
+    H is diagonal and so lies inside the sectors; E is p times the part of
+    T_A(|s><s|) outside them, a sum of non-negative terms, never a
+    difference of norms. Entry ((a, b), (a', b')) of T_A(|s><s|) has modulus
+    |s[a', b]| |s[a, b']| and lies off the sectors exactly when
+    {a2, b2} != {a2', b2'}, so its off-sector norm squared is the sum of
+    M[x, y] M[z, w] over {z, y} != {x, w}, with the marginal
+    M[a2, b2] = sum_{a1, b1} |s|^2. It is exactly zero for the ensembles of
+    ``build_ensemble``.
     """
     d = cert.dim
     weights = (np.abs(state.reshape(d, d, d, d)) ** 2).sum(axis=(0, 2))
     marginal = _off_sector_masks(d)[1]
     ket_square = float(np.einsum("xy,xyzw,zw->", weights, marginal, weights))
-    return cert.off_sector_norm + prior * math.sqrt(ket_square)
+    return prior * math.sqrt(ket_square)
 
 
 def _feasibility_margin(cert: DualCertificate, state: np.ndarray, prior: float):
     """Certified lower bound on the smallest eigenvalue of T_A(H - p Phi).
 
     No d^4 x d^4 matrix is built. Each sector block (see
-    ``_schmidt_sectors``) is T_A(H) on the sector
-    (``DualCertificate.sector_blocks``) minus p times T_A(|s><s|) gathered
-    from the ket s as T_A(|s><s|)[(a, b), (a', b')] = s[a', b] conj(s[a, b']).
-    Every block is checked for Hermiticity, and the blocks of each stack are
+    ``_schmidt_sectors``) is -p T_A(|s><s|), gathered from the ket s as
+    T_A(|s><s|)[(a, b), (a', b')] = s[a', b] conj(s[a, b']), plus H on its
+    diagonal: (scale/d^3) W[a2, b2] at each index (a1, a2, b1, b2). Every
+    block is checked for Hermiticity, and the blocks of each stack are
     diagonalised in one batch. Whatever lies outside the sectors, E, is
     bounded by Weyl's inequality: lambda_min >= min over sectors of
     lambda_min - ||E||_F, with ||E||_F bounded by ``_remainder``. For the
     ensembles of ``build_ensemble`` E is exactly zero and the bound is the
     dense minimum.
     """
-    n_pair = cert.dim**2
+    d = cert.dim
+    n_pair = d * d
     ket = state.reshape(n_pair, n_pair)  # rows a = (a1, a2), columns b = (b1, b2)
     block_min = np.inf
-    for stack, h_blocks in zip(_schmidt_sectors(cert.dim), cert.sector_blocks):
+    for stack in _schmidt_sectors(d):
         gathered = ket[stack[:, :, None] // n_pair, stack[:, None, :] % n_pair]
-        shifted = h_blocks - prior * (gathered.swapaxes(1, 2) * gathered.conj())
-        _require_hermitian_blocks(shifted)
+        shifted = -prior * (gathered.swapaxes(1, 2) * gathered.conj())
+        diagonal = cert.coefficient * cert.weights[stack // n_pair % d, stack % d]
+        on = np.arange(stack.shape[1])
+        shifted[:, on, on] += diagonal
+        require_hermitian(shifted)
         block_min = min(block_min, float(np.linalg.eigvalsh(shifted).min()))
     return block_min - _remainder(cert, state, prior)
 
@@ -369,13 +309,16 @@ def _decomposition_residuals(
 
     For each k, both transposes applied to the certificate minus the weighted
     k-th state must equal (scale/d^3) * [Y_k (x) Gamma + (1 - Y_k/2) (x)
-    2 sum a_i a_j |ij-><ij-|]; the two sides are computed by unrelated code
-    paths. Every term is X_t (x) F_t, with X_t on A1,B1 and F_t on A2,B2,
-    and the four F_t are block-diagonal on the sectors of ``_pair_sectors``.
-    So the squared Frobenius norm of the difference is a sum over the
-    in-sector entries e of ||sum_t F_t[e] X_t||_F^2, with no d^4 x d^4
-    matrix formed; whatever of the F_t lies off the sectors enters through
-    the Gram matrices of the X_t and of those parts.
+    2 sum a_i a_j |ij-><ij-|]; the left side holds H through its weights,
+    the right side the projectors of ``pair_projectors``. Y_k is formed
+    from the same T_first(Psi_k) as the left side, by the steps of
+    ``upsilon``. Every term is X_t (x) F_t, with X_t on A1,B1 and F_t on
+    A2,B2, and the four F_t are block-diagonal on the sectors of the pair,
+    fixed by the set {a2, b2}. So the squared Frobenius norm of the
+    difference is a sum over the in-sector entries e of
+    ||sum_t F_t[e] X_t||_F^2, with no d^4 x d^4 matrix formed; whatever of
+    the F_t lies off the sectors enters through the Gram matrices of the X_t
+    and of those parts.
     """
     d = cert.dim
     if spec.dim != basis.dim:
@@ -386,7 +329,7 @@ def _decomposition_residuals(
     tau = resource_state(spec)
     left = np.stack(
         [
-            partial_transpose(cert.inner, lay2, (0,)),
+            np.diag(cert.weights.ravel()),
             partial_transpose(np.outer(tau, tau.conj()), lay2, (0,)),
         ]
     )
@@ -412,7 +355,7 @@ def _decomposition_residuals(
         psi = max_ent_state(basis.unitaries[k])
         psi_t = partial_transpose(np.outer(psi, psi.conj()), lay2, (0,))
         left_ops = np.stack([c * eye, -prior * psi_t])
-        ups = upsilon(basis, k)
+        ups = eye - d * psi_t
         right_ops = c * np.stack([ups, eye - 0.5 * ups])
         # entry e of the sectors carries sum_t F_t[e] X_t on A1,B1
         lhs = np.einsum("tab,te->eab", left_ops, left_in)
@@ -440,7 +383,7 @@ def verify_dual_feasibility(
     is a certified lower bound on that eigenvalue: the resource is Schmidt
     diagonal, so the operator splits into d sectors of size d^2 (a2 = b2)
     and d(d-1)/2 of size 2d^2 ({a2, b2} = {i, j}). Their blocks are
-    gathered from the certificate's factor and the ensemble ket, without
+    gathered from the certificate's weights and the ensemble ket, without
     forming the d^4 x d^4 operator, and diagonalised; whatever lies outside
     them is subtracted by a bound on its Frobenius norm (Weyl's
     inequality), and is exactly zero for the ensembles of
@@ -448,10 +391,11 @@ def verify_dual_feasibility(
     supplied, the per-k structural residual is evaluated as well; otherwise
     those entries are reported as zero-length.
     """
-    if ens.layout.factor_dims != cert.layout.factor_dims:
+    layout = four_factor_layout(cert.dim)
+    if ens.layout.factor_dims != layout.factor_dims:
         raise ValueError(
             f"ensemble layout {ens.layout.factor_dims} does not match "
-            f"certificate layout {cert.layout.factor_dims}"
+            f"certificate layout {layout.factor_dims}"
         )
     if len(ens) != cert.n_states:
         raise ValueError(
@@ -467,8 +411,8 @@ def verify_dual_feasibility(
     if basis is not None and spec is not None:
         residuals = _decomposition_residuals(cert, basis, spec, ens.priors)
 
-    # ||H||_F = (scale/d^3) ||1_{A1B1}||_F ||inner||_F
-    threshold = -tol * (1.0 + cert.coefficient * cert.dim * frobenius(cert.inner))
+    # ||H||_F = (scale/d^3) ||1_{A1B1}||_F ||W||_F
+    threshold = -tol * (1.0 + cert.coefficient * cert.dim * frobenius(cert.weights))
     passed = all(lm >= threshold for lm in lambda_mins)
     return FeasibilityReport(
         dim=cert.dim,
@@ -509,18 +453,18 @@ def upsilon_spectrum_check(basis: MaxEntBasis, tol: float = 1e-10) -> UpsilonRep
     """
     d = basis.dim
     n_zero = d * (d + 1) // 2
+    target = np.concatenate([np.zeros(n_zero), 2.0 * np.ones(d * d - n_zero)])
+    target_c = np.concatenate([np.zeros(d * d - n_zero), np.ones(n_zero)])
     spectrum_defect = 0.0
     complement_defect = 0.0
     worst_min = np.inf
     for k in range(len(basis)):
         ups = upsilon(basis, k)
-        w, _ = herm_eig(ups)
-        target = np.concatenate([np.zeros(n_zero), 2.0 * np.ones(d * d - n_zero)])
+        pair = np.stack([ups, np.eye(d * d, dtype=complex) - 0.5 * ups])
+        require_hermitian(pair)
+        w, wc = np.linalg.eigvalsh(pair)
         spectrum_defect = max(spectrum_defect, float(np.max(np.abs(w - target))))
         worst_min = min(worst_min, float(w[0]))
-
-        wc, _ = herm_eig(np.eye(d * d, dtype=complex) - 0.5 * ups)
-        target_c = np.concatenate([np.zeros(d * d - n_zero), np.ones(n_zero)])
         complement_defect = max(
             complement_defect, float(np.max(np.abs(wc - target_c)))
         )

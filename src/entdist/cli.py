@@ -64,7 +64,7 @@ MAX_DENSE_BYTES = 4 * 2**30
 _SPECTRUM_BYTES = 400
 # Arrays of 16 d^6 bytes (the d^2 ensemble kets, or one stack of sector
 # blocks) the certificate route holds at its peak; tracemalloc peaks at
-# 10.7-11.4 of them at d = 4-7.
+# 8.8-9.5 of them at d = 4-7.
 _CERTIFICATE_ARRAYS = 12
 # Dense d^4 x d^4 matrices verify holds at its peak: the swap-transpose
 # check builds them from products of random d^2 x d^2 matrices.

@@ -47,7 +47,7 @@ class ResourceSpectrum:
             raise ValueError(f"Schmidt coefficients must be nonnegative, got {a}")
         if any(a[i] < a[i + 1] for i in range(len(a) - 1)):
             raise ValueError(f"Schmidt coefficients must be sorted descending, got {a}")
-        norm = sum(x * x for x in a)
+        norm = math.fsum(x * x for x in a)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(
                 f"squared Schmidt coefficients must sum to 1, got {norm!r} "

@@ -13,7 +13,6 @@ from typing import Iterable
 import numpy as np
 
 HERMITICITY_RTOL = 1e-12
-PSD_MEMBERSHIP_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,23 +71,24 @@ def frobenius(M: np.ndarray) -> float:
     return float(np.linalg.norm(M))
 
 
-def hermiticity_defect(M: np.ndarray) -> float:
-    """max |M - M^dagger|, the absolute deviation from Hermitian symmetry."""
-    return float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
-
-
-def is_hermitian(M: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
-    return hermiticity_defect(M) <= rtol * (1.0 + frobenius(M))
-
-
 def require_hermitian(M: np.ndarray, rtol: float = HERMITICITY_RTOL) -> None:
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    defect = hermiticity_defect(M)
-    bound = rtol * (1.0 + frobenius(M))
-    if defect > bound:
+    """Raise unless max |M - M^dagger| <= rtol * (1 + ||M||_F).
+
+    M is one matrix or a stack M[..., D, D]; in a stack each matrix is held
+    to the rule on its own, and the message names the first that fails.
+    """
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {M.shape}")
+    if M.size == 0:
+        return
+    defect = np.abs(M - M.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bound = rtol * (1.0 + np.linalg.norm(M, axis=(-2, -1)))
+    bad = defect > bound
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        what = f"block {', '.join(str(int(i)) for i in at)}" if at else "matrix"
         raise ValueError(
-            f"matrix is not Hermitian: defect {defect:.3e} exceeds {bound:.3e}"
+            f"{what} is not Hermitian: defect {defect[at]:.3e} exceeds {bound[at]:.3e}"
         )
 
 
@@ -155,27 +155,6 @@ def permute_ket(v: np.ndarray, dims: Iterable[int], perm: Iterable[int]) -> np.n
     return v.reshape(dims).transpose(perm).reshape(-1)
 
 
-def herm_eig(M: np.ndarray, rtol: float = HERMITICITY_RTOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvector columns) with M = V diag(w) V†.
-    Raises ValueError when the input fails the Hermiticity tolerance.
-    """
-    require_hermitian(M, rtol)
-    w, V = np.linalg.eigh(M)
-    return w, V
-
-
-def min_eigenvalue(M: np.ndarray, rtol: float = HERMITICITY_RTOL) -> float:
-    """Smallest eigenvalue; M is PSD iff this is >= -tol."""
-    require_hermitian(M, rtol)
-    return float(np.linalg.eigvalsh(M)[0])
-
-
-def is_psd(M: np.ndarray, rtol: float = PSD_MEMBERSHIP_RTOL) -> bool:
-    return min_eigenvalue(M) >= -rtol * (1.0 + frobenius(M))
-
-
 def psd_clip(M: np.ndarray) -> np.ndarray:
     """Clip negative eigenvalues at zero, for one matrix or a stack M[..., D, D].
 
@@ -184,9 +163,3 @@ def psd_clip(M: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(M)
     w = np.clip(w, 0.0, None)
     return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
-def psd_project(M: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """Frobenius-nearest PSD matrix: clip negative eigenvalues at zero."""
-    require_hermitian(M, rtol)
-    return psd_clip(M)

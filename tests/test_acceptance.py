@@ -331,3 +331,36 @@ def test_criterion_11_d8_solver(acceptance_log):
         f"iterations={result.iterations} elapsed={elapsed:.1f}s",
     )
     assert ok, line
+
+
+def test_criterion_12_d6_sandwich(acceptance_log):
+    """d=6 complete Weyl basis, seeded random spectrum (`sandwich --dim 6
+    --spectrum random --seed 4`): protocol, solver and certificate all agree
+    with F within the solver accuracy plus 1e-6. The weights a_i a_j differ
+    from each other, so a certificate that reads a wrong weight fails."""
+    start = time.perf_counter()
+    spec = random_spectrum(6, np.random.default_rng(4))
+    target = fef(spec)
+    sandwich = sandwich_report(weyl_basis(6), spec)
+    elapsed = time.perf_counter() - start
+
+    slack = DEFAULT_ACCURACY + 1e-6
+    worst = max(
+        abs(value - target)
+        for value in (sandwich.lower, sandwich.sdp_value, sandwich.upper)
+    )
+    ok = (
+        len(set(spec.coeffs)) == 6
+        and sandwich.agreement
+        and sandwich.result.converged
+        and sandwich.result.iterations == 350
+        and worst <= slack
+    )
+    line = report(
+        acceptance_log,
+        12,
+        ok,
+        f"F={target:.8f} sdp={sandwich.sdp_value:.8f} worst dev={worst:.2e} "
+        f"iterations={sandwich.result.iterations} elapsed={elapsed:.1f}s",
+    )
+    assert ok, line

@@ -1,15 +1,17 @@
 """Dual certificate: construction, feasibility, and structural identities."""
 
+import contextlib
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from entdist import certificate, cli
 from entdist.certificate import (
     DualCertificate,
     _decomposition_residuals,
     _feasibility_margin,
-    _pair_sectors,
     _remainder,
     _schmidt_sectors,
     build_certificate,
@@ -38,8 +40,6 @@ from entdist.states import (
 from entdist.tensor import (
     SubsystemLayout,
     frobenius,
-    is_psd,
-    min_eigenvalue,
     partial_transpose,
     permute_factors,
     transpose_party_a,
@@ -53,14 +53,20 @@ def _dense_h(cert):
     oracle for its sector-by-sector route.
     """
     d = cert.dim
-    factored = cert.scale / d**3 * np.kron(np.eye(d * d, dtype=complex), cert.inner)
+    inner = np.diag(cert.weights.ravel()).astype(complex)
+    factored = cert.scale / d**3 * np.kron(np.eye(d * d, dtype=complex), inner)
     return factored, permute_factors(factored, four_factor_layout(d), SWAP_B1_A2)
 
 
 def _dense_shifted(cert, state, prior):
     """T_A(H - p |s><s|) on A1,A2,B1,B2, built densely."""
     rho = np.outer(state, state.conj())
-    return transpose_party_a(_dense_h(cert)[1] - prior * rho, cert.layout)
+    layout = four_factor_layout(cert.dim)
+    return transpose_party_a(_dense_h(cert)[1] - prior * rho, layout)
+
+
+def _min_eigenvalue(M):
+    return float(np.linalg.eigvalsh(M)[0])
 
 
 @pytest.fixture(scope="module")
@@ -113,21 +119,26 @@ class TestBuild:
         spec = random_spectrum(d, rng)
         cert = build_certificate(weyl_basis(d), spec, d + 1)
         a = np.asarray(spec.coeffs)
-        assert np.max(np.abs(cert.inner - np.diag(np.outer(a, a).ravel()))) < 1e-15
+        assert np.array_equal(cert.weights, np.outer(a, a))
+        tau = resource_state(spec)
+        bracket = np.outer(tau, tau.conj())
+        _, _, antisym = pair_projectors(d)
+        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        for (i, j), proj in zip(pairs, antisym):
+            bracket += 2.0 * a[i] * a[j] * partial_transpose(proj, pair_layout(d), (0,))
+        assert np.max(np.abs(bracket - np.diag(cert.weights.ravel()))) < 1e-15
         assert cert.trace_value == pytest.approx(np.trace(_dense_h(cert)[0]).real, abs=1e-14)
 
     def test_stored_fields_are_checked(self, d2_setup):
         basis, spec = d2_setup
         cert = build_certificate(basis, spec)
-        fields = dict(
-            dim=2, n_states=4, scale=1.0, inner=cert.inner, layout=cert.layout
-        )
+        fields = dict(dim=2, n_states=4, scale=1.0, weights=cert.weights)
         with pytest.raises(ValueError, match="does not match"):
             DualCertificate(trace_value=cert.trace_value + 1e-9, **fields)
-        skewed = cert.inner.copy()
-        skewed[0, 3] += 1e-3
-        with pytest.raises(ValueError, match="not Hermitian"):
-            DualCertificate(trace_value=cert.trace_value, **{**fields, "inner": skewed})
+        for bad in (cert.weights + 0j, cert.weights.ravel()):
+            fields["weights"] = bad
+            with pytest.raises(ValueError, match="real 2 x 2"):
+                DualCertificate(trace_value=cert.trace_value, **fields)
 
     def test_scaled_certificate_trace(self, d2_setup):
         basis, spec = d2_setup
@@ -198,7 +209,7 @@ class TestParts:
     def test_gamma_psd_and_trace(self):
         spec = ResourceSpectrum.from_probabilities([0.5, 0.3, 0.2])
         gamma_op = gamma_operator(spec)
-        assert is_psd(gamma_op)
+        assert _min_eigenvalue(gamma_op) >= -1e-9 * (1.0 + frobenius(gamma_op))
         # trace = sum a_i^2 + sum_{i<j} a_i a_j
         a = np.asarray(spec.coeffs)
         expect = float(np.sum(a * a) + sum(
@@ -298,7 +309,7 @@ def test_shifted_operators_are_psd_not_just_marginal(d2_setup):
     basis, spec = d2_setup
     cert = build_certificate(basis, spec)
     ens = build_ensemble(basis, spec, 4)
-    assert min_eigenvalue(_dense_shifted(cert, ens.states[1], 1.0 / 4.0)) > -1e-12
+    assert _min_eigenvalue(_dense_shifted(cert, ens.states[1], 1.0 / 4.0)) > -1e-12
 
 
 def _off_sector_norm(M, d):
@@ -369,11 +380,15 @@ class TestSectorMargin:
         assert paired.shape == (d * (d - 1) // 2, 2 * d * d)
         together = np.concatenate([diagonal.reshape(-1), paired.reshape(-1)])
         assert np.array_equal(np.sort(together), np.arange(d**4))
-        pairs = np.concatenate([stack.reshape(-1) for stack in _pair_sectors(d)])
-        assert np.array_equal(np.sort(pairs), np.arange(d * d))
-        # a sector of A1,A2,B1,B2 is a sector of the pair under every (a1, b1)
+        # a sector of A1,A2,B1,B2 is a sector of the pair A2,B2 under every
+        # (a1, b1): |ii>, then |ij> and |ji> for i < j
+        i, j = np.triu_indices(d, 1)
+        pair_sectors = (
+            (np.arange(d) * (d + 1))[:, None],
+            np.stack([i * d + j, j * d + i], axis=1),
+        )
         a2b2 = [(stack // (d * d) % d) * d + stack % d for stack in (diagonal, paired)]
-        for stack, pair_stack in zip(a2b2, _pair_sectors(d)):
+        for stack, pair_stack in zip(a2b2, pair_sectors):
             assert np.array_equal(stack[:, :: d * d], pair_stack)
 
     @pytest.mark.parametrize("basis, spec, n", list(_sector_cases()))
@@ -387,14 +402,14 @@ class TestSectorMargin:
             # the ensembles the package builds leave nothing outside the sectors
             assert _off_sector_norm(shifted, cert.dim) == 0.0
             assert _remainder(cert, state, prior) == 0.0
-            assert abs(margin - min_eigenvalue(shifted)) <= 1e-14
+            assert abs(margin - _min_eigenvalue(shifted)) <= 1e-14
 
     def test_states_that_break_the_sectors_get_a_lower_bound(self):
         rng = np.random.default_rng(405)
         for d in (2, 3, 4):
             cert = build_certificate(weyl_basis(d), random_spectrum(d, rng))
             ens = Ensemble(
-                layout=cert.layout,
+                layout=four_factor_layout(d),
                 states=_random_kets(d, d * d, 406),
                 priors=(1.0 / (d * d),) * (d * d),
             )
@@ -404,40 +419,18 @@ class TestSectorMargin:
                 off = _off_sector_norm(shifted, d)
                 assert off > 1e-3
                 assert abs(_remainder(cert, state, prior) - off) <= 1e-14
-                assert margin <= min_eigenvalue(shifted)
-
-    def test_the_certificates_own_off_sector_part_is_counted(self, d2_setup):
-        basis, spec = d2_setup
-        built = build_certificate(basis, spec)
-        inner = built.inner.copy()
-        # |00><01| lands off the sectors under T_first
-        inner[0, 1] += 1e-3
-        inner[1, 0] += 1e-3
-        cert = DualCertificate(
-            dim=2, n_states=4, scale=1.0, inner=inner,
-            trace_value=built.trace_value, layout=built.layout,
-        )
-        states = build_ensemble(basis, spec, 4).states + _random_kets(2, 1, 407)
-        for state in states:
-            shifted = _dense_shifted(cert, state, 0.25)
-            off = _off_sector_norm(shifted, 2)
-            remainder = _remainder(cert, state, 0.25)
-            assert off > 1e-4
-            # exact when only one of H and the ket leaves the sectors
-            assert remainder >= off - 1e-14
-            if state is not states[-1]:
-                assert abs(remainder - off) <= 1e-14
-            assert _feasibility_margin(cert, state, 0.25) <= min_eigenvalue(shifted)
+                assert margin <= _min_eigenvalue(shifted)
 
     def test_non_hermitian_shifted_operator_is_refused(self, d2_setup):
         basis, spec = d2_setup
         cert = build_certificate(basis, spec)
         ens = build_ensemble(basis, spec, 4)
-        skewed = cert.inner.copy()
-        # |00><11| lands in the {0, 1} sector under T_first
-        skewed[0, 3] += 1e-3
-        # eigvalsh reads one triangle only, so the block check must catch this
-        object.__setattr__(cert, "inner", skewed)
+        skewed = cert.weights.astype(complex)
+        # W[0, 1] sits on the diagonal of a {0, 1} sector block
+        skewed[0, 1] += 1e-3j
+        # eigvalsh reads the real part of the diagonal only, so the block
+        # check must catch this
+        object.__setattr__(cert, "weights", skewed)
         with pytest.raises(ValueError, match="not Hermitian"):
             _feasibility_margin(cert, ens.states[0], ens.priors[0])
 
@@ -468,3 +461,18 @@ def test_d6_check_stays_below_one_dense_operator():
         tracemalloc.stop()
     assert report.passed
     assert peak < 16 * d**8
+
+
+def test_certificate_run_builds_each_upsilon_once(monkeypatch):
+    """One certificate run forms each of the d^2 operators Y_k once."""
+    calls = []
+    build = certificate.upsilon
+
+    def counted(basis, k):
+        calls.append(k)
+        return build(basis, k)
+
+    monkeypatch.setattr(certificate, "upsilon", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["certificate", "--dim", "3"]) == 0
+    assert sorted(calls) == list(range(9))

@@ -52,6 +52,16 @@ class TestResourceSpectrum:
         prod = ResourceSpectrum.product(3)
         assert prod.coeffs == (1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("d", [10**5, 10**6])
+    def test_uniform_builds_at_large_dimension(self, d):
+        """The squared coefficients are summed exactly, so rounding does not
+        grow with d, and the 1e-12 check still refuses a norm off by 1e-11."""
+        spec = ResourceSpectrum.uniform(d)
+        assert spec.dim == d
+        off = np.sqrt(1.0 + 1e-11) * np.asarray(spec.coeffs)
+        with pytest.raises(ValueError, match="sum to 1"):
+            ResourceSpectrum(tuple(off))
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5))
     def test_random_spectrum_is_valid(self, seed, d):

@@ -7,16 +7,11 @@ from hypothesis import given, settings, strategies as st
 from entdist.tensor import (
     SubsystemLayout,
     frobenius,
-    herm_eig,
-    hermiticity_defect,
-    is_hermitian,
-    is_psd,
-    min_eigenvalue,
     partial_transpose,
     permute_factors,
     permute_ket,
     psd_clip,
-    psd_project,
+    require_hermitian,
     transpose_party_a,
 )
 from entdist.states import four_factor_layout
@@ -29,6 +24,12 @@ def random_matrix(rng, dim):
 def random_hermitian(rng, dim):
     m = random_matrix(rng, dim)
     return m + m.conj().T
+
+
+def psd_project(h):
+    """Frobenius-nearest PSD matrix, from one eigendecomposition."""
+    w, v = np.linalg.eigh(h)
+    return v @ np.diag(np.maximum(w, 0.0)) @ v.conj().T
 
 
 dims_strategy = st.lists(st.integers(min_value=2, max_value=3), min_size=2, max_size=3)
@@ -172,39 +173,38 @@ def test_permute_rejects_non_permutations():
 
 def test_hermiticity_defect_and_checks():
     h = np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex)
-    assert hermiticity_defect(h) == 0.0
-    assert is_hermitian(h)
+    require_hermitian(h)
     skew = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-    assert not is_hermitian(skew)
-    with pytest.raises(ValueError):
-        herm_eig(skew)
-
-
-def test_herm_eig_reconstructs():
-    rng = np.random.default_rng(8)
-    h = random_hermitian(rng, 6)
-    w, v = herm_eig(h)
-    assert np.all(np.diff(w) >= 0)
-    assert np.allclose((v * w) @ v.conj().T, h, atol=1e-12)
+    with pytest.raises(ValueError, match="^matrix is not Hermitian"):
+        require_hermitian(skew)
+    with pytest.raises(ValueError, match="square"):
+        require_hermitian(np.zeros((2, 3)))
+    # a stack is checked matrix by matrix, and the failing one is named
+    stack = np.stack([h, h, skew, h])
+    require_hermitian(stack[[0, 1, 3]])
+    with pytest.raises(ValueError, match="^block 2 is not Hermitian"):
+        require_hermitian(stack)
+    with pytest.raises(ValueError, match="^block 1, 0 is not Hermitian"):
+        require_hermitian(stack.reshape(2, 2, 2, 2))
+    # the bound grows with each matrix's own norm, not the stack's
+    big = 1e6 * h
+    big[0, 1] += 1e-7
+    require_hermitian(big)
+    with pytest.raises(ValueError, match="^block 1 "):
+        require_hermitian(np.stack([big, h + [[0, 1e-7], [0, 0]]]))
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6))
 def test_psd_project_properties(seed, dim):
+    """psd_clip is the PSD projection: PSD, idempotent, nearest."""
     rng = np.random.default_rng(seed)
     h = random_hermitian(rng, dim)
-    p = psd_project(h)
-    assert is_psd(p)
-    assert np.allclose(p, psd_project(p), atol=1e-11)
+    p = psd_clip(h)
+    assert np.linalg.eigvalsh(p)[0] >= -1e-9 * (1.0 + frobenius(p))
+    assert np.allclose(p, psd_clip(p), atol=1e-11)
     # projection residual equals the norm of the clipped negative part
-    w, _ = herm_eig(h)
+    w = np.linalg.eigvalsh(h)
     assert frobenius(p - h) == pytest.approx(
         float(np.linalg.norm(np.minimum(w, 0.0))), abs=1e-10
     )
-
-
-def test_min_eigenvalue_signs():
-    assert min_eigenvalue(np.diag([1.0, 2.0]).astype(complex)) == pytest.approx(1.0)
-    assert min_eigenvalue(np.diag([-3.0, 2.0]).astype(complex)) == pytest.approx(-3.0)
-    assert is_psd(np.eye(3, dtype=complex))
-    assert not is_psd(np.diag([1.0, -1.0]).astype(complex))
