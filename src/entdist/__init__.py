@@ -17,7 +17,7 @@ from .certificate import (
     upsilon_spectrum_check,
     verify_dual_feasibility,
 )
-from .measures import fef, fef_pure, negativity
+from .measures import fef, negativity
 from .protocol import (
     IncompleteBounds,
     ProtocolRun,
@@ -79,7 +79,6 @@ __all__ = [
     "dual_bound_from_certificate",
     "dump_basis_file",
     "fef",
-    "fef_pure",
     "four_factor_layout",
     "frobenius",
     "haar_random_unitary",

@@ -69,9 +69,11 @@ _CERTIFICATE_ARRAYS = 12
 # Dense d^4 x d^4 matrices verify holds at its peak: the swap-transpose
 # check builds them from products of random d^2 x d^2 matrices.
 _VERIFY_MATRICES = 8
-# d^2 x d^2 matrices the solve of a complete basis holds on its pair (X, Y);
-# tracemalloc peaks at 30-33 of them at d = 4-8.
-_PAIR_ARRAYS = 40
+# Arrays of 16 d^4 bytes the solve of a complete basis holds: the dense pair
+# (X, Y) it returns is one, and its O(d^2) sector arrays shrink against it as
+# d grows; tracemalloc peaks at 4.9 of them at d = 4, 1.5 at d = 8 and 1.1
+# at d = 16.
+_PAIR_ARRAYS = 5
 # Basis-sized arrays (d^2 matrices of d x d, 16 d^4 bytes) that basis, protocol
 # and bounds hold at their peak. Parsing a basis file's JSON alone costs about
 # 14 of them (tracemalloc peaks at d = 6-16).
@@ -127,8 +129,9 @@ def dense_bytes(command: str, dim: int, n_states: int) -> int:
 
     fef holds only the d Schmidt coefficients. Commands that only build the
     basis hold a fixed number of basis-sized arrays. The solve of a complete
-    basis holds the basis and a fixed number of d^2 x d^2 matrices; any
-    other solve keeps about 16 d^4 x d^4 matrices per operator plus the
+    basis holds the basis, its sector arrays and the d^2 x d^2 pair it
+    returns, together a fixed number of basis-sized arrays; any other solve
+    keeps about 16 d^4 x d^4 matrices per operator plus the
     n_states states and operators. The certificate route never forms a
     d^4 x d^4 matrix and keeps a fixed number of 16 d^6-byte arrays; verify
     adds the d^4 x d^4 matrices of its swap-transpose check.

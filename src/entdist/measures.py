@@ -7,15 +7,16 @@ product and maximally entangled resources.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .states import ResourceSpectrum, schmidt_coefficients
-from .tensor import SubsystemLayout
+from .states import ResourceSpectrum
 
 
 def fef(spec: ResourceSpectrum) -> float:
-    """Fully entangled fraction (1/d) (sum_i a_i)^2."""
-    return float(sum(spec.coeffs)) ** 2 / spec.dim
+    """Fully entangled fraction (1/d) (sum_i a_i)^2, with a correctly rounded sum."""
+    return math.fsum(spec.coeffs) ** 2 / spec.dim
 
 
 def negativity(spec: ResourceSpectrum) -> float:
@@ -23,14 +24,3 @@ def negativity(spec: ResourceSpectrum) -> float:
     a = np.asarray(spec.coeffs)
     return float(a[:-1] @ np.cumsum(a[::-1])[::-1][1:])
 
-
-def fef_pure(v: np.ndarray, layout: SubsystemLayout) -> float:
-    """Fully entangled fraction of a normalized pure state across the cut."""
-    if layout.dim_a != layout.dim_b:
-        raise ValueError(
-            f"bipartition must be square, got {layout.dim_a} x {layout.dim_b}"
-        )
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-        raise ValueError("state must be normalized")
-    a = schmidt_coefficients(v, layout)
-    return float(a.sum()) ** 2 / layout.dim_a

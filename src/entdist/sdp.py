@@ -17,17 +17,30 @@ cone clips commute with W_k, so from the covariant start every iterate
 keeps P_k = W_k P_0 W_k†. U ⊗ Ū on A1B1 fixes Φ_0, commutes with that
 twirl and maps the PPT cone onto itself, so P_0 also stays in its
 commutant: P_0 = Φ_0 ⊗ X + (I − Φ_0) ⊗ Y with X and Y on A2B2 (Rains,
-IEEE TIT 2001; Gatermann and Parrilo, JPAA 2004). The loop carries (X, Y):
+IEEE TIT 2001; Gatermann and Parrilo, JPAA 2004). T_A1 Φ_0 = S/d, with S
+the swap of A1 and B1, so T_A P_0 = Π_sym ⊗ M_s + Π_anti ⊗ M_a with
+M_s = (X^Γ + (d−1) Y^Γ)/d and M_a = (−X^Γ + (d+1) Y^Γ)/d, where Γ
+transposes A2; Y^Γ = (M_s + M_a)/2 and X^Γ = ((d+1) M_s − (d−1) M_a)/2
+map back. The twirl of P_0 is I ⊗ (X + (d²−1) Y).
 
-- PSD: P_0 ⪰ 0 exactly when X ⪰ 0 and Y ⪰ 0.
-- PPT: T_A1 Φ_0 = S/d, with S the swap of A1 and B1, so
-  T_A P_0 = Π_sym ⊗ M_s + Π_anti ⊗ M_a with M_s = (X^Γ + (d−1) Y^Γ)/d and
-  M_a = (−X^Γ + (d+1) Y^Γ)/d, where Γ transposes A2. Clipping both blocks
-  projects onto the cone; Y^Γ = (M_s + M_a)/2 and
-  X^Γ = ((d+1) M_s − (d−1) M_a)/2 map back.
-- Affine: the twirl of P_0 is I ⊗ (X + (d²−1) Y). With E = X + (d²−1) Y − I,
-  X and Y both shift by E/d², and the primal residual is d·‖E‖_F.
-- Objective: Σ_k Tr(Φ_k P_k)/d² = Tr(τ X).
+τ = Σ a_i |ii⟩ is fixed by the phases e^{iθ_i} on A2 and e^{−iθ_i} on B2,
+which commute with every step of the loop, so X and Y stay in their
+commutant too: a d × d block on span{|ii⟩} and one scalar on each |ij⟩,
+i ≠ j. τ is real, so both stay real. The loop carries each of X and Y as
+two real d × d arrays, P[i, j] = X[ij, ij] and Q[i, j] = X[ii, jj] for
+i ≠ j with Q[i, i] = 0, and works on them entry by entry:
+
+- PSD: X ⪰ 0 exactly when its block B = Q + diag(P) is PSD and P[i, j] ≥ 0
+  for i ≠ j: one eigh of the (2, d, d) stack of blocks and a clip at 0.
+- PPT: Γ moves X[ii, jj] to |ji⟩⟨ij|, so X^Γ, Y^Γ, M_s and M_a are the
+  scalars P[i, i] on |ii⟩ and the 2 × 2 blocks [[P_ij, Q_ij], [Q_ij, P_ji]]
+  on {|ij⟩, |ji⟩}. A block with centre c = (P_ij + P_ji)/2 has the
+  eigenvalues c ± r, r = hypot((P_ij − P_ji)/2, Q_ij), and is clipped in
+  closed form on the whole d × d arrays at once (the scalars are the
+  blocks with r = 0).
+- Affine: with E = X + (d²−1) Y − I, X and Y both shift by E/d², and the
+  primal residual is d·‖E‖_F.
+- Objective: Σ_k Tr(Φ_k P_k)/d² = Tr(τ X) = Σ a_i a_j B[i, j].
 
 The twirl identity holds for every trace-orthogonal basis, which starts at
 the identity, so the complete program depends only on d and the spectrum.
@@ -48,8 +61,6 @@ from .states import (
     ResourceSpectrum,
     build_ensemble,
     four_factor_layout,
-    pair_layout,
-    resource_state,
 )
 from .tensor import SubsystemLayout, psd_clip, transpose_party_a
 
@@ -146,7 +157,7 @@ class SDPResult:
     """Solver output; residuals describe the returned operators.
 
     For a program posed by states, ``operators`` holds the n operators P_k.
-    For a complete program it holds the pair (X, Y), from which
+    For a complete program it holds the real pair (X, Y), from which
     P_k = W_k (Φ_0 ⊗ X + (I − Φ_0) ⊗ Y) W_k† for any complete basis.
     """
 
@@ -174,17 +185,24 @@ class SDPResult:
 class _Coordinates:
     """How the consensus loop reads its stack of iterated matrices.
 
-    ``cost`` drives each matrix and the objective counts it ``multiplicity``
-    times; the measurement has ``n`` operators. ``deviation`` is the defect
-    of the measurement's sum from the identity, whose Frobenius norm on the
-    full space is ``weight`` times its own. ``to_blocks`` maps the stack onto
-    matrices that are all PSD exactly when every partial transpose is, and
-    ``from_blocks`` maps them back.
+    The loop starts from ``start()``; ``cost`` drives the stack and the
+    objective counts it ``multiplicity`` times; the measurement has ``n``
+    operators. ``deviation`` is the defect of the measurement's sum from the
+    identity, whose Frobenius norm on the full space is ``weight`` times its
+    own. ``to_blocks`` maps the stack onto matrices that are all PSD exactly
+    when every partial transpose is, and ``from_blocks`` maps them back.
+    ``operators`` gives the matrices a result returns.
     """
+
+    def start(self) -> np.ndarray:
+        return np.stack([np.eye(self.cost.shape[1], dtype=complex) / self.n] * len(self.cost))
 
     def affine(self, stack: np.ndarray) -> np.ndarray:
         """Shift the stack so the n operators of the measurement sum to the identity."""
-        return stack - self.deviation(stack)[None, :, :] / self.n
+        return stack - self.deviation(stack)[None] / self.n
+
+    def psd_clip(self, stack: np.ndarray) -> np.ndarray:
+        return psd_clip(stack)
 
     def ppt_clip(self, stack: np.ndarray) -> np.ndarray:
         return self.from_blocks(psd_clip(self.to_blocks(stack)))
@@ -192,13 +210,19 @@ class _Coordinates:
     def objective(self, stack: np.ndarray) -> float:
         return self.multiplicity * float(np.einsum("kij,kji->", self.cost, stack).real)
 
-    def residuals(self, stack: np.ndarray) -> tuple[float, float]:
-        primal = self.weight * float(np.linalg.norm(self.deviation(stack)))
-        eig_min = min(
+    def cone_min(self, stack: np.ndarray) -> float:
+        """The smallest eigenvalue of any iterated matrix or partial transpose."""
+        return min(
             float(np.linalg.eigvalsh(stack).min()),
             float(np.linalg.eigvalsh(self.to_blocks(stack)).min()),
         )
-        return primal, min(0.0, eig_min)
+
+    def residuals(self, stack: np.ndarray) -> tuple[float, float]:
+        primal = self.weight * float(np.linalg.norm(self.deviation(stack)))
+        return primal, min(0.0, self.cone_min(stack))
+
+    def operators(self, stack: np.ndarray) -> tuple[np.ndarray, ...]:
+        return tuple(stack)
 
 
 class _Operators(_Coordinates):
@@ -221,30 +245,86 @@ class _Operators(_Coordinates):
     from_blocks = to_blocks
 
 
-class _Pair(_Coordinates):
-    """The complete program, iterated on (X, Y) with P_0 = Φ_0 ⊗ X + (I − Φ_0) ⊗ Y."""
+class _Sectors(_Coordinates):
+    """The complete program on the (P, Q) arrays of X and Y (module docstring).
+
+    The stack is (2, 2, d, d): stack[0] = (P, Q) of X, stack[1] that of Y.
+    """
 
     def __init__(self, spec: ResourceSpectrum):
         d = self.d = spec.dim
-        self.n = self.multiplicity = d * d
+        self.n = d * d
         self.weight = float(d)
-        self.layout = pair_layout(d)
-        tau = resource_state(spec)
-        self.cost = np.stack([np.outer(tau, tau.conj()), np.zeros((d * d, d * d))]) / self.n
+        self.a = np.asarray(spec.coeffs, dtype=float)
+        self.eye = np.eye(d)
+        self.off = self.eye == 0
+        # The identity on A2B2: every P is 1, every Q is 0.
+        self.unit = np.stack([np.ones((d, d)), np.zeros((d, d))])
+        # (M_s, M_a) from (X, Y), entry by entry, and back.
+        self.mix = np.array([[1.0, d - 1.0], [-1.0, d + 1.0]]) / d
+        self.unmix = np.array([[d + 1.0, 1.0 - d], [1.0, 1.0]]) / 2
+        tau = np.outer(self.a, self.a) / self.n
+        self.cost = np.stack([np.stack([tau * self.eye, tau * self.off]), np.zeros((2, d, d))])
+
+    def start(self) -> np.ndarray:
+        return np.stack([self.unit, self.unit]) / self.n
 
     def deviation(self, stack: np.ndarray) -> np.ndarray:
-        return stack[0] + (self.n - 1) * stack[1] - np.eye(self.n)
+        return stack[0] + (self.n - 1) * stack[1] - self.unit
 
-    def to_blocks(self, stack: np.ndarray) -> np.ndarray:
-        """(M_s, M_a), the blocks of T_A P_0 on the symmetric and antisymmetric A1B1."""
-        d = self.d
-        gx, gy = transpose_party_a(stack, self.layout)
-        return np.stack([gx + (d - 1) * gy, (d + 1) * gy - gx]) / d
+    def _blocks(self, stack: np.ndarray) -> np.ndarray:
+        """B = Q + diag(P), the blocks of X and Y on span{|ii⟩}."""
+        return stack[:, 1] + stack[:, 0] * self.eye
 
-    def from_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        d = self.d
-        ms, ma = blocks
-        return transpose_party_a(np.stack([(d + 1) * ms - (d - 1) * ma, ms + ma]) / 2, self.layout)
+    def _mixed(self, stack: np.ndarray, mix: np.ndarray) -> np.ndarray:
+        """The 2 × 2 ``mix`` applied to the pair (stack[0], stack[1]), entry by entry."""
+        return (mix @ stack.reshape(2, -1)).reshape(stack.shape)
+
+    @staticmethod
+    def _gamma_blocks(mixed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Centre, half-difference and radius of each 2 × 2 block [[P_ij, Q_ij], [Q_ij, P_ji]]."""
+        p = mixed[:, 0]
+        pt = p.swapaxes(-1, -2)
+        half = (p - pt) / 2
+        return (p + pt) / 2, half, np.hypot(half, mixed[:, 1])
+
+    def objective(self, stack: np.ndarray) -> float:
+        return float(self.a @ self._blocks(stack)[0] @ self.a)
+
+    def psd_clip(self, stack: np.ndarray) -> np.ndarray:
+        b = psd_clip(self._blocks(stack))
+        out = np.empty_like(stack)
+        out[:, 0] = np.where(self.off, np.maximum(stack[:, 0], 0.0), b)
+        out[:, 1] = np.where(self.off, b, 0.0)
+        return out
+
+    def ppt_clip(self, stack: np.ndarray) -> np.ndarray:
+        mixed = self._mixed(stack, self.mix)
+        centre, half, r = self._gamma_blocks(mixed)
+        upper = np.maximum(centre + r, 0.0)
+        lower = np.maximum(centre - r, 0.0)
+        # Each block keeps its eigenvectors; c ± r become upper and lower.
+        scale = np.divide(upper - lower, 2 * r, out=np.zeros_like(r), where=r > 0)
+        mixed[:, 0] = (upper + lower) / 2 + scale * half
+        mixed[:, 1] *= scale
+        return self._mixed(mixed, self.unmix)
+
+    def cone_min(self, stack: np.ndarray) -> float:
+        centre, _, r = self._gamma_blocks(self._mixed(stack, self.mix))
+        return min(
+            float(np.linalg.eigvalsh(self._blocks(stack)).min()),
+            float(stack[:, 0][:, self.off].min()),
+            float((centre - r).min()),
+        )
+
+    def operators(self, stack: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The dense pair (X, Y) on A2B2, with |ij⟩ at index i·d + j."""
+        d, n = self.d, self.n
+        dense = np.zeros((2, n, n))
+        ii = np.arange(d) * (d + 1)
+        dense[:, ii[:, None], ii] = stack[:, 1]
+        dense[:, np.arange(n), np.arange(n)] = stack[:, 0].reshape(2, n)
+        return tuple(dense)
 
 
 def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
@@ -254,10 +334,15 @@ def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
     relative objective change over the stall window) drops below the target
     accuracy, checking every few iterations; hitting the iteration cap
     returns the best iterate with converged=False rather than raising. A
-    complete program runs the same iterations on the pair (X, Y).
+    complete program runs the same iterations on the (P, Q) arrays of X and Y.
     """
-    coords = _Operators(problem) if problem.resource is None else _Pair(problem.resource)
-    z = np.stack([np.eye(coords.cost.shape[1], dtype=complex) / coords.n] * len(coords.cost))
+    coords = _Operators(problem) if problem.resource is None else _Sectors(problem.resource)
+    return _consensus(coords, problem.accuracy, problem.max_iters)
+
+
+def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResult:
+    """The consensus splitting of ``solve_primal_ppt`` in the given coordinates."""
+    z = coords.start()
     duals = [np.zeros_like(z) for _ in range(3)]
     drive = coords.cost / (3.0 * STEP)
 
@@ -267,9 +352,9 @@ def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
     iterations = 0
     primal_res = cone_res = np.inf
 
-    for it in range(1, problem.max_iters + 1):
+    for it in range(1, max_iters + 1):
         x_affine = coords.affine(z - duals[0])
-        x_psd = psd_clip(z - duals[1])
+        x_psd = coords.psd_clip(z - duals[1])
         x_ppt = coords.ppt_clip(z - duals[2])
 
         z = (
@@ -280,7 +365,7 @@ def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
         duals[2] += x_ppt - z
 
         iterations = it
-        if it % _CHECK_EVERY == 0 or it == problem.max_iters:
+        if it % _CHECK_EVERY == 0 or it == max_iters:
             obj = coords.objective(z)
             primal_res, cone_res = coords.residuals(z)
             history.append(obj)
@@ -289,7 +374,7 @@ def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
                 change = abs(obj - history[-1 - lag]) / max(1.0, abs(obj))
             else:
                 change = np.inf
-            if it % _TRACE_EVERY == 0 or it == problem.max_iters:
+            if it % _TRACE_EVERY == 0 or it == max_iters:
                 trace.append(
                     {
                         "iteration": it,
@@ -298,7 +383,7 @@ def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
                         "cone_residual": cone_res,
                     }
                 )
-            if max(primal_res, -cone_res, change) < problem.accuracy:
+            if max(primal_res, -cone_res, change) < accuracy:
                 converged = True
                 break
 
@@ -313,12 +398,12 @@ def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
             }
         )
 
-    rounded = coords.ppt_clip(psd_clip(coords.affine(z)))
+    rounded = coords.ppt_clip(coords.psd_clip(coords.affine(z)))
 
     return SDPResult(
         primal_value=primal_value,
         rounded_value=coords.objective(rounded),
-        operators=tuple(z),
+        operators=coords.operators(z),
         primal_residual=primal_res,
         cone_residual=cone_res,
         iterations=iterations,

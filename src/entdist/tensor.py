@@ -161,5 +161,5 @@ def psd_clip(M: np.ndarray) -> np.ndarray:
     Unchecked: every matrix is taken to be Hermitian.
     """
     w, v = np.linalg.eigh(M)
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)
     return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)

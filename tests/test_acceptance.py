@@ -364,3 +364,30 @@ def test_criterion_12_d6_sandwich(acceptance_log):
         f"iterations={sandwich.result.iterations} elapsed={elapsed:.1f}s",
     )
     assert ok, line
+
+
+def test_criterion_13_d16_solver(acceptance_log):
+    """d=16 complete basis, seeded random spectrum (`sdp --dim 16 --spectrum
+    random --seed 3`): the solve on the Schmidt sectors of (X, Y) converges
+    in its 1,750 iterations to within the solver accuracy plus 1e-6 of F."""
+    start = time.perf_counter()
+    spec = random_spectrum(16, np.random.default_rng(3))
+    target = fef(spec)
+    result = solve_primal_ppt(SDPProblem.from_basis(weyl_basis(16), spec))
+    elapsed = time.perf_counter() - start
+
+    dev = abs(result.primal_value - target)
+    ok = (
+        abs(target - 0.77234073) <= 5e-9
+        and result.converged
+        and result.iterations == 1750
+        and dev <= DEFAULT_ACCURACY + 1e-6
+    )
+    line = report(
+        acceptance_log,
+        13,
+        ok,
+        f"F={target:.8f} sdp={result.primal_value:.8f} dev={dev:.2e} "
+        f"iterations={result.iterations} elapsed={elapsed:.1f}s",
+    )
+    assert ok, line

@@ -35,6 +35,15 @@ def run_json(capsys, *argv):
 
 
 class TestFef:
+    def test_uniform_spectrum_at_a_million_dimensions(self, capsys):
+        """fef rounds the sum of the d coefficients once, so it stays at 1
+        to the last bits; a sequential sum drifted to 1 - 3.3e-11."""
+        code, out, _ = run(capsys, "fef", "--dim", "1000000", "--spectrum", "uniform", "--csv")
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 1
+        assert abs(float(rows[0]["fef"]) - 1.0) <= 1e-15
+
     def test_benchmark(self, capsys):
         payload = run_json(capsys, "fef", "--dim", "2", "--spectrum", "0.8,0.2")
         assert payload["fef"] == pytest.approx(0.9, abs=1e-12)
@@ -345,9 +354,9 @@ class TestBasisUse:
 class TestSizeEstimate:
     def test_counts_dense_matrices(self):
         matrix = 16 * 3**8
-        # A complete solve holds 16 basis-sized and 40 pair-sized arrays,
-        # each of 16 d^4 bytes.
-        pair = 16 * 3**4 * (16 + 40)
+        # A complete solve holds 16 basis-sized arrays and 5 more for its
+        # sector arrays and the dense pair (X, Y), each of 16 d^4 bytes.
+        pair = 16 * 3**4 * (16 + 5)
         # The certificate route holds 12 arrays of 16 d^6 bytes, and no
         # d^4 x d^4 matrix; verify's swap-transpose check holds 8 of those.
         certificate = 12 * 16 * 3**6
@@ -363,7 +372,8 @@ class TestSizeEstimate:
         assert dense_bytes("certificate", 5, 25) < MAX_DENSE_BYTES
         assert dense_bytes("sdp", 6, 35) > MAX_DENSE_BYTES
         assert dense_bytes("sdp", 16, 256) < MAX_DENSE_BYTES
-        assert dense_bytes("sdp", 48, 48**2) > MAX_DENSE_BYTES
+        assert dense_bytes("sdp", 59, 59**2) < MAX_DENSE_BYTES
+        assert dense_bytes("sdp", 60, 60**2) > MAX_DENSE_BYTES
         assert dense_bytes("certificate", 16, 256) < MAX_DENSE_BYTES
         assert dense_bytes("certificate", 17, 289) > MAX_DENSE_BYTES
         assert dense_bytes("certificate", 20, 400) > MAX_DENSE_BYTES

@@ -4,15 +4,30 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entdist.measures import fef, fef_pure, negativity
+from entdist.measures import fef, negativity
 from entdist.states import (
     ResourceSpectrum,
     build_ensemble,
     four_factor_layout,
     pair_layout,
     random_spectrum,
+    schmidt_coefficients,
     weyl_basis,
 )
+from entdist.tensor import SubsystemLayout
+
+
+def fef_pure(v: np.ndarray, layout: SubsystemLayout) -> float:
+    """Fully entangled fraction of a normalized pure state across the cut,
+    read from its Schmidt coefficients rather than from a spectrum."""
+    if layout.dim_a != layout.dim_b:
+        raise ValueError(
+            f"bipartition must be square, got {layout.dim_a} x {layout.dim_b}"
+        )
+    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+        raise ValueError("state must be normalized")
+    a = schmidt_coefficients(v, layout)
+    return float(a.sum()) ** 2 / layout.dim_a
 
 
 def test_fef_benchmark_value():

@@ -11,7 +11,10 @@ from entdist.certificate import (
 from entdist.measures import fef
 from entdist.sdp import (
     DEFAULT_ACCURACY,
+    DEFAULT_MAX_ITERS,
     SDPProblem,
+    _consensus,
+    _Coordinates,
     dual_bound_from_certificate,
     sandwich_report,
     solve_primal_ppt,
@@ -25,7 +28,9 @@ from entdist.states import (
     four_factor_layout,
     haar_random_unitary,
     max_ent_state,
+    pair_layout,
     random_spectrum,
+    resource_state,
     weyl_basis,
 )
 from entdist.tensor import permute_factors, transpose_party_a
@@ -76,6 +81,36 @@ def expand_pair(pair, basis: MaxEntBasis) -> list[np.ndarray]:
         w = np.kron(np.kron(np.eye(d * d), u), np.eye(d))
         expanded.append(w @ p0 @ w.conj().T)
     return expanded
+
+
+class _Pair(_Coordinates):
+    """The complete program iterated on the dense pair (X, Y), the oracle
+    for its solve on the (P, Q) arrays.
+
+    P_0 = Φ_0 ⊗ X + (I − Φ_0) ⊗ Y; the PPT blocks are M_s = (X^Γ + (d−1) Y^Γ)/d
+    and M_a = ((d+1) Y^Γ − X^Γ)/d, clipped by a full eigendecomposition.
+    """
+
+    def __init__(self, spec: ResourceSpectrum):
+        d = self.d = spec.dim
+        self.n = self.multiplicity = d * d
+        self.weight = float(d)
+        self.layout = pair_layout(d)
+        tau = resource_state(spec)
+        self.cost = np.stack([np.outer(tau, tau.conj()), np.zeros((d * d, d * d))]) / self.n
+
+    def deviation(self, stack: np.ndarray) -> np.ndarray:
+        return stack[0] + (self.n - 1) * stack[1] - np.eye(self.n)
+
+    def to_blocks(self, stack: np.ndarray) -> np.ndarray:
+        d = self.d
+        gx, gy = transpose_party_a(stack, self.layout)
+        return np.stack([gx + (d - 1) * gy, (d + 1) * gy - gx]) / d
+
+    def from_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        d = self.d
+        ms, ma = blocks
+        return transpose_party_a(np.stack([(d + 1) * ms - (d - 1) * ma, ms + ma]) / 2, self.layout)
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +238,29 @@ class TestCovariantPath:
             assert row_a["iteration"] == row_b["iteration"]
             for name in ("objective", "primal_residual", "cone_residual"):
                 assert abs(row_a[name] - row_b[name]) <= 1e-10, name
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["uniform", "random"])
+    def test_matches_the_pair_solver(self, d, kind):
+        if kind == "uniform":
+            spec = ResourceSpectrum.uniform(d)
+        else:
+            spec = random_spectrum(d, np.random.default_rng(50 + d))
+        a = solve_primal_ppt(SDPProblem.from_basis(weyl_basis(d), spec))
+        b = _consensus(_Pair(spec), DEFAULT_ACCURACY, DEFAULT_MAX_ITERS)
+        assert a.iterations == b.iterations
+        assert a.converged and b.converged
+        for name in ("primal_value", "rounded_value", "primal_residual", "cone_residual"):
+            assert abs(getattr(a, name) - getattr(b, name)) <= 1e-12, name
+        assert len(a.trace) == len(b.trace)
+        for row_a, row_b in zip(a.trace, b.trace):
+            assert row_a["iteration"] == row_b["iteration"]
+            for name in ("objective", "primal_residual", "cone_residual"):
+                assert abs(row_a[name] - row_b[name]) <= 1e-12, name
+        assert len(a.operators) == len(b.operators) == 2
+        for x, y in zip(a.operators, b.operators):
+            assert x.shape == y.shape == (d * d, d * d)
+            assert np.max(np.abs(x - y)) <= 1e-10
 
     def test_complete_program_does_not_depend_on_the_basis(self):
         bases = [
