@@ -13,7 +13,6 @@ from .certificate import (
     FeasibilityReport,
     UpsilonReport,
     build_certificate,
-    check_swap_transpose_identity,
     upsilon_spectrum_check,
     verify_dual_feasibility,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "UpsilonReport",
     "build_certificate",
     "build_ensemble",
-    "check_swap_transpose_identity",
     "conjugated_basis",
     "dual_bound_from_certificate",
     "dump_basis_file",

@@ -6,22 +6,22 @@ resource's Schmidt coefficients; only W is stored. H is diagonal, so no
 partial transpose moves it. Its trace equals the fully entangled fraction of
 the resource (times d^2/N when only N ensemble states are in play), and
 feasibility of the dual constraint is re-verified numerically for every
-ensemble member rather than trusted. The check runs on the A:B ordering
-A1, A2, B1, B2, the B1<->A2 relabelling applied as index arithmetic, one
-Schmidt sector of the resource at a time: no d^4 x d^4 matrix is formed.
+ensemble member rather than trusted. Each ket on A1, A2, B1, B2 is read as
+psi_k (x) tau, and every Schmidt sector of the shifted operator is then a
+scaled copy of the one d^2 x d^2 matrix T_A1(|psi_k><psi_k|), so the check
+diagonalises d^2 x d^2 matrices and bounds whatever the ket holds beyond
+psi_k (x) tau by its norm: no d^4 x d^4 matrix is formed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .measures import fef
 from .states import (
-    SWAP_B1_A2,
     Ensemble,
     MaxEntBasis,
     ResourceSpectrum,
@@ -30,14 +30,7 @@ from .states import (
     pair_layout,
     resource_state,
 )
-from .tensor import (
-    SubsystemLayout,
-    frobenius,
-    partial_transpose,
-    permute_factors,
-    require_hermitian,
-    transpose_party_a,
-)
+from .tensor import frobenius, partial_transpose, require_hermitian
 
 TRACE_MATCH_TOL = 1e-12
 
@@ -99,9 +92,9 @@ class DualCertificate:
     on |ij> of the resource pair A2,B2, and ``scale`` is d^2/N, equal to 1
     for a complete ensemble. H itself, a d^4 x d^4 matrix, is never formed:
     on the A:B ordering A1,A2,B1,B2 it is the same diagonal with B1 and A2
-    relabelled, which the feasibility check applies as index arithmetic. The
-    trace (scale/d) sum W equals scale times the fully entangled fraction of
-    the resource.
+    relabelled, so the feasibility check reads it from W sector by sector.
+    The trace (scale/d) sum W equals scale times the fully entangled
+    fraction of the resource.
     """
 
     dim: int
@@ -208,95 +201,69 @@ class FeasibilityReport:
         }
 
 
-@lru_cache(maxsize=None)
-def _schmidt_sectors(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index stacks of the sectors of A1,A2,B1,B2 fixed by the pair {a2, b2}.
-
-    Returns (diagonal, paired): row i of the first lists the d^2 indices with
-    a2 = b2 = i, and each row of the second the 2d^2 indices with
-    {a2, b2} = {i, j}, pairs i < j in lexicographic order: first those with
-    (a2, b2) = (i, j), then those with (j, i), (a1, b1) running row-major in
-    each. Together the rows partition the d^4 indices. The arrays are
-    read-only.
-    """
-    idx = np.arange(d**4).reshape(d, d, d, d)
-    diagonal = np.stack([idx[:, i, :, i].reshape(-1) for i in range(d)])
-    paired = np.stack(
-        [
-            np.concatenate([idx[:, i, :, j].reshape(-1), idx[:, j, :, i].reshape(-1)])
-            for i in range(d)
-            for j in range(i + 1, d)
-        ]
-    )
-    diagonal.setflags(write=False)
-    paired.setflags(write=False)
-    return diagonal, paired
-
-
-@lru_cache(maxsize=None)
-def _off_sector_masks(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where an A2,B2 operator and a ket's pair marginal leave the sectors.
-
-    Returns (pair, marginal): pair[m, m'] is True when the pair indices m and
-    m' lie in different sectors, and marginal[x, y, z, w] is 1.0 when
-    {z, y} != {x, w} as sets (see ``_remainder``), else 0.0.
-    """
+def _off_sector_mask(d: int) -> np.ndarray:
+    """mask[m, m'] is True when the pair indices m and m' of A2,B2 lie in
+    different Schmidt sectors, which the set {a2, b2} names."""
     i, j = np.indices((d, d))
-    label = np.minimum(i, j) * d + np.maximum(i, j)  # names the set {a2, b2}
-    pair = label.reshape(-1, 1) != label.reshape(1, -1)
-    # label.T[y, z] is label[z, y]
-    marginal = (label.T[None, :, :, None] != label[:, None, None, :]).astype(float)
-    pair.setflags(write=False)
-    marginal.setflags(write=False)
-    return pair, marginal
+    label = (np.minimum(i, j) * d + np.maximum(i, j)).reshape(-1)
+    return label[:, None] != label[None, :]
 
 
-def _remainder(cert: DualCertificate, state: np.ndarray, prior: float) -> float:
-    """Upper bound on ||E||_F, the part of T_A(H - p |s><s|) off the sectors.
+def _factorise(states, a: np.ndarray):
+    """Read each ket s on A1,A2,B1,B2 as t = psi (x) tau, tau = sum_i a_i |ii>.
 
-    H is diagonal and so lies inside the sectors; E is p times the part of
-    T_A(|s><s|) outside them, a sum of non-negative terms, never a
-    difference of norms. Entry ((a, b), (a', b')) of T_A(|s><s|) has modulus
-    |s[a', b]| |s[a, b']| and lies off the sectors exactly when
-    {a2, b2} != {a2', b2'}, so its off-sector norm squared is the sum of
-    M[x, y] M[z, w] over {z, y} != {x, w}, with the marginal
-    M[a2, b2] = sum_{a1, b1} |s|^2. It is exactly zero for the ensembles of
-    ``build_ensemble``.
+    Returns the (N, d, d) stack psi[n, a1, b1] = sum_i a_i s[a1, i, b1, i] /
+    sum_i a_i^2, the residuals ||s - t||, taken directly rather than from the
+    overlaps, which cancel to about 1e-8, and the sums ||s|| + ||t||.
+    """
+    d, n = len(a), len(states)
+    kets = np.stack(states).reshape(n, d, d, d, d)
+    psi = np.einsum("i,nxiyi->nxy", a, kets) / (a @ a)
+    t = psi[:, :, None, :, None] * np.diag(a)[None, None, :, None, :]
+    residuals = np.linalg.norm((kets - t).reshape(n, -1), axis=1)
+    t_norms = np.linalg.norm(psi, axis=(1, 2)) * np.linalg.norm(a)
+    return psi, residuals, np.linalg.norm(kets.reshape(n, -1), axis=1) + t_norms
+
+
+def _feasibility_margins(cert: DualCertificate, ens: Ensemble) -> np.ndarray:
+    """Certified lower bounds on the smallest eigenvalues of T_A(H - p_k Phi_k).
+
+    Each ket is read as t = psi_k (x) tau with a = sqrt(diag W) (see
+    ``_factorise``). For t the operator is c 1 (x) diag(W) -
+    p Gamma_k (x) sum_ij a_i a_j |ij><ji|, with Gamma_k =
+    T_A1(|psi_k><psi_k|) and c = scale/d^3, so every Schmidt sector is
+    built from the one d^2 x d^2 matrix Gamma_k: sector {i, j} is
+    [[c W_ij, -p a_i a_j Gamma_k], [-p a_i a_j Gamma_k, c W_ji]], with
+    eigenvalues m -+ sqrt(delta^2 + (p a_i a_j lambda)^2) over the
+    eigenvalues lambda of Gamma_k, m and delta the mean and half difference
+    of c W_ij and c W_ji; sector i has eigenvalues c W_ii - p a_i^2 lambda.
+    Both are smallest at an extreme lambda. The rest of the ket, s - t,
+    moves the operator by at most p ||s - t|| (||s|| + ||t||) in norm,
+    since T_A preserves the Frobenius norm, and that is subtracted (Weyl's
+    inequality). W and every Gamma_k are checked for Hermiticity, and all
+    Gamma_k are diagonalised in one batch.
     """
     d = cert.dim
-    weights = (np.abs(state.reshape(d, d, d, d)) ** 2).sum(axis=(0, 2))
-    marginal = _off_sector_masks(d)[1]
-    ket_square = float(np.einsum("xy,xyzw,zw->", weights, marginal, weights))
-    return prior * math.sqrt(ket_square)
-
-
-def _feasibility_margin(cert: DualCertificate, state: np.ndarray, prior: float):
-    """Certified lower bound on the smallest eigenvalue of T_A(H - p Phi).
-
-    No d^4 x d^4 matrix is built. Each sector block (see
-    ``_schmidt_sectors``) is -p T_A(|s><s|), gathered from the ket s as
-    T_A(|s><s|)[(a, b), (a', b')] = s[a', b] conj(s[a, b']), plus H on its
-    diagonal: (scale/d^3) W[a2, b2] at each index (a1, a2, b1, b2). Every
-    block is checked for Hermiticity, and the blocks of each stack are
-    diagonalised in one batch. Whatever lies outside the sectors, E, is
-    bounded by Weyl's inequality: lambda_min >= min over sectors of
-    lambda_min - ||E||_F, with ||E||_F bounded by ``_remainder``. For the
-    ensembles of ``build_ensemble`` E is exactly zero and the bound is the
-    dense minimum.
-    """
-    d = cert.dim
-    n_pair = d * d
-    ket = state.reshape(n_pair, n_pair)  # rows a = (a1, a2), columns b = (b1, b2)
-    block_min = np.inf
-    for stack in _schmidt_sectors(d):
-        gathered = ket[stack[:, :, None] // n_pair, stack[:, None, :] % n_pair]
-        shifted = -prior * (gathered.swapaxes(1, 2) * gathered.conj())
-        diagonal = cert.coefficient * cert.weights[stack // n_pair % d, stack % d]
-        on = np.arange(stack.shape[1])
-        shifted[:, on, on] += diagonal
-        require_hermitian(shifted)
-        block_min = min(block_min, float(np.linalg.eigvalsh(shifted).min()))
-    return block_min - _remainder(cert, state, prior)
+    weights = cert.weights
+    require_hermitian(weights)
+    a = np.sqrt(np.diag(weights))
+    psi, residuals, norms = _factorise(ens.states, a)
+    flat = psi.reshape(-1, d * d)
+    gamma = partial_transpose(
+        flat[:, :, None] * flat[:, None, :].conj(), pair_layout(d), (0,)
+    )
+    require_hermitian(gamma)
+    spectra = np.linalg.eigvalsh(gamma)
+    p = np.asarray(ens.priors)
+    c = cert.coefficient
+    # p a_i a_j lambda at the two extreme eigenvalues of each Gamma_k
+    drive = (p[:, None] * spectra[:, [0, -1]])[:, :, None, None] * np.outer(a, a)
+    mean = c * (weights + weights.T) / 2
+    half = c * (weights - weights.T) / 2
+    sector_min = np.where(
+        np.eye(d, dtype=bool), c * weights - drive, mean - np.hypot(half, drive)
+    )
+    return sector_min.min(axis=(1, 2, 3)) - p * residuals * norms
 
 
 def _decomposition_residuals(
@@ -342,7 +309,7 @@ def _decomposition_residuals(
             antisym += 2.0 * a[i] * a[j] * projectors[idx]
             idx += 1
     right = np.stack([gamma_operator(spec), antisym])
-    off = _off_sector_masks(d)[0]
+    off = _off_sector_mask(d)
     inside = ~off
     left_in, right_in = left[:, inside], right[:, inside]
     off_parts = np.concatenate([left, right])[:, off]
@@ -380,14 +347,15 @@ def verify_dual_feasibility(
 
     The report passes iff every shifted operator T_A(H - p_k Phi_k) has
     smallest eigenvalue >= -tol * (1 + ||H||_F). Each ``lambda_mins`` entry
-    is a certified lower bound on that eigenvalue: the resource is Schmidt
-    diagonal, so the operator splits into d sectors of size d^2 (a2 = b2)
-    and d(d-1)/2 of size 2d^2 ({a2, b2} = {i, j}). Their blocks are
-    gathered from the certificate's weights and the ensemble ket, without
-    forming the d^4 x d^4 operator, and diagonalised; whatever lies outside
-    them is subtracted by a bound on its Frobenius norm (Weyl's
-    inequality), and is exactly zero for the ensembles of
-    ``build_ensemble``. When the generating basis and spectrum are
+    is a certified lower bound on that eigenvalue (see
+    ``_feasibility_margins``): the resource is Schmidt diagonal, so for a
+    ket psi_k (x) tau the operator splits into d sectors of size d^2
+    (a2 = b2) and d(d-1)/2 of size 2d^2 ({a2, b2} = {i, j}), whose spectra
+    follow from the weights and the eigenvalues of Gamma_k =
+    T_A1(|psi_k><psi_k|). psi_k is read from each ensemble ket, and the
+    part of the ket beyond psi_k (x) tau is subtracted by a bound on its
+    norm (Weyl's inequality); for the ensembles of ``build_ensemble`` it
+    is at rounding level. When the generating basis and spectrum are
     supplied, the per-k structural residual is evaluated as well; otherwise
     those entries are reported as zero-length.
     """
@@ -402,10 +370,7 @@ def verify_dual_feasibility(
             f"certificate built for {cert.n_states} states, ensemble has {len(ens)}"
         )
 
-    lambda_mins = [
-        _feasibility_margin(cert, state, prior)
-        for state, prior in zip(ens.states, ens.priors)
-    ]
+    lambda_mins = _feasibility_margins(cert, ens).tolist()
 
     residuals: list[float] = []
     if basis is not None and spec is not None:
@@ -480,34 +445,3 @@ def upsilon_spectrum_check(basis: MaxEntBasis, tol: float = 1e-10) -> UpsilonRep
         passed=passed,
     )
 
-
-def check_swap_transpose_identity(lam: np.ndarray, xi: np.ndarray) -> float:
-    """Residual of the transpose-swap commutation on a product operator.
-
-    Swapping the middle factors of (T_first (x) T_first)(lam (x) xi) must
-    equal transposing the leading party of the swapped product. The left
-    side transposes factors 0 and 2 before permuting; the right side
-    permutes first and then transposes the A side of the cut. Returns the
-    Frobenius norm of the difference, zero in exact arithmetic for any
-    pair of square operators on d*d-dimensional pair spaces.
-    """
-    lam = np.asarray(lam, dtype=complex)
-    xi = np.asarray(xi, dtype=complex)
-    if lam.shape != xi.shape or lam.ndim != 2 or lam.shape[0] != lam.shape[1]:
-        raise ValueError(
-            f"expected two square matrices of equal size, got {lam.shape} and {xi.shape}"
-        )
-    d = math.isqrt(lam.shape[0])
-    if d * d != lam.shape[0] or d < 2:
-        raise ValueError(
-            f"operator dimension {lam.shape[0]} is not a square of some d >= 2"
-        )
-    lay4 = SubsystemLayout((d, d, d, d), cut=2)
-    product = np.kron(lam, xi)
-    lhs = permute_factors(
-        partial_transpose(product, lay4, (0, 2)), lay4, SWAP_B1_A2
-    )
-    rhs = transpose_party_a(
-        permute_factors(product, lay4, SWAP_B1_A2), lay4
-    )
-    return frobenius(lhs - rhs)

@@ -26,8 +26,6 @@ import numpy as np
 
 from .certificate import (
     build_certificate,
-    check_swap_transpose_identity,
-    pair_projectors,
     upsilon_spectrum_check,
     verify_dual_feasibility,
 )
@@ -49,7 +47,6 @@ from .states import (
     validate_basis,
     weyl_basis,
 )
-from .tensor import frobenius
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -62,13 +59,11 @@ MAX_DENSE_BYTES = 4 * 2**30
 # Bytes per Schmidt coefficient while fef builds and reads the spectrum;
 # tracemalloc peaks at 220-390 of them at d = 10^4-10^6.
 _SPECTRUM_BYTES = 400
-# Arrays of 16 d^6 bytes (the d^2 ensemble kets, or one stack of sector
-# blocks) the certificate route holds at its peak; tracemalloc peaks at
-# 8.8-9.5 of them at d = 4-7.
-_CERTIFICATE_ARRAYS = 12
-# Dense d^4 x d^4 matrices verify holds at its peak: the swap-transpose
-# check builds them from products of random d^2 x d^2 matrices.
-_VERIFY_MATRICES = 8
+# Arrays of 16 d^6 bytes (the d^2 ensemble kets, or one stack of the d^2
+# matrices Gamma_k) the certificate route holds at its peak, which the
+# decomposition residual sets; tracemalloc peaks at 9.5 of them at d = 4 and
+# 8.8 at d = 8.
+_CERTIFICATE_ARRAYS = 10
 # Arrays of 16 d^4 bytes the solve of a complete basis holds: the dense pair
 # (X, Y) it returns is one, and its O(d^2) sector arrays shrink against it as
 # d grows; tracemalloc peaks at 4.9 of them at d = 4, 1.5 at d = 8 and 1.1
@@ -132,9 +127,9 @@ def dense_bytes(command: str, dim: int, n_states: int) -> int:
     basis holds the basis, its sector arrays and the d^2 x d^2 pair it
     returns, together a fixed number of basis-sized arrays; any other solve
     keeps about 16 d^4 x d^4 matrices per operator plus the
-    n_states states and operators. The certificate route never forms a
-    d^4 x d^4 matrix and keeps a fixed number of 16 d^6-byte arrays; verify
-    adds the d^4 x d^4 matrices of its swap-transpose check.
+    n_states states and operators. The certificate route, which verify
+    runs too, never forms a d^4 x d^4 matrix and keeps a fixed number of
+    16 d^6-byte arrays.
     """
     if command == "fef":
         return _SPECTRUM_BYTES * dim
@@ -147,7 +142,7 @@ def dense_bytes(command: str, dim: int, n_states: int) -> int:
     certificate = 16 * dim**6 * _CERTIFICATE_ARRAYS
     return {
         "certificate": certificate,
-        "verify": 16 * dim**8 * _VERIFY_MATRICES,
+        "verify": certificate,
         "sdp": solver,
         "sandwich": solver + certificate,
     }[command]
@@ -548,11 +543,6 @@ def _verify_one(config: RunConfig, label: str, spec: ResourceSpectrum) -> list[d
         feas.worst_decomposition_residual,
     )
 
-    diag, sym, antisym = pair_projectors(d)
-    total = sum(diag) + sum(sym) + sum(antisym)
-    completeness = frobenius(total - np.eye(d * d))
-    check("projector_completeness", completeness <= 1e-12, completeness)
-
     bounds_ok = True
     worst = 0.0
     for n in range(d + 1, d * d + 1):
@@ -587,27 +577,11 @@ def cmd_verify(config: RunConfig):
         }
     )
 
-    rng = np.random.default_rng(config.seed)
-    worst = 0.0
-    for _ in range(100):
-        lam = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
-        xi = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
-        worst = max(worst, check_swap_transpose_identity(lam, xi))
-    checks.append(
-        {
-            "check": "swap_transpose_identity",
-            "passed": worst <= 1e-12,
-            "detail": worst,
-        }
-    )
-
     if config.spec is not None:
         spectra = [(config.spectrum_label, config.spec)]
     else:
         spectra = [
-            ("uniform", ResourceSpectrum.uniform(d)),
-            ("product", ResourceSpectrum.product(d)),
-            ("random", random_spectrum(d, rng)),
+            (label, parse_spectrum(label, d, False, config.seed)) for label in _PRESETS
         ]
     for label, spec in spectra:
         checks.extend(_verify_one(config, label, spec))

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .states import ResourceSpectrum
 
 
@@ -20,7 +18,8 @@ def fef(spec: ResourceSpectrum) -> float:
 
 
 def negativity(spec: ResourceSpectrum) -> float:
-    """sum_{i<j} a_i a_j, as sum_i a_i (a_{i+1} + ... + a_{d-1})."""
-    a = np.asarray(spec.coeffs)
-    return float(a[:-1] @ np.cumsum(a[::-1])[::-1][1:])
+    """sum_{i<j} a_i a_j, as ((sum_i a_i)^2 - sum_i a_i^2) / 2 with correctly
+    rounded sums."""
+    a = spec.coeffs
+    return (math.fsum(a) ** 2 - math.fsum(x * x for x in a)) / 2
 

@@ -126,24 +126,6 @@ def transpose_party_a(M: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
     return partial_transpose(M, layout, layout.party_a)
 
 
-def permute_factors(
-    M: np.ndarray, layout: SubsystemLayout, perm: Iterable[int]
-) -> np.ndarray:
-    """Conjugate M by the permutation unitary reordering the tensor factors.
-
-    ``perm[t]`` is the source factor placed at position t, so the result
-    lives on the layout with dims ``[factor_dims[p] for p in perm]``.
-    """
-    layout.check_matrix(M)
-    dims = layout.factor_dims
-    n = len(dims)
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"{perm} is not a permutation of {n} factors")
-    axes = list(perm) + [n + p for p in perm]
-    return M.reshape(dims * 2).transpose(axes).reshape(M.shape)
-
-
 def permute_ket(v: np.ndarray, dims: Iterable[int], perm: Iterable[int]) -> np.ndarray:
     """Apply the factor-permutation unitary to a ket."""
     dims = tuple(int(d) for d in dims)

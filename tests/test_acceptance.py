@@ -12,7 +12,6 @@ import numpy as np
 
 from entdist.certificate import (
     build_certificate,
-    check_swap_transpose_identity,
     upsilon_spectrum_check,
     verify_dual_feasibility,
 )
@@ -27,6 +26,7 @@ from entdist.states import (
     random_spectrum,
     weyl_basis,
 )
+from oracles import check_swap_transpose_identity
 
 BELL_SPEC = ResourceSpectrum.from_probabilities([0.8, 0.2])
 SPECTRUM_SEED = 606

@@ -11,11 +11,8 @@ from entdist import certificate, cli
 from entdist.certificate import (
     DualCertificate,
     _decomposition_residuals,
-    _feasibility_margin,
-    _remainder,
-    _schmidt_sectors,
+    _factorise,
     build_certificate,
-    check_swap_transpose_identity,
     gamma_operator,
     pair_projectors,
     upsilon,
@@ -41,9 +38,9 @@ from entdist.tensor import (
     SubsystemLayout,
     frobenius,
     partial_transpose,
-    permute_factors,
     transpose_party_a,
 )
+from oracles import check_swap_transpose_identity, permute_factors
 
 
 def _dense_h(cert):
@@ -313,12 +310,18 @@ def test_shifted_operators_are_psd_not_just_marginal(d2_setup):
 
 
 def _off_sector_norm(M, d):
-    """Frobenius norm of M outside the Schmidt sectors, from a boolean mask."""
-    inside = np.zeros(M.shape, dtype=bool)
-    for stack in _schmidt_sectors(d):
-        for sector in stack:
-            inside[np.ix_(sector, sector)] = True
-    return frobenius(np.where(inside, 0.0, M))
+    """Frobenius norm of M on A1,A2,B1,B2 outside the Schmidt sectors.
+
+    The sector of an index (a1, a2, b1, b2) is named by the set {a2, b2}.
+    """
+    _, a2, _, b2 = np.indices((d, d, d, d)).reshape(4, -1)
+    label = np.minimum(a2, b2) * d + np.maximum(a2, b2)
+    return frobenius(np.where(label[:, None] == label[None, :], 0.0, M))
+
+
+def _residuals(cert, ens):
+    """||s - psi_k (x) tau|| of each ensemble ket, as the margins read it."""
+    return _factorise(ens.states, np.sqrt(np.diag(cert.weights)))[1]
 
 
 def _sector_cases():
@@ -371,25 +374,7 @@ def _per_pair_residuals(cert, basis, spec, priors):
 
 
 class TestSectorMargin:
-    """The sector-by-sector route against the dense d^4 x d^4 oracle."""
-
-    @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_sectors_partition_the_indices(self, d):
-        diagonal, paired = _schmidt_sectors(d)
-        assert diagonal.shape == (d, d * d)
-        assert paired.shape == (d * (d - 1) // 2, 2 * d * d)
-        together = np.concatenate([diagonal.reshape(-1), paired.reshape(-1)])
-        assert np.array_equal(np.sort(together), np.arange(d**4))
-        # a sector of A1,A2,B1,B2 is a sector of the pair A2,B2 under every
-        # (a1, b1): |ii>, then |ij> and |ji> for i < j
-        i, j = np.triu_indices(d, 1)
-        pair_sectors = (
-            (np.arange(d) * (d + 1))[:, None],
-            np.stack([i * d + j, j * d + i], axis=1),
-        )
-        a2b2 = [(stack // (d * d) % d) * d + stack % d for stack in (diagonal, paired)]
-        for stack, pair_stack in zip(a2b2, pair_sectors):
-            assert np.array_equal(stack[:, :: d * d], pair_stack)
+    """The closed-form sector margins against the dense d^4 x d^4 oracle."""
 
     @pytest.mark.parametrize("basis, spec, n", list(_sector_cases()))
     def test_matches_the_dense_minimum(self, basis, spec, n):
@@ -397,11 +382,12 @@ class TestSectorMargin:
         ens = build_ensemble(basis, spec, n)
         report = verify_dual_feasibility(cert, ens, 1e-9)
         assert report.passed
+        # the ensembles the package builds are psi_k (x) tau up to rounding
+        assert _residuals(cert, ens).max() <= 1e-15
         for state, prior, margin in zip(ens.states, ens.priors, report.lambda_mins):
             shifted = _dense_shifted(cert, state, prior)
-            # the ensembles the package builds leave nothing outside the sectors
+            # and leave nothing outside the sectors
             assert _off_sector_norm(shifted, cert.dim) == 0.0
-            assert _remainder(cert, state, prior) == 0.0
             assert abs(margin - _min_eigenvalue(shifted)) <= 1e-14
 
     def test_states_that_break_the_sectors_get_a_lower_bound(self):
@@ -416,10 +402,20 @@ class TestSectorMargin:
             report = verify_dual_feasibility(cert, ens, 1e-9)
             for state, prior, margin in zip(ens.states, ens.priors, report.lambda_mins):
                 shifted = _dense_shifted(cert, state, prior)
-                off = _off_sector_norm(shifted, d)
-                assert off > 1e-3
-                assert abs(_remainder(cert, state, prior) - off) <= 1e-14
+                assert _off_sector_norm(shifted, d) > 1e-3
                 assert margin <= _min_eigenvalue(shifted)
+
+    def test_kets_on_another_resource_get_a_lower_bound(self):
+        """psi_k (x) tau' with tau' of another spectrum than the certificate's."""
+        rng = np.random.default_rng(407)
+        for d in (2, 3, 4):
+            basis = conjugated_basis(weyl_basis(d), haar_random_unitary(d, rng))
+            cert = build_certificate(basis, random_spectrum(d, rng))
+            ens = build_ensemble(basis, random_spectrum(d, rng), d * d)
+            report = verify_dual_feasibility(cert, ens, 1e-9)
+            assert _residuals(cert, ens).min() > 1e-3
+            for state, prior, margin in zip(ens.states, ens.priors, report.lambda_mins):
+                assert margin <= _min_eigenvalue(_dense_shifted(cert, state, prior))
 
     def test_non_hermitian_shifted_operator_is_refused(self, d2_setup):
         basis, spec = d2_setup
@@ -428,11 +424,11 @@ class TestSectorMargin:
         skewed = cert.weights.astype(complex)
         # W[0, 1] sits on the diagonal of a {0, 1} sector block
         skewed[0, 1] += 1e-3j
-        # eigvalsh reads the real part of the diagonal only, so the block
-        # check must catch this
+        # the closed form reads real and imaginary parts alike, so the
+        # weights check must catch this
         object.__setattr__(cert, "weights", skewed)
         with pytest.raises(ValueError, match="not Hermitian"):
-            _feasibility_margin(cert, ens.states[0], ens.priors[0])
+            verify_dual_feasibility(cert, ens, 1e-9)
 
 
 @pytest.mark.parametrize("basis, spec, n", list(_sector_cases()))

@@ -44,6 +44,18 @@ class TestFef:
         assert len(rows) == 1
         assert abs(float(rows[0]["fef"]) - 1.0) <= 1e-15
 
+    def test_relation_holds_at_a_million_dimensions(self):
+        """negativity rounds its two sums once each; sequential suffix sums
+        drifted to a relation defect of 1.2e-11 on this spectrum. The JSON
+        report is read from the handler: formatting its 2 * 10^6 listed
+        numbers would take the test several seconds."""
+        argv = ["fef", "--dim", "1000000", "--spectrum", "uniform"]
+        config = cli.resolve_config(cli.build_parser().parse_args(argv))
+        code, payload, _ = cli.cmd_fef(config)
+        assert code == EXIT_OK
+        assert payload["relation_ok"] is True
+        assert payload["negativity"] == pytest.approx(499999.5, rel=1e-15)
+
     def test_benchmark(self, capsys):
         payload = run_json(capsys, "fef", "--dim", "2", "--spectrum", "0.8,0.2")
         assert payload["fef"] == pytest.approx(0.9, abs=1e-12)
@@ -357,12 +369,12 @@ class TestSizeEstimate:
         # A complete solve holds 16 basis-sized arrays and 5 more for its
         # sector arrays and the dense pair (X, Y), each of 16 d^4 bytes.
         pair = 16 * 3**4 * (16 + 5)
-        # The certificate route holds 12 arrays of 16 d^6 bytes, and no
-        # d^4 x d^4 matrix; verify's swap-transpose check holds 8 of those.
-        certificate = 12 * 16 * 3**6
+        # The certificate route, which verify runs too, holds 10 arrays of
+        # 16 d^6 bytes, and no d^4 x d^4 matrix.
+        certificate = 10 * 16 * 3**6
         assert dense_bytes("certificate", 3, 9) == certificate
         assert dense_bytes("certificate", 3, 4) == certificate
-        assert dense_bytes("verify", 3, 9) == 8 * matrix
+        assert dense_bytes("verify", 3, 9) == certificate
         assert dense_bytes("sdp", 3, 8) == (16 * 8 + 16) * matrix
         assert dense_bytes("sdp", 3, 9) == pair
         assert dense_bytes("sandwich", 3, 9) == pair + certificate
@@ -374,12 +386,12 @@ class TestSizeEstimate:
         assert dense_bytes("sdp", 16, 256) < MAX_DENSE_BYTES
         assert dense_bytes("sdp", 59, 59**2) < MAX_DENSE_BYTES
         assert dense_bytes("sdp", 60, 60**2) > MAX_DENSE_BYTES
-        assert dense_bytes("certificate", 16, 256) < MAX_DENSE_BYTES
-        assert dense_bytes("certificate", 17, 289) > MAX_DENSE_BYTES
+        assert dense_bytes("certificate", 17, 289) < MAX_DENSE_BYTES
+        assert dense_bytes("certificate", 18, 324) > MAX_DENSE_BYTES
         assert dense_bytes("certificate", 20, 400) > MAX_DENSE_BYTES
         assert dense_bytes("sandwich", 16, 256) < MAX_DENSE_BYTES
-        assert dense_bytes("verify", 8, 64) < MAX_DENSE_BYTES
-        assert dense_bytes("verify", 9, 81) > MAX_DENSE_BYTES
+        assert dense_bytes("verify", 17, 289) < MAX_DENSE_BYTES
+        assert dense_bytes("verify", 18, 324) > MAX_DENSE_BYTES
 
     def test_fef_counts_the_spectrum(self):
         assert dense_bytes("fef", 10**4, 10**8) == 400 * 10**4

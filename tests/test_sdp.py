@@ -33,7 +33,8 @@ from entdist.states import (
     resource_state,
     weyl_basis,
 )
-from entdist.tensor import permute_factors, transpose_party_a
+from entdist.tensor import transpose_party_a
+from oracles import permute_factors
 
 BELL_SPEC = ResourceSpectrum.from_probabilities([0.8, 0.2])
 QUTRIT_SPEC = ResourceSpectrum.from_probabilities([0.55, 0.30, 0.15])

@@ -8,13 +8,13 @@ from entdist.tensor import (
     SubsystemLayout,
     frobenius,
     partial_transpose,
-    permute_factors,
     permute_ket,
     psd_clip,
     require_hermitian,
     transpose_party_a,
 )
 from entdist.states import four_factor_layout
+from oracles import permute_factors
 
 
 def random_matrix(rng, dim):
@@ -138,6 +138,7 @@ def test_psd_clip_of_stack_matches_psd_project():
         assert np.allclose(clipped[k], psd_project(h), rtol=0.0, atol=1e-12)
 
 
+# permute_factors is the tests' dense oracle (oracles.py); these pin it down.
 def test_permute_factors_composes():
     rng = np.random.default_rng(6)
     lay = SubsystemLayout((2, 3, 4), cut=1)
