@@ -11,11 +11,16 @@ psi_k (x) tau, and every Schmidt sector of the shifted operator is then a
 scaled copy of the one d^2 x d^2 matrix T_A1(|psi_k><psi_k|), so the check
 diagonalises d^2 x d^2 matrices and bounds whatever the ket holds beyond
 psi_k (x) tau by its norm: no d^4 x d^4 matrix is formed.
+
+The structure checks work on d x d arrays. Every operator on the resource
+pair that the decomposition identity involves is diagonal on the Schmidt
+sectors, so it is stored as (P, Q) with P[i, j] = O[ij, ij] and
+Q[i, j] = O[ij, ji] for i != j, and the spectrum of each
+Y_k = 1 - d T_A1(Psi_k) follows from that of the d x d matrix U_k^dag U_k.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,62 +31,11 @@ from .states import (
     MaxEntBasis,
     ResourceSpectrum,
     four_factor_layout,
-    max_ent_state,
     pair_layout,
-    resource_state,
 )
 from .tensor import frobenius, partial_transpose, require_hermitian
 
 TRACE_MATCH_TOL = 1e-12
-
-
-def pair_projectors(d: int):
-    """Rank-one projectors |ii><ii|, |ij+><ij+|, |ij-><ij-| on a d*d pair.
-
-    Returns (diag, sym, antisym); the symmetric and antisymmetric lists run
-    over index pairs i < j in lexicographic order.
-    """
-    diag, sym, antisym = [], [], []
-    for i in range(d):
-        ket = np.zeros(d * d, dtype=complex)
-        ket[i * d + i] = 1.0
-        diag.append(np.outer(ket, ket.conj()))
-    for i in range(d):
-        for j in range(i + 1, d):
-            up = np.zeros(d * d, dtype=complex)
-            down = np.zeros(d * d, dtype=complex)
-            up[i * d + j] = 1.0
-            down[j * d + i] = 1.0
-            plus = (up + down) / np.sqrt(2.0)
-            minus = (up - down) / np.sqrt(2.0)
-            sym.append(np.outer(plus, plus.conj()))
-            antisym.append(np.outer(minus, minus.conj()))
-    return diag, sym, antisym
-
-
-def gamma_operator(spec: ResourceSpectrum) -> np.ndarray:
-    """The PSD combination sum_i a_i^2 |ii><ii| + sum_{i<j} a_i a_j |ij+><ij+|."""
-    a = spec.coeffs
-    diag, sym, _ = pair_projectors(spec.dim)
-    out = np.zeros_like(diag[0])
-    for i in range(spec.dim):
-        out += a[i] * a[i] * diag[i]
-    idx = 0
-    for i in range(spec.dim):
-        for j in range(i + 1, spec.dim):
-            out += a[i] * a[j] * sym[idx]
-            idx += 1
-    return out
-
-
-def upsilon(basis: MaxEntBasis, k: int) -> np.ndarray:
-    """1 - d * T_first(Psi_k) on the pair space holding the k-th basis state."""
-    d = basis.dim
-    psi = max_ent_state(basis.unitaries[k])
-    rho = np.outer(psi, psi.conj())
-    return np.eye(d * d, dtype=complex) - d * partial_transpose(
-        rho, pair_layout(d), (0,)
-    )
 
 
 @dataclass(frozen=True)
@@ -201,14 +155,6 @@ class FeasibilityReport:
         }
 
 
-def _off_sector_mask(d: int) -> np.ndarray:
-    """mask[m, m'] is True when the pair indices m and m' of A2,B2 lie in
-    different Schmidt sectors, which the set {a2, b2} names."""
-    i, j = np.indices((d, d))
-    label = (np.minimum(i, j) * d + np.maximum(i, j)).reshape(-1)
-    return label[:, None] != label[None, :]
-
-
 def _factorise(states, a: np.ndarray):
     """Read each ket s on A1,A2,B1,B2 as t = psi (x) tau, tau = sum_i a_i |ii>.
 
@@ -275,65 +221,45 @@ def _decomposition_residuals(
     """Structural identity behind feasibility, checked on the factored side.
 
     For each k, both transposes applied to the certificate minus the weighted
-    k-th state must equal (scale/d^3) * [Y_k (x) Gamma + (1 - Y_k/2) (x)
-    2 sum a_i a_j |ij-><ij-|]; the left side holds H through its weights,
-    the right side the projectors of ``pair_projectors``. Y_k is formed
-    from the same T_first(Psi_k) as the left side, by the steps of
-    ``upsilon``. Every term is X_t (x) F_t, with X_t on A1,B1 and F_t on
-    A2,B2, and the four F_t are block-diagonal on the sectors of the pair,
-    fixed by the set {a2, b2}. So the squared Frobenius norm of the
-    difference is a sum over the in-sector entries e of
-    ||sum_t F_t[e] X_t||_F^2, with no d^4 x d^4 matrix formed; whatever of
-    the F_t lies off the sectors enters through the Gram matrices of the X_t
-    and of those parts.
+    k-th state must equal c [Y_k (x) Gamma + (1 - Y_k/2) (x) A], with
+    c = scale/d^3, Gamma = sum a_i^2 |ii><ii| + sum_{i<j} a_i a_j |ij+><ij+|,
+    A = 2 sum_{i<j} a_i a_j |ij-><ij-| and Y_k = 1 - d G_k,
+    G_k = T_A1(Psi_k). With Y_k expanded the difference is
+    1 (x) X + G_k (x) Z_k, where X = c (diag W - Gamma - A/2) and
+    Z_k = -p_k T_A1(tau tau^dag) + c d (Gamma - A/2). The four operators on
+    A2,B2 are held as their (P, Q) arrays (module docstring), diag W from
+    the weights and the rest from the Schmidt coefficients. Trace and
+    Frobenius norm of G_k both equal n_k = ||psi_k||^2 = ||U_k||_F^2 / d,
+    so the squared residual is d^2 ||X||^2 + n_k^2 ||Z_k||^2 +
+    2 n_k Re<X, Z_k>, for all k at once.
     """
     d = cert.dim
     if spec.dim != basis.dim:
         raise ValueError(
             f"spectrum dimension {spec.dim} does not match basis {basis.dim}"
         )
-    lay2 = pair_layout(d)
-    tau = resource_state(spec)
-    left = np.stack(
-        [
-            np.diag(cert.weights.ravel()),
-            partial_transpose(np.outer(tau, tau.conj()), lay2, (0,)),
-        ]
-    )
-    a = spec.coeffs
-    _, _, projectors = pair_projectors(d)
-    antisym = np.zeros((d * d, d * d), dtype=complex)
-    idx = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            antisym += 2.0 * a[i] * a[j] * projectors[idx]
-            idx += 1
-    right = np.stack([gamma_operator(spec), antisym])
-    off = _off_sector_mask(d)
-    inside = ~off
-    left_in, right_in = left[:, inside], right[:, inside]
-    off_parts = np.concatenate([left, right])[:, off]
-    off_gram = np.einsum("te,se->ts", off_parts.conj(), off_parts)
-
+    a = np.asarray(spec.coeffs)
+    outer = np.outer(a, a)
+    eye = np.eye(d, dtype=bool)
+    cross = np.where(eye, 0.0, outer)
+    # (P, Q) stacks; Q is zero on its diagonal, so sums over a stack are
+    # sums over the entries of the operator
+    gamma = np.stack([np.where(eye, outer, outer / 2), cross / 2])
+    antisym = np.stack([cross, -cross])
+    tau_t = np.stack([outer - cross, cross])
+    diag_w = np.stack([cert.weights, np.zeros((d, d))])
     c = cert.coefficient
-    eye = np.eye(d * d, dtype=complex)
-    residuals = []
-    for k, prior in enumerate(priors):
-        psi = max_ent_state(basis.unitaries[k])
-        psi_t = partial_transpose(np.outer(psi, psi.conj()), lay2, (0,))
-        left_ops = np.stack([c * eye, -prior * psi_t])
-        ups = eye - d * psi_t
-        right_ops = c * np.stack([ups, eye - 0.5 * ups])
-        # entry e of the sectors carries sum_t F_t[e] X_t on A1,B1
-        lhs = np.einsum("tab,te->eab", left_ops, left_in)
-        rhs = np.einsum("tab,te->eab", right_ops, right_in)
-        square = float(np.sum(np.abs(lhs - rhs) ** 2))
-        ops = np.concatenate([left_ops, -right_ops])
-        gram = np.einsum("tab,sab->ts", ops.conj(), ops)
-        # the Gram term is non-negative in exact arithmetic
-        square += max(float(np.sum(gram * off_gram).real), 0.0)
-        residuals.append(math.sqrt(square))
-    return residuals
+    x = c * (diag_w - gamma - antisym / 2)
+    p = np.asarray(priors)
+    z = c * d * (gamma - antisym / 2) - p[:, None, None, None] * tau_t
+    gens = np.stack(basis.unitaries[: len(p)])
+    n = np.sum(np.abs(gens) ** 2, axis=(1, 2)) / d
+    square = (
+        d * d * np.sum(np.abs(x) ** 2)
+        + n**2 * np.sum(np.abs(z) ** 2, axis=(1, 2, 3))
+        + 2 * n * np.einsum("tij,ktij->k", x.conj(), z).real
+    )
+    return np.sqrt(np.maximum(square, 0.0)).tolist()
 
 
 def verify_dual_feasibility(
@@ -415,25 +341,27 @@ def upsilon_spectrum_check(basis: MaxEntBasis, tol: float = 1e-10) -> UpsilonRep
     Each Y_k must have eigenvalue 0 with multiplicity d(d+1)/2 and 2 with
     multiplicity d(d-1)/2; the complement 1 - Y_k/2 then carries 1 and 0
     with the multiplicities exchanged. Both are PSD up to eigensolver noise.
+    For any generator U_k, d T_A1(Psi_k) = (1 (x) U_k) F (1 (x) U_k^dag)
+    with F the swap, which has the spectrum of F (1 (x) U_k^dag U_k): with
+    g the eigenvalues of U_k^dag U_k, Y_k has eigenvalues 1 - g_m and
+    1 -+ sqrt(g_m g_n) for m < n. One batched ``eigvalsh`` of the d x d
+    matrices U_k^dag U_k gives every spectrum.
     """
     d = basis.dim
     n_zero = d * (d + 1) // 2
     target = np.concatenate([np.zeros(n_zero), 2.0 * np.ones(d * d - n_zero)])
     target_c = np.concatenate([np.zeros(d * d - n_zero), np.ones(n_zero)])
-    spectrum_defect = 0.0
-    complement_defect = 0.0
-    worst_min = np.inf
-    for k in range(len(basis)):
-        ups = upsilon(basis, k)
-        pair = np.stack([ups, np.eye(d * d, dtype=complex) - 0.5 * ups])
-        require_hermitian(pair)
-        w, wc = np.linalg.eigvalsh(pair)
-        spectrum_defect = max(spectrum_defect, float(np.max(np.abs(w - target))))
-        worst_min = min(worst_min, float(w[0]))
-        complement_defect = max(
-            complement_defect, float(np.max(np.abs(wc - target_c)))
-        )
-        worst_min = min(worst_min, float(wc[0]))
+    gens = np.stack(basis.unitaries)
+    g = np.linalg.eigvalsh(gens.conj().swapaxes(1, 2) @ gens)
+    m, n = np.triu_indices(d, 1)
+    root = np.sqrt(np.maximum(g[:, m] * g[:, n], 0.0))
+    # the eigenvalues of d T_A1(Psi_k), row by row
+    swap = np.concatenate([g, root, -root], axis=1)
+    w = np.sort(1.0 - swap, axis=1)
+    wc = np.sort((1.0 + swap) / 2, axis=1)
+    spectrum_defect = float(np.max(np.abs(w - target)))
+    complement_defect = float(np.max(np.abs(wc - target_c)))
+    worst_min = float(min(w[:, 0].min(), wc[:, 0].min()))
     passed = (
         spectrum_defect <= tol and complement_defect <= tol and worst_min >= -tol
     )
@@ -441,7 +369,6 @@ def upsilon_spectrum_check(basis: MaxEntBasis, tol: float = 1e-10) -> UpsilonRep
         dim=d,
         spectrum_defect=spectrum_defect,
         complement_defect=complement_defect,
-        min_eigenvalue=float(worst_min),
+        min_eigenvalue=worst_min,
         passed=passed,
     )
-

@@ -61,9 +61,9 @@ MAX_DENSE_BYTES = 4 * 2**30
 _SPECTRUM_BYTES = 400
 # Arrays of 16 d^6 bytes (the d^2 ensemble kets, or one stack of the d^2
 # matrices Gamma_k) the certificate route holds at its peak, which the
-# decomposition residual sets; tracemalloc peaks at 9.5 of them at d = 4 and
-# 8.8 at d = 8.
-_CERTIFICATE_ARRAYS = 10
+# feasibility margins set; tracemalloc peaks at 6.4 of them at d = 4 and
+# 5.0 at d = 6-8.
+_CERTIFICATE_ARRAYS = 7
 # Arrays of 16 d^4 bytes the solve of a complete basis holds: the dense pair
 # (X, Y) it returns is one, and its O(d^2) sector arrays shrink against it as
 # d grows; tracemalloc peaks at 4.9 of them at d = 4, 1.5 at d = 8 and 1.1
@@ -129,7 +129,9 @@ def dense_bytes(command: str, dim: int, n_states: int) -> int:
     keeps about 16 d^4 x d^4 matrices per operator plus the
     n_states states and operators. The certificate route, which verify
     runs too, never forms a d^4 x d^4 matrix and keeps a fixed number of
-    16 d^6-byte arrays.
+    16 d^6-byte arrays: the ensemble kets and the stack of the d^2
+    matrices Gamma_k, with their temporaries; its structure checks hold
+    only d x d arrays.
     """
     if command == "fef":
         return _SPECTRUM_BYTES * dim

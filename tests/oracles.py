@@ -1,7 +1,8 @@
-"""Dense d^4 x d^4 references that the package itself never forms.
+"""Dense references that the package itself never forms.
 
-The tests build full operators on the four-factor spaces to check the
-package's smaller routes against them; the helpers they share live here.
+The tests build full operators on the pair and four-factor spaces to check
+the package's smaller routes against them; the helpers they share live
+here.
 """
 
 import math
@@ -9,7 +10,13 @@ from typing import Iterable
 
 import numpy as np
 
-from entdist.states import SWAP_B1_A2
+from entdist.states import (
+    SWAP_B1_A2,
+    MaxEntBasis,
+    ResourceSpectrum,
+    max_ent_state,
+    pair_layout,
+)
 from entdist.tensor import (
     SubsystemLayout,
     frobenius,
@@ -66,3 +73,52 @@ def check_swap_transpose_identity(lam: np.ndarray, xi: np.ndarray) -> float:
         permute_factors(product, lay4, SWAP_B1_A2), lay4
     )
     return frobenius(lhs - rhs)
+
+
+def pair_projectors(d: int):
+    """Rank-one projectors |ii><ii|, |ij+><ij+|, |ij-><ij-| on a d*d pair.
+
+    Returns (diag, sym, antisym); the symmetric and antisymmetric lists run
+    over index pairs i < j in lexicographic order.
+    """
+    diag, sym, antisym = [], [], []
+    for i in range(d):
+        ket = np.zeros(d * d, dtype=complex)
+        ket[i * d + i] = 1.0
+        diag.append(np.outer(ket, ket.conj()))
+    for i in range(d):
+        for j in range(i + 1, d):
+            up = np.zeros(d * d, dtype=complex)
+            down = np.zeros(d * d, dtype=complex)
+            up[i * d + j] = 1.0
+            down[j * d + i] = 1.0
+            plus = (up + down) / np.sqrt(2.0)
+            minus = (up - down) / np.sqrt(2.0)
+            sym.append(np.outer(plus, plus.conj()))
+            antisym.append(np.outer(minus, minus.conj()))
+    return diag, sym, antisym
+
+
+def gamma_operator(spec: ResourceSpectrum) -> np.ndarray:
+    """The PSD combination sum_i a_i^2 |ii><ii| + sum_{i<j} a_i a_j |ij+><ij+|."""
+    a = spec.coeffs
+    diag, sym, _ = pair_projectors(spec.dim)
+    out = np.zeros_like(diag[0])
+    for i in range(spec.dim):
+        out += a[i] * a[i] * diag[i]
+    idx = 0
+    for i in range(spec.dim):
+        for j in range(i + 1, spec.dim):
+            out += a[i] * a[j] * sym[idx]
+            idx += 1
+    return out
+
+
+def upsilon(basis: MaxEntBasis, k: int) -> np.ndarray:
+    """1 - d * T_first(Psi_k) on the pair space holding the k-th basis state."""
+    d = basis.dim
+    psi = max_ent_state(basis.unitaries[k])
+    rho = np.outer(psi, psi.conj())
+    return np.eye(d * d, dtype=complex) - d * partial_transpose(
+        rho, pair_layout(d), (0,)
+    )

@@ -2,20 +2,19 @@
 
 import contextlib
 import io
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from entdist import certificate, cli
+from entdist import cli
 from entdist.certificate import (
     DualCertificate,
+    UpsilonReport,
     _decomposition_residuals,
     _factorise,
     build_certificate,
-    gamma_operator,
-    pair_projectors,
-    upsilon,
     upsilon_spectrum_check,
     verify_dual_feasibility,
 )
@@ -23,6 +22,7 @@ from entdist.measures import fef
 from entdist.states import (
     SWAP_B1_A2,
     Ensemble,
+    MaxEntBasis,
     ResourceSpectrum,
     build_ensemble,
     conjugated_basis,
@@ -40,7 +40,13 @@ from entdist.tensor import (
     partial_transpose,
     transpose_party_a,
 )
-from oracles import check_swap_transpose_identity, permute_factors
+from oracles import (
+    check_swap_transpose_identity,
+    gamma_operator,
+    pair_projectors,
+    permute_factors,
+    upsilon,
+)
 
 
 def _dense_h(cert):
@@ -233,6 +239,41 @@ class TestParts:
         assert frobenius(lhs - rhs) < 1e-12
 
 
+def _dense_upsilon_report(basis, tol=1e-10):
+    """The Y_k spectra from one dense d^2 x d^2 eigenproblem per operator."""
+    d = basis.dim
+    n_zero = d * (d + 1) // 2
+    target = np.concatenate([np.zeros(n_zero), 2.0 * np.ones(d * d - n_zero)])
+    target_c = np.concatenate([np.zeros(d * d - n_zero), np.ones(n_zero)])
+    spectrum_defect = complement_defect = 0.0
+    worst_min = np.inf
+    for k in range(len(basis)):
+        ups = upsilon(basis, k)
+        w = np.linalg.eigvalsh(ups)
+        wc = np.linalg.eigvalsh(np.eye(d * d) - 0.5 * ups)
+        spectrum_defect = max(spectrum_defect, float(np.max(np.abs(w - target))))
+        complement_defect = max(
+            complement_defect, float(np.max(np.abs(wc - target_c)))
+        )
+        worst_min = min(worst_min, float(w[0]), float(wc[0]))
+    passed = spectrum_defect <= tol and complement_defect <= tol and worst_min >= -tol
+    return UpsilonReport(d, spectrum_defect, complement_defect, worst_min, passed)
+
+
+def _upsilon_cases():
+    rng = np.random.default_rng(408)
+    for d in (2, 3, 4, 5):
+        weyl = weyl_basis(d)
+        yield pytest.param(weyl, id=f"weyl-d{d}")
+        rotated = conjugated_basis(weyl, haar_random_unitary(d, rng))
+        yield pytest.param(rotated, id=f"haar-d{d}")
+    # generators 1e-11 off unitary, inside the basis tolerance: the dense
+    # spectra move by about that much, so a check blind to U_k fails here
+    weyl = weyl_basis(3)
+    bent = tuple(u + 1e-11 * rng.standard_normal((3, 3)) for u in weyl.unitaries)
+    yield pytest.param(MaxEntBasis(dim=3, unitaries=bent), id="bent-d3")
+
+
 class TestUpsilon:
     @pytest.mark.parametrize("d", [2, 3])
     def test_two_point_spectrum(self, d):
@@ -255,6 +296,14 @@ class TestUpsilon:
         for k in range(4):
             w = np.linalg.eigvalsh(upsilon(weyl_basis(2), k))
             assert np.allclose(w, [0.0, 0.0, 0.0, 2.0], atol=1e-10)
+
+    @pytest.mark.parametrize("basis", list(_upsilon_cases()))
+    def test_matches_the_dense_spectra(self, basis):
+        got = upsilon_spectrum_check(basis)
+        want = _dense_upsilon_report(basis)
+        assert got.passed and want.passed
+        for field in ("spectrum_defect", "complement_defect", "min_eigenvalue"):
+            assert abs(getattr(got, field) - getattr(want, field)) <= 1e-13
 
 
 class TestSwapTransposeIdentity:
@@ -431,16 +480,39 @@ class TestSectorMargin:
             verify_dual_feasibility(cert, ens, 1e-9)
 
 
-@pytest.mark.parametrize("basis, spec, n", list(_sector_cases()))
-def test_one_kron_residual_matches_the_per_pair_sum(basis, spec, n):
-    """The sector-by-sector residual against dense krons, one per projector."""
+def _residual_cases():
+    """The sector cases with uniform priors, Dirichlet priors and bent weights."""
+    for case in _sector_cases():
+        yield pytest.param(*case.values, "uniform", id=case.id)
+    for case in _sector_cases():
+        yield pytest.param(*case.values, "dirichlet", id=f"{case.id}-dirichlet")
+        yield pytest.param(*case.values, "tampered", id=f"{case.id}-tampered")
+
+
+@pytest.mark.parametrize("basis, spec, n, variant", list(_residual_cases()))
+def test_one_kron_residual_matches_the_per_pair_sum(basis, spec, n, variant):
+    """The closed-form residual against dense krons, one per projector.
+
+    Dirichlet priors and tampered weights break the identity, so the
+    residual reads well above rounding and every term of it is compared.
+    """
     cert = build_certificate(basis, spec, n)
     priors = (1.0 / n,) * n
-    got = _decomposition_residuals(cert, basis, spec, priors)
-    want = _per_pair_residuals(cert, basis, spec, priors)
+    if variant == "dirichlet":
+        priors = tuple(np.random.default_rng(410).dirichlet(np.ones(n)))
+    elif variant == "tampered":
+        bent = cert.weights.astype(complex)
+        bent[0, 1] += 0.1 + 0.1j
+        object.__setattr__(cert, "weights", bent)
+    got = np.array(_decomposition_residuals(cert, basis, spec, priors))
+    want = np.array(_per_pair_residuals(cert, basis, spec, priors))
     assert len(got) == n
-    assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-14
-    assert max(got) < 1e-12
+    if variant == "uniform":
+        assert np.max(np.abs(got - want)) <= 1e-14
+        assert got.max() < 1e-12
+    else:
+        assert got.min() > 1e-3
+        assert np.max(np.abs(got - want) / want) <= 1e-10
 
 
 def test_d6_check_stays_below_one_dense_operator():
@@ -459,16 +531,26 @@ def test_d6_check_stays_below_one_dense_operator():
     assert peak < 16 * d**8
 
 
-def test_certificate_run_builds_each_upsilon_once(monkeypatch):
-    """One certificate run forms each of the d^2 operators Y_k once."""
-    calls = []
-    build = certificate.upsilon
+def test_certificate_run_diagonalises_only_the_small_stacks(monkeypatch):
+    """certificate --dim 4 decomposes the Gamma_k stack and the U_k^dag U_k stack."""
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
 
-    def counted(basis, k):
-        calls.append(k)
-        return build(basis, k)
+        def recorded(a, *args, _decompose=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _decompose(a, *args, **kwargs)
 
-    monkeypatch.setattr(certificate, "upsilon", counted)
+        monkeypatch.setattr(np.linalg, name, recorded)
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["certificate", "--dim", "3"]) == 0
-    assert sorted(calls) == list(range(9))
+        assert cli.main(["certificate", "--dim", "4"]) == 0
+    assert sorted(shapes) == [(16, 4, 4), (16, 16, 16)]
+
+
+def test_certificate_route_at_d12():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["certificate", "--dim", "12", "--spectrum", "random", "--seed", "1"])
+    report = json.loads(out.getvalue())
+    assert code == 0 and report["passed"]
+    assert max(report["feasibility"]["decomposition_residuals"]) <= 1e-12
+    assert report["trace_value"] == pytest.approx(report["fef"], abs=1e-12)

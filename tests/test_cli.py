@@ -369,9 +369,9 @@ class TestSizeEstimate:
         # A complete solve holds 16 basis-sized arrays and 5 more for its
         # sector arrays and the dense pair (X, Y), each of 16 d^4 bytes.
         pair = 16 * 3**4 * (16 + 5)
-        # The certificate route, which verify runs too, holds 10 arrays of
+        # The certificate route, which verify runs too, holds 7 arrays of
         # 16 d^6 bytes, and no d^4 x d^4 matrix.
-        certificate = 10 * 16 * 3**6
+        certificate = 7 * 16 * 3**6
         assert dense_bytes("certificate", 3, 9) == certificate
         assert dense_bytes("certificate", 3, 4) == certificate
         assert dense_bytes("verify", 3, 9) == certificate
@@ -386,12 +386,12 @@ class TestSizeEstimate:
         assert dense_bytes("sdp", 16, 256) < MAX_DENSE_BYTES
         assert dense_bytes("sdp", 59, 59**2) < MAX_DENSE_BYTES
         assert dense_bytes("sdp", 60, 60**2) > MAX_DENSE_BYTES
-        assert dense_bytes("certificate", 17, 289) < MAX_DENSE_BYTES
-        assert dense_bytes("certificate", 18, 324) > MAX_DENSE_BYTES
+        assert dense_bytes("certificate", 18, 324) < MAX_DENSE_BYTES
+        assert dense_bytes("certificate", 19, 361) > MAX_DENSE_BYTES
         assert dense_bytes("certificate", 20, 400) > MAX_DENSE_BYTES
         assert dense_bytes("sandwich", 16, 256) < MAX_DENSE_BYTES
-        assert dense_bytes("verify", 17, 289) < MAX_DENSE_BYTES
-        assert dense_bytes("verify", 18, 324) > MAX_DENSE_BYTES
+        assert dense_bytes("verify", 18, 324) < MAX_DENSE_BYTES
+        assert dense_bytes("verify", 19, 361) > MAX_DENSE_BYTES
 
     def test_fef_counts_the_spectrum(self):
         assert dense_bytes("fef", 10**4, 10**8) == 400 * 10**4
