@@ -34,12 +34,15 @@ i ≠ j with Q[i, i] = 0, and works on them entry by entry:
   for i ≠ j: one eigh of the (2, d, d) stack of blocks and a clip at 0.
 - PPT: Γ moves X[ii, jj] to |ji⟩⟨ij|, so X^Γ, Y^Γ, M_s and M_a are the
   scalars P[i, i] on |ii⟩ and the 2 × 2 blocks [[P_ij, Q_ij], [Q_ij, P_ji]]
-  on {|ij⟩, |ji⟩}. A block with centre c = (P_ij + P_ji)/2 has the
-  eigenvalues c ± r, r = hypot((P_ij − P_ji)/2, Q_ij), and is clipped in
-  closed form on the whole d × d arrays at once (the scalars are the
-  blocks with r = 0).
-- Affine: with E = X + (d²−1) Y − I, X and Y both shift by E/d², and the
-  primal residual is d·‖E‖_F.
+  on {|ij⟩, |ji⟩}. Swapping the parties (A1A2 ↔ B1B2) fixes Φ_0 ⊗ τ, the
+  start, the drive, the affine set and both cones (T_B = T ∘ T_A), so
+  every iterate has P = Pᵀ and each block is [[p, q], [q, p]], with the
+  eigenvectors (|ij⟩ ± |ji⟩)/√2 and the eigenvalues p ± q. The clip maps
+  the (P, Q) of (X, Y) to them by kron(mix, [[1, 1], [1, −1]]), where
+  mix = [[1, d−1], [−1, d+1]]/d gives (M_s, M_a), clips at 0 and maps back
+  by kron(mix⁻¹, [[1, 1], [1, −1]]/2); the scalars are the diagonal, Q = 0.
+- Affine: with E = X + (d²−1) Y − I, X and Y both shift by E/d², one
+  2 × 2 map on (X, Y) plus a constant, and the primal residual is d·‖E‖_F.
 - Objective: Σ_k Tr(Φ_k P_k)/d² = Tr(τ X) = Σ a_i a_j B[i, j].
 
 The twirl identity holds for every trace-orthogonal basis, which starts at
@@ -48,7 +51,9 @@ the identity, so the complete program depends only on d and the spectrum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -103,8 +108,11 @@ class SDPProblem:
         priors = tuple(float(p) for p in self.priors)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "priors", priors)
-        if self.accuracy <= 0 or self.max_iters < 1:
-            raise ValueError("accuracy and max_iters must be positive")
+        accuracy, max_iters = self.accuracy, self.max_iters
+        if not (isinstance(accuracy, Real) and math.isfinite(accuracy) and accuracy > 0):
+            raise ValueError(f"accuracy must be finite and positive, got {accuracy!r}")
+        if isinstance(max_iters, bool) or not isinstance(max_iters, Integral) or max_iters < 1:
+            raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
         if self.resource is not None:
             if states or priors or self.layout != four_factor_layout(self.resource.dim):
                 raise ValueError(
@@ -253,17 +261,26 @@ class _Sectors(_Coordinates):
 
     def __init__(self, spec: ResourceSpectrum):
         d = self.d = spec.dim
-        self.n = d * d
+        n = self.n = d * d
         self.weight = float(d)
         self.a = np.asarray(spec.coeffs, dtype=float)
         self.eye = np.eye(d)
         self.off = self.eye == 0
         # The identity on A2B2: every P is 1, every Q is 0.
         self.unit = np.stack([np.ones((d, d)), np.zeros((d, d))])
-        # (M_s, M_a) from (X, Y), entry by entry, and back.
-        self.mix = np.array([[1.0, d - 1.0], [-1.0, d + 1.0]]) / d
-        self.unmix = np.array([[d + 1.0, 1.0 - d], [1.0, 1.0]]) / 2
-        tau = np.outer(self.a, self.a) / self.n
+        # B = Q + diag(P) scattered back: its diagonal to P, the rest to Q.
+        self.split = np.stack([self.eye, self.off])
+        # The affine step (X, Y) -= E/n as a map on (X, Y) plus a constant.
+        self.shift = np.eye(2) - np.array([[1.0, n - 1.0]] * 2) / n
+        self.offset = self.start()
+        # (X, Y) → (M_s, M_a) entry by entry, then (P, Q) → (P + Q, P − Q),
+        # the eigenvalues of the 2 × 2 blocks; and back.
+        mix = np.array([[1.0, d - 1.0], [-1.0, d + 1.0]]) / d
+        unmix = np.array([[d + 1.0, 1.0 - d], [1.0, 1.0]]) / 2
+        signs = np.array([[1.0, 1.0], [1.0, -1.0]])
+        self.to_ppt = np.kron(mix, signs)
+        self.from_ppt = np.kron(unmix, signs / 2)
+        tau = np.outer(self.a, self.a) / n
         self.cost = np.stack([np.stack([tau * self.eye, tau * self.off]), np.zeros((2, d, d))])
 
     def start(self) -> np.ndarray:
@@ -272,49 +289,34 @@ class _Sectors(_Coordinates):
     def deviation(self, stack: np.ndarray) -> np.ndarray:
         return stack[0] + (self.n - 1) * stack[1] - self.unit
 
+    def affine(self, stack: np.ndarray) -> np.ndarray:
+        return (self.shift @ stack.reshape(2, -1)).reshape(stack.shape) + self.offset
+
     def _blocks(self, stack: np.ndarray) -> np.ndarray:
         """B = Q + diag(P), the blocks of X and Y on span{|ii⟩}."""
         return stack[:, 1] + stack[:, 0] * self.eye
 
-    def _mixed(self, stack: np.ndarray, mix: np.ndarray) -> np.ndarray:
-        """The 2 × 2 ``mix`` applied to the pair (stack[0], stack[1]), entry by entry."""
-        return (mix @ stack.reshape(2, -1)).reshape(stack.shape)
-
-    @staticmethod
-    def _gamma_blocks(mixed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Centre, half-difference and radius of each 2 × 2 block [[P_ij, Q_ij], [Q_ij, P_ji]]."""
-        p = mixed[:, 0]
-        pt = p.swapaxes(-1, -2)
-        half = (p - pt) / 2
-        return (p + pt) / 2, half, np.hypot(half, mixed[:, 1])
+    def _ppt_eigenvalues(self, stack: np.ndarray) -> np.ndarray:
+        """Rows P ± Q of M_s, then of M_a: the eigenvalues of every 2 × 2 block."""
+        return self.to_ppt @ stack.reshape(4, -1)
 
     def objective(self, stack: np.ndarray) -> float:
         return float(self.a @ self._blocks(stack)[0] @ self.a)
 
     def psd_clip(self, stack: np.ndarray) -> np.ndarray:
-        b = psd_clip(self._blocks(stack))
-        out = np.empty_like(stack)
-        out[:, 0] = np.where(self.off, np.maximum(stack[:, 0], 0.0), b)
-        out[:, 1] = np.where(self.off, b, 0.0)
+        out = psd_clip(self._blocks(stack))[:, None] * self.split
+        np.maximum(stack[:, 0], 0.0, out=out[:, 0], where=self.off)
         return out
 
     def ppt_clip(self, stack: np.ndarray) -> np.ndarray:
-        mixed = self._mixed(stack, self.mix)
-        centre, half, r = self._gamma_blocks(mixed)
-        upper = np.maximum(centre + r, 0.0)
-        lower = np.maximum(centre - r, 0.0)
-        # Each block keeps its eigenvectors; c ± r become upper and lower.
-        scale = np.divide(upper - lower, 2 * r, out=np.zeros_like(r), where=r > 0)
-        mixed[:, 0] = (upper + lower) / 2 + scale * half
-        mixed[:, 1] *= scale
-        return self._mixed(mixed, self.unmix)
+        clipped = np.maximum(self._ppt_eigenvalues(stack), 0.0)
+        return (self.from_ppt @ clipped).reshape(stack.shape)
 
     def cone_min(self, stack: np.ndarray) -> float:
-        centre, _, r = self._gamma_blocks(self._mixed(stack, self.mix))
         return min(
             float(np.linalg.eigvalsh(self._blocks(stack)).min()),
             float(stack[:, 0][:, self.off].min()),
-            float((centre - r).min()),
+            float(self._ppt_eigenvalues(stack).min()),
         )
 
     def operators(self, stack: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -343,7 +345,7 @@ def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
 def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResult:
     """The consensus splitting of ``solve_primal_ppt`` in the given coordinates."""
     z = coords.start()
-    duals = [np.zeros_like(z) for _ in range(3)]
+    duals = np.zeros((3, *z.shape), dtype=z.dtype)
     drive = coords.cost / (3.0 * STEP)
 
     history: list[float] = []
@@ -353,16 +355,10 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
     primal_res = cone_res = np.inf
 
     for it in range(1, max_iters + 1):
-        x_affine = coords.affine(z - duals[0])
-        x_psd = coords.psd_clip(z - duals[1])
-        x_ppt = coords.ppt_clip(z - duals[2])
-
-        z = (
-            x_affine + duals[0] + x_psd + duals[1] + x_ppt + duals[2]
-        ) / 3.0 + drive
-        duals[0] += x_affine - z
-        duals[1] += x_psd - z
-        duals[2] += x_ppt - z
+        v = z - duals
+        x = np.stack([coords.affine(v[0]), coords.psd_clip(v[1]), coords.ppt_clip(v[2])])
+        z = (x + duals).sum(axis=0) / 3.0 + drive
+        duals += x - z
 
         iterations = it
         if it % _CHECK_EVERY == 0 or it == max_iters:

@@ -238,11 +238,11 @@ class Ensemble:
             self.layout.check_ket(v)
             if abs(np.linalg.norm(v) - 1.0) > 1e-12:
                 raise ValueError("ensemble states must be normalized")
-        n = len(states)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(np.vdot(states[i], states[j])) > 1e-10:
-                    raise ValueError(f"states {i} and {j} are not orthogonal")
+        kets = np.stack(states)
+        overlaps = np.triu(np.abs(kets.conj() @ kets.T) > 1e-10, 1)
+        if overlaps.any():
+            i, j = np.argwhere(overlaps)[0]
+            raise ValueError(f"states {i} and {j} are not orthogonal")
 
     def __len__(self) -> int:
         return len(self.states)

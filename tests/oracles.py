@@ -122,3 +122,26 @@ def upsilon(basis: MaxEntBasis, k: int) -> np.ndarray:
     return np.eye(d * d, dtype=complex) - d * partial_transpose(
         rho, pair_layout(d), (0,)
     )
+
+
+def closed_form_ppt_clip(stack: np.ndarray) -> np.ndarray:
+    """The complete program's PPT clip on a (2, 2, d, d) stack of (P, Q) arrays.
+
+    Maps (X, Y) to (M_s, M_a) entry by entry, and clips each 2 × 2 block
+    [[P_ij, Q_ij], [Q_ij, P_ji]] in closed form: its eigenvalues are c ± r,
+    with centre c = (P_ij + P_ji)/2 and radius r = hypot((P_ij − P_ji)/2, Q_ij),
+    and it keeps its eigenvectors. Needs no symmetry of P.
+    """
+    d = stack.shape[-1]
+    mix = np.array([[1.0, d - 1.0], [-1.0, d + 1.0]]) / d
+    unmix = np.array([[d + 1.0, 1.0 - d], [1.0, 1.0]]) / 2
+    mixed = (mix @ stack.reshape(2, -1)).reshape(stack.shape)
+    p = mixed[:, 0]
+    centre, half = (p + p.swapaxes(-1, -2)) / 2, (p - p.swapaxes(-1, -2)) / 2
+    r = np.hypot(half, mixed[:, 1])
+    upper = np.maximum(centre + r, 0.0)
+    lower = np.maximum(centre - r, 0.0)
+    scale = np.divide(upper - lower, 2 * r, out=np.zeros_like(r), where=r > 0)
+    mixed[:, 0] = (upper + lower) / 2 + scale * half
+    mixed[:, 1] *= scale
+    return (unmix @ mixed.reshape(2, -1)).reshape(stack.shape)

@@ -10,11 +10,13 @@ from entdist.certificate import (
 )
 from entdist.measures import fef
 from entdist.sdp import (
+    _CHECK_EVERY,
     DEFAULT_ACCURACY,
     DEFAULT_MAX_ITERS,
     SDPProblem,
     _consensus,
     _Coordinates,
+    _Sectors,
     dual_bound_from_certificate,
     sandwich_report,
     solve_primal_ppt,
@@ -34,7 +36,7 @@ from entdist.states import (
     weyl_basis,
 )
 from entdist.tensor import transpose_party_a
-from oracles import permute_factors
+from oracles import closed_form_ppt_clip, permute_factors
 
 BELL_SPEC = ResourceSpectrum.from_probabilities([0.8, 0.2])
 QUTRIT_SPEC = ResourceSpectrum.from_probabilities([0.55, 0.30, 0.15])
@@ -240,7 +242,7 @@ class TestCovariantPath:
             for name in ("objective", "primal_residual", "cone_residual"):
                 assert abs(row_a[name] - row_b[name]) <= 1e-10, name
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("kind", ["uniform", "random"])
     def test_matches_the_pair_solver(self, d, kind):
         if kind == "uniform":
@@ -288,6 +290,97 @@ class TestCovariantPath:
             SDPProblem.from_ensemble(ens, resource=BELL_SPEC)
 
 
+def _symmetric_stack(d: int, rng: np.random.Generator) -> np.ndarray:
+    """A random (2, 2, d, d) stack of the (P, Q) arrays of (X, Y) with P = Pᵀ.
+
+    Q is symmetric with a zero diagonal, as for a real symmetric X. Entries
+    are on the scale of the iterates: X + (d² − 1) Y = I bounds X by 1 and
+    Y by 1/(d² − 1).
+    """
+    s = rng.uniform(-1.0, 1.0, (2, 2, d, d))
+    s[1] /= d * d - 1
+    s = (s + s.swapaxes(-1, -2)) / 2
+    s[:, 1] *= 1.0 - np.eye(d)
+    return s
+
+
+class TestPPTClip:
+    """The clip in the eigenbasis (|ij⟩ ± |ji⟩)/√2 against the closed form."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+    def test_matches_the_closed_form(self, d):
+        rng = np.random.default_rng(60 + d)
+        coords = _Sectors(random_spectrum(d, rng))
+        for _ in range(50):
+            stack = _symmetric_stack(d, rng)
+            out = coords.ppt_clip(stack)
+            assert np.max(np.abs(out - closed_form_ppt_clip(stack))) <= 1e-15
+            assert np.max(np.abs(coords.ppt_clip(out) - out)) <= 1e-15
+            assert coords._ppt_eigenvalues(out).min() >= -1e-15
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_output_is_in_the_dense_ppt_cone(self, d):
+        rng = np.random.default_rng(70 + d)
+        spec = random_spectrum(d, rng)
+        coords, pair = _Sectors(spec), _Pair(spec)
+        for _ in range(10):
+            stack = _symmetric_stack(d, rng)
+            out = coords.ppt_clip(stack)
+            blocks = pair.to_blocks(np.stack(coords.operators(out)))
+            assert np.linalg.eigvalsh(blocks).min() >= -1e-14
+            before = pair.to_blocks(np.stack(coords.operators(stack)))
+            assert np.linalg.eigvalsh(before).min() < -0.01
+
+    def test_needs_no_eigensolver(self, monkeypatch):
+        coords = _Sectors(QUTRIT_SPEC)
+        stack = _symmetric_stack(3, np.random.default_rng(80))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the PPT clip called an eigensolver")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert np.max(np.abs(coords.ppt_clip(stack) - closed_form_ppt_clip(stack))) <= 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["uniform", "random"])
+    def test_solution_is_swap_symmetric(self, d, kind):
+        """X[ij, ij] = X[ji, ji] and Y[ij, ij] = Y[ji, ji], which the clip relies on."""
+        if kind == "uniform":
+            spec = ResourceSpectrum.uniform(d)
+        else:
+            spec = random_spectrum(d, np.random.default_rng(90 + d))
+        result = solve_primal_ppt(SDPProblem.from_basis(weyl_basis(d), spec))
+        for op in result.operators:
+            p = np.diag(op).reshape(d, d)
+            assert np.max(np.abs(p - p.T)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "d, max_iters", [(2, DEFAULT_MAX_ITERS), (3, DEFAULT_MAX_ITERS), (5, DEFAULT_MAX_ITERS), (2, 60)]
+    )
+    def test_eigensolver_calls_of_a_complete_solve(self, d, max_iters, monkeypatch):
+        """One eigh per iteration and one to round; one eigvalsh per convergence check."""
+        spec = ResourceSpectrum.uniform(d)
+        problem = SDPProblem.from_basis(weyl_basis(d), spec, max_iters=max_iters)
+        calls = {"eigh": 0, "eigvalsh": 0}
+
+        def counted(name):
+            real = getattr(np.linalg, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        result = solve_primal_ppt(problem)
+        checks = -(-result.iterations // _CHECK_EVERY)
+        assert calls == {"eigh": result.iterations + 1, "eigvalsh": checks}
+        assert result.converged == (max_iters == DEFAULT_MAX_ITERS)
+
+
 class TestProblemValidation:
     def test_bad_priors(self):
         ens = build_ensemble(weyl_basis(2), BELL_SPEC, 4)
@@ -315,6 +408,23 @@ class TestProblemValidation:
             SDPProblem.from_ensemble(ens, accuracy=0.0)
         with pytest.raises(ValueError):
             SDPProblem.from_ensemble(ens, max_iters=0)
+
+    @pytest.mark.parametrize("accuracy", [float("nan"), float("inf"), -float("inf"), -1e-4, "1e-4"])
+    def test_accuracy_must_be_finite_and_positive(self, accuracy):
+        with pytest.raises(ValueError, match="accuracy must be finite and positive"):
+            SDPProblem.from_basis(weyl_basis(2), BELL_SPEC, accuracy=accuracy)
+
+    @pytest.mark.parametrize("max_iters", [2.5, 3.0, True, "10", -1])
+    def test_max_iters_must_be_a_positive_integer(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters must be an integer of at least 1"):
+            SDPProblem.from_basis(weyl_basis(2), BELL_SPEC, max_iters=max_iters)
+
+    def test_integer_options_of_any_integer_type(self):
+        problem = SDPProblem.from_basis(
+            weyl_basis(2), BELL_SPEC, accuracy=np.float64(1e-3), max_iters=np.int64(25)
+        )
+        result = solve_primal_ppt(problem)
+        assert result.iterations == 25 and not result.converged
 
 
 class TestDualBound:

@@ -157,6 +157,43 @@ class TestEnsemble:
                 layout=pair_layout(2), states=(v, v), priors=(0.5, 0.5)
             )
 
+    def test_names_the_first_nonorthogonal_pair(self):
+        """States 0, 3 and 1, 2 overlap; 0, 1 overlap by 5e-11, inside the tolerance."""
+        e = np.eye(4, dtype=complex)
+        states = (
+            e[0],
+            (e[1] + 5e-11 * e[0]) / np.sqrt(1.0 + 25e-22),
+            (e[1] + e[2]) / np.sqrt(2.0),
+            (e[0] + e[3]) / np.sqrt(2.0),
+        )
+        with pytest.raises(ValueError, match=r"^states 0 and 3 are not orthogonal$"):
+            Ensemble(layout=pair_layout(2), states=states, priors=(0.25,) * 4)
+        with pytest.raises(ValueError, match=r"^states 1 and 2 are not orthogonal$"):
+            Ensemble(layout=pair_layout(2), states=states[:3], priors=(0.5, 0.25, 0.25))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_names_the_pair_the_loop_names(self, seed):
+        """Against the pairwise loop: the first pair (i < j, row-major) with |<i|j>| > 1e-10.
+
+        Up to three states are bent towards others by 1e-11 (kept), 1e-9 or
+        0.3 (refused); seed 7 bends only by 1e-11 and builds.
+        """
+        rng = np.random.default_rng(seed)
+        q = haar_random_unitary(16, rng)
+        states = [q[:, k] for k in range(16)]
+        for i, j in rng.integers(0, 16, (3, 2)):
+            if i != j:
+                states[j] = states[j] + rng.choice([1e-11, 1e-9, 0.3]) * states[i]
+                states[j] /= np.linalg.norm(states[j])
+        pairs = [(i, j) for i in range(16) for j in range(i + 1, 16)]
+        bad = [(i, j) for i, j in pairs if abs(np.vdot(states[i], states[j])) > 1e-10]
+        args = dict(layout=pair_layout(4), states=tuple(states), priors=(1 / 16,) * 16)
+        if not bad:
+            Ensemble(**args)
+            return
+        with pytest.raises(ValueError, match=rf"^states {bad[0][0]} and {bad[0][1]} are not"):
+            Ensemble(**args)
+
     def test_rejects_bad_priors(self):
         ens_states = build_ensemble(
             weyl_basis(2), ResourceSpectrum.uniform(2), 2
