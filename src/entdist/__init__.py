@@ -45,7 +45,6 @@ from .states import (
     four_factor_layout,
     haar_random_unitary,
     load_basis_file,
-    max_ent_state,
     pair_layout,
     random_spectrum,
     resource_state,
@@ -82,7 +81,6 @@ __all__ = [
     "haar_random_unitary",
     "incomplete_bounds",
     "load_basis_file",
-    "max_ent_state",
     "negativity",
     "pair_layout",
     "protocol_success",

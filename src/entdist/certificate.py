@@ -155,15 +155,16 @@ class FeasibilityReport:
         }
 
 
-def _factorise(states, a: np.ndarray):
-    """Read each ket s on A1,A2,B1,B2 as t = psi (x) tau, tau = sum_i a_i |ii>.
+def _factorise(states: np.ndarray, a: np.ndarray):
+    """Read each row s of the (N, d^4) ket stack on A1,A2,B1,B2 as
+    t = psi (x) tau, tau = sum_i a_i |ii>.
 
     Returns the (N, d, d) stack psi[n, a1, b1] = sum_i a_i s[a1, i, b1, i] /
     sum_i a_i^2, the residuals ||s - t||, taken directly rather than from the
     overlaps, which cancel to about 1e-8, and the sums ||s|| + ||t||.
     """
     d, n = len(a), len(states)
-    kets = np.stack(states).reshape(n, d, d, d, d)
+    kets = states.reshape(n, d, d, d, d)
     psi = np.einsum("i,nxiyi->nxy", a, kets) / (a @ a)
     t = psi[:, :, None, :, None] * np.diag(a)[None, None, :, None, :]
     residuals = np.linalg.norm((kets - t).reshape(n, -1), axis=1)
@@ -252,7 +253,7 @@ def _decomposition_residuals(
     x = c * (diag_w - gamma - antisym / 2)
     p = np.asarray(priors)
     z = c * d * (gamma - antisym / 2) - p[:, None, None, None] * tau_t
-    gens = np.stack(basis.unitaries[: len(p)])
+    gens = basis.unitaries[: len(p)]
     n = np.sum(np.abs(gens) ** 2, axis=(1, 2)) / d
     square = (
         d * d * np.sum(np.abs(x) ** 2)
@@ -351,7 +352,7 @@ def upsilon_spectrum_check(basis: MaxEntBasis, tol: float = 1e-10) -> UpsilonRep
     n_zero = d * (d + 1) // 2
     target = np.concatenate([np.zeros(n_zero), 2.0 * np.ones(d * d - n_zero)])
     target_c = np.concatenate([np.zeros(d * d - n_zero), np.ones(n_zero)])
-    gens = np.stack(basis.unitaries)
+    gens = basis.unitaries
     g = np.linalg.eigvalsh(gens.conj().swapaxes(1, 2) @ gens)
     m, n = np.triu_indices(d, 1)
     root = np.sqrt(np.maximum(g[:, m] * g[:, n], 0.0))

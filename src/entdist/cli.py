@@ -61,9 +61,9 @@ MAX_DENSE_BYTES = 4 * 2**30
 _SPECTRUM_BYTES = 400
 # Arrays of 16 d^6 bytes (the d^2 ensemble kets, or one stack of the d^2
 # matrices Gamma_k) the certificate route holds at its peak, which the
-# feasibility margins set; tracemalloc peaks at 6.4 of them at d = 4 and
-# 5.0 at d = 6-8.
-_CERTIFICATE_ARRAYS = 7
+# feasibility margins set; tracemalloc peaks at 5.2 of them at d = 4, 5.1
+# at d = 5 and 4.1-4.2 at d = 6-8.
+_CERTIFICATE_ARRAYS = 6
 # Arrays of 16 d^4 bytes the solve of a complete basis holds: the dense pair
 # (X, Y) it returns is one, and its O(d^2) sector arrays shrink against it as
 # d grows; tracemalloc peaks at 4.9 of them at d = 4, 1.5 at d = 8 and 1.1
@@ -71,7 +71,8 @@ _CERTIFICATE_ARRAYS = 7
 _PAIR_ARRAYS = 5
 # Basis-sized arrays (d^2 matrices of d x d, 16 d^4 bytes) that basis, protocol
 # and bounds hold at their peak. Parsing a basis file's JSON alone costs about
-# 14 of them (tracemalloc peaks at d = 6-16).
+# 14 of them (tracemalloc peaks at 14.1-14.6 at d = 6-16, against 4.0-7.2
+# for the built-in basis).
 _BASIS_ARRAYS = 16
 
 

@@ -59,7 +59,7 @@ def teleport_residuals(
         raise ValueError(f"n_states must lie in [1, {d * d}], got {n_states}")
 
     a = np.asarray(spec.coeffs)
-    unitaries = np.stack(basis.unitaries[:n_states])
+    unitaries = basis.unitaries[:n_states]
     gammas = (a[:, None] * unitaries.transpose(0, 2, 1)).reshape(n_states, d * d)
     gram = gammas.conj() @ gammas.T
     closed = np.einsum("k,imk,jmk->ij", a * a, unitaries.conj(), unitaries)
@@ -71,8 +71,7 @@ def teleport_residuals(
 
 def _outcome_matrix(basis: MaxEntBasis, residuals: ResidualEnsemble) -> np.ndarray:
     """P[i, j] = |<psi_j|gamma_i>|^2: residual i measured in the whole basis."""
-    kets = np.stack(basis.kets())
-    return np.abs(residuals.gammas @ kets.conj().T) ** 2
+    return np.abs(residuals.gammas @ basis.kets().conj().T) ** 2
 
 
 @dataclass(frozen=True)

@@ -38,9 +38,9 @@ i ≠ j with Q[i, i] = 0, and works on them entry by entry:
   start, the drive, the affine set and both cones (T_B = T ∘ T_A), so
   every iterate has P = Pᵀ and each block is [[p, q], [q, p]], with the
   eigenvectors (|ij⟩ ± |ji⟩)/√2 and the eigenvalues p ± q. The clip maps
-  the (P, Q) of (X, Y) to them by kron(mix, [[1, 1], [1, −1]]), where
+  the (P, Q) of (X, Y) to them by mix ⊗ [[1, 1], [1, −1]], where
   mix = [[1, d−1], [−1, d+1]]/d gives (M_s, M_a), clips at 0 and maps back
-  by kron(mix⁻¹, [[1, 1], [1, −1]]/2); the scalars are the diagonal, Q = 0.
+  by mix⁻¹ ⊗ [[1, 1], [1, −1]]/2; the scalars are the diagonal, Q = 0.
 - Affine: with E = X + (d²−1) Y − I, X and Y both shift by E/d², one
   2 × 2 map on (X, Y) plus a constant, and the primal residual is d·‖E‖_F.
 - Objective: Σ_k Tr(Φ_k P_k)/d² = Tr(τ X) = Σ a_i a_j B[i, j].
@@ -96,7 +96,7 @@ class SDPProblem:
     solved on the pair (X, Y) of the module docstring.
     """
 
-    states: tuple[np.ndarray, ...]
+    states: np.ndarray
     priors: tuple[float, ...]
     layout: SubsystemLayout
     accuracy: float = DEFAULT_ACCURACY
@@ -104,9 +104,7 @@ class SDPProblem:
     resource: ResourceSpectrum | None = None
 
     def __post_init__(self):
-        states = tuple(np.asarray(s, dtype=complex) for s in self.states)
         priors = tuple(float(p) for p in self.priors)
-        object.__setattr__(self, "states", states)
         object.__setattr__(self, "priors", priors)
         accuracy, max_iters = self.accuracy, self.max_iters
         if not (isinstance(accuracy, Real) and math.isfinite(accuracy) and accuracy > 0):
@@ -114,28 +112,31 @@ class SDPProblem:
         if isinstance(max_iters, bool) or not isinstance(max_iters, Integral) or max_iters < 1:
             raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
         if self.resource is not None:
-            if states or priors or self.layout != four_factor_layout(self.resource.dim):
+            if len(self.states) or priors or self.layout != four_factor_layout(self.resource.dim):
                 raise ValueError(
                     "a complete program takes a resource in place of states and "
                     f"the A1,A2,B1,B2 layout of dimension {self.resource.dim}"
                 )
             return
-        if len(states) != len(priors) or not states:
+        if len(self.states) != len(priors) or not priors:
             raise ValueError("need one prior per state and at least one state")
         if abs(sum(priors) - 1.0) > 1e-12 or any(p < 0 for p in priors):
             raise ValueError(f"priors must form a probability vector, got {priors}")
-        for i, rho in enumerate(states):
-            self.layout.check_matrix(rho)
-            if abs(np.trace(rho).real - 1.0) > 1e-10:
+        states = self.layout.stack(self.states, 2)
+        object.__setattr__(self, "states", states)
+        off_trace = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0) > 1e-10
+        bad = np.flatnonzero(off_trace | (np.linalg.eigvalsh(states)[:, 0] < -1e-10))
+        if bad.size:
+            i = bad[0]
+            if off_trace[i]:
                 raise ValueError(f"state {i} does not have unit trace")
-            if np.linalg.eigvalsh(rho)[0] < -1e-10:
-                raise ValueError(f"state {i} is not positive semidefinite")
+            raise ValueError(f"state {i} is not positive semidefinite")
 
     @classmethod
     def from_ensemble(cls, ens: Ensemble, **options) -> "SDPProblem":
         """The program for an ensemble, solved operator by operator."""
         return cls(
-            states=tuple(ens.density_operators()),
+            states=ens.density_operators(),
             priors=ens.priors,
             layout=ens.layout,
             **options,
@@ -241,7 +242,7 @@ class _Operators(_Coordinates):
 
     def __init__(self, problem: SDPProblem):
         self.layout = problem.layout
-        self.cost = np.stack([p * s for p, s in zip(problem.priors, problem.states)])
+        self.cost = np.asarray(problem.priors)[:, None, None] * problem.states
         self.n = len(self.cost)
 
     def deviation(self, stack: np.ndarray) -> np.ndarray:
@@ -278,8 +279,8 @@ class _Sectors(_Coordinates):
         mix = np.array([[1.0, d - 1.0], [-1.0, d + 1.0]]) / d
         unmix = np.array([[d + 1.0, 1.0 - d], [1.0, 1.0]]) / 2
         signs = np.array([[1.0, 1.0], [1.0, -1.0]])
-        self.to_ppt = np.kron(mix, signs)
-        self.from_ppt = np.kron(unmix, signs / 2)
+        self.to_ppt = np.einsum("ij,kl->ikjl", mix, signs).reshape(4, 4)
+        self.from_ppt = np.einsum("ij,kl->ikjl", unmix, signs / 2).reshape(4, 4)
         tau = np.outer(self.a, self.a) / n
         self.cost = np.stack([np.stack([tau * self.eye, tau * self.off]), np.zeros((2, d, d))])
 

@@ -1,8 +1,16 @@
 """Maximally entangled bases, resource states, and discrimination ensembles.
 
-The four-factor ordering used throughout is A1, B1, A2, B2 before the
-relabelling swap and A1, A2, B1, B2 after it; the swap exchanges factors
-1 and 2. Party A always holds the first two factors of the swapped order.
+A basis ket (1 ⊗ U_k)|Φ⟩ lives on A1, B1 and the resource τ on A2, B2; an
+ensemble ket lives on the four factors in the order A1, A2, B1, B2, so
+party A holds the first two. Bases and ensembles are held as stacks, each
+built by one broadcast:
+
+- ``MaxEntBasis.unitaries`` is one (n, d, d) complex array, U_k at index k,
+  and ``MaxEntBasis.kets()`` the (n, d²) array whose row k, read as (d, d),
+  is ψ_k[a1, b1] = U_k[b1, a1]/√d.
+- ``Ensemble.states`` is one (N, D) array, one ket per row; for
+  ``build_ensemble`` D = d⁴ and row k, read as (d, d, d, d), is indexed
+  (a1, a2, b1, b2): kets[k, a1, a2, b1, b2] = ψ_k[a1, b1] · a_{a2} δ_{a2 b2}.
 """
 
 from __future__ import annotations
@@ -13,12 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import SubsystemLayout, permute_ket
+from .tensor import SubsystemLayout
 
 BASIS_DEFECT_TOL = 1e-10
-
-# B1 <-> A2 exchange on the (A1, B1, A2, B2) ordering.
-SWAP_B1_A2 = (0, 2, 1, 3)
 
 
 def four_factor_layout(d: int) -> SubsystemLayout:
@@ -116,17 +121,17 @@ def validate_basis(unitaries) -> BasisValidation:
     Accepts iff both defects are below 1e-10; completeness (count == d^2)
     is reported separately so partial sets can still be validated.
     """
-    mats = [np.asarray(U, dtype=complex) for U in unitaries]
-    if not mats:
+    if len(unitaries) == 0:
         raise ValueError("empty list of unitaries")
-    d = mats[0].shape[0]
-    for U in mats:
-        if U.shape != (d, d):
+    d = np.shape(unitaries[0])[0]
+    # every matrix of an array has the shape of the first
+    for U in unitaries[:1] if isinstance(unitaries, np.ndarray) else unitaries:
+        if np.shape(U) != (d, d):
             raise ValueError(
-                f"inconsistent dimensions: expected {(d, d)}, got {U.shape}"
+                f"inconsistent dimensions: expected {(d, d)}, got {np.shape(U)}"
             )
-    n = len(mats)
-    stack = np.stack(mats)
+    stack = np.asarray(unitaries, dtype=complex)
+    n = len(stack)
     products = stack.conj().swapaxes(1, 2) @ stack
     unit_defect = float(np.max(np.abs(products - np.eye(d))))
     # gram[i, j] = Tr(U_i^dagger U_j), one product over the flattened stack.
@@ -150,17 +155,18 @@ def validate_basis(unitaries) -> BasisValidation:
 class MaxEntBasis:
     """d^2 trace-orthogonal unitaries generating a maximally entangled basis.
 
-    The first unitary is the identity, so the first basis ket is the
-    standard maximally entangled state.
+    ``unitaries`` is one (d^2, d, d) complex array. The first unitary is the
+    identity, so the first basis ket is the standard maximally entangled
+    state.
     """
 
     dim: int
-    unitaries: tuple[np.ndarray, ...]
+    unitaries: np.ndarray
 
     def __post_init__(self):
-        mats = tuple(np.asarray(U, dtype=complex) for U in self.unitaries)
+        report = validate_basis(self.unitaries)
+        mats = np.asarray(self.unitaries, dtype=complex)
         object.__setattr__(self, "unitaries", mats)
-        report = validate_basis(mats)
         if report.dim != self.dim:
             raise ValueError(f"unitaries act on dimension {report.dim}, not {self.dim}")
         if not report.complete:
@@ -177,39 +183,29 @@ class MaxEntBasis:
     def __len__(self) -> int:
         return len(self.unitaries)
 
-    def kets(self) -> list[np.ndarray]:
-        return [max_ent_state(U) for U in self.unitaries]
+    def kets(self) -> np.ndarray:
+        """The (d^2, d^2) stack of the kets (1⊗U_k)|Phi>, one per row.
+
+        <ij|(1⊗U)|Phi> = U[j, i]/sqrt(d): row k is U_k^T flattened row-major.
+        """
+        d = self.dim
+        return self.unitaries.swapaxes(1, 2).reshape(-1, d * d) / np.sqrt(d)
 
 
 def weyl_basis(d: int) -> MaxEntBasis:
     """Shift-and-clock basis: U_(a,b) = X^a Z^b for a,b in 0..d-1.
 
-    X is the cyclic shift, Z = diag(1, w, ..., w^(d-1)) with w = exp(2*pi*i/d);
-    index order is a-major so the element at index 0 is the identity.
+    X is the cyclic shift, Z = diag(1, w, ..., w^(d-1)) with w = exp(2*pi*i/d),
+    so U_(a,b)[i, j] = [i = j + a mod d] w^(b j mod d); index order is
+    a-major so the element at index 0 is the identity.
     """
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
-    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    unitaries = []
-    for a in range(d):
-        for b in range(d):
-            unitaries.append(
-                np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
-            )
-    return MaxEntBasis(dim=d, unitaries=tuple(unitaries))
-
-
-def max_ent_state(U: np.ndarray) -> np.ndarray:
-    """(1⊗U) applied to the standard maximally entangled ket."""
-    U = np.asarray(U, dtype=complex)
-    d = U.shape[0]
-    if U.shape != (d, d):
-        raise ValueError(f"expected a square matrix, got shape {U.shape}")
-    if np.max(np.abs(U.conj().T @ U - np.eye(d))) > BASIS_DEFECT_TOL:
-        raise ValueError("operator is not unitary within tolerance")
-    # <ij|(1⊗U)|Psi_1> = U[j,i]/sqrt(d), i.e. the row-major flattening of U^T.
-    return U.T.reshape(-1) / np.sqrt(d)
+    i = np.arange(d)
+    shift = (i[None, :, None] - i[None, None, :] - i[:, None, None]) % d == 0
+    phase = np.exp(2j * np.pi * (np.outer(i, i) % d) / d)
+    unitaries = np.where(shift[:, None], phase[None, :, None, :], 0)
+    return MaxEntBasis(dim=d, unitaries=unitaries.reshape(d * d, d, d))
 
 
 def resource_state(spec: ResourceSpectrum) -> np.ndarray:
@@ -219,26 +215,24 @@ def resource_state(spec: ResourceSpectrum) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """States |Phi_k> on A⊗B with their priors and the A:B layout."""
+    """States |Phi_k> on A⊗B, one per row of ``states``, with their priors
+    and the A:B layout."""
 
     layout: SubsystemLayout
-    states: tuple[np.ndarray, ...]
+    states: np.ndarray
     priors: tuple[float, ...]
 
     def __post_init__(self):
-        states = tuple(np.asarray(v, dtype=complex) for v in self.states)
         priors = tuple(float(p) for p in self.priors)
-        object.__setattr__(self, "states", states)
         object.__setattr__(self, "priors", priors)
-        if len(states) != len(priors):
+        if len(self.states) != len(priors):
             raise ValueError("need one prior per state")
         if abs(sum(priors) - 1.0) > 1e-12 or any(p < 0 for p in priors):
             raise ValueError(f"priors must be a probability vector, got {priors}")
-        for v in states:
-            self.layout.check_ket(v)
-            if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-                raise ValueError("ensemble states must be normalized")
-        kets = np.stack(states)
+        kets = self.layout.stack(self.states, 1)
+        object.__setattr__(self, "states", kets)
+        if np.any(np.abs(np.linalg.norm(kets, axis=1) - 1.0) > 1e-12):
+            raise ValueError("ensemble states must be normalized")
         overlaps = np.triu(np.abs(kets.conj() @ kets.T) > 1e-10, 1)
         if overlaps.any():
             i, j = np.argwhere(overlaps)[0]
@@ -252,14 +246,15 @@ class Ensemble:
         n = len(self.priors)
         return all(abs(p - 1.0 / n) <= 1e-12 for p in self.priors)
 
-    def density_operators(self) -> list[np.ndarray]:
-        return [np.outer(v, v.conj()) for v in self.states]
+    def density_operators(self) -> np.ndarray:
+        """The (N, D, D) stack of the projectors |Phi_k><Phi_k|."""
+        return self.states[:, :, None] * self.states[:, None, :].conj()
 
 
 def build_ensemble(basis: MaxEntBasis, spec: ResourceSpectrum, n_states: int) -> Ensemble:
     """Ensemble of the first n_states basis elements paired with the resource.
 
-    Each ket is swapped from the A1,B1,A2,B2 ordering into A1,A2,B1,B2 so
+    Each ket psi_k (x) tau is laid out on A1,A2,B1,B2 (module docstring), so
     that party A holds the first two factors.
     """
     d = basis.dim
@@ -267,14 +262,14 @@ def build_ensemble(basis: MaxEntBasis, spec: ResourceSpectrum, n_states: int) ->
         raise ValueError(f"spectrum dimension {spec.dim} does not match basis {d}")
     if not 1 <= n_states <= d * d:
         raise ValueError(f"n_states must lie in [1, {d * d}], got {n_states}")
-    tau = resource_state(spec)
-    dims = (d, d, d, d)
-    states = [
-        permute_ket(np.kron(max_ent_state(U), tau), dims, SWAP_B1_A2)
-        for U in basis.unitaries[:n_states]
-    ]
+    psi = basis.kets()[:n_states].reshape(n_states, d, d)
+    tau = resource_state(spec).reshape(d, d)
+    # kets[k, a1, a2, b1, b2] = psi[k, a1, b1] * tau[a2, b2]
+    kets = psi[:, :, None, :, None] * tau[:, None, :]
     priors = (1.0 / n_states,) * n_states
-    return Ensemble(layout=four_factor_layout(d), states=tuple(states), priors=priors)
+    return Ensemble(
+        layout=four_factor_layout(d), states=kets.reshape(n_states, -1), priors=priors
+    )
 
 
 def schmidt_coefficients(v: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
@@ -301,10 +296,7 @@ def haar_random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def conjugated_basis(basis: MaxEntBasis, V: np.ndarray) -> MaxEntBasis:
     """Replace each generator U_j by V U_j V†; keeps U_1 = identity."""
-    return MaxEntBasis(
-        dim=basis.dim,
-        unitaries=tuple(V @ U @ V.conj().T for U in basis.unitaries),
-    )
+    return MaxEntBasis(dim=basis.dim, unitaries=V @ basis.unitaries @ V.conj().T)
 
 
 def read_basis_file(path) -> tuple[int, list]:

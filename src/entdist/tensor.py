@@ -66,6 +66,17 @@ class SubsystemLayout:
                 f"ket shape {v.shape} does not match layout dimension {self.dim}"
             )
 
+    def stack(self, items, rank: int) -> np.ndarray:
+        """Kets (rank 1) or matrices (rank 2) on this layout as one complex array.
+
+        The first item of another shape fails ``check_ket`` or ``check_matrix``;
+        the rows of an array share one shape, so only its first is checked.
+        """
+        check = self.check_ket if rank == 1 else self.check_matrix
+        for item in items[:1] if isinstance(items, np.ndarray) else items:
+            check(np.asarray(item))
+        return np.asarray(items, dtype=complex)
+
 
 def frobenius(M: np.ndarray) -> float:
     return float(np.linalg.norm(M))
@@ -124,17 +135,6 @@ def transpose_party_a(M: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
     Accepts one matrix or a stack M[..., D, D], like ``partial_transpose``.
     """
     return partial_transpose(M, layout, layout.party_a)
-
-
-def permute_ket(v: np.ndarray, dims: Iterable[int], perm: Iterable[int]) -> np.ndarray:
-    """Apply the factor-permutation unitary to a ket."""
-    dims = tuple(int(d) for d in dims)
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(len(dims))):
-        raise ValueError(f"{perm} is not a permutation of {len(dims)} factors")
-    if v.shape != (math.prod(dims),):
-        raise ValueError(f"ket shape {v.shape} does not match dims {dims}")
-    return v.reshape(dims).transpose(perm).reshape(-1)
 
 
 def psd_clip(M: np.ndarray) -> np.ndarray:

@@ -11,11 +11,11 @@ from typing import Iterable
 import numpy as np
 
 from entdist.states import (
-    SWAP_B1_A2,
+    BASIS_DEFECT_TOL,
     MaxEntBasis,
     ResourceSpectrum,
-    max_ent_state,
     pair_layout,
+    resource_state,
 )
 from entdist.tensor import (
     SubsystemLayout,
@@ -23,6 +23,60 @@ from entdist.tensor import (
     partial_transpose,
     transpose_party_a,
 )
+
+# B1 <-> A2 exchange on the (A1, B1, A2, B2) ordering.
+SWAP_B1_A2 = (0, 2, 1, 3)
+
+
+def max_ent_state(U: np.ndarray) -> np.ndarray:
+    """(1⊗U) applied to the standard maximally entangled ket."""
+    U = np.asarray(U, dtype=complex)
+    d = U.shape[0]
+    if U.shape != (d, d):
+        raise ValueError(f"expected a square matrix, got shape {U.shape}")
+    if np.max(np.abs(U.conj().T @ U - np.eye(d))) > BASIS_DEFECT_TOL:
+        raise ValueError("operator is not unitary within tolerance")
+    # <ij|(1⊗U)|Psi_1> = U[j,i]/sqrt(d), i.e. the row-major flattening of U^T.
+    return U.T.reshape(-1) / np.sqrt(d)
+
+
+def permute_ket(v: np.ndarray, dims: Iterable[int], perm: Iterable[int]) -> np.ndarray:
+    """Apply the factor-permutation unitary to a ket."""
+    dims = tuple(int(d) for d in dims)
+    perm = tuple(int(p) for p in perm)
+    if sorted(perm) != list(range(len(dims))):
+        raise ValueError(f"{perm} is not a permutation of {len(dims)} factors")
+    if v.shape != (math.prod(dims),):
+        raise ValueError(f"ket shape {v.shape} does not match dims {dims}")
+    return v.reshape(dims).transpose(perm).reshape(-1)
+
+
+def kron_ensemble(basis: MaxEntBasis, spec: ResourceSpectrum, n_states: int) -> np.ndarray:
+    """The first n_states ensemble kets, one ket at a time: each
+    (1⊗U_k)|Phi> ⊗ |tau> formed by ``np.kron`` on A1,B1,A2,B2 and swapped
+    into A1,A2,B1,B2."""
+    d = basis.dim
+    tau = resource_state(spec)
+    return np.array(
+        [
+            permute_ket(np.kron(max_ent_state(U), tau), (d,) * 4, SWAP_B1_A2)
+            for U in basis.unitaries[:n_states]
+        ]
+    )
+
+
+def power_weyl_unitaries(d: int) -> np.ndarray:
+    """X^a Z^b in a-major order, each formed from matrix powers of the
+    cyclic shift X and the clock Z."""
+    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    return np.array(
+        [
+            np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+            for a in range(d)
+            for b in range(d)
+        ]
+    )
 
 
 def permute_factors(

@@ -20,7 +20,6 @@ from entdist.certificate import (
 )
 from entdist.measures import fef
 from entdist.states import (
-    SWAP_B1_A2,
     Ensemble,
     MaxEntBasis,
     ResourceSpectrum,
@@ -28,7 +27,6 @@ from entdist.states import (
     conjugated_basis,
     four_factor_layout,
     haar_random_unitary,
-    max_ent_state,
     pair_layout,
     random_spectrum,
     resource_state,
@@ -41,8 +39,10 @@ from entdist.tensor import (
     transpose_party_a,
 )
 from oracles import (
+    SWAP_B1_A2,
     check_swap_transpose_identity,
     gamma_operator,
+    max_ent_state,
     pair_projectors,
     permute_factors,
     upsilon,
@@ -544,6 +544,21 @@ def test_certificate_run_diagonalises_only_the_small_stacks(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["certificate", "--dim", "4"]) == 0
     assert sorted(shapes) == [(16, 4, 4), (16, 16, 16)]
+
+
+def test_runs_build_no_state_one_at_a_time(monkeypatch):
+    """certificate --dim 4 and sandwich --dim 3 run with np.kron and
+    np.linalg.matrix_power refused: the basis and the ensemble are each one
+    broadcast, not a product per state."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a per-state product came back")
+
+    monkeypatch.setattr(np, "kron", refused)
+    monkeypatch.setattr(np.linalg, "matrix_power", refused)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["certificate", "--dim", "4"]) == 0
+        assert cli.main(["sandwich", "--dim", "3"]) == 0
 
 
 def test_certificate_route_at_d12():

@@ -369,9 +369,9 @@ class TestSizeEstimate:
         # A complete solve holds 16 basis-sized arrays and 5 more for its
         # sector arrays and the dense pair (X, Y), each of 16 d^4 bytes.
         pair = 16 * 3**4 * (16 + 5)
-        # The certificate route, which verify runs too, holds 7 arrays of
+        # The certificate route, which verify runs too, holds 6 arrays of
         # 16 d^6 bytes, and no d^4 x d^4 matrix.
-        certificate = 7 * 16 * 3**6
+        certificate = 6 * 16 * 3**6
         assert dense_bytes("certificate", 3, 9) == certificate
         assert dense_bytes("certificate", 3, 4) == certificate
         assert dense_bytes("verify", 3, 9) == certificate

@@ -22,21 +22,19 @@ from entdist.sdp import (
     solve_primal_ppt,
 )
 from entdist.states import (
-    SWAP_B1_A2,
     MaxEntBasis,
     ResourceSpectrum,
     build_ensemble,
     conjugated_basis,
     four_factor_layout,
     haar_random_unitary,
-    max_ent_state,
     pair_layout,
     random_spectrum,
     resource_state,
     weyl_basis,
 )
 from entdist.tensor import transpose_party_a
-from oracles import closed_form_ppt_clip, permute_factors
+from oracles import SWAP_B1_A2, closed_form_ppt_clip, max_ent_state, permute_factors
 
 BELL_SPEC = ResourceSpectrum.from_probabilities([0.8, 0.2])
 QUTRIT_SPEC = ResourceSpectrum.from_probabilities([0.55, 0.30, 0.15])
@@ -401,6 +399,22 @@ class TestProblemValidation:
         states[0] = np.stack([states[0], states[0]])
         with pytest.raises(ValueError):
             SDPProblem(states=tuple(states), priors=ens.priors, layout=ens.layout)
+
+    def test_names_the_first_failing_state(self):
+        """State 1 is not PSD and state 2 not of unit trace: state 1 is named,
+        and without it state 2."""
+        ens = build_ensemble(weyl_basis(2), BELL_SPEC, 4)
+        states = ens.density_operators()
+        states[1] = 1.5 * np.eye(16) / 16 - states[1] / 2
+        states[2] = 2.0 * states[2]
+        args = dict(priors=ens.priors, layout=ens.layout)
+        with pytest.raises(ValueError, match="^state 1 is not positive semidefinite$"):
+            SDPProblem(states=states, **args)
+        states[1] = ens.density_operators()[1]
+        with pytest.raises(ValueError, match="^state 2 does not have unit trace$"):
+            SDPProblem(states=states, **args)
+        with pytest.raises(ValueError, match=r"^matrix shape \(16, 15\) does not match"):
+            SDPProblem(states=states[:, :, :15], **args)
 
     def test_bad_options(self):
         ens = build_ensemble(weyl_basis(2), BELL_SPEC, 4)

@@ -14,7 +14,6 @@ from entdist.states import (
     four_factor_layout,
     haar_random_unitary,
     load_basis_file,
-    max_ent_state,
     pair_layout,
     random_spectrum,
     resource_state,
@@ -22,6 +21,7 @@ from entdist.states import (
     validate_basis,
     weyl_basis,
 )
+from oracles import kron_ensemble, max_ent_state, power_weyl_unitaries
 
 
 class TestResourceSpectrum:
@@ -89,7 +89,7 @@ class TestWeylBasis:
 
     def test_first_unitary_must_be_identity(self):
         basis = weyl_basis(2)
-        reordered = basis.unitaries[1:] + basis.unitaries[:1]
+        reordered = np.concatenate([basis.unitaries[1:], basis.unitaries[:1]])
         with pytest.raises(ValueError):
             MaxEntBasis(dim=2, unitaries=reordered)
 
@@ -194,6 +194,28 @@ class TestEnsemble:
         with pytest.raises(ValueError, match=rf"^states {bad[0][0]} and {bad[0][1]} are not"):
             Ensemble(**args)
 
+    def test_rejects_a_wrong_length_ket(self):
+        e = np.eye(4, dtype=complex)
+        message = r"^ket shape \(3,\) does not match layout dimension 4$"
+        with pytest.raises(ValueError, match=message):
+            Ensemble(layout=pair_layout(2), states=(e[0], e[1, :3]), priors=(0.5, 0.5))
+        with pytest.raises(ValueError, match=message):
+            Ensemble(layout=pair_layout(2), states=e[:2, :3], priors=(0.5, 0.5))
+
+    def test_rejects_a_non_normalized_ket(self):
+        """A norm off by 1e-11 is refused and one off by 1e-13 is kept."""
+        e = np.eye(4, dtype=complex)
+        args = dict(layout=pair_layout(2), priors=(0.5, 0.5))
+        Ensemble(states=(e[0], (1.0 + 1e-13) * e[1]), **args)
+        for scale in (2.0, 1.0 + 1e-11, 1.0 - 1e-11):
+            with pytest.raises(ValueError, match="^ensemble states must be normalized$"):
+                Ensemble(states=(e[0], scale * e[1]), **args)
+
+    def test_density_operators_are_the_outer_products(self):
+        ens = build_ensemble(weyl_basis(3), ResourceSpectrum.from_probabilities([0.5, 0.3, 0.2]), 5)
+        want = np.array([np.outer(v, v.conj()) for v in ens.states])
+        assert np.array_equal(ens.density_operators(), want)
+
     def test_rejects_bad_priors(self):
         ens_states = build_ensemble(
             weyl_basis(2), ResourceSpectrum.uniform(2), 2
@@ -207,6 +229,66 @@ class TestEnsemble:
         assert tau[0] == pytest.approx(np.sqrt(0.8))
         assert tau[3] == pytest.approx(np.sqrt(0.2))
         assert tau[1] == tau[2] == 0.0
+
+
+class TestStackedBuilds:
+    """The broadcast builds against their one-state-at-a-time oracles."""
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_weyl_basis_matches_the_matrix_powers(self, d):
+        """The matrix powers drift from the exact phases by up to 4.1e-15 at
+        d = 9 (next test), so they are matched within 5e-15."""
+        unitaries = weyl_basis(d).unitaries
+        assert unitaries.shape == (d * d, d, d)
+        assert np.array_equal(unitaries[0], np.eye(d))
+        assert np.max(np.abs(unitaries - power_weyl_unitaries(d))) <= 5e-15
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_weyl_phases_are_exact(self, d):
+        """U_(a,b) has w^(bj mod d) at (j + a mod d, j) within 1e-15 of its
+        value to 30 digits, and zeros elsewhere."""
+        mpmath = pytest.importorskip("mpmath")
+        unitaries = weyl_basis(d).unitaries
+        with mpmath.workdps(30):
+            phases = [
+                complex(mpmath.expjpi(mpmath.mpf(2 * k) / d)) for k in range(d)
+            ]
+        for a in range(d):
+            for b in range(d):
+                u = unitaries[a * d + b]
+                for j in range(d):
+                    assert abs(u[(j + a) % d, j] - phases[b * j % d]) <= 1e-15
+                    assert np.count_nonzero(u[:, j]) == 1
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_build_ensemble_matches_the_kron_build(self, d, tmp_path):
+        rng = np.random.default_rng(70 + d)
+        spec = random_spectrum(d, rng)
+        path = tmp_path / "basis.json"
+        dump_basis_file(conjugated_basis(weyl_basis(d), haar_random_unitary(d, rng)), path)
+        rotated = conjugated_basis(weyl_basis(d), haar_random_unitary(d, rng))
+        for basis in (weyl_basis(d), rotated, load_basis_file(path)):
+            for n in (1, d + 1, d * d):
+                kets = build_ensemble(basis, spec, n).states
+                assert kets.shape == (n, d**4)
+                assert np.max(np.abs(kets - kron_ensemble(basis, spec, n))) <= 1e-15
+
+    def test_kets_are_the_max_ent_states(self):
+        basis = conjugated_basis(weyl_basis(3), haar_random_unitary(3, np.random.default_rng(5)))
+        want = np.array([max_ent_state(u) for u in basis.unitaries])
+        assert np.array_equal(basis.kets(), want)
+
+    def test_conjugated_basis_conjugates_every_generator(self):
+        v = haar_random_unitary(4, np.random.default_rng(6))
+        basis = weyl_basis(4)
+        want = np.array([v @ u @ v.conj().T for u in basis.unitaries])
+        assert np.max(np.abs(conjugated_basis(basis, v).unitaries - want)) <= 1e-15
+
+    def test_names_the_first_misshapen_unitary(self):
+        with pytest.raises(ValueError, match=r"expected \(2, 2\), got \(3, 3\)$"):
+            validate_basis([np.eye(2), np.eye(2), np.eye(3), np.eye(4)])
+        with pytest.raises(ValueError, match=r"expected \(2, 2\), got \(2, 3\)$"):
+            validate_basis(np.zeros((4, 2, 3)))
 
 
 def _loop_validation(mats):
@@ -226,7 +308,7 @@ class TestBatchedValidation:
         rng = np.random.default_rng(31 + d)
         weyl = weyl_basis(d).unitaries
         rotated = conjugated_basis(weyl_basis(d), haar_random_unitary(d, rng)).unitaries
-        skewed = (weyl[0] + 1e-6 * rng.standard_normal((d, d)),) + weyl[1:]
+        skewed = np.concatenate([[weyl[0] + 1e-6 * rng.standard_normal((d, d))], weyl[1:]])
         for mats in (weyl, rotated, rotated[: d + 1], skewed, weyl[:1]):
             report = validate_basis(mats)
             unit, orth = _loop_validation(mats)

@@ -8,13 +8,12 @@ from entdist.tensor import (
     SubsystemLayout,
     frobenius,
     partial_transpose,
-    permute_ket,
     psd_clip,
     require_hermitian,
     transpose_party_a,
 )
 from entdist.states import four_factor_layout
-from oracles import permute_factors
+from oracles import permute_factors, permute_ket
 
 
 def random_matrix(rng, dim):
