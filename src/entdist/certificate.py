@@ -6,11 +6,11 @@ resource's Schmidt coefficients; only W is stored. H is diagonal, so no
 partial transpose moves it. Its trace equals the fully entangled fraction of
 the resource (times d^2/N when only N ensemble states are in play), and
 feasibility of the dual constraint is re-verified numerically for every
-ensemble member rather than trusted. Each ket on A1, A2, B1, B2 is read as
-psi_k (x) tau, and every Schmidt sector of the shifted operator is then a
-scaled copy of the one d^2 x d^2 matrix T_A1(|psi_k><psi_k|), so the check
-diagonalises d^2 x d^2 matrices and bounds whatever the ket holds beyond
-psi_k (x) tau by its norm: no d^4 x d^4 matrix is formed.
+ensemble member rather than trusted. Each member is psi_k (x) tau, held as
+its factors, and every Schmidt sector of the shifted operator is then a
+scaled copy of T_A1(|psi_k><psi_k|), whose spectrum follows from the
+singular values of the d x d matrix psi_k: the check takes one batched SVD
+and forms no d^2 x d^2 or d^4 x d^4 matrix.
 
 The structure checks work on d x d arrays. Every operator on the resource
 pair that the decomposition identity involves is diagonal on the Schmidt
@@ -26,14 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import fef
-from .states import (
-    Ensemble,
-    MaxEntBasis,
-    ResourceSpectrum,
-    four_factor_layout,
-    pair_layout,
-)
-from .tensor import frobenius, partial_transpose, require_hermitian
+from .states import Ensemble, MaxEntBasis, ResourceSpectrum
+from .tensor import frobenius, require_hermitian
 
 TRACE_MATCH_TOL = 1e-12
 
@@ -134,10 +128,7 @@ class FeasibilityReport:
         return min(self.lambda_mins)
 
     @property
-    def worst_decomposition_residual(self) -> float | None:
-        """Largest structural residual, or None when none were computed."""
-        if not self.decomposition_residuals:
-            return None
+    def worst_decomposition_residual(self) -> float:
         return max(self.decomposition_residuals)
 
     def to_dict(self) -> dict:
@@ -155,70 +146,37 @@ class FeasibilityReport:
         }
 
 
-def _factorise(states: np.ndarray, a: np.ndarray):
-    """Read each row s of the (N, d^4) ket stack on A1,A2,B1,B2 as
-    t = psi (x) tau, tau = sum_i a_i |ii>.
-
-    Returns the (N, d, d) stack psi[n, a1, b1] = sum_i a_i s[a1, i, b1, i] /
-    sum_i a_i^2, the residuals ||s - t||, taken directly rather than from the
-    overlaps, which cancel to about 1e-8, and the sums ||s|| + ||t||.
-    """
-    d, n = len(a), len(states)
-    kets = states.reshape(n, d, d, d, d)
-    psi = np.einsum("i,nxiyi->nxy", a, kets) / (a @ a)
-    t = psi[:, :, None, :, None] * np.diag(a)[None, None, :, None, :]
-    residuals = np.linalg.norm((kets - t).reshape(n, -1), axis=1)
-    t_norms = np.linalg.norm(psi, axis=(1, 2)) * np.linalg.norm(a)
-    return psi, residuals, np.linalg.norm(kets.reshape(n, -1), axis=1) + t_norms
-
-
 def _feasibility_margins(cert: DualCertificate, ens: Ensemble) -> np.ndarray:
-    """Certified lower bounds on the smallest eigenvalues of T_A(H - p_k Phi_k).
+    """The smallest eigenvalue of T_A(H - p_k Phi_k) for each ensemble member.
 
-    Each ket is read as t = psi_k (x) tau with a = sqrt(diag W) (see
-    ``_factorise``). For t the operator is c 1 (x) diag(W) -
-    p Gamma_k (x) sum_ij a_i a_j |ij><ji|, with Gamma_k =
+    For Phi_k = psi_k (x) tau with tau = sum_i b_i |ii> the operator is
+    c 1 (x) diag(W) - p Gamma_k (x) sum_ij b_i b_j |ij><ji|, with Gamma_k =
     T_A1(|psi_k><psi_k|) and c = scale/d^3, so every Schmidt sector is
-    built from the one d^2 x d^2 matrix Gamma_k: sector {i, j} is
-    [[c W_ij, -p a_i a_j Gamma_k], [-p a_i a_j Gamma_k, c W_ji]], with
-    eigenvalues m -+ sqrt(delta^2 + (p a_i a_j lambda)^2) over the
-    eigenvalues lambda of Gamma_k, m and delta the mean and half difference
-    of c W_ij and c W_ji; sector i has eigenvalues c W_ii - p a_i^2 lambda.
-    Both are smallest at an extreme lambda. The rest of the ket, s - t,
-    moves the operator by at most p ||s - t|| (||s|| + ||t||) in norm,
-    since T_A preserves the Frobenius norm, and that is subtracted (Weyl's
-    inequality). W and every Gamma_k are checked for Hermiticity, and all
-    Gamma_k are diagonalised in one batch.
+    built from Gamma_k: sector {i, j} is [[c W_ij, -p b_i b_j Gamma_k],
+    [-p b_i b_j Gamma_k, c W_ji]], with eigenvalues
+    m -+ sqrt(delta^2 + (p b_i b_j lambda)^2) over the eigenvalues lambda of
+    Gamma_k, m and delta the mean and half difference of c W_ij and c W_ji;
+    sector i has eigenvalues c W_ii - p b_i^2 lambda. With s the singular
+    values of psi_k, Gamma_k has the eigenvalues s_m^2 and +-s_m s_n for
+    m < n (Vidal and Werner, PRA 65, 032314, 2002), so the largest, s_1^2,
+    is also the largest in magnitude, and both sector minima sit there.
     """
     d = cert.dim
     weights = cert.weights
     require_hermitian(weights)
-    a = np.sqrt(np.diag(weights))
-    psi, residuals, norms = _factorise(ens.states, a)
-    flat = psi.reshape(-1, d * d)
-    gamma = partial_transpose(
-        flat[:, :, None] * flat[:, None, :].conj(), pair_layout(d), (0,)
-    )
-    require_hermitian(gamma)
-    spectra = np.linalg.eigvalsh(gamma)
-    p = np.asarray(ens.priors)
+    b = np.asarray(ens.resource.coeffs)
+    top = np.linalg.svd(ens.psi, compute_uv=False)[:, 0] ** 2
     c = cert.coefficient
-    # p a_i a_j lambda at the two extreme eigenvalues of each Gamma_k
-    drive = (p[:, None] * spectra[:, [0, -1]])[:, :, None, None] * np.outer(a, a)
+    drive = (np.asarray(ens.priors) * top)[:, None, None] * np.outer(b, b)
     mean = c * (weights + weights.T) / 2
     half = c * (weights - weights.T) / 2
     sector_min = np.where(
         np.eye(d, dtype=bool), c * weights - drive, mean - np.hypot(half, drive)
     )
-    return sector_min.min(axis=(1, 2, 3)) - p * residuals * norms
+    return sector_min.min(axis=(1, 2))
 
 
-def _decomposition_residuals(
-    cert: DualCertificate,
-    basis: MaxEntBasis,
-    spec: ResourceSpectrum,
-    priors: tuple[float, ...],
-) -> list[float]:
+def _decomposition_residuals(cert: DualCertificate, ens: Ensemble) -> list[float]:
     """Structural identity behind feasibility, checked on the factored side.
 
     For each k, both transposes applied to the certificate minus the weighted
@@ -229,17 +187,13 @@ def _decomposition_residuals(
     1 (x) X + G_k (x) Z_k, where X = c (diag W - Gamma - A/2) and
     Z_k = -p_k T_A1(tau tau^dag) + c d (Gamma - A/2). The four operators on
     A2,B2 are held as their (P, Q) arrays (module docstring), diag W from
-    the weights and the rest from the Schmidt coefficients. Trace and
-    Frobenius norm of G_k both equal n_k = ||psi_k||^2 = ||U_k||_F^2 / d,
-    so the squared residual is d^2 ||X||^2 + n_k^2 ||Z_k||^2 +
-    2 n_k Re<X, Z_k>, for all k at once.
+    the weights and the rest from the ensemble's Schmidt coefficients. Trace
+    and Frobenius norm of G_k both equal n_k = ||psi_k||^2, so the squared
+    residual is d^2 ||X||^2 + n_k^2 ||Z_k||^2 + 2 n_k Re<X, Z_k>, for all k
+    at once.
     """
     d = cert.dim
-    if spec.dim != basis.dim:
-        raise ValueError(
-            f"spectrum dimension {spec.dim} does not match basis {basis.dim}"
-        )
-    a = np.asarray(spec.coeffs)
+    a = np.asarray(ens.resource.coeffs)
     outer = np.outer(a, a)
     eye = np.eye(d, dtype=bool)
     cross = np.where(eye, 0.0, outer)
@@ -251,10 +205,9 @@ def _decomposition_residuals(
     diag_w = np.stack([cert.weights, np.zeros((d, d))])
     c = cert.coefficient
     x = c * (diag_w - gamma - antisym / 2)
-    p = np.asarray(priors)
+    p = np.asarray(ens.priors)
     z = c * d * (gamma - antisym / 2) - p[:, None, None, None] * tau_t
-    gens = basis.unitaries[: len(p)]
-    n = np.sum(np.abs(gens) ** 2, axis=(1, 2)) / d
+    n = np.sum(np.abs(ens.psi) ** 2, axis=(1, 2))
     square = (
         d * d * np.sum(np.abs(x) ** 2)
         + n**2 * np.sum(np.abs(z) ** 2, axis=(1, 2, 3))
@@ -264,33 +217,25 @@ def _decomposition_residuals(
 
 
 def verify_dual_feasibility(
-    cert: DualCertificate,
-    ens: Ensemble,
-    tol: float = 1e-9,
-    basis: MaxEntBasis | None = None,
-    spec: ResourceSpectrum | None = None,
+    cert: DualCertificate, ens: Ensemble, tol: float = 1e-9
 ) -> FeasibilityReport:
-    """Check the dual constraint for every ensemble member.
+    """Check the dual constraint and the structural identity for every
+    ensemble member.
 
     The report passes iff every shifted operator T_A(H - p_k Phi_k) has
     smallest eigenvalue >= -tol * (1 + ||H||_F). Each ``lambda_mins`` entry
-    is a certified lower bound on that eigenvalue (see
-    ``_feasibility_margins``): the resource is Schmidt diagonal, so for a
-    ket psi_k (x) tau the operator splits into d sectors of size d^2
-    (a2 = b2) and d(d-1)/2 of size 2d^2 ({a2, b2} = {i, j}), whose spectra
-    follow from the weights and the eigenvalues of Gamma_k =
-    T_A1(|psi_k><psi_k|). psi_k is read from each ensemble ket, and the
-    part of the ket beyond psi_k (x) tau is subtracted by a bound on its
-    norm (Weyl's inequality); for the ensembles of ``build_ensemble`` it
-    is at rounding level. When the generating basis and spectrum are
-    supplied, the per-k structural residual is evaluated as well; otherwise
-    those entries are reported as zero-length.
+    is that eigenvalue (see ``_feasibility_margins``): the resource is
+    Schmidt diagonal, so for psi_k (x) tau the operator splits into d
+    sectors of size d^2 (a2 = b2) and d(d-1)/2 of size 2d^2
+    ({a2, b2} = {i, j}), whose spectra follow from the weights, the
+    resource and the singular values of psi_k. Each
+    ``decomposition_residuals`` entry is the structural residual of
+    ``_decomposition_residuals``.
     """
-    layout = four_factor_layout(cert.dim)
-    if ens.layout.factor_dims != layout.factor_dims:
+    if ens.resource.dim != cert.dim:
         raise ValueError(
-            f"ensemble layout {ens.layout.factor_dims} does not match "
-            f"certificate layout {layout.factor_dims}"
+            f"ensemble dimension {ens.resource.dim} does not match "
+            f"certificate dimension {cert.dim}"
         )
     if len(ens) != cert.n_states:
         raise ValueError(
@@ -298,10 +243,7 @@ def verify_dual_feasibility(
         )
 
     lambda_mins = _feasibility_margins(cert, ens).tolist()
-
-    residuals: list[float] = []
-    if basis is not None and spec is not None:
-        residuals = _decomposition_residuals(cert, basis, spec, ens.priors)
+    residuals = _decomposition_residuals(cert, ens)
 
     # ||H||_F = (scale/d^3) ||1_{A1B1}||_F ||W||_F
     threshold = -tol * (1.0 + cert.coefficient * cert.dim * frobenius(cert.weights))

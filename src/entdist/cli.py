@@ -59,20 +59,16 @@ MAX_DENSE_BYTES = 4 * 2**30
 # Bytes per Schmidt coefficient while fef builds and reads the spectrum;
 # tracemalloc peaks at 220-390 of them at d = 10^4-10^6.
 _SPECTRUM_BYTES = 400
-# Arrays of 16 d^6 bytes (the d^2 ensemble kets, or one stack of the d^2
-# matrices Gamma_k) the certificate route holds at its peak, which the
-# feasibility margins set; tracemalloc peaks at 5.2 of them at d = 4, 5.1
-# at d = 5 and 4.1-4.2 at d = 6-8.
-_CERTIFICATE_ARRAYS = 6
 # Arrays of 16 d^4 bytes the solve of a complete basis holds: the dense pair
 # (X, Y) it returns is one, and its O(d^2) sector arrays shrink against it as
 # d grows; tracemalloc peaks at 4.9 of them at d = 4, 1.5 at d = 8 and 1.1
 # at d = 16.
 _PAIR_ARRAYS = 5
-# Basis-sized arrays (d^2 matrices of d x d, 16 d^4 bytes) that basis, protocol
-# and bounds hold at their peak. Parsing a basis file's JSON alone costs about
-# 14 of them (tracemalloc peaks at 14.1-14.6 at d = 6-16, against 4.0-7.2
-# for the built-in basis).
+# Basis-sized arrays (d^2 matrices of d x d, 16 d^4 bytes) that basis, protocol,
+# bounds, certificate and verify hold at their peak. Parsing a basis file's
+# JSON alone costs about 14 of them (tracemalloc peaks at 14.1-14.6 at
+# d = 6-16, against 4.0-7.2 for the built-in basis; certificate peaks at
+# 4.8-7.1 and verify at 8.2-11.8 of them at d = 4-16).
 _BASIS_ARRAYS = 16
 
 
@@ -123,32 +119,25 @@ def parse_spectrum(text: str, dim: int, amplitudes: bool, seed: int) -> Resource
 def dense_bytes(command: str, dim: int, n_states: int) -> int:
     """Estimated peak bytes of the dense arrays a run holds.
 
-    fef holds only the d Schmidt coefficients. Commands that only build the
-    basis hold a fixed number of basis-sized arrays. The solve of a complete
+    fef holds only the d Schmidt coefficients. basis, protocol, bounds,
+    certificate and verify hold a fixed number of basis-sized arrays: the
+    basis, the (N, d, d) stack of the ensemble factors psi_k and stacks of
+    d x d matrices derived from them. The solve of a complete
     basis holds the basis, its sector arrays and the d^2 x d^2 pair it
     returns, together a fixed number of basis-sized arrays; any other solve
-    keeps about 16 d^4 x d^4 matrices per operator plus the
-    n_states states and operators. The certificate route, which verify
-    runs too, never forms a d^4 x d^4 matrix and keeps a fixed number of
-    16 d^6-byte arrays: the ensemble kets and the stack of the d^2
-    matrices Gamma_k, with their temporaries; its structure checks hold
-    only d x d arrays.
+    keeps about 16 d^4 x d^4 matrices per operator plus the n_states states
+    and operators. sandwich adds the certificate route to its solve.
     """
     if command == "fef":
         return _SPECTRUM_BYTES * dim
-    if command in ("basis", "protocol", "bounds"):
-        return 16 * dim**4 * _BASIS_ARRAYS
+    basis = 16 * dim**4 * _BASIS_ARRAYS
+    if command in ("basis", "protocol", "bounds", "certificate", "verify"):
+        return basis
     if is_covariant(dim, n_states):
         solver = 16 * dim**4 * (_BASIS_ARRAYS + _PAIR_ARRAYS)
     else:
         solver = 16 * dim**8 * (16 + 2) * n_states
-    certificate = 16 * dim**6 * _CERTIFICATE_ARRAYS
-    return {
-        "certificate": certificate,
-        "verify": certificate,
-        "sdp": solver,
-        "sandwich": solver + certificate,
-    }[command]
+    return {"sdp": solver, "sandwich": solver + basis}[command]
 
 
 def _check_size(command: str, dim: int, n_states: int, sdp: bool) -> None:
@@ -361,9 +350,7 @@ def cmd_protocol(config: RunConfig):
 def cmd_certificate(config: RunConfig):
     cert = build_certificate(config.basis, config.spec, config.n_states)
     ens = build_ensemble(config.basis, config.spec, config.n_states)
-    feas = verify_dual_feasibility(
-        cert, ens, config.tol, basis=config.basis, spec=config.spec
-    )
+    feas = verify_dual_feasibility(cert, ens, config.tol)
     ups = upsilon_spectrum_check(config.basis)
     passed = feas.passed and ups.passed
     payload = {
@@ -533,7 +520,7 @@ def _verify_one(config: RunConfig, label: str, spec: ResourceSpectrum) -> list[d
 
     cert = build_certificate(basis, spec)
     ens = build_ensemble(basis, spec, d * d)
-    feas = verify_dual_feasibility(cert, ens, config.tol, basis=basis, spec=spec)
+    feas = verify_dual_feasibility(cert, ens, config.tol)
     check(
         "certificate_trace",
         abs(cert.trace_value - fef(spec)) <= 1e-12,

@@ -484,7 +484,7 @@ def sandwich_report(
         n_states = d * d
     ens = build_ensemble(basis, spec, n_states)
     cert = build_certificate(basis, spec, n_states)
-    feas = verify_dual_feasibility(cert, ens, tol, basis=basis, spec=spec)
+    feas = verify_dual_feasibility(cert, ens, tol)
     upper_unclipped = dual_bound_from_certificate(cert, ens, tol, report=feas)
     upper = min(1.0, upper_unclipped)
 

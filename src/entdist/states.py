@@ -2,15 +2,17 @@
 
 A basis ket (1 ⊗ U_k)|Φ⟩ lives on A1, B1 and the resource τ on A2, B2; an
 ensemble ket lives on the four factors in the order A1, A2, B1, B2, so
-party A holds the first two. Bases and ensembles are held as stacks, each
-built by one broadcast:
+party A holds the first two. Bases and ensembles are held as stacks:
 
 - ``MaxEntBasis.unitaries`` is one (n, d, d) complex array, U_k at index k,
   and ``MaxEntBasis.kets()`` the (n, d²) array whose row k, read as (d, d),
   is ψ_k[a1, b1] = U_k[b1, a1]/√d.
-- ``Ensemble.states`` is one (N, D) array, one ket per row; for
-  ``build_ensemble`` D = d⁴ and row k, read as (d, d, d, d), is indexed
-  (a1, a2, b1, b2): kets[k, a1, a2, b1, b2] = ψ_k[a1, b1] · a_{a2} δ_{a2 b2}.
+- ``Ensemble.psi`` is one (N, d, d) array, ψ_k[a1, b1] at index k, and
+  ``Ensemble.resource`` the coefficients a of τ = Σ_i a_i|ii⟩; the
+  ensemble state is ψ_k ⊗ τ. ``Ensemble.kets()`` forms the (N, d⁴)
+  array whose row k, read as (d, d, d, d), is indexed (a1, a2, b1, b2):
+  kets[k, a1, a2, b1, b2] = ψ_k[a1, b1] · a_{a2} δ_{a2 b2}. Only a dense
+  route asks for it; the checks and the certificate read ψ_k and a.
 """
 
 from __future__ import annotations
@@ -215,61 +217,70 @@ def resource_state(spec: ResourceSpectrum) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """States |Phi_k> on A⊗B, one per row of ``states``, with their priors
-    and the A:B layout."""
+    """States psi_k (x) tau on A1,A2,B1,B2, held as their factors: the
+    (N, d, d) stack ``psi`` on A1,B1, the spectrum ``resource`` of tau on
+    A2,B2, and the priors."""
 
-    layout: SubsystemLayout
-    states: np.ndarray
+    psi: np.ndarray
+    resource: ResourceSpectrum
     priors: tuple[float, ...]
 
     def __post_init__(self):
         priors = tuple(float(p) for p in self.priors)
         object.__setattr__(self, "priors", priors)
-        if len(self.states) != len(priors):
+        if len(self.psi) != len(priors):
             raise ValueError("need one prior per state")
         if abs(sum(priors) - 1.0) > 1e-12 or any(p < 0 for p in priors):
             raise ValueError(f"priors must be a probability vector, got {priors}")
-        kets = self.layout.stack(self.states, 1)
-        object.__setattr__(self, "states", kets)
-        if np.any(np.abs(np.linalg.norm(kets, axis=1) - 1.0) > 1e-12):
+        d = self.resource.dim
+        psi = np.asarray(self.psi, dtype=complex)
+        if psi.ndim != 3 or psi.shape[1:] != (d, d):
+            raise ValueError(f"psi shape {psi.shape} does not match (N, {d}, {d})")
+        object.__setattr__(self, "psi", psi)
+        if np.any(np.abs(np.linalg.norm(psi, axis=(1, 2)) - 1.0) > 1e-12):
             raise ValueError("ensemble states must be normalized")
-        overlaps = np.triu(np.abs(kets.conj() @ kets.T) > 1e-10, 1)
+        # <psi_j (x) tau|psi_k (x) tau> = <psi_j|psi_k> ||tau||^2, and ||tau|| = 1
+        flat = psi.reshape(len(psi), -1)
+        overlaps = np.triu(np.abs(flat.conj() @ flat.T) > 1e-10, 1)
         if overlaps.any():
             i, j = np.argwhere(overlaps)[0]
             raise ValueError(f"states {i} and {j} are not orthogonal")
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.psi)
+
+    @property
+    def layout(self) -> SubsystemLayout:
+        return four_factor_layout(self.resource.dim)
 
     @property
     def uniform(self) -> bool:
         n = len(self.priors)
         return all(abs(p - 1.0 / n) <= 1e-12 for p in self.priors)
 
+    def kets(self) -> np.ndarray:
+        """The (N, d^4) stack of the kets psi_k (x) tau, one per row."""
+        n, d = len(self.psi), self.resource.dim
+        tau = resource_state(self.resource).reshape(d, d)
+        # kets[k, a1, a2, b1, b2] = psi[k, a1, b1] * tau[a2, b2]
+        return (self.psi[:, :, None, :, None] * tau[:, None, :]).reshape(n, -1)
+
     def density_operators(self) -> np.ndarray:
-        """The (N, D, D) stack of the projectors |Phi_k><Phi_k|."""
-        return self.states[:, :, None] * self.states[:, None, :].conj()
+        """The (N, d^4, d^4) stack of the projectors onto ``kets()``."""
+        kets = self.kets()
+        return kets[:, :, None] * kets[:, None, :].conj()
 
 
 def build_ensemble(basis: MaxEntBasis, spec: ResourceSpectrum, n_states: int) -> Ensemble:
-    """Ensemble of the first n_states basis elements paired with the resource.
-
-    Each ket psi_k (x) tau is laid out on A1,A2,B1,B2 (module docstring), so
-    that party A holds the first two factors.
-    """
+    """Ensemble of the first n_states basis elements paired with the resource,
+    with uniform priors."""
     d = basis.dim
     if spec.dim != d:
         raise ValueError(f"spectrum dimension {spec.dim} does not match basis {d}")
     if not 1 <= n_states <= d * d:
         raise ValueError(f"n_states must lie in [1, {d * d}], got {n_states}")
     psi = basis.kets()[:n_states].reshape(n_states, d, d)
-    tau = resource_state(spec).reshape(d, d)
-    # kets[k, a1, a2, b1, b2] = psi[k, a1, b1] * tau[a2, b2]
-    kets = psi[:, :, None, :, None] * tau[:, None, :]
-    priors = (1.0 / n_states,) * n_states
-    return Ensemble(
-        layout=four_factor_layout(d), states=kets.reshape(n_states, -1), priors=priors
-    )
+    return Ensemble(psi=psi, resource=spec, priors=(1.0 / n_states,) * n_states)
 
 
 def schmidt_coefficients(v: np.ndarray, layout: SubsystemLayout) -> np.ndarray:

@@ -168,6 +168,20 @@ def gamma_operator(spec: ResourceSpectrum) -> np.ndarray:
     return out
 
 
+def pure_partial_transpose(psi: np.ndarray) -> np.ndarray:
+    """T_A1(|psi><psi|) for psi on A1,B1 given as its d x d matrix psi[a1, b1]."""
+    flat = psi.reshape(-1)
+    return partial_transpose(np.outer(flat, flat.conj()), pair_layout(len(psi)), (0,))
+
+
+def residual_gram(basis: MaxEntBasis, spec: ResourceSpectrum, n_states: int) -> np.ndarray:
+    """Gram matrix of the first n_states teleportation residuals in closed form,
+    <gamma_i|gamma_j> = sum_k a_k^2 (U_i^dag U_j)_kk."""
+    a = np.asarray(spec.coeffs)
+    unitaries = basis.unitaries[:n_states]
+    return np.einsum("k,imk,jmk->ij", a * a, unitaries.conj(), unitaries)
+
+
 def upsilon(basis: MaxEntBasis, k: int) -> np.ndarray:
     """1 - d * T_first(Psi_k) on the pair space holding the k-th basis state."""
     d = basis.dim

@@ -26,7 +26,7 @@ from entdist.states import (
     random_spectrum,
     weyl_basis,
 )
-from oracles import check_swap_transpose_identity
+from oracles import check_swap_transpose_identity, residual_gram
 
 BELL_SPEC = ResourceSpectrum.from_probabilities([0.8, 0.2])
 SPECTRUM_SEED = 606
@@ -262,19 +262,25 @@ def test_criterion_8_basis_independence(acceptance_log):
 
 
 def test_criterion_9_gram_cross_check(acceptance_log):
-    """Direct residual inner products match the closed form on 20 random
-    (basis, spectrum) pairs."""
+    """The residual Gram matrix and the direct inner products match the
+    closed form sum_k a_k^2 (U_i^dag U_j)_kk on 20 random (basis, spectrum)
+    pairs."""
     rng = np.random.default_rng(SPECTRUM_SEED + 1)
     worst = 0.0
     for case in range(20):
         d = 2 + case % 2
         basis = conjugated_basis(weyl_basis(d), haar_random_unitary(d, rng))
         spec = random_spectrum(d, rng)
-        res = teleport_residuals(basis, spec)  # raises beyond 1e-12 internally
+        res = teleport_residuals(basis, spec)
+        closed = residual_gram(basis, spec, d * d)
         direct = np.array(
             [[np.vdot(g, h) for h in res.gammas] for g in res.gammas]
         )
-        worst = max(worst, float(np.max(np.abs(direct - res.gram))))
+        worst = max(
+            worst,
+            float(np.max(np.abs(res.gram - closed))),
+            float(np.max(np.abs(direct - closed))),
+        )
     ok = worst <= 1e-12
     line = report(
         acceptance_log, 9, ok, f"20 pairs, worst gram mismatch = {worst:.2e}"

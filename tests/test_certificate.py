@@ -13,7 +13,6 @@ from entdist.certificate import (
     DualCertificate,
     UpsilonReport,
     _decomposition_residuals,
-    _factorise,
     build_certificate,
     upsilon_spectrum_check,
     verify_dual_feasibility,
@@ -45,6 +44,7 @@ from oracles import (
     max_ent_state,
     pair_projectors,
     permute_factors,
+    pure_partial_transpose,
     upsilon,
 )
 
@@ -159,7 +159,7 @@ class TestFeasibility:
         basis, spec = d2_setup
         cert = build_certificate(basis, spec)
         ens = build_ensemble(basis, spec, 4)
-        report = verify_dual_feasibility(cert, ens, 1e-9, basis=basis, spec=spec)
+        report = verify_dual_feasibility(cert, ens, 1e-9)
         assert report.passed
         assert len(report.lambda_mins) == 4
         # the constraint is tight: margins sit at numerical zero
@@ -174,7 +174,7 @@ class TestFeasibility:
             spec = random_spectrum(d, rng)
             cert = build_certificate(basis, spec)
             ens = build_ensemble(basis, spec, d * d)
-            report = verify_dual_feasibility(cert, ens, 1e-9, basis=basis, spec=spec)
+            report = verify_dual_feasibility(cert, ens, 1e-9)
             assert report.passed
             assert report.worst_decomposition_residual < 1e-12
 
@@ -183,7 +183,7 @@ class TestFeasibility:
         for n in (3, 4):
             cert = build_certificate(basis, spec, n_states=n)
             ens = build_ensemble(basis, spec, n)
-            report = verify_dual_feasibility(cert, ens, 1e-9, basis=basis, spec=spec)
+            report = verify_dual_feasibility(cert, ens, 1e-9)
             assert report.passed
 
     def test_mismatched_ensemble_rejected(self, d2_setup):
@@ -355,7 +355,7 @@ def test_shifted_operators_are_psd_not_just_marginal(d2_setup):
     basis, spec = d2_setup
     cert = build_certificate(basis, spec)
     ens = build_ensemble(basis, spec, 4)
-    assert _min_eigenvalue(_dense_shifted(cert, ens.states[1], 1.0 / 4.0)) > -1e-12
+    assert _min_eigenvalue(_dense_shifted(cert, ens.kets()[1], 1.0 / 4.0)) > -1e-12
 
 
 def _off_sector_norm(M, d):
@@ -366,11 +366,6 @@ def _off_sector_norm(M, d):
     _, a2, _, b2 = np.indices((d, d, d, d)).reshape(4, -1)
     label = np.minimum(a2, b2) * d + np.maximum(a2, b2)
     return frobenius(np.where(label[:, None] == label[None, :], 0.0, M))
-
-
-def _residuals(cert, ens):
-    """||s - psi_k (x) tau|| of each ensemble ket, as the margins read it."""
-    return _factorise(ens.states, np.sqrt(np.diag(cert.weights)))[1]
 
 
 def _sector_cases():
@@ -384,11 +379,24 @@ def _sector_cases():
         yield pytest.param(rotated, spec, d + 1, id=f"haar-d{d}-N{d + 1}")
 
 
-def _random_kets(d, n, seed):
-    """n orthonormal kets on A1,A2,B1,B2 with mass off the Schmidt sectors."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d**4, n)) + 1j * rng.standard_normal((d**4, n))
-    return tuple(np.linalg.qr(g)[0].T)
+def _bent_basis(d, eps, rng):
+    """The Weyl basis with every generator bent to U_k V diag(1 + eps,
+    1 - eps, 1, ...) V^dag, V Haar random: inside the basis tolerance, and
+    the singular values of each psi_k are no longer flat."""
+    v = haar_random_unitary(d, rng)
+    stretch = np.ones(d)
+    stretch[:2] += (eps, -eps)
+    unitaries = weyl_basis(d).unitaries @ (v * stretch) @ v.conj().T
+    return MaxEntBasis(dim=d, unitaries=unitaries)
+
+
+def _margin_cases():
+    """The sector cases, and bases bent inside the basis tolerance."""
+    yield from _sector_cases()
+    rng = np.random.default_rng(409)
+    for d in (2, 3, 4):
+        spec = random_spectrum(d, rng)
+        yield pytest.param(_bent_basis(d, 2e-11, rng), spec, d * d, id=f"bent-d{d}")
 
 
 def _per_pair_residuals(cert, basis, spec, priors):
@@ -425,36 +433,19 @@ def _per_pair_residuals(cert, basis, spec, priors):
 class TestSectorMargin:
     """The closed-form sector margins against the dense d^4 x d^4 oracle."""
 
-    @pytest.mark.parametrize("basis, spec, n", list(_sector_cases()))
+    @pytest.mark.parametrize("basis, spec, n", list(_margin_cases()))
     def test_matches_the_dense_minimum(self, basis, spec, n):
         cert = build_certificate(basis, spec, n)
         ens = build_ensemble(basis, spec, n)
         report = verify_dual_feasibility(cert, ens, 1e-9)
         assert report.passed
-        # the ensembles the package builds are psi_k (x) tau up to rounding
-        assert _residuals(cert, ens).max() <= 1e-15
-        for state, prior, margin in zip(ens.states, ens.priors, report.lambda_mins):
+        for state, prior, margin in zip(ens.kets(), ens.priors, report.lambda_mins):
             shifted = _dense_shifted(cert, state, prior)
-            # and leave nothing outside the sectors
+            # the kets leave nothing outside the sectors
             assert _off_sector_norm(shifted, cert.dim) == 0.0
             assert abs(margin - _min_eigenvalue(shifted)) <= 1e-14
 
-    def test_states_that_break_the_sectors_get_a_lower_bound(self):
-        rng = np.random.default_rng(405)
-        for d in (2, 3, 4):
-            cert = build_certificate(weyl_basis(d), random_spectrum(d, rng))
-            ens = Ensemble(
-                layout=four_factor_layout(d),
-                states=_random_kets(d, d * d, 406),
-                priors=(1.0 / (d * d),) * (d * d),
-            )
-            report = verify_dual_feasibility(cert, ens, 1e-9)
-            for state, prior, margin in zip(ens.states, ens.priors, report.lambda_mins):
-                shifted = _dense_shifted(cert, state, prior)
-                assert _off_sector_norm(shifted, d) > 1e-3
-                assert margin <= _min_eigenvalue(shifted)
-
-    def test_kets_on_another_resource_get_a_lower_bound(self):
+    def test_kets_on_another_resource_get_the_exact_margin(self):
         """psi_k (x) tau' with tau' of another spectrum than the certificate's."""
         rng = np.random.default_rng(407)
         for d in (2, 3, 4):
@@ -462,9 +453,8 @@ class TestSectorMargin:
             cert = build_certificate(basis, random_spectrum(d, rng))
             ens = build_ensemble(basis, random_spectrum(d, rng), d * d)
             report = verify_dual_feasibility(cert, ens, 1e-9)
-            assert _residuals(cert, ens).min() > 1e-3
-            for state, prior, margin in zip(ens.states, ens.priors, report.lambda_mins):
-                assert margin <= _min_eigenvalue(_dense_shifted(cert, state, prior))
+            for state, prior, margin in zip(ens.kets(), ens.priors, report.lambda_mins):
+                assert abs(margin - _min_eigenvalue(_dense_shifted(cert, state, prior))) <= 1e-14
 
     def test_non_hermitian_shifted_operator_is_refused(self, d2_setup):
         basis, spec = d2_setup
@@ -481,30 +471,36 @@ class TestSectorMargin:
 
 
 def _residual_cases():
-    """The sector cases with uniform priors, Dirichlet priors and bent weights."""
+    """The sector cases with uniform priors, Dirichlet priors, bent weights and
+    an ensemble on another resource than the certificate's."""
     for case in _sector_cases():
         yield pytest.param(*case.values, "uniform", id=case.id)
     for case in _sector_cases():
         yield pytest.param(*case.values, "dirichlet", id=f"{case.id}-dirichlet")
         yield pytest.param(*case.values, "tampered", id=f"{case.id}-tampered")
+        yield pytest.param(*case.values, "resource", id=f"{case.id}-resource")
 
 
 @pytest.mark.parametrize("basis, spec, n, variant", list(_residual_cases()))
 def test_one_kron_residual_matches_the_per_pair_sum(basis, spec, n, variant):
     """The closed-form residual against dense krons, one per projector.
 
-    Dirichlet priors and tampered weights break the identity, so the
-    residual reads well above rounding and every term of it is compared.
+    Dirichlet priors, tampered weights and another resource break the
+    identity, so the residual reads well above rounding and every term of it
+    is compared.
     """
     cert = build_certificate(basis, spec, n)
     priors = (1.0 / n,) * n
-    if variant == "dirichlet":
+    if variant == "resource":
+        spec = random_spectrum(basis.dim, np.random.default_rng(411))
+    elif variant == "dirichlet":
         priors = tuple(np.random.default_rng(410).dirichlet(np.ones(n)))
     elif variant == "tampered":
         bent = cert.weights.astype(complex)
         bent[0, 1] += 0.1 + 0.1j
         object.__setattr__(cert, "weights", bent)
-    got = np.array(_decomposition_residuals(cert, basis, spec, priors))
+    ens = Ensemble(psi=build_ensemble(basis, spec, n).psi, resource=spec, priors=priors)
+    got = np.array(_decomposition_residuals(cert, ens))
     want = np.array(_per_pair_residuals(cert, basis, spec, priors))
     assert len(got) == n
     if variant == "uniform":
@@ -523,7 +519,7 @@ def test_d6_check_stays_below_one_dense_operator():
     try:
         cert = build_certificate(basis, spec)
         ens = build_ensemble(basis, spec, d * d)
-        report = verify_dual_feasibility(cert, ens, 1e-9, basis=basis, spec=spec)
+        report = verify_dual_feasibility(cert, ens, 1e-9)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -532,7 +528,8 @@ def test_d6_check_stays_below_one_dense_operator():
 
 
 def test_certificate_run_diagonalises_only_the_small_stacks(monkeypatch):
-    """certificate --dim 4 decomposes the Gamma_k stack and the U_k^dag U_k stack."""
+    """certificate --dim 4 diagonalises only the U_k^dag U_k stack; the margins
+    take an SVD of the psi_k."""
     shapes = []
     for name in ("eigh", "eigvalsh"):
 
@@ -543,7 +540,39 @@ def test_certificate_run_diagonalises_only_the_small_stacks(monkeypatch):
         monkeypatch.setattr(np.linalg, name, recorded)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["certificate", "--dim", "4"]) == 0
-    assert sorted(shapes) == [(16, 4, 4), (16, 16, 16)]
+    assert shapes == [(16, 4, 4)]
+
+
+def test_certificate_run_holds_no_d6_array():
+    """certificate --dim 8 peaks below one array of d^6 complex entries."""
+    d = 8
+    # a first run builds the cached parser, which is not the run's arrays
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["certificate", "--dim", "2"])
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["certificate", "--dim", str(d)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 * d**6
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_partial_transpose_spectrum_is_read_from_the_singular_values(d):
+    """T_A1(|psi><psi|) has the eigenvalues s_m^2 and +-s_m s_n (m < n) for
+    the singular values s of psi, here random and far from flat."""
+    rng = np.random.default_rng(500 + d)
+    for _ in range(5):
+        psi = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        psi /= np.linalg.norm(psi)
+        s = np.linalg.svd(psi, compute_uv=False)
+        m, n = np.triu_indices(d, 1)
+        want = np.sort(np.concatenate([s**2, s[m] * s[n], -s[m] * s[n]]))
+        got = np.linalg.eigvalsh(pure_partial_transpose(psi))
+        assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def test_runs_build_no_state_one_at_a_time(monkeypatch):

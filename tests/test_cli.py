@@ -189,7 +189,7 @@ class TestExitCodes:
         assert payload["iterations"] == 10
 
     def test_oversized_run_is_refused(self, capsys):
-        code, out, err = run(capsys, "certificate", "--dim", "20")
+        code, out, err = run(capsys, "certificate", "--dim", "65")
         assert code == EXIT_INPUT
         assert out == ""
         assert "error:" in err and "GiB" in err
@@ -227,7 +227,7 @@ class TestExitCodes:
         flag = "--dump" if "--dump" in argv else "--out"
         assert err == f"error: {flag} needs a file name, got an empty path\n"
 
-    @pytest.mark.parametrize("command", ["basis", "protocol", "bounds", "scan"])
+    @pytest.mark.parametrize("command", ["basis", "protocol", "bounds", "scan", "certificate"])
     def test_oversized_basis_is_refused_before_it_is_built(self, capsys, monkeypatch, command):
         def never(*args, **kwargs):
             raise AssertionError("the basis was built")
@@ -366,18 +366,15 @@ class TestBasisUse:
 class TestSizeEstimate:
     def test_counts_dense_matrices(self):
         matrix = 16 * 3**8
+        basis = 16 * 16 * 3**4
         # A complete solve holds 16 basis-sized arrays and 5 more for its
         # sector arrays and the dense pair (X, Y), each of 16 d^4 bytes.
         pair = 16 * 3**4 * (16 + 5)
-        # The certificate route, which verify runs too, holds 6 arrays of
-        # 16 d^6 bytes, and no d^4 x d^4 matrix.
-        certificate = 6 * 16 * 3**6
-        assert dense_bytes("certificate", 3, 9) == certificate
-        assert dense_bytes("certificate", 3, 4) == certificate
-        assert dense_bytes("verify", 3, 9) == certificate
         assert dense_bytes("sdp", 3, 8) == (16 * 8 + 16) * matrix
         assert dense_bytes("sdp", 3, 9) == pair
-        assert dense_bytes("sandwich", 3, 9) == pair + certificate
+        # sandwich adds the certificate route, which holds basis-sized arrays
+        assert dense_bytes("sandwich", 3, 9) == pair + basis
+        assert dense_bytes("sandwich", 3, 8) == (16 * 8 + 16) * matrix + basis
 
     def test_limit_separates_the_sizes_that_run_from_the_ones_that_cannot(self):
         assert dense_bytes("sandwich", 5, 25) < MAX_DENSE_BYTES
@@ -386,19 +383,16 @@ class TestSizeEstimate:
         assert dense_bytes("sdp", 16, 256) < MAX_DENSE_BYTES
         assert dense_bytes("sdp", 59, 59**2) < MAX_DENSE_BYTES
         assert dense_bytes("sdp", 60, 60**2) > MAX_DENSE_BYTES
-        assert dense_bytes("certificate", 18, 324) < MAX_DENSE_BYTES
-        assert dense_bytes("certificate", 19, 361) > MAX_DENSE_BYTES
-        assert dense_bytes("certificate", 20, 400) > MAX_DENSE_BYTES
         assert dense_bytes("sandwich", 16, 256) < MAX_DENSE_BYTES
-        assert dense_bytes("verify", 18, 324) < MAX_DENSE_BYTES
-        assert dense_bytes("verify", 19, 361) > MAX_DENSE_BYTES
+        assert dense_bytes("sandwich", 51, 51**2) < MAX_DENSE_BYTES
+        assert dense_bytes("sandwich", 52, 52**2) > MAX_DENSE_BYTES
 
     def test_fef_counts_the_spectrum(self):
         assert dense_bytes("fef", 10**4, 10**8) == 400 * 10**4
         assert dense_bytes("fef", 10**7, 10**14) < MAX_DENSE_BYTES
         assert dense_bytes("fef", 10**9, 10**18) > MAX_DENSE_BYTES
 
-    @pytest.mark.parametrize("command", ["basis", "protocol", "bounds"])
+    @pytest.mark.parametrize("command", ["basis", "protocol", "bounds", "certificate", "verify"])
     def test_basis_commands_count_basis_sized_arrays(self, command):
         assert dense_bytes(command, 3, 9) == 16 * 16 * 3**4
         assert dense_bytes(command, 3, 4) == dense_bytes(command, 3, 9)

@@ -78,7 +78,7 @@ def test_fef_pure_of_ensemble_states_matches_resource():
     """Tensoring with a basis state leaves the fraction unchanged."""
     spec = ResourceSpectrum.from_probabilities([0.5, 0.3, 0.2])
     ens = build_ensemble(weyl_basis(3), spec, 9)
-    for v in ens.states:
+    for v in ens.kets():
         assert fef_pure(v, four_factor_layout(3)) == pytest.approx(
             fef(spec), abs=1e-12
         )

@@ -19,6 +19,7 @@ from entdist.states import (
     random_spectrum,
     weyl_basis,
 )
+from oracles import residual_gram
 
 BELL_SPEC = ResourceSpectrum.from_probabilities([0.8, 0.2])
 
@@ -55,7 +56,8 @@ class TestResiduals:
         rng = np.random.default_rng(seed)
         basis = conjugated_basis(weyl_basis(d), haar_random_unitary(d, rng))
         spec = random_spectrum(d, rng)
-        res = teleport_residuals(basis, spec)  # raises if the check fails
+        res = teleport_residuals(basis, spec)
+        assert np.max(np.abs(res.gram - residual_gram(basis, spec, d * d))) <= 1e-12
         assert np.max(np.abs(np.diag(res.gram) - 1.0)) < 1e-12
 
 

@@ -129,13 +129,18 @@ class TestMaxEntState:
         assert np.allclose(coeffs, np.full(3, 1 / np.sqrt(3)), atol=1e-12)
 
 
+QUBITS = ResourceSpectrum.uniform(2)
+
+
 class TestEnsemble:
+    """The checks read the factors psi_k, held as (2, 2) or (4, 4) matrices."""
+
     def test_states_orthonormal_and_uniform(self):
         ens = build_ensemble(weyl_basis(2), ResourceSpectrum.from_probabilities([0.8, 0.2]), 4)
         assert len(ens) == 4
         assert ens.uniform
         gram = np.array(
-            [[np.vdot(a, b) for b in ens.states] for a in ens.states]
+            [[np.vdot(a, b) for b in ens.kets()] for a in ens.kets()]
         )
         assert np.allclose(gram, np.eye(4), atol=1e-12)
 
@@ -145,31 +150,31 @@ class TestEnsemble:
         spec = ResourceSpectrum.from_probabilities([0.5, 0.3, 0.2])
         ens = build_ensemble(weyl_basis(d), spec, d * d)
         expect = np.sort(np.repeat(np.asarray(spec.coeffs) / np.sqrt(d), d))[::-1]
-        for v in ens.states:
+        for v in ens.kets():
             got = schmidt_coefficients(v, four_factor_layout(d))
             assert np.allclose(got, expect, atol=1e-12)
 
     def test_rejects_nonorthogonal(self):
-        v = np.zeros(4, dtype=complex)
-        v[0] = 1.0
+        v = np.zeros((2, 2), dtype=complex)
+        v[0, 0] = 1.0
         with pytest.raises(ValueError):
-            Ensemble(
-                layout=pair_layout(2), states=(v, v), priors=(0.5, 0.5)
-            )
+            Ensemble(psi=(v, v), resource=QUBITS, priors=(0.5, 0.5))
 
     def test_names_the_first_nonorthogonal_pair(self):
         """States 0, 3 and 1, 2 overlap; 0, 1 overlap by 5e-11, inside the tolerance."""
         e = np.eye(4, dtype=complex)
-        states = (
-            e[0],
-            (e[1] + 5e-11 * e[0]) / np.sqrt(1.0 + 25e-22),
-            (e[1] + e[2]) / np.sqrt(2.0),
-            (e[0] + e[3]) / np.sqrt(2.0),
-        )
+        psi = np.array(
+            [
+                e[0],
+                (e[1] + 5e-11 * e[0]) / np.sqrt(1.0 + 25e-22),
+                (e[1] + e[2]) / np.sqrt(2.0),
+                (e[0] + e[3]) / np.sqrt(2.0),
+            ]
+        ).reshape(4, 2, 2)
         with pytest.raises(ValueError, match=r"^states 0 and 3 are not orthogonal$"):
-            Ensemble(layout=pair_layout(2), states=states, priors=(0.25,) * 4)
+            Ensemble(psi=psi, resource=QUBITS, priors=(0.25,) * 4)
         with pytest.raises(ValueError, match=r"^states 1 and 2 are not orthogonal$"):
-            Ensemble(layout=pair_layout(2), states=states[:3], priors=(0.5, 0.25, 0.25))
+            Ensemble(psi=psi[:3], resource=QUBITS, priors=(0.5, 0.25, 0.25))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_names_the_pair_the_loop_names(self, seed):
@@ -187,7 +192,11 @@ class TestEnsemble:
                 states[j] /= np.linalg.norm(states[j])
         pairs = [(i, j) for i in range(16) for j in range(i + 1, 16)]
         bad = [(i, j) for i, j in pairs if abs(np.vdot(states[i], states[j])) > 1e-10]
-        args = dict(layout=pair_layout(4), states=tuple(states), priors=(1 / 16,) * 16)
+        args = dict(
+            psi=np.array(states).reshape(16, 4, 4),
+            resource=ResourceSpectrum.uniform(4),
+            priors=(1 / 16,) * 16,
+        )
         if not bad:
             Ensemble(**args)
             return
@@ -195,33 +204,36 @@ class TestEnsemble:
             Ensemble(**args)
 
     def test_rejects_a_wrong_length_ket(self):
-        e = np.eye(4, dtype=complex)
-        message = r"^ket shape \(3,\) does not match layout dimension 4$"
-        with pytest.raises(ValueError, match=message):
-            Ensemble(layout=pair_layout(2), states=(e[0], e[1, :3]), priors=(0.5, 0.5))
-        with pytest.raises(ValueError, match=message):
-            Ensemble(layout=pair_layout(2), states=e[:2, :3], priors=(0.5, 0.5))
+        """Each psi_k must be d x d for the resource's d."""
+        e = np.eye(4, dtype=complex).reshape(4, 2, 2)
+        with pytest.raises(ValueError):
+            Ensemble(psi=(e[0], e[1, :, :1]), resource=QUBITS, priors=(0.5, 0.5))
+        for psi, spec, message in (
+            (e[:2, :, :1], QUBITS, r"^psi shape \(2, 2, 1\) does not match \(N, 2, 2\)$"),
+            (e[:2].reshape(2, 4), QUBITS, r"^psi shape \(2, 4\) does not match \(N, 2, 2\)$"),
+            (e[:2], ResourceSpectrum.uniform(3), r"^psi shape \(2, 2, 2\) does not match \(N, 3, 3\)$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                Ensemble(psi=psi, resource=spec, priors=(0.5, 0.5))
 
     def test_rejects_a_non_normalized_ket(self):
         """A norm off by 1e-11 is refused and one off by 1e-13 is kept."""
-        e = np.eye(4, dtype=complex)
-        args = dict(layout=pair_layout(2), priors=(0.5, 0.5))
-        Ensemble(states=(e[0], (1.0 + 1e-13) * e[1]), **args)
+        e = np.eye(4, dtype=complex).reshape(4, 2, 2)
+        args = dict(resource=QUBITS, priors=(0.5, 0.5))
+        Ensemble(psi=(e[0], (1.0 + 1e-13) * e[1]), **args)
         for scale in (2.0, 1.0 + 1e-11, 1.0 - 1e-11):
             with pytest.raises(ValueError, match="^ensemble states must be normalized$"):
-                Ensemble(states=(e[0], scale * e[1]), **args)
+                Ensemble(psi=(e[0], scale * e[1]), **args)
 
     def test_density_operators_are_the_outer_products(self):
         ens = build_ensemble(weyl_basis(3), ResourceSpectrum.from_probabilities([0.5, 0.3, 0.2]), 5)
-        want = np.array([np.outer(v, v.conj()) for v in ens.states])
+        want = np.array([np.outer(v, v.conj()) for v in ens.kets()])
         assert np.array_equal(ens.density_operators(), want)
 
     def test_rejects_bad_priors(self):
-        ens_states = build_ensemble(
-            weyl_basis(2), ResourceSpectrum.uniform(2), 2
-        ).states
+        ens = build_ensemble(weyl_basis(2), QUBITS, 2)
         with pytest.raises(ValueError):
-            Ensemble(layout=four_factor_layout(2), states=ens_states, priors=(0.9, 0.2))
+            Ensemble(psi=ens.psi, resource=QUBITS, priors=(0.9, 0.2))
 
     def test_resource_state_layout(self):
         spec = ResourceSpectrum.from_probabilities([0.8, 0.2])
@@ -269,7 +281,10 @@ class TestStackedBuilds:
         rotated = conjugated_basis(weyl_basis(d), haar_random_unitary(d, rng))
         for basis in (weyl_basis(d), rotated, load_basis_file(path)):
             for n in (1, d + 1, d * d):
-                kets = build_ensemble(basis, spec, n).states
+                ens = build_ensemble(basis, spec, n)
+                assert ens.psi.shape == (n, d, d)
+                assert ens.layout == four_factor_layout(d)
+                kets = ens.kets()
                 assert kets.shape == (n, d**4)
                 assert np.max(np.abs(kets - kron_ensemble(basis, spec, n))) <= 1e-15
 
