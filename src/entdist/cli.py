@@ -32,6 +32,7 @@ from .certificate import (
 from .measures import fef, negativity
 from .protocol import (
     incomplete_bounds,
+    incomplete_bounds_sweep,
     sample_protocol_success,
     simulate_protocol,
 )
@@ -64,6 +65,12 @@ _SPECTRUM_BYTES = 400
 # d grows; tracemalloc peaks at 4.9 of them at d = 4, 1.5 at d = 8 and 1.1
 # at d = 16.
 _PAIR_ARRAYS = 5
+# Arrays of 16 d^8 bytes per operator that an operator-by-operator solve
+# holds besides its states and costs: the Anderson step's six rows and the
+# iterate and its two images under the map, four arrays each, the three
+# projections and their temporaries; tracemalloc peaks at 49 with the states
+# and costs at d = 2, 3.
+_OPERATOR_ARRAYS = 48
 # Basis-sized arrays (d^2 matrices of d x d, 16 d^4 bytes) that basis, protocol,
 # bounds, certificate and verify hold at their peak. Parsing a basis file's
 # JSON alone costs about 14 of them (tracemalloc peaks at 14.1-14.6 at
@@ -125,8 +132,8 @@ def dense_bytes(command: str, dim: int, n_states: int) -> int:
     d x d matrices derived from them. The solve of a complete
     basis holds the basis, its sector arrays and the d^2 x d^2 pair it
     returns, together a fixed number of basis-sized arrays; any other solve
-    keeps about 16 d^4 x d^4 matrices per operator plus the n_states states
-    and operators. sandwich adds the certificate route to its solve.
+    keeps a fixed number of d^4 x d^4 matrices per operator plus the n_states
+    states and costs. sandwich adds the certificate route to its solve.
     """
     if command == "fef":
         return _SPECTRUM_BYTES * dim
@@ -136,7 +143,7 @@ def dense_bytes(command: str, dim: int, n_states: int) -> int:
     if is_covariant(dim, n_states):
         solver = 16 * dim**4 * (_BASIS_ARRAYS + _PAIR_ARRAYS)
     else:
-        solver = 16 * dim**8 * (16 + 2) * n_states
+        solver = 16 * dim**8 * (_OPERATOR_ARRAYS + 2) * n_states
     return {"sdp": solver, "sandwich": solver + basis}[command]
 
 
@@ -535,8 +542,7 @@ def _verify_one(config: RunConfig, label: str, spec: ResourceSpectrum) -> list[d
 
     bounds_ok = True
     worst = 0.0
-    for n in range(d + 1, d * d + 1):
-        b = incomplete_bounds(basis, spec, n)
+    for b in incomplete_bounds_sweep(basis, spec):
         slack = max(fef(spec) - b.lower, b.lower - b.upper, b.upper - 1.0)
         worst = max(worst, slack)
         bounds_ok = bounds_ok and slack <= 1e-12

@@ -191,15 +191,41 @@ def incomplete_bounds(
     maximum itself. Either way upper = min(1, (d^2/N) F) and lower <= upper
     is enforced.
     """
+    _check_bounds_args(basis, spec, strategy, n_states)
+    outcomes = _outcome_matrix(basis, teleport_residuals(basis, spec, n_states))
+    return _bounds(outcomes, spec, strategy)
+
+
+def incomplete_bounds_sweep(
+    basis: MaxEntBasis, spec: ResourceSpectrum, strategy: str = "completion"
+) -> tuple[IncompleteBounds, ...]:
+    """``incomplete_bounds`` for every N from d + 1 to d^2, in that order.
+
+    Row i of the outcome matrix depends only on residual i, so one matrix
+    for the whole basis serves every N: the first N states read its first N
+    rows.
+    """
+    _check_bounds_args(basis, spec, strategy)
+    d = basis.dim
+    outcomes = _outcome_matrix(basis, teleport_residuals(basis, spec))
+    return tuple(_bounds(outcomes[:n], spec, strategy) for n in range(d + 1, d * d + 1))
+
+
+def _check_bounds_args(
+    basis: MaxEntBasis, spec: ResourceSpectrum, strategy: str, n_states: int | None = None
+) -> None:
     d = basis.dim
     if spec.dim != d:
         raise ValueError(f"spectrum dimension {spec.dim} does not match basis {d}")
-    if not 1 <= n_states <= d * d:
+    if n_states is not None and not 1 <= n_states <= d * d:
         raise ValueError(f"n_states must lie in [1, {d * d}], got {n_states}")
     if strategy not in ("completion", "projector"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    outcomes = _outcome_matrix(basis, teleport_residuals(basis, spec, n_states))
+
+def _bounds(outcomes: np.ndarray, spec: ResourceSpectrum, strategy: str) -> IncompleteBounds:
+    """The bounds of ``incomplete_bounds`` from the outcome rows of the N residuals."""
+    n_states, d = len(outcomes), spec.dim
     # One column per completion outcome, one row per residual that may claim it.
     scores = outcomes[:, n_states:]
     if strategy == "projector":

@@ -47,6 +47,22 @@ i ≠ j with Q[i, i] = 0, and works on them entry by entry:
 
 The twirl identity holds for every trace-orthogonal basis, which starts at
 the identity, so the complete program depends only on d and the spectrum.
+
+The loop is a fixed-point iteration s → f(s) on the state s = (z, duals),
+and each iteration extrapolates by a type-II Anderson step of memory 2
+(Zhang, O'Donoghue and Boyd, SIAM J. Optim. 30, 2020): with g = f(s) − s,
+s ← f(s) − Σ_j γ_j Δf_j, where γ least-squares fits g by the last two
+differences Δg_j. The fit uses the Frobenius norm of the full space: for
+the pair that is ‖X‖² + (d² − 1)‖Y‖² per operator, so on the (P, Q)
+arrays every entry of Y weighs d² − 1 and every entry of X one, and the
+operator-by-operator solve, the solve on the sectors and a dense solve on
+(X, Y) take the same steps. The
+step is safeguarded: its memory restarts when ‖g‖ grows, and it is taken
+only when the fit removes a tenth of ‖g‖² and the step is at most 10‖g‖
+long; otherwise the iteration takes the plain step f(s). The stop test
+reads f(s): the primal residual, the cone violation, the ADMM dual residual
+√3·‖z' − z‖/STEP and the spread of the three blocks about z, all in the
+full-space norm, and the objective change over the stall window.
 """
 
 from __future__ import annotations
@@ -74,9 +90,27 @@ DEFAULT_MAX_ITERS = 50000
 # Penalty step of the three-way consensus splitting.
 STEP = 0.5
 
+# Averages the three blocks of the splitting.
+_MEAN = np.full((1, 3), 1.0 / 3.0)
+
+# The Anderson step (``_consensus``). Restart its memory when |g|² grows by
+# more than _GROWTH; forget a difference with |Δg|² ≤ _ROUNDING |g|²; step
+# only when the fit removes at least _MIN_FIT of |g|², when the step is at
+# most _MAX_STEP |g| long, and while |g|² > _FLOOR max(|s|², 1), with |s|²
+# read at the last check. A step the fit explains less is set by
+# rounding-level structure of g and turns differences of 1e-16 between
+# two coordinates of one program into differences of 1e-8.
+_GROWTH = 1.0 + 1e-8
+_ROUNDING = 1e-12
+_MIN_FIT = 0.1
+_MAX_STEP = 10.0
+_FLOOR = 1e-26
+
 _CHECK_EVERY = 25
 _TRACE_EVERY = 100
-_STALL_WINDOW = 50
+# The stop test reads the objective change since the previous check; the
+# dual residual catches the slow drift a longer window used to wait out.
+_STALL_WINDOW = 25
 
 
 def is_covariant(dim: int, n_states: int) -> bool:
@@ -197,24 +231,28 @@ class _Coordinates:
     The loop starts from ``start()``; ``cost`` drives the stack and the
     objective counts it ``multiplicity`` times; the measurement has ``n``
     operators. ``deviation`` is the defect of the measurement's sum from the
-    identity, whose Frobenius norm on the full space is ``weight`` times its
-    own. ``to_blocks`` maps the stack onto matrices that are all PSD exactly
+    identity. ``metric`` weighs the squared entries of a stack, and ``weight``
+    times the weighted norm is the Frobenius norm on the full space.
+    ``to_blocks`` maps the stack onto matrices that are all PSD exactly
     when every partial transpose is, and ``from_blocks`` maps them back.
-    ``operators`` gives the matrices a result returns.
+    The three projections write into ``out`` when it is given, which may be
+    the input itself. ``operators`` gives the matrices a result returns.
     """
+
+    metric = 1.0
 
     def start(self) -> np.ndarray:
         return np.stack([np.eye(self.cost.shape[1], dtype=complex) / self.n] * len(self.cost))
 
-    def affine(self, stack: np.ndarray) -> np.ndarray:
+    def affine(self, stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Shift the stack so the n operators of the measurement sum to the identity."""
-        return stack - self.deviation(stack)[None] / self.n
+        return np.subtract(stack, self.deviation(stack)[None] / self.n, out=out)
 
-    def psd_clip(self, stack: np.ndarray) -> np.ndarray:
-        return psd_clip(stack)
+    def psd_clip(self, stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return _into(out, psd_clip(stack))
 
-    def ppt_clip(self, stack: np.ndarray) -> np.ndarray:
-        return self.from_blocks(psd_clip(self.to_blocks(stack)))
+    def ppt_clip(self, stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return _into(out, self.from_blocks(psd_clip(self.to_blocks(stack))))
 
     def objective(self, stack: np.ndarray) -> float:
         return self.multiplicity * float(np.einsum("kij,kji->", self.cost, stack).real)
@@ -264,16 +302,16 @@ class _Sectors(_Coordinates):
         d = self.d = spec.dim
         n = self.n = d * d
         self.weight = float(d)
+        # ‖P_0‖² = ‖X‖² + (d² − 1)‖Y‖², and P_k is P_0 conjugated by a unitary.
+        self.metric = np.array([1.0, n - 1.0]).reshape(2, 1, 1, 1)
         self.a = np.asarray(spec.coeffs, dtype=float)
-        self.eye = np.eye(d)
-        self.off = self.eye == 0
+        self.eye = np.eye(d, dtype=bool)
+        self.off = ~self.eye
         # The identity on A2B2: every P is 1, every Q is 0.
         self.unit = np.stack([np.ones((d, d)), np.zeros((d, d))])
-        # B = Q + diag(P) scattered back: its diagonal to P, the rest to Q.
-        self.split = np.stack([self.eye, self.off])
         # The affine step (X, Y) -= E/n as a map on (X, Y) plus a constant.
         self.shift = np.eye(2) - np.array([[1.0, n - 1.0]] * 2) / n
-        self.offset = self.start()
+        self.offset = self.start().reshape(2, -1)
         # (X, Y) → (M_s, M_a) entry by entry, then (P, Q) → (P + Q, P − Q),
         # the eigenvalues of the 2 × 2 blocks; and back.
         mix = np.array([[1.0, d - 1.0], [-1.0, d + 1.0]]) / d
@@ -290,12 +328,14 @@ class _Sectors(_Coordinates):
     def deviation(self, stack: np.ndarray) -> np.ndarray:
         return stack[0] + (self.n - 1) * stack[1] - self.unit
 
-    def affine(self, stack: np.ndarray) -> np.ndarray:
-        return (self.shift @ stack.reshape(2, -1)).reshape(stack.shape) + self.offset
+    def affine(self, stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        flat = np.matmul(self.shift, stack.reshape(2, -1), out=_flat(out, 2))
+        flat += self.offset
+        return flat.reshape(stack.shape)
 
     def _blocks(self, stack: np.ndarray) -> np.ndarray:
         """B = Q + diag(P), the blocks of X and Y on span{|ii⟩}."""
-        return stack[:, 1] + stack[:, 0] * self.eye
+        return np.where(self.eye, stack[:, 0], stack[:, 1])
 
     def _ppt_eigenvalues(self, stack: np.ndarray) -> np.ndarray:
         """Rows P ± Q of M_s, then of M_a: the eigenvalues of every 2 × 2 block."""
@@ -304,14 +344,18 @@ class _Sectors(_Coordinates):
     def objective(self, stack: np.ndarray) -> float:
         return float(self.a @ self._blocks(stack)[0] @ self.a)
 
-    def psd_clip(self, stack: np.ndarray) -> np.ndarray:
-        out = psd_clip(self._blocks(stack))[:, None] * self.split
-        np.maximum(stack[:, 0], 0.0, out=out[:, 0], where=self.off)
+    def psd_clip(self, stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        blocks = self._blocks(stack)
+        out = np.empty_like(stack) if out is None else out
+        np.maximum(stack[:, 0], 0.0, out=out[:, 0])
+        blocks = psd_clip(blocks)
+        np.multiply(blocks, self.off, out=out[:, 1])
+        np.copyto(out[:, 0], blocks, where=self.eye)
         return out
 
-    def ppt_clip(self, stack: np.ndarray) -> np.ndarray:
+    def ppt_clip(self, stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         clipped = np.maximum(self._ppt_eigenvalues(stack), 0.0)
-        return (self.from_ppt @ clipped).reshape(stack.shape)
+        return np.matmul(self.from_ppt, clipped, out=_flat(out, 4)).reshape(stack.shape)
 
     def cone_min(self, stack: np.ndarray) -> float:
         return min(
@@ -330,83 +374,202 @@ class _Sectors(_Coordinates):
         return tuple(dense)
 
 
+def _into(out: np.ndarray | None, value: np.ndarray) -> np.ndarray:
+    """``value``, copied into ``out`` when one is given."""
+    if out is None:
+        return value
+    out[...] = value
+    return out
+
+
+def _flat(out: np.ndarray | None, rows: int) -> np.ndarray | None:
+    """``out`` as a (rows, -1) view, for a projection that writes by matmul.
+
+    ``out`` is C-contiguous, as the loop's arrays are, so this is a view.
+    """
+    return None if out is None else out.reshape(rows, -1)
+
+
 def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
     """Maximize sum_i p_i <Phi_i|P_i|Phi_i> over PPT measurements.
 
-    Runs the consensus splitting until max(primal residual, cone violation,
+    Runs the Anderson-accelerated consensus splitting until max(primal
+    residual, cone violation, ADMM dual residual, consensus residual,
     relative objective change over the stall window) drops below the target
     accuracy, checking every few iterations; hitting the iteration cap
-    returns the best iterate with converged=False rather than raising. A
+    returns the last iterate with converged=False rather than raising. A
     complete program runs the same iterations on the (P, Q) arrays of X and Y.
     """
     coords = _Operators(problem) if problem.resource is None else _Sectors(problem.resource)
     return _consensus(coords, problem.accuracy, problem.max_iters)
 
 
+def _map(coords: _Coordinates, s: np.ndarray, x: np.ndarray, out: np.ndarray, drive: np.ndarray) -> None:
+    """One plain step of the splitting from the state s = (z, three duals) into ``out``.
+
+    The projections of z − dual_i land in x, then z' = mean(x + duals) +
+    drive and dual_i' = x_i + dual_i − z'.
+    """
+    z, duals = s[0], s[1:]
+    np.subtract(z, duals, out=x)
+    coords.affine(x[0], out=x[0])
+    coords.psd_clip(x[1], out=x[1])
+    coords.ppt_clip(x[2], out=x[2])
+    np.add(x, duals, out=out[1:])
+    np.matmul(_MEAN, out[1:].reshape(3, -1), out=out[0].reshape(1, -1))
+    out[0] += drive
+    out[1:] -= out[0]
+
+
 def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResult:
-    """The consensus splitting of ``solve_primal_ppt`` in the given coordinates."""
-    z = coords.start()
-    duals = np.zeros((3, *z.shape), dtype=z.dtype)
+    """The consensus splitting of ``solve_primal_ppt`` in the given coordinates.
+
+    The state s stacks z and the three duals, and the plain step is the map
+    s → f(s) of ``_map``. Each iteration evaluates f once and takes a type-II
+    Anderson step of memory 2 (Zhang, O'Donoghue and Boyd, SIAM J. Optim. 30,
+    2020) on the residual g = f(s) − s: s ← f(s) − Σ_j γ_j Δf_j, where γ fits
+    g by the last differences Δg_j in the full-space Frobenius norm, so every
+    set of coordinates of one program takes the same steps. Every check reads
+    f(s), the operators the solve returns.
+    """
+    start = coords.start()
+    shape = (4, *start.shape)
+    length = start.size * 4 * (2 if np.iscomplexobj(start) else 1)
+    # Flat rows, complex entries read as pairs: the previous g, then the
+    # window one product reads: Δg of the two history slots, g, and Δf of
+    # the two slots.
+    rows = np.zeros((6, length))
+    window = rows[1:]
+    g_prev, g, diffs = rows[0], rows[3], window[3:]
+    coeffs = np.zeros(2)
+    s = np.zeros(shape, start.dtype)
+    s[0] = start
+    s_flat = s.reshape(-1).view(float)
+    # f at odd and at even iterations.
+    maps = [np.empty(shape, start.dtype) for _ in range(2)]
+    flats = [f.reshape(-1).view(float) for f in maps]
+    x = np.empty((3, *start.shape), start.dtype)
     drive = coords.cost / (3.0 * STEP)
+    weights = weighted = None
+    if np.ndim(coords.metric):
+        weights = np.broadcast_to(coords.metric, shape).reshape(-1)
+        weights = np.repeat(weights, length // weights.size)
+        weighted = np.empty_like(window)
+    scale = coords.weight**2
+    quarter = length // 4
+
+    def square(v: np.ndarray, part: slice = slice(None)) -> float:
+        """The squared full-space norm of a part of a flat state."""
+        v = v[part]
+        return scale * float(v @ (v if weights is None else v * weights[part]))
 
     history: list[float] = []
     trace: list[dict] = []
-    converged = False
-    iterations = 0
-    primal_res = cone_res = np.inf
+    memory: list[int] = []
+    gg_prev = np.inf
+    s_square = square(s_flat)
 
     for it in range(1, max_iters + 1):
-        v = z - duals
-        x = np.stack([coords.affine(v[0]), coords.psd_clip(v[1]), coords.ppt_clip(v[2])])
-        z = (x + duals).sum(axis=0) / 3.0 + drive
-        duals += x - z
+        f, f_flat = maps[it % 2], flats[it % 2]
+        _map(coords, s, x, f, drive)
+        np.copyto(g_prev, g)
+        np.subtract(f_flat, s_flat, out=g)
+        if it > 1:
+            slot = memory[0] if len(memory) == 2 else 1 - memory[0] if memory else 0
+            np.subtract(g, g_prev, out=window[slot])
+            np.subtract(f_flat, flats[1 - it % 2], out=diffs[slot])
+            memory = [j for j in memory if j != slot] + [slot]
+        if weights is None:
+            gram = (window @ window.T).tolist()
+        else:
+            gram = (window @ np.multiply(window, weights, out=weighted).T).tolist()
+        gg = gram[2][2]
 
-        iterations = it
         if it % _CHECK_EVERY == 0 or it == max_iters:
+            z = f[0].copy()
             obj = coords.objective(z)
             primal_res, cone_res = coords.residuals(z)
+            # The ADMM dual residual and the spread of the blocks about z.
+            dual_res = math.sqrt(3.0 * square(g, slice(quarter))) / STEP
+            consensus_res = math.sqrt(square(g, slice(quarter, None)))
+            s_square = square(f_flat)
             history.append(obj)
             lag = _STALL_WINDOW // _CHECK_EVERY
             if len(history) > lag:
                 change = abs(obj - history[-1 - lag]) / max(1.0, abs(obj))
             else:
                 change = np.inf
-            if it % _TRACE_EVERY == 0 or it == max_iters:
-                trace.append(
-                    {
-                        "iteration": it,
-                        "objective": obj,
-                        "primal_residual": primal_res,
-                        "cone_residual": cone_res,
-                    }
-                )
-            if max(primal_res, -cone_res, change) < accuracy:
-                converged = True
-                break
-
-    primal_value = coords.objective(z)
-    if not trace or trace[-1]["iteration"] != iterations:
-        trace.append(
-            {
-                "iteration": iterations,
-                "objective": primal_value,
+            row = {
+                "iteration": it,
+                "objective": obj,
                 "primal_residual": primal_res,
                 "cone_residual": cone_res,
+                "dual_residual": dual_res,
+                "consensus_residual": consensus_res,
             }
-        )
+            converged = max(primal_res, -cone_res, change, dual_res, consensus_res) < accuracy
+            if it % _TRACE_EVERY == 0 or converged or it == max_iters:
+                trace.append(row)
+            if converged or it == max_iters:
+                break
+
+        if gg > _GROWTH * gg_prev:
+            memory = []
+        memory = [j for j in memory if gram[j][j] > _ROUNDING * gg]
+        gg_prev = gg
+        if memory and scale * gg > _FLOOR * max(s_square, 1.0):
+            c0, c1 = _anderson_weights(gram, memory)
+            # |g − Σ γ_j Δg_j|², the residual the fit predicts.
+            if gg - c0 * gram[0][2] - c1 * gram[1][2] <= (1.0 - _MIN_FIT) * gg:
+                # |s' − s|² = |g − Σ γ_j Δf_j|².
+                step = (
+                    gg
+                    - 2.0 * (c0 * gram[3][2] + c1 * gram[4][2])
+                    + c0 * c0 * gram[3][3]
+                    + 2.0 * c0 * c1 * gram[3][4]
+                    + c1 * c1 * gram[4][4]
+                )
+                if step <= _MAX_STEP**2 * gg:
+                    coeffs[0], coeffs[1] = c0, c1
+                    np.dot(coeffs, diffs, out=s_flat)
+                    np.subtract(f_flat, s_flat, out=s_flat)
+                    continue
+                memory = []
+        s[...] = f
 
     rounded = coords.ppt_clip(coords.psd_clip(coords.affine(z)))
-
     return SDPResult(
-        primal_value=primal_value,
+        primal_value=obj,
         rounded_value=coords.objective(rounded),
         operators=coords.operators(z),
         primal_residual=primal_res,
         cone_residual=cone_res,
-        iterations=iterations,
+        iterations=it,
         converged=converged,
         trace=tuple(trace),
     )
+
+
+def _anderson_weights(gram: list[list[float]], memory: list[int]) -> tuple[float, float]:
+    """γ minimising |g − Σ_j γ_j Δg_j| over the slots in memory, one γ per slot.
+
+    ``gram`` holds the inner products of Δg_0, Δg_1 and g, in that order; a
+    slot out of memory gets γ = 0. Solves the 1 × 1 or 2 × 2 normal
+    equations on floats; two differences parallel to rounding level leave
+    the newer one.
+    """
+    gamma = [0.0, 0.0]
+    if len(memory) == 2:
+        j, k = memory
+        a, b, c = gram[j][j], gram[j][k], gram[k][k]
+        det = a * c - b * b
+        if det > _ROUNDING * a * c:
+            rj, rk = gram[j][2], gram[k][2]
+            gamma[j], gamma[k] = (c * rj - b * rk) / det, (a * rk - b * rj) / det
+            return gamma[0], gamma[1]
+    j = memory[-1]
+    gamma[j] = gram[j][2] / gram[j][j]
+    return gamma[0], gamma[1]
 
 
 def dual_bound_from_certificate(

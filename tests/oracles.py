@@ -2,7 +2,7 @@
 
 The tests build full operators on the pair and four-factor spaces to check
 the package's smaller routes against them; the helpers they share live
-here.
+here, with the solver loop as it runs without its Anderson step.
 """
 
 import math
@@ -10,6 +10,7 @@ from typing import Iterable
 
 import numpy as np
 
+from entdist.sdp import _CHECK_EVERY, _STALL_WINDOW, _TRACE_EVERY, STEP, SDPResult
 from entdist.states import (
     BASIS_DEFECT_TOL,
     MaxEntBasis,
@@ -213,3 +214,58 @@ def closed_form_ppt_clip(stack: np.ndarray) -> np.ndarray:
     mixed[:, 0] = (upper + lower) / 2 + scale * half
     mixed[:, 1] *= scale
     return (unmix @ mixed.reshape(2, -1)).reshape(stack.shape)
+
+
+def plain_consensus(coords, accuracy: float, max_iters: int):
+    """The consensus splitting of ``entdist.sdp`` without its Anderson step.
+
+    The same projections, stop test and trace rows as ``sdp._consensus``;
+    each iteration takes the plain map z, duals → z', duals'.
+    """
+    z = coords.start()
+    duals = np.zeros((3, *z.shape), dtype=z.dtype)
+    drive = coords.cost / (3.0 * STEP)
+    metric = np.broadcast_to(coords.metric, z.shape)
+
+    def norm(v):
+        return coords.weight * math.sqrt(float(np.sum(metric * np.abs(v) ** 2)))
+
+    history, trace = [], []
+    converged = False
+    for it in range(1, max_iters + 1):
+        v = z - duals
+        x = np.stack([coords.affine(v[0]), coords.psd_clip(v[1]), coords.ppt_clip(v[2])])
+        z_old, z = z, (x + duals).sum(axis=0) / 3.0 + drive
+        duals += x - z
+        if it % _CHECK_EVERY and it != max_iters:
+            continue
+        obj = coords.objective(z)
+        primal, cone = coords.residuals(z)
+        history.append(obj)
+        lag = _STALL_WINDOW // _CHECK_EVERY
+        change = abs(obj - history[-1 - lag]) / max(1.0, abs(obj)) if len(history) > lag else np.inf
+        dual = math.sqrt(3.0) * norm(z - z_old) / STEP
+        consensus = norm(x - z)
+        row = {
+            "iteration": it,
+            "objective": obj,
+            "primal_residual": primal,
+            "cone_residual": cone,
+            "dual_residual": dual,
+            "consensus_residual": consensus,
+        }
+        converged = max(primal, -cone, change, dual, consensus) < accuracy
+        if it % _TRACE_EVERY == 0 or it == max_iters or converged:
+            trace.append(row)
+        if converged:
+            break
+    return SDPResult(
+        primal_value=obj,
+        rounded_value=coords.objective(coords.ppt_clip(coords.psd_clip(coords.affine(z)))),
+        operators=coords.operators(z),
+        primal_residual=primal,
+        cone_residual=cone,
+        iterations=it,
+        converged=converged,
+        trace=tuple(trace),
+    )

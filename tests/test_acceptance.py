@@ -305,7 +305,7 @@ def test_criterion_10_d4_sandwich(acceptance_log):
     ok = (
         sandwich.agreement
         and sandwich.result.converged
-        and sandwich.result.iterations == 250
+        and sandwich.result.iterations == 175
         and worst <= slack
     )
     line = report(
@@ -359,7 +359,7 @@ def test_criterion_12_d6_sandwich(acceptance_log):
         len(set(spec.coeffs)) == 6
         and sandwich.agreement
         and sandwich.result.converged
-        and sandwich.result.iterations == 350
+        and sandwich.result.iterations == 275
         and worst <= slack
     )
     line = report(
@@ -375,7 +375,7 @@ def test_criterion_12_d6_sandwich(acceptance_log):
 def test_criterion_13_d16_solver(acceptance_log):
     """d=16 complete basis, seeded random spectrum (`sdp --dim 16 --spectrum
     random --seed 3`): the solve on the Schmidt sectors of (X, Y) converges
-    in its 1,750 iterations to within the solver accuracy plus 1e-6 of F."""
+    in its 1,650 iterations to within the solver accuracy plus 1e-6 of F."""
     start = time.perf_counter()
     spec = random_spectrum(16, np.random.default_rng(3))
     target = fef(spec)
@@ -386,7 +386,7 @@ def test_criterion_13_d16_solver(acceptance_log):
     ok = (
         abs(target - 0.77234073) <= 5e-9
         and result.converged
-        and result.iterations == 1750
+        and result.iterations == 1650
         and dev <= DEFAULT_ACCURACY + 1e-6
     )
     line = report(

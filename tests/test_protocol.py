@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from entdist.measures import fef
 from entdist.protocol import (
     incomplete_bounds,
+    incomplete_bounds_sweep,
     protocol_success,
     sample_protocol_success,
     simulate_protocol,
@@ -168,6 +169,34 @@ class TestIncompleteBounds:
         lower, upper = incomplete_bounds(weyl_basis(2), BELL_SPEC, 3)
         assert lower == pytest.approx(2.0 / 3.0 * 1.4, abs=1e-10)
         assert upper == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("strategy", ["completion", "projector"])
+    def test_sweep_matches_each_set_size(self, d, strategy):
+        """One outcome matrix for the whole basis gives every N's bounds."""
+        rng = np.random.default_rng(120 + d)
+        spec = random_spectrum(d, rng)
+        basis = conjugated_basis(weyl_basis(d), haar_random_unitary(d, rng))
+        sweep = incomplete_bounds_sweep(basis, spec, strategy)
+        assert [b.n_states for b in sweep] == list(range(d + 1, d * d + 1))
+        for b in sweep:
+            one = incomplete_bounds(basis, spec, b.n_states, strategy)
+            assert (b.dim, b.strategy, b.assignments, b.in_range) == (
+                one.dim,
+                one.strategy,
+                one.assignments,
+                one.in_range,
+            )
+            assert abs(b.lower - one.lower) <= 1e-15
+            assert abs(b.upper - one.upper) <= 1e-15
+            assert len(b.overlaps) == len(one.overlaps)
+            assert all(abs(x - y) <= 1e-15 for x, y in zip(b.overlaps, one.overlaps))
+
+    def test_sweep_checks_its_arguments(self):
+        with pytest.raises(ValueError, match="does not match basis"):
+            incomplete_bounds_sweep(weyl_basis(2), ResourceSpectrum.uniform(3))
+        with pytest.raises(ValueError, match="unknown strategy"):
+            incomplete_bounds_sweep(weyl_basis(2), BELL_SPEC, "greedy")
 
 
 def test_tie_break_picks_lowest_index():

@@ -16,6 +16,7 @@ from entdist.sdp import (
     SDPProblem,
     _consensus,
     _Coordinates,
+    _Operators,
     _Sectors,
     dual_bound_from_certificate,
     sandwich_report,
@@ -34,7 +35,13 @@ from entdist.states import (
     weyl_basis,
 )
 from entdist.tensor import transpose_party_a
-from oracles import SWAP_B1_A2, closed_form_ppt_clip, max_ent_state, permute_factors
+from oracles import (
+    SWAP_B1_A2,
+    closed_form_ppt_clip,
+    max_ent_state,
+    permute_factors,
+    plain_consensus,
+)
 
 BELL_SPEC = ResourceSpectrum.from_probabilities([0.8, 0.2])
 QUTRIT_SPEC = ResourceSpectrum.from_probabilities([0.55, 0.30, 0.15])
@@ -96,6 +103,7 @@ class _Pair(_Coordinates):
         d = self.d = spec.dim
         self.n = self.multiplicity = d * d
         self.weight = float(d)
+        self.metric = np.array([1.0, self.n - 1.0]).reshape(2, 1, 1)
         self.layout = pair_layout(d)
         tau = resource_state(spec)
         self.cost = np.stack([np.outer(tau, tau.conj()), np.zeros((d * d, d * d))]) / self.n
@@ -193,6 +201,8 @@ class TestSolver:
                 "objective",
                 "primal_residual",
                 "cone_residual",
+                "dual_residual",
+                "consensus_residual",
             }
 
     def test_to_dict_omits_operators(self, bell_result):
@@ -288,6 +298,41 @@ class TestCovariantPath:
             SDPProblem.from_ensemble(ens, resource=BELL_SPEC)
 
 
+class TestAnderson:
+    """The accelerated loop against the plain map it extrapolates."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("kind", ["uniform", "random"])
+    def test_never_slower_than_the_plain_loop(self, d, kind):
+        if kind == "uniform":
+            spec = ResourceSpectrum.uniform(d)
+        else:
+            spec = random_spectrum(d, np.random.default_rng(50 + d))
+        fast = solve_primal_ppt(SDPProblem.from_basis(weyl_basis(d), spec))
+        plain = plain_consensus(_Sectors(spec), DEFAULT_ACCURACY, DEFAULT_MAX_ITERS)
+        assert fast.converged and plain.converged
+        assert fast.iterations <= plain.iterations
+        assert abs(fast.primal_value - plain.primal_value) <= DEFAULT_ACCURACY + 1e-6
+
+    def test_operator_solve_never_slower_than_the_plain_loop(self):
+        problem = SDPProblem.from_basis(weyl_basis(2), BELL_SPEC, 3)
+        fast = solve_primal_ppt(problem)
+        plain = plain_consensus(_Operators(problem), DEFAULT_ACCURACY, DEFAULT_MAX_ITERS)
+        assert fast.converged and plain.converged
+        assert fast.iterations <= plain.iterations
+        assert abs(fast.primal_value - plain.primal_value) <= DEFAULT_ACCURACY + 1e-6
+
+    def test_stops_on_the_dual_residual(self):
+        """`sdp --dim 12 --spectrum random --seed 0`: the stall test alone
+        stopped 6.16e-3 below F, with its objective still rising."""
+        spec = random_spectrum(12, np.random.default_rng(0))
+        result = solve_primal_ppt(SDPProblem.from_basis(weyl_basis(12), spec))
+        assert result.converged
+        assert abs(result.primal_value - fef(spec)) <= DEFAULT_ACCURACY + 1e-6
+        last = result.trace[-1]
+        assert max(last["dual_residual"], last["consensus_residual"]) < DEFAULT_ACCURACY
+
+
 def _symmetric_stack(d: int, rng: np.random.Generator) -> np.ndarray:
     """A random (2, 2, d, d) stack of the (P, Q) arrays of (X, Y) with P = Pᵀ.
 
@@ -357,9 +402,16 @@ class TestPPTClip:
         "d, max_iters", [(2, DEFAULT_MAX_ITERS), (3, DEFAULT_MAX_ITERS), (5, DEFAULT_MAX_ITERS), (2, 60)]
     )
     def test_eigensolver_calls_of_a_complete_solve(self, d, max_iters, monkeypatch):
-        """One eigh per iteration and one to round; one eigvalsh per convergence check."""
+        """One eigh per iteration and one to round; one eigvalsh per convergence check.
+
+        The capped run asks for an accuracy it cannot reach in its 60
+        iterations, so it stops at the cap, between two checks.
+        """
         spec = ResourceSpectrum.uniform(d)
-        problem = SDPProblem.from_basis(weyl_basis(d), spec, max_iters=max_iters)
+        capped = max_iters != DEFAULT_MAX_ITERS
+        problem = SDPProblem.from_basis(
+            weyl_basis(d), spec, max_iters=max_iters, accuracy=1e-12 if capped else DEFAULT_ACCURACY
+        )
         calls = {"eigh": 0, "eigvalsh": 0}
 
         def counted(name):
@@ -376,7 +428,8 @@ class TestPPTClip:
         result = solve_primal_ppt(problem)
         checks = -(-result.iterations // _CHECK_EVERY)
         assert calls == {"eigh": result.iterations + 1, "eigvalsh": checks}
-        assert result.converged == (max_iters == DEFAULT_MAX_ITERS)
+        assert result.converged != capped
+        assert capped == (result.iterations == max_iters)
 
 
 class TestProblemValidation:
