@@ -56,10 +56,10 @@ differences Δg_j. The fit uses the Frobenius norm of the full space: for
 the pair that is ‖X‖² + (d² − 1)‖Y‖² per operator, so on the (P, Q)
 arrays every entry of Y weighs d² − 1 and every entry of X one, and the
 operator-by-operator solve, the solve on the sectors and a dense solve on
-(X, Y) take the same steps. The
-step is safeguarded: its memory restarts when ‖g‖ grows, and it is taken
-only when the fit removes a tenth of ‖g‖² and the step is at most 10‖g‖
-long; otherwise the iteration takes the plain step f(s). The stop test
+(X, Y) take the same steps. The step is safeguarded: its memory restarts
+when ‖g‖ grows, and it is taken only when the fit removes a tenth of ‖g‖²
+and the step is at most 10‖g‖ long; otherwise the iteration takes the
+plain step f(s). The stop test
 reads f(s): the primal residual, the cone violation, the ADMM dual residual
 √3·‖z' − z‖/STEP and the spread of the three blocks about z, all in the
 full-space norm, and the objective change over the stall window.
