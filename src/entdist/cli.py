@@ -66,11 +66,11 @@ _SPECTRUM_BYTES = 400
 # at d = 16.
 _PAIR_ARRAYS = 5
 # Arrays of 16 d^8 bytes per operator that an operator-by-operator solve
-# holds besides its states and costs: the Anderson step's six rows and the
-# iterate and its two images under the map, four arrays each, the three
-# projections and their temporaries; tracemalloc peaks at 49 with the states
+# holds besides its states and costs: the Anderson step's five rows, the
+# iterate and its image under the map, four arrays each, and the
+# projections' temporaries; tracemalloc peaks at 38.0-38.5 with the states
 # and costs at d = 2, 3.
-_OPERATOR_ARRAYS = 48
+_OPERATOR_ARRAYS = 37
 # Basis-sized arrays (d^2 matrices of d x d, 16 d^4 bytes) that basis, protocol,
 # bounds, certificate and verify hold at their peak. Parsing a basis file's
 # JSON alone costs about 14 of them (tracemalloc peaks at 14.1-14.6 at

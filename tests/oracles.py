@@ -254,7 +254,8 @@ def plain_consensus(coords, accuracy: float, max_iters: int):
             "dual_residual": dual,
             "consensus_residual": consensus,
         }
-        converged = max(primal, -cone, change, dual, consensus) < accuracy
+        stop = [primal, -cone, change, consensus] + ([dual] if coords.dual_stop else [])
+        converged = max(stop) < accuracy
         if it % _TRACE_EVERY == 0 or it == max_iters or converged:
             trace.append(row)
         if converged:

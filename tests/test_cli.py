@@ -267,7 +267,7 @@ class TestExitCodes:
         code, out, err = run(capsys, "scan", "--dim", "6", "--sdp")
         assert code == EXIT_INPUT
         assert out == ""
-        assert "error:" in err and "43.8 GiB" in err
+        assert "error:" in err and "34.2 GiB" in err
 
     def test_failed_parse_leaves_the_cached_parser_usable(self, capsys):
         assert cli.build_parser() is cli.build_parser()
@@ -370,13 +370,13 @@ class TestSizeEstimate:
         # A complete solve holds 16 basis-sized arrays and 5 more for its
         # sector arrays and the dense pair (X, Y), each of 16 d^4 bytes.
         pair = 16 * 3**4 * (16 + 5)
-        # An operator-by-operator solve holds 48 operator-sized arrays per
+        # An operator-by-operator solve holds 37 operator-sized arrays per
         # operator, and its states and costs.
-        assert dense_bytes("sdp", 3, 8) == (48 * 8 + 16) * matrix
+        assert dense_bytes("sdp", 3, 8) == (37 * 8 + 16) * matrix
         assert dense_bytes("sdp", 3, 9) == pair
         # sandwich adds the certificate route, which holds basis-sized arrays
         assert dense_bytes("sandwich", 3, 9) == pair + basis
-        assert dense_bytes("sandwich", 3, 8) == (48 * 8 + 16) * matrix + basis
+        assert dense_bytes("sandwich", 3, 8) == (37 * 8 + 16) * matrix + basis
 
     def test_limit_separates_the_sizes_that_run_from_the_ones_that_cannot(self):
         assert dense_bytes("sandwich", 5, 25) < MAX_DENSE_BYTES

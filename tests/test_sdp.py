@@ -332,6 +332,21 @@ class TestAnderson:
         last = result.trace[-1]
         assert max(last["dual_residual"], last["consensus_residual"]) < DEFAULT_ACCURACY
 
+    def test_a_subset_does_not_wait_on_the_dual_residual(self):
+        """d = 3, N = 5: the dual residual is still 1.6e-3 when the solve
+        stops at 175 iterations, with the value within 3.2e-5 of the
+        0.99999496 it reaches when the dual residual also has to fall below
+        the accuracy, after 5,350 iterations."""
+        spec = ResourceSpectrum.from_probabilities([0.6, 0.3, 0.1])
+        complete = SDPProblem.from_ensemble(build_ensemble(weyl_basis(2), BELL_SPEC, 4))
+        assert _Operators(complete).dual_stop and _Sectors(spec).dual_stop
+        problem = SDPProblem.from_basis(weyl_basis(3), spec, 5, max_iters=400)
+        assert not _Operators(problem).dual_stop
+        result = solve_primal_ppt(problem)
+        assert result.converged
+        assert result.trace[-1]["dual_residual"] > DEFAULT_ACCURACY
+        assert abs(result.primal_value - 0.99999496) <= DEFAULT_ACCURACY
+
 
 def _symmetric_stack(d: int, rng: np.random.Generator) -> np.ndarray:
     """A random (2, 2, d, d) stack of the (P, Q) arrays of (X, Y) with P = Pᵀ.
