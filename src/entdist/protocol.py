@@ -22,6 +22,9 @@ from .tensor import require_hermitian
 
 GRAM_TOL = 1e-12
 TIE_TOL = 1e-12
+# Measurement outcomes sample_protocol_success draws per call: each holds
+# about 16 bytes while it is drawn.
+_DRAW_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -129,7 +132,10 @@ def sample_protocol_success(
         if draws == 0:
             continue
         dist = outcomes[i] / outcomes[i].sum()
-        hits += int(np.sum(rng.choice(n, size=draws, p=dist) == i))
+        # Chunks draw the same stream as one call, in bounded memory.
+        for done in range(0, draws, _DRAW_CHUNK):
+            size = min(_DRAW_CHUNK, draws - done)
+            hits += int(np.count_nonzero(rng.choice(n, size=size, p=dist) == i))
     return hits / shots
 
 

@@ -45,6 +45,14 @@ i ≠ j with Q[i, i] = 0, and works on them entry by entry:
   2 × 2 map on (X, Y) plus a constant, and the primal residual is d·‖E‖_F.
 - Objective: Σ_k Tr(Φ_k P_k)/d² = Tr(τ X) = Σ a_i a_j B[i, j].
 
+Every step of the loop but the eigh is linear on the rows (X_P, X_Q, Y_P,
+Y_Q) of z and the three duals, so one iteration is two small products
+around the clips. The first, (12 × 16) plus a constant, gives the affine
+projection, the (P, Q) input of the PSD clip and the PPT eigenvalues. One
+eigh of the (2, d, d) blocks and one clip at 0 of the off-diagonal P and
+the eigenvalues follow. The second, (16 × 24) plus the drive, maps the
+duals and the three projections to the next z and duals.
+
 The twirl identity holds for every trace-orthogonal basis, which starts at
 the identity, so the complete program depends only on d and the spectrum.
 
@@ -56,25 +64,28 @@ differences Δg_j. The fit uses the Frobenius norm of the full space: for
 the pair that is ‖X‖² + (d² − 1)‖Y‖² per operator, so on the (P, Q)
 arrays every entry of Y weighs d² − 1 and every entry of X one, and the
 operator-by-operator solve, the solve on the sectors and a dense solve on
-(X, Y) take the same steps. The step is safeguarded: its memory restarts
-when ‖g‖ grows, and it is taken only when the fit removes a tenth of ‖g‖²
-and the step is at most 10‖g‖ long; otherwise the iteration takes the
-plain step f(s). The stop test reads f(s): the primal residual, the cone
-violation and the spread of the three blocks about z, all in the
-full-space norm, the objective change over the stall window and, for a
-complete program, the ADMM dual residual √3·‖z' − z‖/STEP. Near the
-optimum a complete program can drift for thousands of iterations with its
-objective rising by less than the accuracy per window, and the dual
-residual holds it until the drift ends. On a subset the dual residual
-falls slowly after the value has settled (d = 3, N = 5: 1.6e-3 at 175
-iterations and 2.0e-4 at 2,475, with the value 3e-5 from where it ends
-at 5,350), so there it is reported but not waited on.
+(X, Y) take the same steps. The loop carries the state with every entry
+of Y times √(d² − 1), so the fit reads plain inner products. The step is
+safeguarded: its memory restarts when ‖g‖ grows, and it is taken only
+when the fit removes a tenth of ‖g‖² and the step is at most 10‖g‖ long;
+otherwise the iteration takes the plain step f(s). The stop test reads
+f(s): the primal residual, the cone violation and the spread of the three
+blocks about z, all in the full-space norm, the objective change over the
+stall window and, for a complete program, the ADMM dual residual
+√3·‖z' − z‖/STEP. Near the optimum a complete program can drift for
+thousands of iterations with its objective rising by less than the
+accuracy per window, and the dual residual holds it until the drift
+ends. On a subset the dual residual falls slowly after the value has
+settled (d = 3, N = 5: 1.6e-3 at 175 iterations and 2.0e-4 at 2,475,
+with the value 3e-5 from where it ends at 5,350), so there it is
+reported but not waited on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral, Real
 
 import numpy as np
@@ -245,13 +256,30 @@ class _Coordinates:
     when every partial transpose is, and ``from_blocks`` maps them back.
     ``operators`` gives the matrices a result returns. ``dual_stop`` says
     whether the stop test reads the dual residual (``_consensus``).
+
+    The loop iterates the state s = (z, three duals), each stack times
+    √metric (``root``), so that ``weight`` times its plain Euclidean norm
+    is the full-space one; ``step`` maps s to f(s).
     """
 
     metric = 1.0
     dual_stop = True
 
+    @cached_property
+    def root(self) -> np.ndarray:
+        return np.sqrt(self.metric)
+
+    @cached_property
+    def drive(self) -> np.ndarray:
+        return self.cost / (3.0 * STEP)
+
     def start(self) -> np.ndarray:
         return np.stack([np.eye(self.cost.shape[1], dtype=complex) / self.n] * len(self.cost))
+
+    def step(self, s: np.ndarray, out: np.ndarray) -> None:
+        """The plain step s → f(s) into ``out``: ``_map`` on the unweighted state."""
+        _map(self, s / self.root, out, self.drive)
+        out *= self.root
 
     def affine(self, stack: np.ndarray) -> np.ndarray:
         """Shift the stack so the n operators of the measurement sum to the identity."""
@@ -297,6 +325,10 @@ class _Operators(_Coordinates):
     def deviation(self, stack: np.ndarray) -> np.ndarray:
         return stack.sum(axis=0) - np.eye(stack.shape[1])
 
+    def step(self, s: np.ndarray, out: np.ndarray) -> None:
+        # The metric is 1, so the state needs no weighting.
+        _map(self, s, out, self.drive)
+
     def to_blocks(self, stack: np.ndarray) -> np.ndarray:
         return transpose_party_a(stack, self.layout)
 
@@ -330,10 +362,60 @@ class _Sectors(_Coordinates):
         mix = np.array([[1.0, d - 1.0], [-1.0, d + 1.0]]) / d
         unmix = np.array([[d + 1.0, 1.0 - d], [1.0, 1.0]]) / 2
         signs = np.array([[1.0, 1.0], [1.0, -1.0]])
-        self.to_ppt = np.einsum("ij,kl->ikjl", mix, signs).reshape(4, 4)
-        self.from_ppt = np.einsum("ij,kl->ikjl", unmix, signs / 2).reshape(4, 4)
+        self.to_ppt = _kron(mix, signs)
+        self.from_ppt = _kron(unmix, signs / 2)
         tau = np.outer(self.a, self.a) / n
         self.cost = np.stack([np.stack([tau * self.eye, tau * self.off]), np.zeros((2, d, d))])
+        self._fuse()
+
+    def _fuse(self) -> None:
+        """The two products of ``step`` on the rows (X_P, X_Q, Y_P, Y_Q) of z and the duals.
+
+        The first maps the 16 rows of s to the affine projection of z − u₁
+        (weighted), the PSD input z − u₂ in the rows (Q_X, Q_Y, P_X, P_Y) and
+        the PPT eigenvalues of z − u₃. P and the eigenvalues are adjacent, so
+        one clip at 0 serves both. The second maps u and the three clipped
+        projections x to z' = mean(x + u) + drive and u' = x + u − z'.
+        """
+        rows = self.root.repeat(2, axis=1).reshape(4)
+        weigh, unweigh = np.diag(rows), np.diag(1.0 / rows)
+        to_qp = np.eye(4)[[1, 3, 0, 2]]
+        into = [weigh @ _kron(self.shift, np.eye(2)), to_qp, self.to_ppt]
+        self._first = np.zeros((12, 16))
+        for i, block in enumerate(m @ unweigh for m in into):
+            self._first[4 * i : 4 * i + 4, :4] = block
+            self._first[4 * i : 4 * i + 4, 4 * i + 4 : 4 * i + 8] = -block
+        self._offset = weigh @ self.offset.reshape(4, -1)
+        # x + u for each block, weighted: u, then the three projections.
+        back = np.zeros((12, 12))
+        for i, block in enumerate([np.eye(4), weigh @ to_qp.T, weigh @ self.from_ppt]):
+            back[4 * i : 4 * i + 4, 4 * i : 4 * i + 4] = block
+        update = np.vstack([_MEAN, np.eye(3) - _MEAN])
+        self._second = _kron(update, np.eye(4)) @ np.hstack([np.eye(12), back])
+        # z' takes the drive and each u' gives it back.
+        push = np.vstack([np.ones((1, 1)), -np.ones((3, 1))])
+        self._drive = _kron(push, weigh @ self.drive.reshape(4, -1)).reshape(4, *self.offset.shape)
+        self._work = np.empty((24, self.n))
+
+    def step(self, s: np.ndarray, out: np.ndarray) -> None:
+        """``_map`` on the weighted state in two products around the cone clips."""
+        d = self.d
+        s, work = s.reshape(16, -1), self._work
+        x = work[12:]
+        np.matmul(self._first, s, out=x)
+        x[:4] += self._offset
+        # B = Q + diag(P) in place of Q, then clip P and the eigenvalues.
+        blocks, p = x[4:6], x[6:8]
+        blocks[:, :: d + 1] += p[:, :: d + 1]
+        np.maximum(x[6:], 0.0, out=x[6:])
+        w, v = np.linalg.eigh(blocks.reshape(2, d, d))
+        np.maximum(w, 0.0, out=w)
+        np.matmul(v * w[:, None], v.swapaxes(1, 2), out=blocks.reshape(2, d, d))
+        p[:, :: d + 1] = blocks[:, :: d + 1]
+        blocks[:, :: d + 1] = 0.0
+        work[:12] = s[4:]
+        np.matmul(self._second, work, out=out.reshape(16, -1))
+        out += self._drive
 
     def start(self) -> np.ndarray:
         return np.stack([self.unit, self.unit]) / self.n
@@ -381,6 +463,11 @@ class _Sectors(_Coordinates):
         return tuple(dense)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker product of two matrices."""
+    return np.einsum("ij,kl->ikjl", a, b).reshape(a.shape[0] * b.shape[0], -1)
+
+
 def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
     """Maximize sum_i p_i <Phi_i|P_i|Phi_i> over PPT measurements.
 
@@ -416,31 +503,29 @@ def _map(coords: _Coordinates, s: np.ndarray, out: np.ndarray, drive: np.ndarray
 def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResult:
     """The consensus splitting of ``solve_primal_ppt`` in the given coordinates.
 
-    The state s stacks z and the three duals, and the plain step is the map
-    s → f(s) of ``_map``. Each iteration evaluates f once and takes a type-II
-    Anderson step of memory 2 (Zhang, O'Donoghue and Boyd, SIAM J. Optim. 30,
-    2020) on the residual g = f(s) − s: s ← f(s) − Σ_j γ_j Δf_j, where γ fits
-    g by the last differences Δg_j in the full-space Frobenius norm, so every
-    set of coordinates of one program takes the same steps. Every check reads
-    f(s), the operators the solve returns.
+    The state s stacks z and the three duals, each weighted by √metric, and
+    the plain step is the map s → f(s) of ``coords.step``: ``_map`` between
+    unweighting and weighting, or the fused map of ``_Sectors``. Each
+    iteration evaluates f once and takes a type-II Anderson step of memory 2
+    (Zhang, O'Donoghue and Boyd, SIAM J. Optim. 30, 2020) on the residual
+    g = f(s) − s: s ← f(s) − Σ_j γ_j Δf_j, where γ fits g by the last
+    differences Δg_j in the full-space Frobenius norm, which on the weighted
+    state is ``weight`` times the plain one, so every set of coordinates of
+    one program takes the same steps. Every check unweights z of f(s), the
+    operators the solve returns.
     """
-    # The state (z, three duals) starts at z = start() with zero duals; f
-    # holds its image under the map.
-    s = np.stack([coords.start()] * 4)
+    # z starts at start() and the duals at zero.
+    s = np.stack([coords.start() * coords.root] * 4)
     s[1:] = 0.0
     f = np.empty_like(s)
-    # Both as real arrays (complex entries as pairs), flat and shaped.
+    # Both as real arrays (complex entries as pairs), flat.
     s_flat, f_flat = s.reshape(-1).view(float), f.reshape(-1).view(float)
-    s_real = s.view(float)
     # The rows one product reads: Δg of the two history slots, g, and Δf of
-    # the two slots, each times the square root of the metric, so that the
-    # plain inner product of two rows is the weighted one.
+    # the two slots; the state is weighted, so their plain inner products
+    # are the weighted ones.
     window = np.zeros((5, s_flat.size))
     g, diffs = window[2], window[3:]
-    shaped = window.reshape(5, *s_real.shape)
-    root = np.sqrt(coords.metric)
     coeffs = np.zeros(2)
-    drive = coords.cost / (3.0 * STEP)
     scale = coords.weight**2
     quarter = s_flat.size // 4
 
@@ -448,7 +533,7 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
     trace: list[dict] = []
     memory: list[int] = []
     gg_prev = np.inf
-    s_square = scale * float(np.vdot(s_real, s_real * coords.metric))
+    s_square = scale * float(s_flat @ s_flat)
 
     for it in range(1, max_iters + 1):
         if it > 1:
@@ -457,25 +542,23 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
             slot = memory[0] if len(memory) == 2 else 1 - memory[0] if memory else 0
             np.negative(g, out=window[slot])
             np.negative(f_flat, out=diffs[slot])
-        _map(coords, s, f, drive)
+        coords.step(s, f)
         np.subtract(f_flat, s_flat, out=g)
-        shaped[2] *= root
         if it > 1:
             window[slot] += g
             diffs[slot] += f_flat
-            shaped[3 + slot] *= root
             memory = [j for j in memory if j != slot] + [slot]
         gram = (window @ window.T).tolist()
         gg = gram[2][2]
 
         if it % _CHECK_EVERY == 0 or it == max_iters:
-            obj = coords.objective(f[0])
-            primal_res, cone_res = coords.residuals(f[0])
+            z = f[0] / coords.root
+            obj = coords.objective(z)
+            primal_res, cone_res = coords.residuals(z)
             # The ADMM dual residual and the spread of the blocks about z.
             dual_res = math.sqrt(3.0 * scale * float(g[:quarter] @ g[:quarter])) / STEP
             consensus_res = math.sqrt(scale * float(g[quarter:] @ g[quarter:]))
-            f_real = f.view(float)
-            s_square = scale * float(np.vdot(f_real, f_real * coords.metric))
+            s_square = scale * float(f_flat @ f_flat)
             history.append(obj)
             lag = _STALL_WINDOW // _CHECK_EVERY
             if len(history) > lag:
@@ -518,13 +601,12 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
                 if step <= _MAX_STEP**2 * gg:
                     coeffs[0], coeffs[1] = c0, c1
                     np.dot(coeffs, diffs, out=s_flat)
-                    s_real /= root
                     np.subtract(f_flat, s_flat, out=s_flat)
                     continue
                 memory = []
         s[...] = f
 
-    z = f[0].copy()
+    z = f[0] / coords.root
     rounded = coords.ppt_clip(coords.psd_clip(coords.affine(z)))
     return SDPResult(
         primal_value=obj,

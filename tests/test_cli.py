@@ -170,6 +170,14 @@ class TestExitCodes:
             if "--seed=-1" in flags:
                 assert err == "error: --seed must be a non-negative integer, got -1\n"
 
+    def test_shots_beyond_a_64_bit_count_are_refused(self, capsys):
+        # The multinomial draw takes a 64-bit count and raised OverflowError.
+        for shots in (2**63, 99999999999999999999):
+            code, out, err = run(capsys, "protocol", "--dim", "2", "--shots", str(shots))
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert err == f"error: --shots must be below 2**63, got {shots}\n"
+
     def test_starved_solver_is_a_numerical_failure(self, capsys):
         code, _, err = run(
             capsys, "sandwich", "--dim", "2", "--spectrum", "0.8,0.2",

@@ -105,6 +105,34 @@ class TestProtocol:
         b = sample_protocol_success(*args, np.random.default_rng(5))
         assert a == b
 
+    def test_chunked_draws_match_one_draw(self, monkeypatch):
+        import entdist.protocol as protocol
+
+        for seed, d in [(0, 2), (1, 3), (7, 2), (11, 3)]:
+            spec = random_spectrum(d, np.random.default_rng(seed))
+            values = []
+            for chunk in (10**9, 2**16, 1000, 7):
+                monkeypatch.setattr(protocol, "_DRAW_CHUNK", chunk)
+                values.append(
+                    sample_protocol_success(weyl_basis(d), spec, 20_011, np.random.default_rng(seed))
+                )
+            assert values == [values[0]] * 4
+
+    def test_sampling_memory_does_not_grow_with_the_shots(self):
+        """A single draw per row would hold about 16 bytes a shot, 19 MiB here."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            estimate = sample_protocol_success(
+                weyl_basis(2), BELL_SPEC, 5_000_000, np.random.default_rng(3)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(estimate - 0.9) < 1e-3
+        assert peak < 4 * 2**20
+
     def test_sampling_rejects_zero_shots(self):
         with pytest.raises(ValueError):
             sample_protocol_success(

@@ -298,6 +298,27 @@ class TestCovariantPath:
             SDPProblem.from_ensemble(ens, resource=BELL_SPEC)
 
 
+# Iterations of the complete solve at the default accuracy for the uniform
+# spectrum and the random spectra of seeds 1 and 2.
+COMPLETE_ITERATIONS = {
+    2: (75, 75, 75),
+    3: (75, 100, 100),
+    4: (75, 150, 125),
+    5: (100, 225, 150),
+    6: (125, 300, 200),
+    7: (150, 375, 250),
+    8: (175, 450, 275),
+    9: (200, 1000, 350),
+    10: (225, 1175, 400),
+    11: (250, 1375, 525),
+    12: (300, 1600, 575),
+    13: (350, 1875, 675),
+    14: (375, 2100, 800),
+    15: (425, 2350, 900),
+    16: (475, 2600, 1125),
+}
+
+
 class TestAnderson:
     """The accelerated loop against the plain map it extrapolates."""
 
@@ -332,6 +353,17 @@ class TestAnderson:
         last = result.trace[-1]
         assert max(last["dual_residual"], last["consensus_residual"]) < DEFAULT_ACCURACY
 
+    @pytest.mark.parametrize("d", sorted(COMPLETE_ITERATIONS))
+    def test_complete_iteration_counts(self, d):
+        """The iterations of the complete solve, pinned for every later change to the loop."""
+        specs = [ResourceSpectrum.uniform(d)] + [
+            random_spectrum(d, np.random.default_rng(seed)) for seed in (1, 2)
+        ]
+        counts = tuple(
+            solve_primal_ppt(SDPProblem.from_basis(weyl_basis(d), spec)).iterations for spec in specs
+        )
+        assert counts == COMPLETE_ITERATIONS[d]
+
     def test_a_subset_does_not_wait_on_the_dual_residual(self):
         """d = 3, N = 5: the dual residual is still 1.6e-3 when the solve
         stops at 175 iterations, with the value within 3.2e-5 of the
@@ -360,6 +392,42 @@ def _symmetric_stack(d: int, rng: np.random.Generator) -> np.ndarray:
     s = (s + s.swapaxes(-1, -2)) / 2
     s[:, 1] *= 1.0 - np.eye(d)
     return s
+
+
+class TestFusedMap:
+    """The two products of ``_Sectors.step`` against ``_map`` on the unweighted state."""
+
+    @staticmethod
+    def _both(coords, s):
+        fused, generic = np.empty_like(s), np.empty_like(s)
+        _Sectors.step(coords, s, fused)
+        _Coordinates.step(coords, s, generic)
+        return fused, generic
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+    def test_matches_the_generic_map(self, d):
+        rng = np.random.default_rng(100 + d)
+        coords = _Sectors(random_spectrum(d, rng))
+        for _ in range(20):
+            s = np.stack([_symmetric_stack(d, rng) for _ in range(4)]) * coords.root
+            fused, generic = self._both(coords, s)
+            assert np.max(np.abs(fused - generic)) <= 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+    def test_matches_the_generic_map_along_a_solve(self, d):
+        coords = _Sectors(random_spectrum(d, np.random.default_rng(110 + d)))
+        gaps = []
+
+        def step(s, out):
+            fused, generic = self._both(coords, s)
+            gaps.append(np.max(np.abs(fused - generic)))
+            out[...] = fused
+
+        coords.step = step
+        # An accuracy it cannot reach, so the solve runs all 100 iterations.
+        _consensus(coords, 1e-12, 100)
+        assert len(gaps) == 100
+        assert max(gaps) <= 1e-15
 
 
 class TestPPTClip:
