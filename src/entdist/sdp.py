@@ -56,6 +56,15 @@ duals and the three projections to the next z and duals.
 The twirl identity holds for every trace-orthogonal basis, which starts at
 the identity, so the complete program depends only on d and the spectrum.
 
+The penalty ρ of the splitting is STEP times the full-space Frobenius norm
+of the cost stack, ``weight`` · √(Σ metric·|cost|²): 1/d for a complete
+program and 1/√N for N pure states with uniform priors. Every set of
+coordinates of one program computes the same ρ. The drive cost/(3ρ) then
+keeps its strength against the penalty as d grows; ADMM's rate depends on
+that ratio (Boyd et al. 2011, §3.4.1). With ρ fixed at 0.5 the complete
+solves of the uniform spectrum and two random ones took up to 2,600
+iterations at d = 16; now they take 75–225 up to d = 16.
+
 The loop is a fixed-point iteration s → f(s) on the state s = (z, duals),
 and each iteration extrapolates by a type-II Anderson step of memory 2
 (Zhang, O'Donoghue and Boyd, SIAM J. Optim. 30, 2020): with g = f(s) − s,
@@ -72,13 +81,13 @@ otherwise the iteration takes the plain step f(s). The stop test reads
 f(s): the primal residual, the cone violation and the spread of the three
 blocks about z, all in the full-space norm, the objective change over the
 stall window and, for a complete program, the ADMM dual residual
-√3·‖z' − z‖/STEP. Near the optimum a complete program can drift for
-thousands of iterations with its objective rising by less than the
-accuracy per window, and the dual residual holds it until the drift
-ends. On a subset the dual residual falls slowly after the value has
-settled (d = 3, N = 5: 1.6e-3 at 175 iterations and 2.0e-4 at 2,475,
-with the value 3e-5 from where it ends at 5,350), so there it is
-reported but not waited on.
+√3·‖z' − z‖/ρ. Near the optimum a complete program can drift with its
+objective rising by less than the accuracy per window, and the dual
+residual holds it until the drift ends (d = 12, random spectrum of seed
+0: 825 iterations, where the other tests alone stop at 750, 4.9e-5 below
+the optimum). On a subset the dual residual falls slowly after the value has
+settled (d = 3, N = 5: 1.9e-3 at 125 iterations, with the value 1.5e-5
+from where it ends at 9,550), so there it is reported but not waited on.
 """
 
 from __future__ import annotations
@@ -104,7 +113,13 @@ from .tensor import SubsystemLayout, psd_clip, transpose_party_a
 
 DEFAULT_ACCURACY = 1e-4
 DEFAULT_MAX_ITERS = 50000
-# Penalty step of the three-way consensus splitting.
+# The penalty of the three-way consensus splitting is STEP times the
+# full-space Frobenius norm of the cost (``_Coordinates.penalty``), so it
+# shrinks with the cost: 1/d for a complete program and 1/√N for N pure
+# states with uniform priors. A scale of 0.2 cut the complete solves at
+# d = 2…16 (random spectra of seeds 0–5) from 16,625 to 10,250 iterations,
+# but took the d = 3 subsets N = 4…8 near the spectrum (0.6, 0.3, 0.1)
+# from 1,050 to 1,400.
 STEP = 0.5
 
 # Averages the three blocks of the splitting.
@@ -255,7 +270,8 @@ class _Coordinates:
     ``to_blocks`` maps the stack onto matrices that are all PSD exactly
     when every partial transpose is, and ``from_blocks`` maps them back.
     ``operators`` gives the matrices a result returns. ``dual_stop`` says
-    whether the stop test reads the dual residual (``_consensus``).
+    whether the stop test reads the dual residual (``_consensus``), and
+    ``penalty`` is the ADMM penalty ρ of the module docstring.
 
     The loop iterates the state s = (z, three duals), each stack times
     √metric (``root``), so that ``weight`` times its plain Euclidean norm
@@ -270,8 +286,13 @@ class _Coordinates:
         return np.sqrt(self.metric)
 
     @cached_property
+    def penalty(self) -> float:
+        """The ADMM penalty: ``STEP`` times the full-space Frobenius norm of the cost."""
+        return STEP * self.weight * math.sqrt(float(np.sum(self.metric * np.abs(self.cost) ** 2)))
+
+    @cached_property
     def drive(self) -> np.ndarray:
-        return self.cost / (3.0 * STEP)
+        return self.cost / (3.0 * self.penalty)
 
     def start(self) -> np.ndarray:
         return np.stack([np.eye(self.cost.shape[1], dtype=complex) / self.n] * len(self.cost))
@@ -556,7 +577,7 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
             obj = coords.objective(z)
             primal_res, cone_res = coords.residuals(z)
             # The ADMM dual residual and the spread of the blocks about z.
-            dual_res = math.sqrt(3.0 * scale * float(g[:quarter] @ g[:quarter])) / STEP
+            dual_res = math.sqrt(3.0 * scale * float(g[:quarter] @ g[:quarter])) / coords.penalty
             consensus_res = math.sqrt(scale * float(g[quarter:] @ g[quarter:]))
             s_square = scale * float(f_flat @ f_flat)
             history.append(obj)

@@ -54,6 +54,10 @@ class ResourceSpectrum:
             raise ValueError(f"Schmidt coefficients must be nonnegative, got {a}")
         if any(a[i] < a[i + 1] for i in range(len(a) - 1)):
             raise ValueError(f"Schmidt coefficients must be sorted descending, got {a}")
+        # No coefficient of a unit vector exceeds 1, and a larger one fails the
+        # norm check below anyway; refusing it first keeps the squares finite.
+        if a[0] > 1.0 + 1e-12:
+            raise ValueError(f"Schmidt coefficients must be at most 1, got {a[0]!r}")
         norm = math.fsum(x * x for x in a)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(
@@ -134,6 +138,9 @@ def validate_basis(unitaries) -> BasisValidation:
             )
     stack = np.asarray(unitaries, dtype=complex)
     n = len(stack)
+    bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"unitary {bad[0]} has a non-finite entry")
     products = stack.conj().swapaxes(1, 2) @ stack
     unit_defect = float(np.max(np.abs(products - np.eye(d))))
     # gram[i, j] = Tr(U_i^dagger U_j), one product over the flattened stack.

@@ -10,7 +10,7 @@ from typing import Iterable
 
 import numpy as np
 
-from entdist.sdp import _CHECK_EVERY, _STALL_WINDOW, _TRACE_EVERY, STEP, SDPResult
+from entdist.sdp import _CHECK_EVERY, _STALL_WINDOW, _TRACE_EVERY, SDPResult
 from entdist.states import (
     BASIS_DEFECT_TOL,
     MaxEntBasis,
@@ -224,7 +224,7 @@ def plain_consensus(coords, accuracy: float, max_iters: int):
     """
     z = coords.start()
     duals = np.zeros((3, *z.shape), dtype=z.dtype)
-    drive = coords.cost / (3.0 * STEP)
+    drive = coords.cost / (3.0 * coords.penalty)
     metric = np.broadcast_to(coords.metric, z.shape)
 
     def norm(v):
@@ -244,7 +244,7 @@ def plain_consensus(coords, accuracy: float, max_iters: int):
         history.append(obj)
         lag = _STALL_WINDOW // _CHECK_EVERY
         change = abs(obj - history[-1 - lag]) / max(1.0, abs(obj)) if len(history) > lag else np.inf
-        dual = math.sqrt(3.0) * norm(z - z_old) / STEP
+        dual = math.sqrt(3.0) * norm(z - z_old) / coords.penalty
         consensus = norm(x - z)
         row = {
             "iteration": it,

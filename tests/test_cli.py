@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +112,36 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert out == ""
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--spectrum", "1e308,1e308"),
+            ("--amplitudes", "--spectrum", "1.2e154,1.2e154"),
+        ],
+        ids=["probabilities", "amplitudes"],
+    )
+    def test_spectrum_whose_squares_overflow(self, capsys, argv):
+        code, out, err = run(capsys, "fef", "--dim", "2", *argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:") and "at most 1" in err
+
+    def test_non_finite_basis_file_entry(self, capsys, tmp_path):
+        from entdist.states import dump_basis_file, weyl_basis
+
+        path = tmp_path / "weyl2.json"
+        dump_basis_file(weyl_basis(2), path)
+        text = path.read_text()
+        # The imaginary part of the last entry of unitary 3.
+        i = text.rindex("0.0")
+        path.write_text(text[:i] + "NaN" + text[i + 3 :])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "basis", "--basis-file", str(path))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "error: unitary 3 has a non-finite entry\n"
 
     def test_wrong_length_spectrum(self, capsys):
         code, _, _ = run(capsys, "fef", "--dim", "3", "--spectrum", "0.8,0.2")

@@ -13,6 +13,7 @@ from entdist.sdp import (
     _CHECK_EVERY,
     DEFAULT_ACCURACY,
     DEFAULT_MAX_ITERS,
+    STEP,
     SDPProblem,
     _consensus,
     _Coordinates,
@@ -298,24 +299,46 @@ class TestCovariantPath:
             SDPProblem.from_ensemble(ens, resource=BELL_SPEC)
 
 
+class TestPenalty:
+    """The penalty is ``STEP`` times the full-space norm of the cost, so every
+    set of coordinates of one program takes the same steps."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind", ["uniform", "random"])
+    def test_every_route_to_a_complete_program_agrees(self, d, kind):
+        if kind == "uniform":
+            spec = ResourceSpectrum.uniform(d)
+        else:
+            spec = random_spectrum(d, np.random.default_rng(70 + d))
+        operators = _Operators(SDPProblem.from_ensemble(build_ensemble(weyl_basis(d), spec, d * d)))
+        for coords in (_Sectors(spec), operators, _Pair(spec)):
+            assert abs(coords.penalty - STEP / d) <= 1e-15
+
+    @pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 4), (3, 7)])
+    def test_a_subset_of_n_states(self, d, n):
+        spec = random_spectrum(d, np.random.default_rng(80 + n))
+        coords = _Operators(SDPProblem.from_basis(weyl_basis(d), spec, n))
+        assert abs(coords.penalty - STEP / np.sqrt(n)) <= 1e-15
+
+
 # Iterations of the complete solve at the default accuracy for the uniform
 # spectrum and the random spectra of seeds 1 and 2.
 COMPLETE_ITERATIONS = {
     2: (75, 75, 75),
-    3: (75, 100, 100),
-    4: (75, 150, 125),
-    5: (100, 225, 150),
-    6: (125, 300, 200),
-    7: (150, 375, 250),
-    8: (175, 450, 275),
-    9: (200, 1000, 350),
-    10: (225, 1175, 400),
-    11: (250, 1375, 525),
-    12: (300, 1600, 575),
-    13: (350, 1875, 675),
-    14: (375, 2100, 800),
-    15: (425, 2350, 900),
-    16: (475, 2600, 1125),
+    3: (75, 75, 75),
+    4: (75, 75, 75),
+    5: (75, 100, 75),
+    6: (75, 100, 100),
+    7: (75, 100, 100),
+    8: (75, 100, 100),
+    9: (75, 150, 100),
+    10: (100, 175, 100),
+    11: (75, 175, 100),
+    12: (100, 175, 100),
+    13: (100, 200, 100),
+    14: (75, 200, 125),
+    15: (75, 225, 125),
+    16: (100, 225, 125),
 }
 
 
@@ -365,10 +388,11 @@ class TestAnderson:
         assert counts == COMPLETE_ITERATIONS[d]
 
     def test_a_subset_does_not_wait_on_the_dual_residual(self):
-        """d = 3, N = 5: the dual residual is still 1.6e-3 when the solve
-        stops at 175 iterations, with the value within 3.2e-5 of the
-        0.99999496 it reaches when the dual residual also has to fall below
-        the accuracy, after 5,350 iterations."""
+        """d = 3, N = 5: the dual residual is still 1.9e-3 when the solve
+        stops at 125 iterations, with the value within 2.0e-5 of the
+        0.99999496 it reached under the fixed penalty 0.5 when the dual
+        residual also had to fall below the accuracy, after 5,350
+        iterations."""
         spec = ResourceSpectrum.from_probabilities([0.6, 0.3, 0.1])
         complete = SDPProblem.from_ensemble(build_ensemble(weyl_basis(2), BELL_SPEC, 4))
         assert _Operators(complete).dual_stop and _Sectors(spec).dual_stop
@@ -378,6 +402,17 @@ class TestAnderson:
         assert result.converged
         assert result.trace[-1]["dual_residual"] > DEFAULT_ACCURACY
         assert abs(result.primal_value - 0.99999496) <= DEFAULT_ACCURACY
+
+    def test_a_subset_stops_within_the_accuracy_of_its_held_value(self):
+        """d = 3, N = 6: held until its dual residual is also below the
+        accuracy, the solve reaches 0.98989753 (2,400 iterations under the
+        fixed penalty 0.5). That penalty stopped it 2.7e-4 short after 275
+        iterations, with every residual of the stop test below the accuracy;
+        the scaled penalty stops it 2.9e-5 short after 350."""
+        spec = ResourceSpectrum.from_probabilities([0.6, 0.3, 0.1])
+        result = solve_primal_ppt(SDPProblem.from_basis(weyl_basis(3), spec, 6))
+        assert result.converged
+        assert abs(result.primal_value - 0.98989753) <= DEFAULT_ACCURACY
 
 
 def _symmetric_stack(d: int, rng: np.random.Generator) -> np.ndarray:

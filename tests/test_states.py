@@ -1,5 +1,8 @@
 """Spectra, bases, ensembles, and the basis file format."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +39,24 @@ class TestResourceSpectrum:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             ResourceSpectrum((0.9, 0.1))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ResourceSpectrum.from_probabilities([1e308, 1e308]),
+            lambda: ResourceSpectrum.from_amplitudes([1.2e154, 1.2e154]),
+            lambda: ResourceSpectrum((1e200, 0.0)),
+        ],
+        ids=["probabilities", "amplitudes", "coefficients"],
+    )
+    def test_refuses_a_coefficient_above_one_before_squaring(self, build):
+        """Squaring these overflowed the exact sum of the norm check."""
+        with pytest.raises(ValueError, match="at most 1"):
+            build()
+
+    def test_admits_a_coefficient_the_norm_check_admits(self):
+        spec = ResourceSpectrum((1.0 + 1e-13, 0.0))
+        assert spec.coeffs[0] > 1.0
 
     def test_from_probabilities_sorts_and_roots(self):
         spec = ResourceSpectrum.from_probabilities([0.2, 0.8])
@@ -376,6 +397,20 @@ class TestBasisFile:
             bad.write_text(f'{{"dim": {dim}, "unitaries": []}}')
             with pytest.raises(ValueError, match="malformed basis file"):
                 load_basis_file(bad)
+
+    @pytest.mark.parametrize("entry", ["1e400", "-1e400", "NaN", "Infinity"])
+    def test_refuses_a_non_finite_entry(self, tmp_path, entry):
+        """json reads 1e400 as inf and NaN as nan; the products of the
+        unitarity check then warned and reported a defect of nan."""
+        path = tmp_path / "weyl2.json"
+        dump_basis_file(weyl_basis(2), path)
+        payload = json.loads(path.read_text())
+        payload["unitaries"][2][1][1] = "ENTRY"
+        path.write_text(json.dumps(payload).replace('"ENTRY"', entry))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="unitary 2 has a non-finite entry"):
+                load_basis_file(path)
 
     def test_wrong_entry_count(self, tmp_path):
         bad = tmp_path / "short.json"
