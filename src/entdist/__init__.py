@@ -29,9 +29,7 @@ from .protocol import (
 )
 from .sdp import (
     SandwichReport,
-    SDPProblem,
     SDPResult,
-    dual_bound_from_certificate,
     sandwich_report,
     solve_primal_ppt,
 )
@@ -66,14 +64,12 @@ __all__ = [
     "ResidualEnsemble",
     "ResourceSpectrum",
     "SandwichReport",
-    "SDPProblem",
     "SDPResult",
     "SubsystemLayout",
     "UpsilonReport",
     "build_certificate",
     "build_ensemble",
     "conjugated_basis",
-    "dual_bound_from_certificate",
     "dump_basis_file",
     "fef",
     "four_factor_layout",

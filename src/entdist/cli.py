@@ -36,7 +36,7 @@ from .protocol import (
     sample_protocol_success,
     simulate_protocol,
 )
-from .sdp import SDPProblem, is_covariant, sandwich_report, solve_primal_ppt
+from .sdp import sandwich_report, solve_bytes, solve_primal_ppt
 from .states import (
     MaxEntBasis,
     ResourceSpectrum,
@@ -60,23 +60,16 @@ MAX_DENSE_BYTES = 4 * 2**30
 # Bytes per Schmidt coefficient while fef builds and reads the spectrum;
 # tracemalloc peaks at 220-390 of them at d = 10^4-10^6.
 _SPECTRUM_BYTES = 400
-# Arrays of 16 d^4 bytes the solve of a complete basis holds: the dense pair
-# (X, Y) it returns is one, and its O(d^2) sector arrays shrink against it as
-# d grows; tracemalloc peaks at 2.7 of them at d = 8 and 1.4 at d = 16. At
-# d = 4 the peak is 10.4 of them, 43 kB in all.
-_PAIR_ARRAYS = 5
-# Arrays of 16 d^8 bytes per operator that an operator-by-operator solve
-# holds besides its states and costs: the Anderson step's five rows, the
-# iterate and its image under the map, four arrays each, and the
-# projections' temporaries; tracemalloc peaks at 38.0-38.5 with the states
-# and costs at d = 2, 3.
-_OPERATOR_ARRAYS = 37
 # Basis-sized arrays (d^2 matrices of d x d, 16 d^4 bytes) that basis, protocol,
 # bounds, certificate and verify hold at their peak. Parsing a basis file's
 # JSON alone costs about 14 of them (tracemalloc peaks at 14.1-14.6 at
 # d = 6-16, against 4.0-7.2 for the built-in basis; certificate peaks at
 # 4.8-7.1 and verify at 8.2-11.8 of them at d = 4-16).
 _BASIS_ARRAYS = 16
+# Bytes per point of a sweep: its grid entry, its row and the row's text in
+# the report; tracemalloc peaks at 1,650-1,850 of them per point at 50-3,000
+# steps, with or without --sdp (less with --csv).
+_SWEEP_ROW_BYTES = 2000
 
 
 @dataclass(frozen=True)
@@ -129,37 +122,34 @@ def dense_bytes(command: str, dim: int, n_states: int) -> int:
     fef holds only the d Schmidt coefficients. basis, protocol, bounds,
     certificate and verify hold a fixed number of basis-sized arrays: the
     basis, the (N, d, d) stack of the ensemble factors psi_k and stacks of
-    d x d matrices derived from them. The solve of a complete
-    basis holds the basis, its sector arrays and the d^2 x d^2 pair it
-    returns, together a fixed number of basis-sized arrays; any other solve
-    keeps a fixed number of d^4 x d^4 matrices per operator plus the n_states
-    states and costs. sandwich adds the certificate route to its solve.
+    d x d matrices derived from them. sdp holds the basis and what
+    ``solve_bytes`` counts for the solve; sandwich adds the certificate
+    route to its solve.
     """
     if command == "fef":
         return _SPECTRUM_BYTES * dim
     basis = 16 * dim**4 * _BASIS_ARRAYS
     if command in ("basis", "protocol", "bounds", "certificate", "verify"):
         return basis
-    if is_covariant(dim, n_states):
-        solver = 16 * dim**4 * (_BASIS_ARRAYS + _PAIR_ARRAYS)
-    else:
-        solver = 16 * dim**8 * (_OPERATOR_ARRAYS + 2) * n_states
+    solver = basis + solve_bytes(dim, n_states)
     return {"sdp": solver, "sandwich": solver + basis}[command]
 
 
-def _check_size(command: str, dim: int, n_states: int, sdp: bool) -> None:
-    # A sweep runs all three routes on the complete basis, like sandwich. A
-    # scan holds what bounds holds; with --sdp its largest solve is N = d^2 - 1.
+def _check_size(command: str, dim: int, n_states: int, sdp: bool, steps: int) -> None:
+    # A sweep runs all three routes on the complete basis, like sandwich, and
+    # holds its grid and rows. A scan holds what bounds holds; with --sdp its
+    # largest solve is N = d^2 - 1.
     if command == "sweep":
-        command, n_states = "sandwich", dim * dim
-    elif command == "scan":
-        command, n_states = ("sdp", dim * dim - 1) if sdp else ("bounds", dim * dim)
-    need = dense_bytes(command, dim, n_states)
+        need = dense_bytes("sandwich", dim, dim * dim) + _SWEEP_ROW_BYTES * steps
+        what = f"sweep with {steps} steps"
+    else:
+        if command == "scan":
+            command, n_states = ("sdp", dim * dim - 1) if sdp else ("bounds", dim * dim)
+        need = dense_bytes(command, dim, n_states)
+        what = f"{command} at d={dim}" + ("" if command == "fef" else f" with {n_states} states")
     if need > MAX_DENSE_BYTES:
-        states = "" if command == "fef" else f" with {n_states} states"
         raise ValueError(
-            f"{command} at d={dim}{states} needs about "
-            f"{need / 2**30:.3g} GiB of dense arrays, more than the "
+            f"{what} needs about {need / 2**30:.3g} GiB, more than the "
             f"{MAX_DENSE_BYTES / 2**30:.3g} GiB limit"
         )
 
@@ -203,7 +193,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if getattr(args, flag) == "":
             raise ValueError(f"--{flag} needs a file name, got an empty path")
 
-    _check_size(args.command, dim, n_states, args.sdp)
+    _check_size(args.command, dim, n_states, args.sdp, args.steps)
 
     # Only after the size guard: the spectrum alone holds d numbers.
     spectrum_label = args.spectrum if args.spectrum is not None else "uniform"
@@ -384,20 +374,14 @@ def cmd_certificate(config: RunConfig):
     return EXIT_OK if passed else EXIT_NUMERICAL, payload, rows
 
 
-def _solve(config: RunConfig, spec: ResourceSpectrum, n_states: int):
-    return solve_primal_ppt(
-        SDPProblem.from_basis(
-            config.basis,
-            spec,
-            n_states,
-            accuracy=config.accuracy,
-            max_iters=config.max_iters,
-        )
-    )
-
-
 def cmd_sdp(config: RunConfig):
-    result = _solve(config, config.spec, config.n_states)
+    result = solve_primal_ppt(
+        config.basis,
+        config.spec,
+        config.n_states,
+        accuracy=config.accuracy,
+        max_iters=config.max_iters,
+    )
     payload = {
         "command": "sdp",
         "dim": config.dim,
@@ -448,7 +432,7 @@ def cmd_sandwich(config: RunConfig):
             "agreement": report.agreement,
         }
     ]
-    code = EXIT_OK if report.agreement else EXIT_NUMERICAL
+    code = EXIT_OK if report.agreement and report.result.converged else EXIT_NUMERICAL
     return code, payload, rows
 
 
@@ -476,7 +460,11 @@ def cmd_sweep(config: RunConfig):
             "sdp": None,
         }
         if config.sdp:
-            results.append(_solve(config, spec, len(basis)))
+            results.append(
+                solve_primal_ppt(
+                    basis, spec, accuracy=config.accuracy, max_iters=config.max_iters
+                )
+            )
             row["sdp"] = results[-1].primal_value
         rows.append(row)
     return _table(config, rows, results, steps=config.steps)
@@ -485,10 +473,11 @@ def cmd_sweep(config: RunConfig):
 def cmd_scan(config: RunConfig):
     basis, spec, d = config.basis, config.spec, config.dim
     rows, results = [], []
-    for n in range(d + 1, d * d + 1):
+    completions = incomplete_bounds_sweep(basis, spec)
+    projectors = incomplete_bounds_sweep(basis, spec, strategy="projector")
+    for completion, projector in zip(completions, projectors):
+        n = completion.n_states
         start = time.perf_counter()
-        completion = incomplete_bounds(basis, spec, n)
-        projector = incomplete_bounds(basis, spec, n, strategy="projector")
         row = {
             "n_states": n,
             "lower_completion": completion.lower,
@@ -497,7 +486,11 @@ def cmd_scan(config: RunConfig):
             "sdp": None,
         }
         if config.sdp:
-            results.append(_solve(config, spec, n))
+            results.append(
+                solve_primal_ppt(
+                    basis, spec, n, accuracy=config.accuracy, max_iters=config.max_iters
+                )
+            )
             row["sdp"] = results[-1].primal_value
         rows.append(row)
         elapsed = time.perf_counter() - start

@@ -1,5 +1,12 @@
 """Primal PPT discrimination program and the certificate sandwich.
 
+``solve_primal_ppt(basis, spec, n_states)`` poses the program for the first
+N states of a maximally entangled basis on a pure resource, with uniform
+priors, and picks its coordinates: the complete program (N = d²) runs on
+the Schmidt sectors below and builds no state, and a subset runs operator
+by operator on the density operators of its ensemble. ``solve_bytes``
+estimates what either keeps in memory.
+
 The primal is solved by a three-block consensus splitting: one block keeps
 the measurement operators summing to the identity, one keeps each operator
 PSD, one keeps each partial transpose PSD, and a consensus variable ties
@@ -99,16 +106,10 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .certificate import DualCertificate, FeasibilityReport, build_certificate, verify_dual_feasibility
+from .certificate import FeasibilityReport, build_certificate, verify_dual_feasibility
 from .measures import fef
 from .protocol import incomplete_bounds, protocol_success
-from .states import (
-    Ensemble,
-    MaxEntBasis,
-    ResourceSpectrum,
-    build_ensemble,
-    four_factor_layout,
-)
+from .states import MaxEntBasis, ResourceSpectrum, build_ensemble
 from .tensor import SubsystemLayout, psd_clip, transpose_party_a
 
 DEFAULT_ACCURACY = 1e-4
@@ -146,94 +147,35 @@ _TRACE_EVERY = 100
 # later than either window.
 _STALL_WINDOW = 25
 
+# Arrays of 16 d⁴ bytes the complete solve holds: the dense pair (X, Y) it
+# returns is one, and its O(d²) sector arrays shrink against it as d grows;
+# tracemalloc peaks at 2.7 of them at d = 8 and 1.4 at d = 16. At d = 4 the
+# peak is 10.6 of them, 44 kB in all.
+_PAIR_ARRAYS = 5
+# Arrays of 16 d⁸ bytes per operator that an operator-by-operator solve
+# holds: its state and cost, the Anderson step's five rows, the iterate and
+# its image under the map, four arrays each, and the projections'
+# temporaries; tracemalloc peaks at 37.0-37.9 of them at d = 2, 3.
+_OPERATOR_ARRAYS = 39
 
-def is_covariant(dim: int, n_states: int) -> bool:
-    """Whether the first n_states states of a basis are solved on the pair (X, Y).
 
-    Only the complete set of d² states is covariant; a subset breaks the orbit.
+def solve_bytes(dim: int, n_states: int) -> int:
+    """Estimated peak bytes of the arrays ``solve_primal_ppt`` builds.
+
+    The complete program (n_states = d²) holds its sector arrays and the
+    d² × d² pair it returns; a subset holds a fixed number of d⁴ × d⁴
+    matrices per operator. Neither counts the basis it is given.
     """
-    return n_states == dim * dim
-
-
-@dataclass(frozen=True)
-class SDPProblem:
-    """Discrimination instance: states, priors, cut, and solver options.
-
-    ``resource``, given in place of states, poses the complete program: the
-    d² states of any complete basis on that resource, with uniform priors,
-    solved on the pair (X, Y) of the module docstring.
-    """
-
-    states: np.ndarray
-    priors: tuple[float, ...]
-    layout: SubsystemLayout
-    accuracy: float = DEFAULT_ACCURACY
-    max_iters: int = DEFAULT_MAX_ITERS
-    resource: ResourceSpectrum | None = None
-
-    def __post_init__(self):
-        priors = tuple(float(p) for p in self.priors)
-        object.__setattr__(self, "priors", priors)
-        accuracy, max_iters = self.accuracy, self.max_iters
-        if not (isinstance(accuracy, Real) and math.isfinite(accuracy) and accuracy > 0):
-            raise ValueError(f"accuracy must be finite and positive, got {accuracy!r}")
-        if isinstance(max_iters, bool) or not isinstance(max_iters, Integral) or max_iters < 1:
-            raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
-        if self.resource is not None:
-            if len(self.states) or priors or self.layout != four_factor_layout(self.resource.dim):
-                raise ValueError(
-                    "a complete program takes a resource in place of states and "
-                    f"the A1,A2,B1,B2 layout of dimension {self.resource.dim}"
-                )
-            return
-        if len(self.states) != len(priors) or not priors:
-            raise ValueError("need one prior per state and at least one state")
-        if abs(sum(priors) - 1.0) > 1e-12 or any(p < 0 for p in priors):
-            raise ValueError(f"priors must form a probability vector, got {priors}")
-        states = self.layout.stack(self.states, 2)
-        object.__setattr__(self, "states", states)
-        off_trace = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0) > 1e-10
-        bad = np.flatnonzero(off_trace | (np.linalg.eigvalsh(states)[:, 0] < -1e-10))
-        if bad.size:
-            i = bad[0]
-            if off_trace[i]:
-                raise ValueError(f"state {i} does not have unit trace")
-            raise ValueError(f"state {i} is not positive semidefinite")
-
-    @classmethod
-    def from_ensemble(cls, ens: Ensemble, **options) -> "SDPProblem":
-        """The program for an ensemble, solved operator by operator."""
-        return cls(
-            states=ens.density_operators(),
-            priors=ens.priors,
-            layout=ens.layout,
-            **options,
-        )
-
-    @classmethod
-    def from_basis(
-        cls,
-        basis: MaxEntBasis,
-        spec: ResourceSpectrum,
-        n_states: int | None = None,
-        **options,
-    ) -> "SDPProblem":
-        """The program for the first n_states basis states (all d² by default).
-
-        The complete program builds no state: it depends on d and the spectrum.
-        """
-        n = len(basis) if n_states is None else n_states
-        if is_covariant(basis.dim, n):
-            layout = four_factor_layout(basis.dim)
-            return cls(states=(), priors=(), layout=layout, resource=spec, **options)
-        return cls.from_ensemble(build_ensemble(basis, spec, n), **options)
+    if n_states == dim * dim:
+        return 16 * dim**4 * _PAIR_ARRAYS
+    return 16 * dim**8 * _OPERATOR_ARRAYS * n_states
 
 
 @dataclass(frozen=True)
 class SDPResult:
     """Solver output; residuals describe the returned operators.
 
-    For a program posed by states, ``operators`` holds the n operators P_k.
+    For a subset of N states, ``operators`` holds the N operators P_k.
     For a complete program it holds the real pair (X, Y), from which
     P_k = W_k (Φ_0 ⊗ X + (I − Φ_0) ⊗ Y) W_k† for any complete basis.
     """
@@ -263,10 +205,10 @@ class _Coordinates:
     """How the consensus loop reads its stack of iterated matrices.
 
     The loop starts from ``start()``; ``cost`` drives the stack and the
-    objective counts it ``multiplicity`` times; the measurement has ``n``
-    operators. ``deviation`` is the defect of the measurement's sum from the
-    identity. ``metric`` weighs the squared entries of a stack, and ``weight``
-    times the weighted norm is the Frobenius norm on the full space.
+    objective reads it; the measurement has ``n`` operators. ``deviation``
+    is the defect of the measurement's sum from the identity. ``metric``
+    weighs the squared entries of a stack, and ``weight`` times the weighted
+    norm is the Frobenius norm on the full space.
     ``to_blocks`` maps the stack onto matrices that are all PSD exactly
     when every partial transpose is, and ``from_blocks`` maps them back.
     ``operators`` gives the matrices a result returns. ``dual_stop`` says
@@ -297,11 +239,6 @@ class _Coordinates:
     def start(self) -> np.ndarray:
         return np.stack([np.eye(self.cost.shape[1], dtype=complex) / self.n] * len(self.cost))
 
-    def step(self, s: np.ndarray, out: np.ndarray) -> None:
-        """The plain step s → f(s) into ``out``: ``_map`` on the unweighted state."""
-        _map(self, s / self.root, out, self.drive)
-        out *= self.root
-
     def affine(self, stack: np.ndarray) -> np.ndarray:
         """Shift the stack so the n operators of the measurement sum to the identity."""
         return stack - self.deviation(stack)[None] / self.n
@@ -313,7 +250,7 @@ class _Coordinates:
         return self.from_blocks(psd_clip(self.to_blocks(stack)))
 
     def objective(self, stack: np.ndarray) -> float:
-        return self.multiplicity * float(np.einsum("kij,kji->", self.cost, stack).real)
+        return float(np.einsum("kij,kji->", self.cost, stack).real)
 
     def cone_min(self, stack: np.ndarray) -> float:
         """The smallest eigenvalue of any iterated matrix or partial transpose."""
@@ -331,15 +268,13 @@ class _Coordinates:
 
 
 class _Operators(_Coordinates):
-    """A program posed by states, iterated on every operator P_k."""
+    """A program iterated on every operator P_k; ``cost`` stacks p_k ρ_k."""
 
-    multiplicity = 1
     weight = 1.0
 
-    def __init__(self, problem: SDPProblem):
-        self.layout = problem.layout
-        self.cost = np.asarray(problem.priors)[:, None, None] * problem.states
-        self.n = len(self.cost)
+    def __init__(self, cost: np.ndarray, layout: SubsystemLayout):
+        self.cost, self.layout = cost, layout
+        self.n = len(cost)
         # A complete basis: d² states on the d⁴-dimensional space.
         self.dual_stop = self.n**2 == self.layout.dim
 
@@ -489,19 +424,39 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,kl->ikjl", a, b).reshape(a.shape[0] * b.shape[0], -1)
 
 
-def solve_primal_ppt(problem: SDPProblem) -> SDPResult:
-    """Maximize sum_i p_i <Phi_i|P_i|Phi_i> over PPT measurements.
+def solve_primal_ppt(
+    basis: MaxEntBasis,
+    spec: ResourceSpectrum,
+    n_states: int | None = None,
+    *,
+    accuracy: float = DEFAULT_ACCURACY,
+    max_iters: int = DEFAULT_MAX_ITERS,
+) -> SDPResult:
+    """Maximize (1/N) Σ_k ⟨Φ_k|P_k|Φ_k⟩ over PPT measurements.
 
-    Runs the Anderson-accelerated consensus splitting until max(primal
-    residual, cone violation, consensus residual, relative objective change
-    over the stall window and, for a complete program, the ADMM dual
-    residual) drops below the target accuracy, checking every few
-    iterations; hitting the iteration cap returns the last iterate with
-    converged=False rather than raising. A complete program runs the same
-    iterations on the (P, Q) arrays of X and Y.
+    Φ_k is the k-th of the first n_states basis states (all d² by default)
+    paired with the resource. Runs the Anderson-accelerated consensus
+    splitting until max(primal residual, cone violation, consensus residual,
+    relative objective change over the stall window and, for a complete
+    program, the ADMM dual residual) drops below the target accuracy,
+    checking every few iterations; hitting the iteration cap returns the
+    last iterate with converged=False rather than raising. A complete
+    program runs the same iterations on the (P, Q) arrays of X and Y.
     """
-    coords = _Operators(problem) if problem.resource is None else _Sectors(problem.resource)
-    return _consensus(coords, problem.accuracy, problem.max_iters)
+    if not (isinstance(accuracy, Real) and math.isfinite(accuracy) and accuracy > 0):
+        raise ValueError(f"accuracy must be finite and positive, got {accuracy!r}")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, Integral) or max_iters < 1:
+        raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
+    d = basis.dim
+    n = d * d if n_states is None else n_states
+    if n == d * d and spec.dim == d:
+        coords = _Sectors(spec)
+    else:
+        # build_ensemble refuses a spectrum of another dimension and N outside [1, d²].
+        ens = build_ensemble(basis, spec, n)
+        cost = np.asarray(ens.priors)[:, None, None] * ens.density_operators()
+        coords = _Operators(cost, ens.layout)
+    return _consensus(coords, accuracy, max_iters)
 
 
 def _map(coords: _Coordinates, s: np.ndarray, out: np.ndarray, drive: np.ndarray) -> None:
@@ -663,27 +618,6 @@ def _anderson_weights(gram: list[list[float]], memory: list[int]) -> tuple[float
     return gamma[0], gamma[1]
 
 
-def dual_bound_from_certificate(
-    cert: DualCertificate,
-    ens: Ensemble,
-    tol: float = 1e-9,
-    report: FeasibilityReport | None = None,
-) -> float:
-    """Certificate trace as a weak-duality upper bound on the PPT value.
-
-    Feasibility is verified first (or taken from a supplied report) and a
-    failed report is an error: an infeasible operator bounds nothing.
-    """
-    if report is None:
-        report = verify_dual_feasibility(cert, ens, tol)
-    if not report.passed:
-        raise ValueError(
-            "certificate is not dual feasible "
-            f"(worst margin {report.worst_lambda_min:.3e} < {report.threshold:.3e})"
-        )
-    return cert.trace_value
-
-
 @dataclass(frozen=True)
 class SandwichReport:
     """Lower bound, solver value, and upper bound for one instance."""
@@ -731,7 +665,9 @@ def sandwich_report(
     simulation and must agree with both the solver value and the certificate
     trace within the solver accuracy plus 1e-6; disagreement raises. For an
     incomplete set the protocol bound and the clipped certificate trace
-    bracket the solver value without a tightness claim.
+    bracket the solver value without a tightness claim. A certificate that
+    fails its feasibility check raises too: an infeasible operator bounds
+    nothing.
     """
     d = basis.dim
     if n_states is None:
@@ -739,7 +675,12 @@ def sandwich_report(
     ens = build_ensemble(basis, spec, n_states)
     cert = build_certificate(basis, spec, n_states)
     feas = verify_dual_feasibility(cert, ens, tol)
-    upper_unclipped = dual_bound_from_certificate(cert, ens, tol, report=feas)
+    if not feas.passed:
+        raise RuntimeError(
+            "certificate is not dual feasible "
+            f"(worst margin {feas.worst_lambda_min:.3e} < {feas.threshold:.3e})"
+        )
+    upper_unclipped = cert.trace_value
     upper = min(1.0, upper_unclipped)
 
     if n_states == d * d:
@@ -747,9 +688,7 @@ def sandwich_report(
     else:
         lower = incomplete_bounds(basis, spec, n_states, strategy=strategy).lower
 
-    result = solve_primal_ppt(
-        SDPProblem.from_basis(basis, spec, n_states, accuracy=accuracy, max_iters=max_iters)
-    )
+    result = solve_primal_ppt(basis, spec, n_states, accuracy=accuracy, max_iters=max_iters)
 
     slack = accuracy + 1e-6
     if n_states == d * d:

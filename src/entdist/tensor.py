@@ -66,17 +66,6 @@ class SubsystemLayout:
                 f"ket shape {v.shape} does not match layout dimension {self.dim}"
             )
 
-    def stack(self, items, rank: int) -> np.ndarray:
-        """Kets (rank 1) or matrices (rank 2) on this layout as one complex array.
-
-        The first item of another shape fails ``check_ket`` or ``check_matrix``;
-        the rows of an array share one shape, so only its first is checked.
-        """
-        check = self.check_ket if rank == 1 else self.check_matrix
-        for item in items[:1] if isinstance(items, np.ndarray) else items:
-            check(np.asarray(item))
-        return np.asarray(items, dtype=complex)
-
 
 def frobenius(M: np.ndarray) -> float:
     return float(np.linalg.norm(M))

@@ -17,7 +17,7 @@ from entdist.certificate import (
 )
 from entdist.measures import fef
 from entdist.protocol import incomplete_bounds, protocol_success, teleport_residuals
-from entdist.sdp import DEFAULT_ACCURACY, SDPProblem, sandwich_report, solve_primal_ppt
+from entdist.sdp import DEFAULT_ACCURACY, sandwich_report, solve_primal_ppt
 from entdist.states import (
     ResourceSpectrum,
     build_ensemble,
@@ -50,7 +50,7 @@ def d3_spectra() -> list[tuple[str, ResourceSpectrum]]:
 
 
 def sdp_value(basis, spec, n_states) -> float:
-    result = solve_primal_ppt(SDPProblem.from_basis(basis, spec, n_states))
+    result = solve_primal_ppt(basis, spec, n_states)
     assert result.converged
     return result.primal_value
 
@@ -324,7 +324,7 @@ def test_criterion_11_d8_solver(acceptance_log):
     start = time.perf_counter()
     spec = random_spectrum(8, np.random.default_rng(SPECTRUM_SEED))
     target = fef(spec)
-    result = solve_primal_ppt(SDPProblem.from_basis(weyl_basis(8), spec))
+    result = solve_primal_ppt(weyl_basis(8), spec)
     elapsed = time.perf_counter() - start
 
     dev = abs(result.primal_value - target)
@@ -379,7 +379,7 @@ def test_criterion_13_d16_solver(acceptance_log):
     start = time.perf_counter()
     spec = random_spectrum(16, np.random.default_rng(3))
     target = fef(spec)
-    result = solve_primal_ppt(SDPProblem.from_basis(weyl_basis(16), spec))
+    result = solve_primal_ppt(weyl_basis(16), spec)
     elapsed = time.perf_counter() - start
 
     dev = abs(result.primal_value - target)

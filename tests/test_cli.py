@@ -8,6 +8,7 @@ import json
 import time
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from entdist.cli import (
     dense_bytes,
     main,
 )
+from entdist.sdp import solve_bytes
 
 
 def run(capsys, *argv):
@@ -227,6 +229,28 @@ class TestExitCodes:
         assert payload["converged"] is False
         assert payload["iterations"] == 10
 
+    def test_unconverged_sandwich_is_a_numerical_failure_with_a_report(self, capsys):
+        # The loose accuracy lets the three routes agree after 10 iterations.
+        code, out, _ = run(
+            capsys, "sandwich", "--dim", "2", "--max-iters", "10", "--accuracy", "0.5"
+        )
+        assert code == EXIT_NUMERICAL
+        payload = json.loads(out)
+        assert payload["agreement"] is True
+        assert payload["sdp"]["converged"] is False
+        assert payload["sdp"]["iterations"] == 10
+
+    def test_infeasible_certificate_in_sandwich_is_a_numerical_failure(self, capsys):
+        # The smallest margin, -3.5e-18, fails only the threshold -1e-300.
+        argv = ["--dim", "3", "--spectrum", "random", "--seed", "0", "--tol", "1e-300"]
+        code, out, err = run(capsys, "sandwich", *argv)
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert err.startswith("numerical failure: certificate is not dual feasible")
+        code, out, _ = run(capsys, "certificate", *argv)
+        assert code == EXIT_NUMERICAL
+        assert json.loads(out)["passed"] is False
+
     def test_oversized_run_is_refused(self, capsys):
         code, out, err = run(capsys, "certificate", "--dim", "65")
         assert code == EXIT_INPUT
@@ -295,6 +319,19 @@ class TestExitCodes:
         assert out == ""
         assert "numerical failure:" in err
 
+
+    def test_oversized_sweep_is_refused_before_its_grid_is_built(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(np, "linspace", never)
+        code, out, err = run(capsys, "sweep", "--steps", "10000000000000")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: sweep with 10000000000000 steps needs about ")
+        assert "GiB" in err
+        # the default grid is far below the limit
+        cli._check_size("sweep", 2, 4, True, 26)
 
     def test_scan_is_sized_by_its_largest_solve(self, capsys, monkeypatch):
         def never(*args, **kwargs):
@@ -406,16 +443,18 @@ class TestSizeEstimate:
     def test_counts_dense_matrices(self):
         matrix = 16 * 3**8
         basis = 16 * 16 * 3**4
-        # A complete solve holds 16 basis-sized arrays and 5 more for its
-        # sector arrays and the dense pair (X, Y), each of 16 d^4 bytes.
+        # A complete solve holds 5 arrays of 16 d^4 bytes for its sector
+        # arrays and the dense pair (X, Y); sdp adds the 16 of the basis.
         pair = 16 * 3**4 * (16 + 5)
-        # An operator-by-operator solve holds 37 operator-sized arrays per
-        # operator, and its states and costs.
-        assert dense_bytes("sdp", 3, 8) == (37 * 8 + 16) * matrix
+        assert solve_bytes(3, 9) == 16 * 3**4 * 5
+        # An operator-by-operator solve holds 39 operator-sized arrays per
+        # operator, its state and cost among them.
+        assert solve_bytes(3, 8) == 39 * 8 * matrix
+        assert dense_bytes("sdp", 3, 8) == 39 * 8 * matrix + basis
         assert dense_bytes("sdp", 3, 9) == pair
         # sandwich adds the certificate route, which holds basis-sized arrays
         assert dense_bytes("sandwich", 3, 9) == pair + basis
-        assert dense_bytes("sandwich", 3, 8) == (37 * 8 + 16) * matrix + basis
+        assert dense_bytes("sandwich", 3, 8) == 39 * 8 * matrix + 2 * basis
 
     def test_limit_separates_the_sizes_that_run_from_the_ones_that_cannot(self):
         assert dense_bytes("sandwich", 5, 25) < MAX_DENSE_BYTES

@@ -3,23 +3,19 @@
 import numpy as np
 import pytest
 
-from entdist.certificate import (
-    FeasibilityReport,
-    build_certificate,
-    verify_dual_feasibility,
-)
+import entdist.sdp as sdp
+from entdist.certificate import build_certificate
 from entdist.measures import fef
 from entdist.sdp import (
     _CHECK_EVERY,
     DEFAULT_ACCURACY,
     DEFAULT_MAX_ITERS,
     STEP,
-    SDPProblem,
     _consensus,
     _Coordinates,
+    _map,
     _Operators,
     _Sectors,
-    dual_bound_from_certificate,
     sandwich_report,
     solve_primal_ppt,
 )
@@ -92,17 +88,37 @@ def expand_pair(pair, basis: MaxEntBasis) -> list[np.ndarray]:
     return expanded
 
 
+def operators_of(ens) -> _Operators:
+    """The program of an ensemble in the coordinates of every operator P_k."""
+    cost = np.asarray(ens.priors)[:, None, None] * ens.density_operators()
+    return _Operators(cost, ens.layout)
+
+
+def solve_densely(ens, accuracy=DEFAULT_ACCURACY, max_iters=DEFAULT_MAX_ITERS):
+    """The program of an ensemble, solved operator by operator."""
+    return _consensus(operators_of(ens), accuracy, max_iters)
+
+
+def weighted_step(coords, s: np.ndarray, out: np.ndarray) -> None:
+    """The plain step s → f(s) into ``out``: ``_map`` on the unweighted state."""
+    _map(coords, s / coords.root, out, coords.drive)
+    out *= coords.root
+
+
 class _Pair(_Coordinates):
     """The complete program iterated on the dense pair (X, Y), the oracle
     for its solve on the (P, Q) arrays.
 
     P_0 = Φ_0 ⊗ X + (I − Φ_0) ⊗ Y; the PPT blocks are M_s = (X^Γ + (d−1) Y^Γ)/d
-    and M_a = ((d+1) Y^Γ − X^Γ)/d, clipped by a full eigendecomposition.
+    and M_a = ((d+1) Y^Γ − X^Γ)/d, clipped by a full eigendecomposition. The
+    objective counts the cost of P_0 once for each of the n = d² operators.
     """
+
+    step = weighted_step
 
     def __init__(self, spec: ResourceSpectrum):
         d = self.d = spec.dim
-        self.n = self.multiplicity = d * d
+        self.n = d * d
         self.weight = float(d)
         self.metric = np.array([1.0, self.n - 1.0]).reshape(2, 1, 1)
         self.layout = pair_layout(d)
@@ -111,6 +127,9 @@ class _Pair(_Coordinates):
 
     def deviation(self, stack: np.ndarray) -> np.ndarray:
         return stack[0] + (self.n - 1) * stack[1] - np.eye(self.n)
+
+    def objective(self, stack: np.ndarray) -> float:
+        return self.n * super().objective(stack)
 
     def to_blocks(self, stack: np.ndarray) -> np.ndarray:
         d = self.d
@@ -125,8 +144,7 @@ class _Pair(_Coordinates):
 
 @pytest.fixture(scope="module")
 def bell_result():
-    ens = build_ensemble(weyl_basis(2), BELL_SPEC, 4)
-    return solve_primal_ppt(SDPProblem.from_ensemble(ens))
+    return solve_densely(build_ensemble(weyl_basis(2), BELL_SPEC, 4))
 
 
 class TestSolver:
@@ -156,8 +174,7 @@ class TestSolver:
 
     def test_deterministic(self):
         ens = build_ensemble(weyl_basis(2), BELL_SPEC, 4)
-        a = solve_primal_ppt(SDPProblem.from_ensemble(ens))
-        b = solve_primal_ppt(SDPProblem.from_ensemble(ens))
+        a, b = solve_densely(ens), solve_densely(ens)
         assert a.primal_value == b.primal_value
         assert a.iterations == b.iterations
         for x, y in zip(a.operators, b.operators):
@@ -165,14 +182,14 @@ class TestSolver:
 
     def test_iterations_monotone_in_accuracy(self):
         ens = build_ensemble(weyl_basis(2), BELL_SPEC, 4)
-        loose = solve_primal_ppt(SDPProblem.from_ensemble(ens, accuracy=1e-3))
-        tight = solve_primal_ppt(SDPProblem.from_ensemble(ens, accuracy=1e-5))
+        loose = solve_densely(ens, accuracy=1e-3)
+        tight = solve_densely(ens, accuracy=1e-5)
         assert loose.iterations <= tight.iterations
         assert abs(tight.primal_value - 0.9) < 1e-3
 
     def test_iteration_cap_reports_unconverged(self):
         ens = build_ensemble(weyl_basis(2), BELL_SPEC, 4)
-        res = solve_primal_ppt(SDPProblem.from_ensemble(ens, max_iters=10))
+        res = solve_densely(ens, max_iters=10)
         assert not res.converged
         assert res.iterations == 10
 
@@ -181,13 +198,9 @@ class TestSolver:
         rng = np.random.default_rng(31)
         v = np.kron(haar_random_unitary(4, rng), haar_random_unitary(4, rng))
         ens = build_ensemble(weyl_basis(2), BELL_SPEC, 4)
-        rotated = SDPProblem(
-            states=tuple(v @ rho @ v.conj().T for rho in ens.density_operators()),
-            priors=ens.priors,
-            layout=ens.layout,
-        )
-        base = solve_primal_ppt(SDPProblem.from_ensemble(ens))
-        moved = solve_primal_ppt(rotated)
+        rotated = np.asarray(ens.priors)[:, None, None] * (v @ ens.density_operators() @ v.conj().T)
+        base = solve_densely(ens)
+        moved = _consensus(_Operators(rotated, ens.layout), DEFAULT_ACCURACY, DEFAULT_MAX_ITERS)
         assert abs(base.primal_value - moved.primal_value) < 2e-4
 
     def test_trace_rows(self, bell_result):
@@ -230,11 +243,7 @@ class TestCovariantPath:
     )
     def test_matches_the_full_solver(self, basis, spec):
         d = basis.dim
-        covariant = SDPProblem.from_basis(basis, spec)
-        assert covariant.resource == spec and covariant.states == ()
-        full = SDPProblem.from_ensemble(build_ensemble(basis, spec, d * d))
-        assert full.resource is None
-        a, b = solve_primal_ppt(covariant), solve_primal_ppt(full)
+        a, b = solve_primal_ppt(basis, spec), solve_densely(build_ensemble(basis, spec, d * d))
         assert a.iterations == b.iterations
         assert a.converged and b.converged
         assert abs(a.primal_value - fef(spec)) <= DEFAULT_ACCURACY + 1e-6
@@ -258,7 +267,7 @@ class TestCovariantPath:
             spec = ResourceSpectrum.uniform(d)
         else:
             spec = random_spectrum(d, np.random.default_rng(50 + d))
-        a = solve_primal_ppt(SDPProblem.from_basis(weyl_basis(d), spec))
+        a = solve_primal_ppt(weyl_basis(d), spec)
         b = _consensus(_Pair(spec), DEFAULT_ACCURACY, DEFAULT_MAX_ITERS)
         assert a.iterations == b.iterations
         assert a.converged and b.converged
@@ -280,23 +289,37 @@ class TestCovariantPath:
             conjugated_basis(weyl_basis(3), haar_random_unitary(3, np.random.default_rng(43))),
             twisted_clock_basis(5),
         ]
-        results = [solve_primal_ppt(SDPProblem.from_basis(b, QUTRIT_SPEC)) for b in bases]
+        results = [solve_primal_ppt(b, QUTRIT_SPEC) for b in bases]
         for result in results[1:]:
             assert result.to_dict() == results[0].to_dict()
             for x, y in zip(result.operators, results[0].operators, strict=True):
                 assert np.array_equal(x, y)
 
     def test_incomplete_set_is_solved_in_full(self):
-        problem = SDPProblem.from_basis(weyl_basis(2), BELL_SPEC, 3)
-        assert problem.resource is None
-        assert len(solve_primal_ppt(problem).operators) == 3
+        result = solve_primal_ppt(weyl_basis(2), BELL_SPEC, 3)
+        assert [x.shape for x in result.operators] == [(16, 16)] * 3
 
-    def test_complete_program_takes_a_matching_resource_and_no_states(self):
-        with pytest.raises(ValueError, match="dimension 3"):
-            SDPProblem.from_basis(weyl_basis(2), QUTRIT_SPEC)
-        ens = build_ensemble(weyl_basis(2), BELL_SPEC, 4)
-        with pytest.raises(ValueError, match="in place of states"):
-            SDPProblem.from_ensemble(ens, resource=BELL_SPEC)
+    def test_complete_program_takes_a_matching_resource_and_no_states(self, monkeypatch):
+        with pytest.raises(ValueError, match="^spectrum dimension 3 does not match basis 2$"):
+            solve_primal_ppt(weyl_basis(2), QUTRIT_SPEC)
+
+        def never(*args, **kwargs):
+            raise AssertionError("the complete program built its states")
+
+        monkeypatch.setattr(sdp, "build_ensemble", never)
+        result = solve_primal_ppt(weyl_basis(4), ResourceSpectrum.uniform(4))
+        assert result.converged
+        assert [x.shape for x in result.operators] == [(16, 16)] * 2
+
+    @pytest.mark.parametrize("n_states", [3, None])
+    def test_both_paths_refuse_a_spectrum_of_another_dimension(self, n_states):
+        with pytest.raises(ValueError, match="^spectrum dimension 3 does not match basis 2$"):
+            solve_primal_ppt(weyl_basis(2), QUTRIT_SPEC, n_states)
+
+    @pytest.mark.parametrize("n_states", [0, 5])
+    def test_n_states_outside_the_basis_is_refused(self, n_states):
+        with pytest.raises(ValueError, match=rf"^n_states must lie in \[1, 4\], got {n_states}$"):
+            solve_primal_ppt(weyl_basis(2), BELL_SPEC, n_states)
 
 
 class TestPenalty:
@@ -310,14 +333,14 @@ class TestPenalty:
             spec = ResourceSpectrum.uniform(d)
         else:
             spec = random_spectrum(d, np.random.default_rng(70 + d))
-        operators = _Operators(SDPProblem.from_ensemble(build_ensemble(weyl_basis(d), spec, d * d)))
+        operators = operators_of(build_ensemble(weyl_basis(d), spec, d * d))
         for coords in (_Sectors(spec), operators, _Pair(spec)):
             assert abs(coords.penalty - STEP / d) <= 1e-15
 
     @pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 4), (3, 7)])
     def test_a_subset_of_n_states(self, d, n):
         spec = random_spectrum(d, np.random.default_rng(80 + n))
-        coords = _Operators(SDPProblem.from_basis(weyl_basis(d), spec, n))
+        coords = operators_of(build_ensemble(weyl_basis(d), spec, n))
         assert abs(coords.penalty - STEP / np.sqrt(n)) <= 1e-15
 
 
@@ -352,16 +375,16 @@ class TestAnderson:
             spec = ResourceSpectrum.uniform(d)
         else:
             spec = random_spectrum(d, np.random.default_rng(50 + d))
-        fast = solve_primal_ppt(SDPProblem.from_basis(weyl_basis(d), spec))
+        fast = solve_primal_ppt(weyl_basis(d), spec)
         plain = plain_consensus(_Sectors(spec), DEFAULT_ACCURACY, DEFAULT_MAX_ITERS)
         assert fast.converged and plain.converged
         assert fast.iterations <= plain.iterations
         assert abs(fast.primal_value - plain.primal_value) <= DEFAULT_ACCURACY + 1e-6
 
     def test_operator_solve_never_slower_than_the_plain_loop(self):
-        problem = SDPProblem.from_basis(weyl_basis(2), BELL_SPEC, 3)
-        fast = solve_primal_ppt(problem)
-        plain = plain_consensus(_Operators(problem), DEFAULT_ACCURACY, DEFAULT_MAX_ITERS)
+        fast = solve_primal_ppt(weyl_basis(2), BELL_SPEC, 3)
+        coords = operators_of(build_ensemble(weyl_basis(2), BELL_SPEC, 3))
+        plain = plain_consensus(coords, DEFAULT_ACCURACY, DEFAULT_MAX_ITERS)
         assert fast.converged and plain.converged
         assert fast.iterations <= plain.iterations
         assert abs(fast.primal_value - plain.primal_value) <= DEFAULT_ACCURACY + 1e-6
@@ -370,7 +393,7 @@ class TestAnderson:
         """`sdp --dim 12 --spectrum random --seed 0`: the stall test alone
         stopped 6.16e-3 below F, with its objective still rising."""
         spec = random_spectrum(12, np.random.default_rng(0))
-        result = solve_primal_ppt(SDPProblem.from_basis(weyl_basis(12), spec))
+        result = solve_primal_ppt(weyl_basis(12), spec)
         assert result.converged
         assert abs(result.primal_value - fef(spec)) <= DEFAULT_ACCURACY + 1e-6
         last = result.trace[-1]
@@ -383,7 +406,7 @@ class TestAnderson:
             random_spectrum(d, np.random.default_rng(seed)) for seed in (1, 2)
         ]
         counts = tuple(
-            solve_primal_ppt(SDPProblem.from_basis(weyl_basis(d), spec)).iterations for spec in specs
+            solve_primal_ppt(weyl_basis(d), spec).iterations for spec in specs
         )
         assert counts == COMPLETE_ITERATIONS[d]
 
@@ -394,11 +417,10 @@ class TestAnderson:
         residual also had to fall below the accuracy, after 5,350
         iterations."""
         spec = ResourceSpectrum.from_probabilities([0.6, 0.3, 0.1])
-        complete = SDPProblem.from_ensemble(build_ensemble(weyl_basis(2), BELL_SPEC, 4))
-        assert _Operators(complete).dual_stop and _Sectors(spec).dual_stop
-        problem = SDPProblem.from_basis(weyl_basis(3), spec, 5, max_iters=400)
-        assert not _Operators(problem).dual_stop
-        result = solve_primal_ppt(problem)
+        complete = operators_of(build_ensemble(weyl_basis(2), BELL_SPEC, 4))
+        assert complete.dual_stop and _Sectors(spec).dual_stop
+        assert not operators_of(build_ensemble(weyl_basis(3), spec, 5)).dual_stop
+        result = solve_primal_ppt(weyl_basis(3), spec, 5, max_iters=400)
         assert result.converged
         assert result.trace[-1]["dual_residual"] > DEFAULT_ACCURACY
         assert abs(result.primal_value - 0.99999496) <= DEFAULT_ACCURACY
@@ -410,7 +432,7 @@ class TestAnderson:
         iterations, with every residual of the stop test below the accuracy;
         the scaled penalty stops it 2.9e-5 short after 350."""
         spec = ResourceSpectrum.from_probabilities([0.6, 0.3, 0.1])
-        result = solve_primal_ppt(SDPProblem.from_basis(weyl_basis(3), spec, 6))
+        result = solve_primal_ppt(weyl_basis(3), spec, 6)
         assert result.converged
         assert abs(result.primal_value - 0.98989753) <= DEFAULT_ACCURACY
 
@@ -436,7 +458,7 @@ class TestFusedMap:
     def _both(coords, s):
         fused, generic = np.empty_like(s), np.empty_like(s)
         _Sectors.step(coords, s, fused)
-        _Coordinates.step(coords, s, generic)
+        weighted_step(coords, s, generic)
         return fused, generic
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
@@ -511,7 +533,7 @@ class TestPPTClip:
             spec = ResourceSpectrum.uniform(d)
         else:
             spec = random_spectrum(d, np.random.default_rng(90 + d))
-        result = solve_primal_ppt(SDPProblem.from_basis(weyl_basis(d), spec))
+        result = solve_primal_ppt(weyl_basis(d), spec)
         for op in result.operators:
             p = np.diag(op).reshape(d, d)
             assert np.max(np.abs(p - p.T)) <= 1e-15
@@ -527,9 +549,8 @@ class TestPPTClip:
         """
         spec = ResourceSpectrum.uniform(d)
         capped = max_iters != DEFAULT_MAX_ITERS
-        problem = SDPProblem.from_basis(
-            weyl_basis(d), spec, max_iters=max_iters, accuracy=1e-12 if capped else DEFAULT_ACCURACY
-        )
+        basis = weyl_basis(d)
+        accuracy = 1e-12 if capped else DEFAULT_ACCURACY
         calls = {"eigh": 0, "eigvalsh": 0}
 
         def counted(name):
@@ -543,7 +564,7 @@ class TestPPTClip:
 
         for name in calls:
             monkeypatch.setattr(np.linalg, name, counted(name))
-        result = solve_primal_ppt(problem)
+        result = solve_primal_ppt(basis, spec, max_iters=max_iters, accuracy=accuracy)
         checks = -(-result.iterations // _CHECK_EVERY)
         assert calls == {"eigh": result.iterations + 1, "eigvalsh": checks}
         assert result.converged != capped
@@ -551,99 +572,40 @@ class TestPPTClip:
 
 
 class TestProblemValidation:
-    def test_bad_priors(self):
-        ens = build_ensemble(weyl_basis(2), BELL_SPEC, 4)
-        states = tuple(ens.density_operators())
-        with pytest.raises(ValueError):
-            SDPProblem(states=states, priors=(0.5, 0.5, 0.5, 0.5), layout=ens.layout)
-
-    def test_non_density_state(self):
-        ens = build_ensemble(weyl_basis(2), BELL_SPEC, 4)
-        states = list(ens.density_operators())
-        states[0] = 2.0 * states[0]
-        with pytest.raises(ValueError):
-            SDPProblem(states=tuple(states), priors=ens.priors, layout=ens.layout)
-
-    def test_stacked_state(self):
-        ens = build_ensemble(weyl_basis(2), BELL_SPEC, 4)
-        states = list(ens.density_operators())
-        states[0] = np.stack([states[0], states[0]])
-        with pytest.raises(ValueError):
-            SDPProblem(states=tuple(states), priors=ens.priors, layout=ens.layout)
-
-    def test_names_the_first_failing_state(self):
-        """State 1 is not PSD and state 2 not of unit trace: state 1 is named,
-        and without it state 2."""
-        ens = build_ensemble(weyl_basis(2), BELL_SPEC, 4)
-        states = ens.density_operators()
-        states[1] = 1.5 * np.eye(16) / 16 - states[1] / 2
-        states[2] = 2.0 * states[2]
-        args = dict(priors=ens.priors, layout=ens.layout)
-        with pytest.raises(ValueError, match="^state 1 is not positive semidefinite$"):
-            SDPProblem(states=states, **args)
-        states[1] = ens.density_operators()[1]
-        with pytest.raises(ValueError, match="^state 2 does not have unit trace$"):
-            SDPProblem(states=states, **args)
-        with pytest.raises(ValueError, match=r"^matrix shape \(16, 15\) does not match"):
-            SDPProblem(states=states[:, :, :15], **args)
-
     def test_bad_options(self):
-        ens = build_ensemble(weyl_basis(2), BELL_SPEC, 4)
         with pytest.raises(ValueError):
-            SDPProblem.from_ensemble(ens, accuracy=0.0)
+            solve_primal_ppt(weyl_basis(2), BELL_SPEC, 3, accuracy=0.0)
         with pytest.raises(ValueError):
-            SDPProblem.from_ensemble(ens, max_iters=0)
+            solve_primal_ppt(weyl_basis(2), BELL_SPEC, 3, max_iters=0)
 
     @pytest.mark.parametrize("accuracy", [float("nan"), float("inf"), -float("inf"), -1e-4, "1e-4"])
     def test_accuracy_must_be_finite_and_positive(self, accuracy):
         with pytest.raises(ValueError, match="accuracy must be finite and positive"):
-            SDPProblem.from_basis(weyl_basis(2), BELL_SPEC, accuracy=accuracy)
+            solve_primal_ppt(weyl_basis(2), BELL_SPEC, accuracy=accuracy)
 
     @pytest.mark.parametrize("max_iters", [2.5, 3.0, True, "10", -1])
     def test_max_iters_must_be_a_positive_integer(self, max_iters):
         with pytest.raises(ValueError, match="max_iters must be an integer of at least 1"):
-            SDPProblem.from_basis(weyl_basis(2), BELL_SPEC, max_iters=max_iters)
+            solve_primal_ppt(weyl_basis(2), BELL_SPEC, max_iters=max_iters)
 
     def test_integer_options_of_any_integer_type(self):
-        problem = SDPProblem.from_basis(
+        result = solve_primal_ppt(
             weyl_basis(2), BELL_SPEC, accuracy=np.float64(1e-3), max_iters=np.int64(25)
         )
-        result = solve_primal_ppt(problem)
         assert result.iterations == 25 and not result.converged
 
 
 class TestDualBound:
     def test_returns_certificate_trace(self):
-        basis = weyl_basis(2)
-        cert = build_certificate(basis, BELL_SPEC)
-        ens = build_ensemble(basis, BELL_SPEC, 4)
-        assert dual_bound_from_certificate(cert, ens) == cert.trace_value
-
-    def test_accepts_precomputed_report(self):
-        basis = weyl_basis(2)
-        cert = build_certificate(basis, BELL_SPEC)
-        ens = build_ensemble(basis, BELL_SPEC, 4)
-        report = verify_dual_feasibility(cert, ens)
-        assert dual_bound_from_certificate(cert, ens, report=report) == (
-            cert.trace_value
-        )
+        report = sandwich_report(weyl_basis(2), BELL_SPEC, n_states=3)
+        assert report.upper_unclipped == build_certificate(weyl_basis(2), BELL_SPEC, 3).trace_value
 
     def test_rejects_failed_report(self):
-        basis = weyl_basis(2)
-        cert = build_certificate(basis, BELL_SPEC)
-        ens = build_ensemble(basis, BELL_SPEC, 4)
-        failed = FeasibilityReport(
-            dim=2,
-            n_states=4,
-            trace_value=cert.trace_value,
-            tol=1e-9,
-            threshold=-1e-9,
-            lambda_mins=(-0.5, -0.5, -0.5, -0.5),
-            decomposition_residuals=(),
-            passed=False,
-        )
-        with pytest.raises(ValueError):
-            dual_bound_from_certificate(cert, ens, report=failed)
+        """At d = 3 the smallest margin is -3.5e-18, which only a threshold
+        of -1e-300 fails: a numerical failure, not bad input."""
+        spec = random_spectrum(3, np.random.default_rng(0))
+        with pytest.raises(RuntimeError, match="^certificate is not dual feasible"):
+            sandwich_report(weyl_basis(3), spec, tol=1e-300)
 
 
 class TestSandwich:
