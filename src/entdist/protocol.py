@@ -143,11 +143,11 @@ def sample_protocol_success(
 class IncompleteBounds:
     """Lower and upper bounds on the N-state success probability.
 
-    Iterates as (lower, upper). ``assignments`` records, per completion
-    direction (one entry for the projector), which residual claimed it: the
-    lowest index within TIE_TOL of the largest overlap, which ``overlaps``
-    holds. ``in_range`` flags whether N sits in the locally indistinguishable
-    regime d+1 <= N <= d^2 the bounds are framed for.
+    ``assignments`` records, per completion direction (one entry for the
+    projector), which residual claimed it: the lowest index within TIE_TOL
+    of the largest overlap, which ``overlaps`` holds. ``in_range`` flags
+    whether N sits in the locally indistinguishable regime d+1 <= N <= d^2
+    the bounds are framed for.
     """
 
     dim: int
@@ -159,9 +159,6 @@ class IncompleteBounds:
     assignments: tuple[int, ...]
     overlaps: tuple[float, ...]
     in_range: bool
-
-    def __iter__(self):
-        return iter((self.lower, self.upper))
 
     def to_dict(self) -> dict:
         return {

@@ -110,7 +110,7 @@ from .certificate import FeasibilityReport, build_certificate, verify_dual_feasi
 from .measures import fef
 from .protocol import incomplete_bounds, protocol_success
 from .states import MaxEntBasis, ResourceSpectrum, build_ensemble
-from .tensor import SubsystemLayout, psd_clip, transpose_party_a
+from .tensor import psd_clip
 
 DEFAULT_ACCURACY = 1e-4
 DEFAULT_MAX_ITERS = 50000
@@ -272,11 +272,13 @@ class _Operators(_Coordinates):
 
     weight = 1.0
 
-    def __init__(self, cost: np.ndarray, layout: SubsystemLayout):
-        self.cost, self.layout = cost, layout
+    def __init__(self, cost: np.ndarray):
+        self.cost = cost
         self.n = len(cost)
-        # A complete basis: d² states on the d⁴-dimensional space.
-        self.dual_stop = self.n**2 == self.layout.dim
+        # Each operator acts on A1⊗A2⊗B1⊗B2, of dimension d⁴.
+        self.d = math.isqrt(math.isqrt(cost.shape[1]))
+        # A complete basis: d² states.
+        self.dual_stop = self.n == self.d**2
 
     def deviation(self, stack: np.ndarray) -> np.ndarray:
         return stack.sum(axis=0) - np.eye(stack.shape[1])
@@ -286,7 +288,9 @@ class _Operators(_Coordinates):
         _map(self, s, out, self.drive)
 
     def to_blocks(self, stack: np.ndarray) -> np.ndarray:
-        return transpose_party_a(stack, self.layout)
+        """The partial transpose over A1A2: party A's row and column indices swap."""
+        m = self.d**2
+        return stack.reshape(-1, m, m, m, m).swapaxes(1, 3).reshape(stack.shape)
 
     from_blocks = to_blocks
 
@@ -455,7 +459,7 @@ def solve_primal_ppt(
         # build_ensemble refuses a spectrum of another dimension and N outside [1, d²].
         ens = build_ensemble(basis, spec, n)
         cost = np.asarray(ens.priors)[:, None, None] * ens.density_operators()
-        coords = _Operators(cost, ens.layout)
+        coords = _Operators(cost)
     return _consensus(coords, accuracy, max_iters)
 
 

@@ -19,22 +19,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import SubsystemLayout
-
 BASIS_DEFECT_TOL = 1e-10
-
-
-def four_factor_layout(d: int) -> SubsystemLayout:
-    """Layout of A1⊗A2⊗B1⊗B2 with the A:B cut after two factors."""
-    return SubsystemLayout((d, d, d, d), cut=2)
-
-
-def pair_layout(d: int) -> SubsystemLayout:
-    return SubsystemLayout((d, d), cut=1)
 
 
 @dataclass(frozen=True)
@@ -166,16 +155,19 @@ class MaxEntBasis:
 
     ``unitaries`` is one (d^2, d, d) complex array. The first unitary is the
     identity, so the first basis ket is the standard maximally entangled
-    state.
+    state. ``validation`` is the ``validate_basis`` report the construction
+    checked.
     """
 
     dim: int
     unitaries: np.ndarray
+    validation: BasisValidation = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         report = validate_basis(self.unitaries)
         mats = np.asarray(self.unitaries, dtype=complex)
         object.__setattr__(self, "unitaries", mats)
+        object.__setattr__(self, "validation", report)
         if report.dim != self.dim:
             raise ValueError(f"unitaries act on dimension {report.dim}, not {self.dim}")
         if not report.complete:
@@ -256,15 +248,6 @@ class Ensemble:
     def __len__(self) -> int:
         return len(self.psi)
 
-    @property
-    def layout(self) -> SubsystemLayout:
-        return four_factor_layout(self.resource.dim)
-
-    @property
-    def uniform(self) -> bool:
-        n = len(self.priors)
-        return all(abs(p - 1.0 / n) <= 1e-12 for p in self.priors)
-
     def kets(self) -> np.ndarray:
         """The (N, d^4) stack of the kets psi_k (x) tau, one per row."""
         n, d = len(self.psi), self.resource.dim
@@ -290,31 +273,10 @@ def build_ensemble(basis: MaxEntBasis, spec: ResourceSpectrum, n_states: int) ->
     return Ensemble(psi=psi, resource=spec, priors=(1.0 / n_states,) * n_states)
 
 
-def schmidt_coefficients(v: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
-    """Descending singular values of the coefficient matrix across the cut."""
-    layout.check_ket(v)
-    coeff = v.reshape(layout.dim_a, layout.dim_b)
-    return np.linalg.svd(coeff, compute_uv=False)
-
-
 def random_spectrum(d: int, rng: np.random.Generator) -> ResourceSpectrum:
     """Sample squared weights from d exponentials, normalize, sort."""
     p = rng.exponential(size=d)
     return ResourceSpectrum.from_probabilities(p / p.sum(), normalize=True)
-
-
-def haar_random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    phase = np.diag(r).copy()
-    phase /= np.abs(phase)
-    return q * phase
-
-
-def conjugated_basis(basis: MaxEntBasis, V: np.ndarray) -> MaxEntBasis:
-    """Replace each generator U_j by V U_j V†; keeps U_1 = identity."""
-    return MaxEntBasis(dim=basis.dim, unitaries=V @ basis.unitaries @ V.conj().T)
 
 
 def read_basis_file(path) -> tuple[int, list]:
@@ -360,12 +322,6 @@ def basis_from_entries(d: int, raw: list, path) -> MaxEntBasis:
             raise ValueError(f"malformed basis file {path}: unitary {idx}: {exc}") from exc
         unitaries.append(flat.reshape(d, d))
     return MaxEntBasis(dim=d, unitaries=tuple(unitaries))
-
-
-def load_basis_file(path) -> MaxEntBasis:
-    """Read a basis from JSON: {"dim": d, "unitaries": [[[re, im], ...], ...]}."""
-    d, raw = read_basis_file(path)
-    return basis_from_entries(d, raw, path)
 
 
 def dump_basis_file(basis: MaxEntBasis, path) -> None:

@@ -1,8 +1,16 @@
-"""Dense references that the package itself never forms.
+"""Dense references and test inputs that the package itself never forms.
 
 The tests build full operators on the pair and four-factor spaces to check
 the package's smaller routes against them; the helpers they share live
-here, with the solver loop as it runs without its Anderson step.
+here, with the solver loop as it runs without its Anderson step:
+
+- tensor layouts, given as plain tuples of factor dimensions:
+  ``partial_transpose`` over any factors, ``permute_factors`` and
+  ``permute_ket``, and ``schmidt_coefficients`` across a cut;
+- input generators: ``haar_random_unitary``, ``conjugated_basis`` and
+  ``load_basis_file`` (the package's two-step basis file reader in one call);
+- dense builds of kets, projectors and certificate pieces, and
+  ``plain_consensus``.
 """
 
 import math
@@ -15,18 +23,81 @@ from entdist.states import (
     BASIS_DEFECT_TOL,
     MaxEntBasis,
     ResourceSpectrum,
-    pair_layout,
+    basis_from_entries,
+    read_basis_file,
     resource_state,
 )
-from entdist.tensor import (
-    SubsystemLayout,
-    frobenius,
-    partial_transpose,
-    transpose_party_a,
-)
+from entdist.tensor import frobenius
 
 # B1 <-> A2 exchange on the (A1, B1, A2, B2) ordering.
 SWAP_B1_A2 = (0, 2, 1, 3)
+
+
+def partial_transpose(M: np.ndarray, dims: Iterable[int], factors: Iterable[int]) -> np.ndarray:
+    """Transpose the listed factors of M on the space of factor dimensions ``dims``.
+
+    M is one matrix or a stack M[..., D, D]; every matrix in a stack is
+    transposed alike and the batch axes stay in front.
+    """
+    dims = tuple(int(d) for d in dims)
+    dim = math.prod(dims)
+    if M.ndim < 2 or M.shape[-2:] != (dim, dim):
+        raise ValueError(f"matrix shape {M.shape} does not match dims {dims}")
+    n = len(dims)
+    factors = set(int(f) for f in factors)
+    if any(not 0 <= f < n for f in factors):
+        raise ValueError(f"factor indices must lie in [0, {n}), got {sorted(factors)}")
+    b = M.ndim - 2
+    axes = list(range(b + 2 * n))
+    for f in factors:
+        axes[b + f], axes[b + n + f] = axes[b + n + f], axes[b + f]
+    return M.reshape(M.shape[:b] + dims * 2).transpose(axes).reshape(M.shape)
+
+
+def permute_factors(M: np.ndarray, dims: Iterable[int], perm: Iterable[int]) -> np.ndarray:
+    """Conjugate one matrix M by the permutation unitary reordering the tensor factors.
+
+    ``perm[t]`` is the source factor placed at position t, so the result
+    lives on the space with dims ``[dims[p] for p in perm]``.
+    """
+    dims = tuple(int(d) for d in dims)
+    if M.shape != (math.prod(dims),) * 2:
+        raise ValueError(f"matrix shape {M.shape} does not match dims {dims}")
+    n = len(dims)
+    perm = tuple(int(p) for p in perm)
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"{perm} is not a permutation of {n} factors")
+    axes = list(perm) + [n + p for p in perm]
+    return M.reshape(dims * 2).transpose(axes).reshape(M.shape)
+
+
+def schmidt_coefficients(v: np.ndarray, dims: Iterable[int], cut: int) -> np.ndarray:
+    """Descending singular values of the ket v across the cut after ``cut`` factors."""
+    dims = tuple(int(d) for d in dims)
+    if v.shape != (math.prod(dims),):
+        raise ValueError(f"ket shape {v.shape} does not match dims {dims}")
+    coeff = v.reshape(math.prod(dims[:cut]), math.prod(dims[cut:]))
+    return np.linalg.svd(coeff, compute_uv=False)
+
+
+def haar_random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(g)
+    phase = np.diag(r).copy()
+    phase /= np.abs(phase)
+    return q * phase
+
+
+def conjugated_basis(basis: MaxEntBasis, V: np.ndarray) -> MaxEntBasis:
+    """Replace each generator U_j by V U_j V†; keeps U_1 = identity."""
+    return MaxEntBasis(dim=basis.dim, unitaries=V @ basis.unitaries @ V.conj().T)
+
+
+def load_basis_file(path) -> MaxEntBasis:
+    """Read a basis from JSON: {"dim": d, "unitaries": [[[re, im], ...], ...]}."""
+    d, raw = read_basis_file(path)
+    return basis_from_entries(d, raw, path)
 
 
 def max_ent_state(U: np.ndarray) -> np.ndarray:
@@ -80,24 +151,6 @@ def power_weyl_unitaries(d: int) -> np.ndarray:
     )
 
 
-def permute_factors(
-    M: np.ndarray, layout: SubsystemLayout, perm: Iterable[int]
-) -> np.ndarray:
-    """Conjugate M by the permutation unitary reordering the tensor factors.
-
-    ``perm[t]`` is the source factor placed at position t, so the result
-    lives on the layout with dims ``[factor_dims[p] for p in perm]``.
-    """
-    layout.check_matrix(M)
-    dims = layout.factor_dims
-    n = len(dims)
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"{perm} is not a permutation of {n} factors")
-    axes = list(perm) + [n + p for p in perm]
-    return M.reshape(dims * 2).transpose(axes).reshape(M.shape)
-
-
 def check_swap_transpose_identity(lam: np.ndarray, xi: np.ndarray) -> float:
     """Residual of the transpose-swap commutation on a product operator.
 
@@ -119,14 +172,10 @@ def check_swap_transpose_identity(lam: np.ndarray, xi: np.ndarray) -> float:
         raise ValueError(
             f"operator dimension {lam.shape[0]} is not a square of some d >= 2"
         )
-    lay4 = SubsystemLayout((d, d, d, d), cut=2)
+    dims = (d, d, d, d)
     product = np.kron(lam, xi)
-    lhs = permute_factors(
-        partial_transpose(product, lay4, (0, 2)), lay4, SWAP_B1_A2
-    )
-    rhs = transpose_party_a(
-        permute_factors(product, lay4, SWAP_B1_A2), lay4
-    )
+    lhs = permute_factors(partial_transpose(product, dims, (0, 2)), dims, SWAP_B1_A2)
+    rhs = partial_transpose(permute_factors(product, dims, SWAP_B1_A2), dims, (0, 1))
     return frobenius(lhs - rhs)
 
 
@@ -172,7 +221,7 @@ def gamma_operator(spec: ResourceSpectrum) -> np.ndarray:
 def pure_partial_transpose(psi: np.ndarray) -> np.ndarray:
     """T_A1(|psi><psi|) for psi on A1,B1 given as its d x d matrix psi[a1, b1]."""
     flat = psi.reshape(-1)
-    return partial_transpose(np.outer(flat, flat.conj()), pair_layout(len(psi)), (0,))
+    return partial_transpose(np.outer(flat, flat.conj()), psi.shape, (0,))
 
 
 def residual_gram(basis: MaxEntBasis, spec: ResourceSpectrum, n_states: int) -> np.ndarray:
@@ -188,9 +237,7 @@ def upsilon(basis: MaxEntBasis, k: int) -> np.ndarray:
     d = basis.dim
     psi = max_ent_state(basis.unitaries[k])
     rho = np.outer(psi, psi.conj())
-    return np.eye(d * d, dtype=complex) - d * partial_transpose(
-        rho, pair_layout(d), (0,)
-    )
+    return np.eye(d * d, dtype=complex) - d * partial_transpose(rho, (d, d), (0,))
 
 
 def closed_form_ppt_clip(stack: np.ndarray) -> np.ndarray:

@@ -21,12 +21,15 @@ from entdist.sdp import DEFAULT_ACCURACY, sandwich_report, solve_primal_ppt
 from entdist.states import (
     ResourceSpectrum,
     build_ensemble,
-    conjugated_basis,
-    haar_random_unitary,
     random_spectrum,
     weyl_basis,
 )
-from oracles import check_swap_transpose_identity, residual_gram
+from oracles import (
+    check_swap_transpose_identity,
+    conjugated_basis,
+    haar_random_unitary,
+    residual_gram,
+)
 
 BELL_SPEC = ResourceSpectrum.from_probabilities([0.8, 0.2])
 SPECTRUM_SEED = 606

@@ -23,26 +23,20 @@ from entdist.states import (
     MaxEntBasis,
     ResourceSpectrum,
     build_ensemble,
-    conjugated_basis,
-    four_factor_layout,
-    haar_random_unitary,
-    pair_layout,
     random_spectrum,
     resource_state,
     weyl_basis,
 )
-from entdist.tensor import (
-    SubsystemLayout,
-    frobenius,
-    partial_transpose,
-    transpose_party_a,
-)
+from entdist.tensor import frobenius
 from oracles import (
     SWAP_B1_A2,
     check_swap_transpose_identity,
+    conjugated_basis,
     gamma_operator,
+    haar_random_unitary,
     max_ent_state,
     pair_projectors,
+    partial_transpose,
     permute_factors,
     pure_partial_transpose,
     upsilon,
@@ -58,14 +52,13 @@ def _dense_h(cert):
     d = cert.dim
     inner = np.diag(cert.weights.ravel()).astype(complex)
     factored = cert.scale / d**3 * np.kron(np.eye(d * d, dtype=complex), inner)
-    return factored, permute_factors(factored, four_factor_layout(d), SWAP_B1_A2)
+    return factored, permute_factors(factored, (d,) * 4, SWAP_B1_A2)
 
 
 def _dense_shifted(cert, state, prior):
     """T_A(H - p |s><s|) on A1,A2,B1,B2, built densely."""
     rho = np.outer(state, state.conj())
-    layout = four_factor_layout(cert.dim)
-    return transpose_party_a(_dense_h(cert)[1] - prior * rho, layout)
+    return partial_transpose(_dense_h(cert)[1] - prior * rho, (cert.dim,) * 4, (0, 1))
 
 
 def _min_eigenvalue(M):
@@ -128,7 +121,7 @@ class TestBuild:
         _, _, antisym = pair_projectors(d)
         pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
         for (i, j), proj in zip(pairs, antisym):
-            bracket += 2.0 * a[i] * a[j] * partial_transpose(proj, pair_layout(d), (0,))
+            bracket += 2.0 * a[i] * a[j] * partial_transpose(proj, (d, d), (0,))
         assert np.max(np.abs(bracket - np.diag(cert.weights.ravel()))) < 1e-15
         assert cert.trace_value == pytest.approx(np.trace(_dense_h(cert)[0]).real, abs=1e-14)
 
@@ -226,9 +219,7 @@ class TestParts:
         spec = ResourceSpectrum.from_probabilities([0.6, 0.3, 0.1])
         _, _, antisym = pair_projectors(d)
         tau = resource_state(spec)
-        lhs = partial_transpose(
-            np.outer(tau, tau.conj()), pair_layout(d), (0,)
-        )
+        lhs = partial_transpose(np.outer(tau, tau.conj()), (d, d), (0,))
         rhs = gamma_operator(spec)
         a = spec.coeffs
         idx = 0
@@ -407,14 +398,13 @@ def _per_pair_residuals(cert, basis, spec, priors):
     _, _, antisym = pair_projectors(d)
     tau = resource_state(spec)
     tau_rho = np.outer(tau, tau.conj())
-    lay4 = SubsystemLayout((d, d, d, d), cut=2)
     a = spec.coeffs
     out = []
     for k, prior in enumerate(priors):
         psi = max_ent_state(basis.unitaries[k])
         lhs = partial_transpose(
             factored - prior * np.kron(np.outer(psi, psi.conj()), tau_rho),
-            lay4,
+            (d, d, d, d),
             (0, 2),
         )
         ups = upsilon(basis, k)

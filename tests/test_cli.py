@@ -699,7 +699,8 @@ class TestFiles:
     def test_basis_dump_round_trips(self, capsys, tmp_path):
         import numpy as np
 
-        from entdist.states import load_basis_file, weyl_basis
+        from entdist.states import weyl_basis
+        from oracles import load_basis_file
 
         target = tmp_path / "basis.json"
         code, _, _ = run(capsys, "basis", "--dim", "3", "--dump", str(target))

@@ -1,33 +1,27 @@
 """Fully entangled fraction and negativity."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from entdist.measures import fef, negativity
-from entdist.states import (
-    ResourceSpectrum,
-    build_ensemble,
-    four_factor_layout,
-    pair_layout,
-    random_spectrum,
-    schmidt_coefficients,
-    weyl_basis,
-)
-from entdist.tensor import SubsystemLayout
+from entdist.states import ResourceSpectrum, build_ensemble, random_spectrum, weyl_basis
+from oracles import schmidt_coefficients
 
 
-def fef_pure(v: np.ndarray, layout: SubsystemLayout) -> float:
-    """Fully entangled fraction of a normalized pure state across the cut,
-    read from its Schmidt coefficients rather than from a spectrum."""
-    if layout.dim_a != layout.dim_b:
-        raise ValueError(
-            f"bipartition must be square, got {layout.dim_a} x {layout.dim_b}"
-        )
+def fef_pure(v: np.ndarray, dims: tuple[int, ...], cut: int) -> float:
+    """Fully entangled fraction of a normalized pure state across the cut
+    after ``cut`` factors, read from its Schmidt coefficients rather than
+    from a spectrum."""
+    dim_a, dim_b = math.prod(dims[:cut]), math.prod(dims[cut:])
+    if dim_a != dim_b:
+        raise ValueError(f"bipartition must be square, got {dim_a} x {dim_b}")
     if abs(np.linalg.norm(v) - 1.0) > 1e-10:
         raise ValueError("state must be normalized")
-    a = schmidt_coefficients(v, layout)
-    return float(a.sum()) ** 2 / layout.dim_a
+    a = schmidt_coefficients(v, dims, cut)
+    return float(a.sum()) ** 2 / dim_a
 
 
 def test_fef_benchmark_value():
@@ -71,7 +65,7 @@ def test_negativity_matches_the_pair_sum():
 def test_fef_pure_on_resource_ket():
     spec = ResourceSpectrum.from_probabilities([0.8, 0.2])
     tau = np.diag(np.asarray(spec.coeffs, dtype=complex)).reshape(-1)
-    assert fef_pure(tau, pair_layout(2)) == pytest.approx(fef(spec), abs=1e-12)
+    assert fef_pure(tau, (2, 2), 1) == pytest.approx(fef(spec), abs=1e-12)
 
 
 def test_fef_pure_of_ensemble_states_matches_resource():
@@ -79,18 +73,16 @@ def test_fef_pure_of_ensemble_states_matches_resource():
     spec = ResourceSpectrum.from_probabilities([0.5, 0.3, 0.2])
     ens = build_ensemble(weyl_basis(3), spec, 9)
     for v in ens.kets():
-        assert fef_pure(v, four_factor_layout(3)) == pytest.approx(
+        assert fef_pure(v, (3, 3, 3, 3), 2) == pytest.approx(
             fef(spec), abs=1e-12
         )
 
 
 def test_fef_pure_rejects_rectangular_cut():
-    lay = pair_layout(2)
-    bad = np.zeros(6)
     with pytest.raises(ValueError):
-        fef_pure(bad, type(lay)((2, 3), cut=1))
+        fef_pure(np.zeros(6), (2, 3), 1)
 
 
 def test_fef_pure_rejects_unnormalized():
     with pytest.raises(ValueError):
-        fef_pure(np.ones(4), pair_layout(2))
+        fef_pure(np.ones(4), (2, 2), 1)

@@ -13,14 +13,8 @@ from entdist.protocol import (
     simulate_protocol,
     teleport_residuals,
 )
-from entdist.states import (
-    ResourceSpectrum,
-    conjugated_basis,
-    haar_random_unitary,
-    random_spectrum,
-    weyl_basis,
-)
-from oracles import residual_gram
+from entdist.states import ResourceSpectrum, random_spectrum, weyl_basis
+from oracles import conjugated_basis, haar_random_unitary, residual_gram
 
 BELL_SPEC = ResourceSpectrum.from_probabilities([0.8, 0.2])
 
@@ -192,11 +186,6 @@ class TestIncompleteBounds:
             assert fef(spec) - 1e-12 <= bounds.lower
             assert bounds.lower <= bounds.upper + 1e-12
             assert bounds.upper <= 1.0 + 1e-12
-
-    def test_iterates_as_pair(self):
-        lower, upper = incomplete_bounds(weyl_basis(2), BELL_SPEC, 3)
-        assert lower == pytest.approx(2.0 / 3.0 * 1.4, abs=1e-10)
-        assert upper == pytest.approx(1.0)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("strategy", ["completion", "projector"])

@@ -23,19 +23,17 @@ from entdist.states import (
     MaxEntBasis,
     ResourceSpectrum,
     build_ensemble,
-    conjugated_basis,
-    four_factor_layout,
-    haar_random_unitary,
-    pair_layout,
     random_spectrum,
     resource_state,
     weyl_basis,
 )
-from entdist.tensor import transpose_party_a
 from oracles import (
     SWAP_B1_A2,
     closed_form_ppt_clip,
+    conjugated_basis,
+    haar_random_unitary,
     max_ent_state,
+    partial_transpose,
     permute_factors,
     plain_consensus,
 )
@@ -78,7 +76,7 @@ def expand_pair(pair, basis: MaxEntBasis) -> list[np.ndarray]:
     x, y = pair
     p0 = permute_factors(
         np.kron(phi, x) + np.kron(np.eye(d * d) - phi, y),
-        four_factor_layout(d),
+        (d,) * 4,
         SWAP_B1_A2,
     )
     expanded = []
@@ -91,7 +89,7 @@ def expand_pair(pair, basis: MaxEntBasis) -> list[np.ndarray]:
 def operators_of(ens) -> _Operators:
     """The program of an ensemble in the coordinates of every operator P_k."""
     cost = np.asarray(ens.priors)[:, None, None] * ens.density_operators()
-    return _Operators(cost, ens.layout)
+    return _Operators(cost)
 
 
 def solve_densely(ens, accuracy=DEFAULT_ACCURACY, max_iters=DEFAULT_MAX_ITERS):
@@ -121,7 +119,6 @@ class _Pair(_Coordinates):
         self.n = d * d
         self.weight = float(d)
         self.metric = np.array([1.0, self.n - 1.0]).reshape(2, 1, 1)
-        self.layout = pair_layout(d)
         tau = resource_state(spec)
         self.cost = np.stack([np.outer(tau, tau.conj()), np.zeros((d * d, d * d))]) / self.n
 
@@ -133,13 +130,14 @@ class _Pair(_Coordinates):
 
     def to_blocks(self, stack: np.ndarray) -> np.ndarray:
         d = self.d
-        gx, gy = transpose_party_a(stack, self.layout)
+        gx, gy = partial_transpose(stack, (d, d), (0,))
         return np.stack([gx + (d - 1) * gy, (d + 1) * gy - gx]) / d
 
     def from_blocks(self, blocks: np.ndarray) -> np.ndarray:
         d = self.d
         ms, ma = blocks
-        return transpose_party_a(np.stack([(d + 1) * ms - (d - 1) * ma, ms + ma]) / 2, self.layout)
+        pair = np.stack([(d + 1) * ms - (d - 1) * ma, ms + ma]) / 2
+        return partial_transpose(pair, (d, d), (0,))
 
 
 @pytest.fixture(scope="module")
@@ -161,14 +159,13 @@ class TestSolver:
 
     def test_operators_match_reported_residuals(self, bell_result):
         ops = bell_result.operators
-        layout = build_ensemble(weyl_basis(2), BELL_SPEC, 4).layout
         gap = np.linalg.norm(sum(ops) - np.eye(16))
         assert gap == pytest.approx(bell_result.primal_residual, abs=1e-12)
         worst = 0.0
         for op in ops:
             worst = min(worst, np.linalg.eigvalsh(op).min())
             worst = min(
-                worst, np.linalg.eigvalsh(transpose_party_a(op, layout)).min()
+                worst, np.linalg.eigvalsh(partial_transpose(op, (2,) * 4, (0, 1))).min()
             )
         assert worst == pytest.approx(bell_result.cone_residual, abs=1e-12)
 
@@ -200,7 +197,7 @@ class TestSolver:
         ens = build_ensemble(weyl_basis(2), BELL_SPEC, 4)
         rotated = np.asarray(ens.priors)[:, None, None] * (v @ ens.density_operators() @ v.conj().T)
         base = solve_densely(ens)
-        moved = _consensus(_Operators(rotated, ens.layout), DEFAULT_ACCURACY, DEFAULT_MAX_ITERS)
+        moved = _consensus(_Operators(rotated), DEFAULT_ACCURACY, DEFAULT_MAX_ITERS)
         assert abs(base.primal_value - moved.primal_value) < 2e-4
 
     def test_trace_rows(self, bell_result):

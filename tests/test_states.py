@@ -12,19 +12,21 @@ from entdist.states import (
     MaxEntBasis,
     ResourceSpectrum,
     build_ensemble,
-    conjugated_basis,
     dump_basis_file,
-    four_factor_layout,
-    haar_random_unitary,
-    load_basis_file,
-    pair_layout,
     random_spectrum,
     resource_state,
-    schmidt_coefficients,
     validate_basis,
     weyl_basis,
 )
-from oracles import kron_ensemble, max_ent_state, power_weyl_unitaries
+from oracles import (
+    conjugated_basis,
+    haar_random_unitary,
+    kron_ensemble,
+    load_basis_file,
+    max_ent_state,
+    power_weyl_unitaries,
+    schmidt_coefficients,
+)
 
 
 class TestResourceSpectrum:
@@ -96,6 +98,7 @@ class TestWeylBasis:
     def test_accepted_and_complete(self, d):
         basis = weyl_basis(d)
         report = validate_basis(basis.unitaries)
+        assert basis.validation == report
         assert report.accepted and report.complete
         assert report.unitarity_defect < 1e-12
         assert report.orthogonality_defect < 1e-12
@@ -146,7 +149,7 @@ class TestMaxEntState:
     def test_uniform_schmidt_coefficients(self):
         rng = np.random.default_rng(12)
         v = max_ent_state(haar_random_unitary(3, rng))
-        coeffs = schmidt_coefficients(v, pair_layout(3))
+        coeffs = schmidt_coefficients(v, (3, 3), 1)
         assert np.allclose(coeffs, np.full(3, 1 / np.sqrt(3)), atol=1e-12)
 
 
@@ -159,7 +162,7 @@ class TestEnsemble:
     def test_states_orthonormal_and_uniform(self):
         ens = build_ensemble(weyl_basis(2), ResourceSpectrum.from_probabilities([0.8, 0.2]), 4)
         assert len(ens) == 4
-        assert ens.uniform
+        assert ens.priors == (0.25,) * 4
         gram = np.array(
             [[np.vdot(a, b) for b in ens.kets()] for a in ens.kets()]
         )
@@ -172,7 +175,7 @@ class TestEnsemble:
         ens = build_ensemble(weyl_basis(d), spec, d * d)
         expect = np.sort(np.repeat(np.asarray(spec.coeffs) / np.sqrt(d), d))[::-1]
         for v in ens.kets():
-            got = schmidt_coefficients(v, four_factor_layout(d))
+            got = schmidt_coefficients(v, (d, d, d, d), 2)
             assert np.allclose(got, expect, atol=1e-12)
 
     def test_rejects_nonorthogonal(self):
@@ -304,7 +307,6 @@ class TestStackedBuilds:
             for n in (1, d + 1, d * d):
                 ens = build_ensemble(basis, spec, n)
                 assert ens.psi.shape == (n, d, d)
-                assert ens.layout == four_factor_layout(d)
                 kets = ens.kets()
                 assert kets.shape == (n, d**4)
                 assert np.max(np.abs(kets - kron_ensemble(basis, spec, n))) <= 1e-15

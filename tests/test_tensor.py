@@ -1,19 +1,14 @@
-"""Tensor-space primitives: layouts, partial transposition, eigensolves."""
+"""Tensor-space primitives: partial transposition, eigensolves, and the
+layout oracles the tests check them against."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entdist.tensor import (
-    SubsystemLayout,
-    frobenius,
-    partial_transpose,
-    psd_clip,
-    require_hermitian,
-    transpose_party_a,
-)
-from entdist.states import four_factor_layout
-from oracles import permute_factors, permute_ket
+from entdist.sdp import _Operators
+from entdist.states import ResourceSpectrum, build_ensemble, weyl_basis
+from entdist.tensor import frobenius, psd_clip, require_hermitian
+from oracles import partial_transpose, permute_factors, permute_ket
 
 
 def random_matrix(rng, dim):
@@ -34,98 +29,71 @@ def psd_project(h):
 dims_strategy = st.lists(st.integers(min_value=2, max_value=3), min_size=2, max_size=3)
 
 
-def test_layout_rejects_bad_cut():
-    with pytest.raises(ValueError):
-        SubsystemLayout((2, 2), cut=2)
-    with pytest.raises(ValueError):
-        SubsystemLayout((2, 0), cut=1)
-
-
-def test_layout_dimensions():
-    lay = SubsystemLayout((2, 3, 4), cut=2)
-    assert lay.dim == 24
-    assert lay.dim_a == 6
-    assert lay.dim_b == 4
-    assert lay.party_a == (0, 1)
-
-
-def test_layout_shape_checks():
-    lay = SubsystemLayout((2, 2), cut=1)
-    with pytest.raises(ValueError):
-        lay.check_matrix(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        lay.check_ket(np.zeros(3))
-    # one matrix is expected here; only the transpose path takes stacks
-    stack = np.zeros((3, 4, 4), dtype=complex)
-    with pytest.raises(ValueError):
-        lay.check_matrix(stack)
-    with pytest.raises(ValueError):
-        permute_factors(stack, lay, (1, 0))
-
-
 @settings(max_examples=25, deadline=None)
 @given(dims=dims_strategy, seed=st.integers(0, 2**32 - 1))
 def test_partial_transpose_is_involutive_isometry(dims, seed):
     rng = np.random.default_rng(seed)
-    lay = SubsystemLayout(tuple(dims), cut=1)
-    m = random_matrix(rng, lay.dim)
-    pt = partial_transpose(m, lay, (0,))
-    assert np.allclose(partial_transpose(pt, lay, (0,)), m)
+    m = random_matrix(rng, int(np.prod(dims)))
+    pt = partial_transpose(m, dims, (0,))
+    assert np.allclose(partial_transpose(pt, dims, (0,)), m)
     assert frobenius(pt) == pytest.approx(frobenius(m), rel=1e-12)
 
 
 def test_partial_transpose_on_product_transposes_the_factor():
     rng = np.random.default_rng(3)
     a, b = random_matrix(rng, 2), random_matrix(rng, 3)
-    lay = SubsystemLayout((2, 3), cut=1)
-    got = partial_transpose(np.kron(a, b), lay, (0,))
+    got = partial_transpose(np.kron(a, b), (2, 3), (0,))
     assert np.allclose(got, np.kron(a.T, b), atol=1e-13)
 
 
 def test_partial_transpose_all_factors_is_full_transpose():
     rng = np.random.default_rng(4)
-    lay = SubsystemLayout((2, 2, 2), cut=1)
-    m = random_matrix(rng, lay.dim)
-    assert np.allclose(partial_transpose(m, lay, (0, 1, 2)), m.T)
+    m = random_matrix(rng, 8)
+    assert np.allclose(partial_transpose(m, (2, 2, 2), (0, 1, 2)), m.T)
 
 
 def test_partial_transpose_validates_factor_indices():
-    lay = SubsystemLayout((2, 2), cut=1)
     with pytest.raises(ValueError):
-        partial_transpose(np.eye(4), lay, (2,))
+        partial_transpose(np.eye(4), (2, 2), (2,))
 
 
 def test_transpose_party_a_matches_explicit_factors():
+    """The solver's A1A2 transpose (``_Operators.to_blocks``) is the
+    factor-by-factor transpose of factors 0 and 1 of (d, d, d, d), bit for bit."""
     rng = np.random.default_rng(5)
-    lay = SubsystemLayout((2, 2, 2, 2), cut=2)
-    m = random_matrix(rng, lay.dim)
-    assert np.array_equal(
-        transpose_party_a(m, lay), partial_transpose(m, lay, (0, 1))
-    )
+    for d in (2, 3):
+        dims, dim = (d, d, d, d), d**4
+        spec = ResourceSpectrum.from_probabilities(rng.dirichlet(np.ones(d)))
+        states = build_ensemble(weyl_basis(d), spec, d + 2).density_operators()
+        stack = np.stack([random_matrix(rng, dim) for _ in range(3)])
+        for m in (stack, states):
+            got = _Operators(m).to_blocks(m)
+            assert got.shape == m.shape
+            assert np.array_equal(got, partial_transpose(m, dims, (0, 1)))
 
 
 @pytest.mark.parametrize(
-    "layout",
-    [SubsystemLayout((2, 3), cut=1), four_factor_layout(2)],
+    "dims, party_a",
+    [((2, 3), (0,)), ((2, 2, 2, 2), (0, 1))],
     ids=["pair_2x3", "four_factor_2"],
 )
-def test_partial_transpose_of_stack_matches_each_matrix(layout):
+def test_partial_transpose_of_stack_matches_each_matrix(dims, party_a):
     rng = np.random.default_rng(8)
-    stack = np.stack([random_matrix(rng, layout.dim) for _ in range(4)])
-    batched = partial_transpose(stack, layout, (0,))
-    party_a = transpose_party_a(stack, layout)
+    dim = int(np.prod(dims))
+    stack = np.stack([random_matrix(rng, dim) for _ in range(4)])
+    batched = partial_transpose(stack, dims, (0,))
+    over_a = partial_transpose(stack, dims, party_a)
     for k, m in enumerate(stack):
-        assert np.array_equal(batched[k], partial_transpose(m, layout, (0,)))
-        assert np.array_equal(party_a[k], transpose_party_a(m, layout))
-    deep = transpose_party_a(stack.reshape(2, 2, layout.dim, layout.dim), layout)
-    assert np.array_equal(deep.reshape(stack.shape), party_a)
+        assert np.array_equal(batched[k], partial_transpose(m, dims, (0,)))
+        assert np.array_equal(over_a[k], partial_transpose(m, dims, party_a))
+    deep = partial_transpose(stack.reshape(2, 2, dim, dim), dims, party_a)
+    assert np.array_equal(deep.reshape(stack.shape), over_a)
 
 
 def test_partial_transpose_rejects_wrong_stack_shape():
-    lay = SubsystemLayout((2, 2), cut=1)
     for bad in (np.zeros(4), np.zeros((3, 4, 5)), np.zeros((3, 3, 3))):
         with pytest.raises(ValueError):
-            partial_transpose(bad, lay, (0,))
+            partial_transpose(bad, (2, 2), (0,))
 
 
 def test_psd_clip_of_stack_matches_psd_project():
@@ -140,13 +108,10 @@ def test_psd_clip_of_stack_matches_psd_project():
 # permute_factors is the tests' dense oracle (oracles.py); these pin it down.
 def test_permute_factors_composes():
     rng = np.random.default_rng(6)
-    lay = SubsystemLayout((2, 3, 4), cut=1)
-    m = random_matrix(rng, lay.dim)
-    once = permute_factors(m, lay, (1, 2, 0))
-    lay2 = SubsystemLayout((3, 4, 2), cut=1)
-    twice = permute_factors(once, lay2, (1, 2, 0))
-    lay3 = SubsystemLayout((4, 2, 3), cut=1)
-    thrice = permute_factors(twice, lay3, (1, 2, 0))
+    m = random_matrix(rng, 24)
+    once = permute_factors(m, (2, 3, 4), (1, 2, 0))
+    twice = permute_factors(once, (3, 4, 2), (1, 2, 0))
+    thrice = permute_factors(twice, (4, 2, 3), (1, 2, 0))
     assert np.allclose(thrice, m)
 
 
@@ -154,21 +119,22 @@ def test_permute_factors_agrees_with_ket_conjugation():
     """Permuting an outer product must equal permuting the kets."""
     rng = np.random.default_rng(7)
     dims = (2, 3, 2)
-    lay = SubsystemLayout(dims, cut=1)
     u = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     perm = (2, 0, 1)
-    left = permute_factors(np.outer(u, v.conj()), lay, perm)
+    left = permute_factors(np.outer(u, v.conj()), dims, perm)
     right = np.outer(permute_ket(u, dims, perm), permute_ket(v, dims, perm).conj())
     assert np.allclose(left, right, atol=1e-13)
 
 
 def test_permute_rejects_non_permutations():
-    lay = SubsystemLayout((2, 2), cut=1)
     with pytest.raises(ValueError):
-        permute_factors(np.eye(4), lay, (0, 0))
+        permute_factors(np.eye(4), (2, 2), (0, 0))
     with pytest.raises(ValueError):
         permute_ket(np.zeros(4), (2, 2), (1, 1))
+    # one matrix is expected here; only the transpose takes stacks
+    with pytest.raises(ValueError):
+        permute_factors(np.zeros((3, 4, 4), dtype=complex), (2, 2), (1, 0))
 
 
 def test_hermiticity_defect_and_checks():
