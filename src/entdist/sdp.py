@@ -53,12 +53,23 @@ i ≠ j with Q[i, i] = 0, and works on them entry by entry:
 - Objective: Σ_k Tr(Φ_k P_k)/d² = Tr(τ X) = Σ a_i a_j B[i, j].
 
 Every step of the loop but the eigh is linear on the rows (X_P, X_Q, Y_P,
-Y_Q) of z and the three duals, so one iteration is two small products
-around the clips. The first, (12 × 16) plus a constant, gives the affine
-projection, the (P, Q) input of the PSD clip and the PPT eigenvalues. One
-eigh of the (2, d, d) blocks and one clip at 0 of the off-diagonal P and
-the eigenvalues follow. The second, (16 × 24) plus the drive, maps the
-duals and the three projections to the next z and duals.
+Y_Q) of z and the three duals u₁, u₂, u₃, so one iteration is two small
+products on one work buffer around the clips. The buffer's rows, each of
+d² entries, are the state s = (z, u₁, u₂, u₃) (16 rows), a row of ones,
+the drive's rows X_P and X_Q (it has no Y part) and the 12 rows x of the
+projections, so each product reads one slice of it and every constant is
+a column of its matrix:
+
+- The first, 12 × 17, reads s and the ones and writes x: the affine
+  projection of z − u₁ with its constant, the PSD input z − u₂ in the rows
+  (Q_X, Q_Y, P_X, P_Y) and the PPT eigenvalues of z − u₃.
+- Q's diagonal is zero, so trading the diagonals of the Q and P rows puts
+  the blocks B in the Q rows. One clip at 0 of the P rows and the
+  eigenvalues, one eigh of the (2, d, d) blocks with its clip, and the
+  trade back, which moves the clipped blocks' diagonal to P, follow.
+- The second, 32 × 31, reads the whole buffer and writes f(s), the next z
+  = mean(x + u) + drive and duals x + u − z, together with g = f(s) − s,
+  the residual the Anderson step reads.
 
 The twirl identity holds for every trace-orthogonal basis, which starts at
 the identity, so the complete program depends only on d and the spectrum.
@@ -149,13 +160,17 @@ _STALL_WINDOW = 25
 
 # Arrays of 16 d⁴ bytes the complete solve holds: the dense pair (X, Y) it
 # returns is one, and its O(d²) sector arrays shrink against it as d grows;
-# tracemalloc peaks at 2.7 of them at d = 8 and 1.4 at d = 16. At d = 4 the
-# peak is 10.6 of them, 44 kB in all.
+# tracemalloc peaks at 2.5 of them at d = 8 and 1.3 at d = 16.
 _PAIR_ARRAYS = 5
+# Bytes a complete solve holds besides them: its work buffer, the Anderson
+# step's six rows of 16 d² entries, its small fixed arrays and its trace.
+# They set the peak below d = 6: 28 kB at d = 2 and 41 kB (10.0 arrays) at
+# d = 4, where the pair counts 1 kB and 4 kB.
+_SECTOR_BYTES = 2**15
 # Arrays of 16 d⁸ bytes per operator that an operator-by-operator solve
-# holds: its state and cost, the Anderson step's five rows, the iterate and
-# its image under the map, four arrays each, and the projections'
-# temporaries; tracemalloc peaks at 37.0-37.9 of them at d = 2, 3.
+# holds: its state and cost, the Anderson step's six rows (the map's image
+# among them), four arrays each, and the projections' temporaries;
+# tracemalloc peaks at 37.0-38.3 of them at d = 2, 3.
 _OPERATOR_ARRAYS = 39
 
 
@@ -167,7 +182,7 @@ def solve_bytes(dim: int, n_states: int) -> int:
     matrices per operator. Neither counts the basis it is given.
     """
     if n_states == dim * dim:
-        return 16 * dim**4 * _PAIR_ARRAYS
+        return 16 * dim**4 * _PAIR_ARRAYS + _SECTOR_BYTES
     return 16 * dim**8 * _OPERATOR_ARRAYS * n_states
 
 
@@ -215,9 +230,10 @@ class _Coordinates:
     whether the stop test reads the dual residual (``_consensus``), and
     ``penalty`` is the ADMM penalty ρ of the module docstring.
 
-    The loop iterates the state s = (z, three duals), each stack times
-    √metric (``root``), so that ``weight`` times its plain Euclidean norm
-    is the full-space one; ``step`` maps s to f(s).
+    The loop iterates the state s = (z, three duals) held in ``state``,
+    each stack times √metric (``root``), so that ``weight`` times its plain
+    Euclidean norm is the full-space one; ``step(out)`` writes the residual
+    g = f(s) − s and the image f(s) to out = (g, f), of ``image_shape``.
     """
 
     metric = 1.0
@@ -226,6 +242,14 @@ class _Coordinates:
     @cached_property
     def root(self) -> np.ndarray:
         return np.sqrt(self.metric)
+
+    @cached_property
+    def state(self) -> np.ndarray:
+        return np.empty((4, *self.cost.shape), dtype=complex)
+
+    @cached_property
+    def image_shape(self) -> tuple[int, ...]:
+        return (2, *self.state.shape)
 
     @cached_property
     def penalty(self) -> float:
@@ -283,9 +307,11 @@ class _Operators(_Coordinates):
     def deviation(self, stack: np.ndarray) -> np.ndarray:
         return stack.sum(axis=0) - np.eye(stack.shape[1])
 
-    def step(self, s: np.ndarray, out: np.ndarray) -> None:
+    def step(self, out: np.ndarray) -> None:
         # The metric is 1, so the state needs no weighting.
-        _map(self, s, out, self.drive)
+        g, f = out
+        _map(self, self.state, f, self.drive)
+        np.subtract(f, self.state, out=g)
 
     def to_blocks(self, stack: np.ndarray) -> np.ndarray:
         """The partial transpose over A1A2: party A's row and column indices swap."""
@@ -295,90 +321,158 @@ class _Operators(_Coordinates):
     from_blocks = to_blocks
 
 
+_SIGNS = ((1.0, 1.0), (1.0, -1.0))
+_EYE2 = ((1.0, 0.0), (0.0, 1.0))
+_EYE4 = np.eye(4)
+# Block i of the first product reads z − u_i.
+_SELECT = np.hstack([np.ones((3, 1)), -np.eye(3)])
+# The consensus update (z', u') from x + u of the three blocks.
+_UPDATE = np.vstack([_MEAN, np.eye(3) - _MEAN])
+# The second product's columns for s, the ones and the drive, which carry
+# no constant: its rows f = (z', u') take u by the consensus update, z'
+# takes the drive and each u' gives it back, and its rows g = f − s are the
+# same less s.
+_SECOND_HEAD = np.zeros((2, 16, 19))
+_SECOND_HEAD[:, :, 4:16] = (_UPDATE[:, None, :, None] * _EYE4[None, :, None, :]).reshape(16, 12)
+_SECOND_HEAD[:, ::4, 17] = _SECOND_HEAD[:, 1::4, 18] = [1.0, -1.0, -1.0, -1.0]
+_SECOND_HEAD[0, :, :16] -= np.eye(16)
+_SECOND_HEAD = _SECOND_HEAD.reshape(32, 19)
+
+
+def _kron(m, k) -> list[list[float]]:
+    """The Kronecker product of two 2 × 2 matrices, as nested lists."""
+    (a, b), (c, e) = m
+    (p, q), (s, t) = k
+    return [
+        [a * p, a * q, b * p, b * q],
+        [a * s, a * t, b * s, b * t],
+        [c * p, c * q, e * p, e * q],
+        [c * s, c * t, e * s, e * t],
+    ]
+
+
 class _Sectors(_Coordinates):
     """The complete program on the (P, Q) arrays of X and Y (module docstring).
 
     The stack is (2, 2, d, d): stack[0] = (P, Q) of X, stack[1] that of Y.
+    The rows (X_P, X_Q, Y_P, Y_Q) of a stack index its first two axes, and
+    the state weighs the Y rows by r = √(d² − 1).
     """
 
     def __init__(self, spec: ResourceSpectrum):
         d = self.d = spec.dim
         n = self.n = d * d
+        r = math.sqrt(n - 1.0)
         self.weight = float(d)
         # ‖P_0‖² = ‖X‖² + (d² − 1)‖Y‖², and P_k is P_0 conjugated by a unitary.
         self.metric = np.array([1.0, n - 1.0]).reshape(2, 1, 1, 1)
+        self.root = np.array([1.0, r]).reshape(2, 1, 1, 1)
         self.a = np.asarray(spec.coeffs, dtype=float)
         self.eye = np.eye(d)
         self.off = self.eye == 0
-        # The identity on A2B2: every P is 1, every Q is 0.
-        self.unit = np.stack([np.ones((d, d)), np.zeros((d, d))])
         # B = Q + diag(P) scattered back: its diagonal to P, the rest to Q.
-        self.split = np.stack([self.eye, self.off])
-        # The affine step (X, Y) -= E/n as a map on (X, Y) plus a constant.
-        self.shift = np.eye(2) - np.array([[1.0, n - 1.0]] * 2) / n
-        self.offset = self.start()
+        self.split = np.array([self.eye, self.off])
+        # The identity on A2B2: every P is 1, every Q is 0.
+        self.unit = np.zeros((2, d, d))
+        self.unit[0] = 1.0
+        # The affine step (X, Y) -= E/n as a map on (X, Y) plus unit/n.
+        shift = ((1.0 - 1.0 / n, -(n - 1.0) / n), (-1.0 / n, 1.0 - (n - 1.0) / n))
+        self.shift = np.array(shift)
+        self.offset = self.unit / n
         # (X, Y) → (M_s, M_a) entry by entry, then (P, Q) → (P + Q, P − Q),
         # the eigenvalues of the 2 × 2 blocks; and back.
-        mix = np.array([[1.0, d - 1.0], [-1.0, d + 1.0]]) / d
-        unmix = np.array([[d + 1.0, 1.0 - d], [1.0, 1.0]]) / 2
-        signs = np.array([[1.0, 1.0], [1.0, -1.0]])
-        self.to_ppt = _kron(mix, signs)
-        self.from_ppt = _kron(unmix, signs / 2)
-        tau = np.outer(self.a, self.a) / n
-        self.cost = np.stack([np.stack([tau * self.eye, tau * self.off]), np.zeros((2, d, d))])
-        self._fuse()
+        mix = ((1.0 / d, (d - 1.0) / d), (-1.0 / d, (d + 1.0) / d))
+        unmix = (((d + 1.0) / 4, (1.0 - d) / 4), (0.25, 0.25))
+        to_ppt, from_ppt = _kron(mix, _SIGNS), _kron(unmix, _SIGNS)
+        self.to_ppt, self.from_ppt = np.array(to_ppt), np.array(from_ppt)
+        tau = self.a[:, None] * self.a / n
+        self.cost = np.zeros((2, 2, d, d))
+        np.multiply(tau, self.eye, out=self.cost[0, 0])
+        np.multiply(tau, self.off, out=self.cost[0, 1])
+        # The full-space norm of the cost is d‖τ‖_F = d |a|²/n.
+        self.penalty = STEP * self.weight * float(self.a @ self.a) / n
+        self.drive = self.cost / (3.0 * self.penalty)
 
-    def _fuse(self) -> None:
-        """The two products of ``step`` on the rows (X_P, X_Q, Y_P, Y_Q) of z and the duals.
+        # The two products of ``step``, on the weighted rows. The first maps
+        # z − u_i to x_i: the affine map (weighted in and out), and the PSD
+        # input in the rows (Q_X, Q_Y, P_X, P_Y) and the PPT eigenvalues,
+        # both unweighted.
+        (s0, s1), (s2, s3) = shift
+        into = np.array([
+            _kron(((s0, s1 / r), (r * s2, s3)), _EYE2),
+            [
+                [0.0, 1.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 1.0 / r],
+                [1.0, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 1.0 / r, 0.0],
+            ],
+            [row[:2] + [row[2] / r, row[3] / r] for row in to_ppt],
+        ])
+        self._first = np.zeros((12, 17))
+        self._first[:, :16] = (into[:, :, None] * _SELECT[:, None, :, None]).reshape(12, 16)
+        # The ones carry the affine constant unit/n to the rows X_P and Y_P.
+        self._first[0, 16], self._first[2, 16] = 1.0 / n, r / n
+        # The second maps x_i back to the weighted rows: the affine
+        # projection as it is, the PSD and the PPT projections by the
+        # transposed row map and by unmix, then weighted.
+        back = np.array([
+            _EYE4,
+            [[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, r], [0.0, r, 0.0, 0.0]],
+            from_ppt[:2] + [[r * v for v in row] for row in from_ppt[2:]],
+        ])
+        # The second product writes (g, f) as 32 rows.
+        self.image_shape = (32, n)
+        self._second = np.empty((32, 31))
+        self._second[:, :19] = _SECOND_HEAD
+        self._second[:16, 19:] = self._second[16:, 19:] = (
+            _UPDATE[:, None, :, None] * back.swapaxes(0, 1)
+        ).reshape(16, 12)
 
-        The first maps the 16 rows of s to the affine projection of z − u₁
-        (weighted), the PSD input z − u₂ in the rows (Q_X, Q_Y, P_X, P_Y) and
-        the PPT eigenvalues of z − u₃. P and the eigenvalues are adjacent, so
-        one clip at 0 serves both. The second maps u and the three clipped
-        projections x to z' = mean(x + u) + drive and u' = x + u − z'.
-        """
-        rows = self.root.repeat(2, axis=1).reshape(4)
-        weigh, unweigh = np.diag(rows), np.diag(1.0 / rows)
-        to_qp = np.eye(4)[[1, 3, 0, 2]]
-        into = [weigh @ _kron(self.shift, np.eye(2)), to_qp, self.to_ppt]
-        self._first = np.zeros((12, 16))
-        for i, block in enumerate(m @ unweigh for m in into):
-            self._first[4 * i : 4 * i + 4, :4] = block
-            self._first[4 * i : 4 * i + 4, 4 * i + 4 : 4 * i + 8] = -block
-        self._offset = weigh @ self.offset.reshape(4, -1)
-        # x + u for each block, weighted: u, then the three projections.
-        back = np.zeros((12, 12))
-        for i, block in enumerate([np.eye(4), weigh @ to_qp.T, weigh @ self.from_ppt]):
-            back[4 * i : 4 * i + 4, 4 * i : 4 * i + 4] = block
-        update = np.vstack([_MEAN, np.eye(3) - _MEAN])
-        self._second = _kron(update, np.eye(4)) @ np.hstack([np.eye(12), back])
-        # z' takes the drive and each u' gives it back.
-        push = np.vstack([np.ones((1, 1)), -np.ones((3, 1))])
-        self._drive = _kron(push, weigh @ self.drive.reshape(4, -1)).reshape(4, *self.offset.shape)
-        self._work = np.empty((24, self.n))
+        # The work buffer: the state s (z, u₁, u₂, u₃), a row of ones, the
+        # drive's rows X_P and X_Q (it has no Y part) and the rows x.
+        self._work = np.zeros((31, n))
+        self._work[16] = 1.0
+        self._work[17:19] = self.drive[0].reshape(2, n)
+        self.state = self._work[:16].reshape(4, 2, 2, d, d)
+        # The views ``step`` reads, in one attribute: the rows the first
+        # product reads and writes, the diagonals of the rows (Q_X, Q_Y, P_X,
+        # P_Y) and the same with Q and P traded, the rows the clip at 0
+        # serves, the stack of blocks, the clipped eigenvalues (as a row per
+        # block and shaped to scale the eigenvectors' columns) and the scaled
+        # eigenvectors.
+        diagonals = self._work[23:27].reshape(2, 2, n)[:, :, :: d + 1]
+        eigenvalues = np.empty((2, 1, d))
+        self._views = (
+            self._work[:17],
+            self._work[19:],
+            diagonals,
+            diagonals[::-1],
+            self._work[25:],
+            self._work[23:25].reshape(2, d, d),
+            eigenvalues[:, 0],
+            eigenvalues,
+            np.empty((2, d, d)),
+        )
 
-    def step(self, s: np.ndarray, out: np.ndarray) -> None:
+    def step(self, out: np.ndarray) -> None:
         """``_map`` on the weighted state in two products around the cone clips."""
-        d = self.d
-        s, work = s.reshape(16, -1), self._work
-        x = work[12:]
-        np.matmul(self._first, s, out=x)
-        x[:4] += self._offset
-        # B = Q + diag(P) in place of Q, then clip P and the eigenvalues.
-        blocks, p = x[4:6], x[6:8]
-        blocks[:, :: d + 1] += p[:, :: d + 1]
-        np.maximum(x[6:], 0.0, out=x[6:])
-        w, v = np.linalg.eigh(blocks.reshape(2, d, d))
-        np.maximum(w, 0.0, out=w)
-        np.matmul(v * w[:, None], v.swapaxes(1, 2), out=blocks.reshape(2, d, d))
-        p[:, :: d + 1] = blocks[:, :: d + 1]
-        blocks[:, :: d + 1] = 0.0
-        work[:12] = s[4:]
-        np.matmul(self._second, work, out=out.reshape(16, -1))
-        out += self._drive
+        head, x, diagonals, traded, clip, blocks, clipped, eigenvalues, scaled = self._views
+        np.matmul(self._first, head, out=x)
+        # Q's diagonal is zero, so trading the diagonals of Q and P puts
+        # B = Q + diag(P) in the Q rows and zero on P's diagonal; then clip
+        # P and the eigenvalues.
+        diagonals[...] = traded
+        np.maximum(clip, 0.0, out=clip)
+        w, v = np.linalg.eigh(blocks)
+        np.maximum(w, 0.0, out=clipped)
+        np.multiply(v, eigenvalues, out=scaled)
+        np.matmul(scaled, v.swapaxes(1, 2), out=blocks)
+        # Trading back moves the clipped blocks' diagonal to P and zero to Q.
+        diagonals[...] = traded
+        np.matmul(self._second, self._work, out=out)
 
     def start(self) -> np.ndarray:
-        return np.stack([self.unit, self.unit]) / self.n
+        return self.offset[None].repeat(2, axis=0)
 
     def deviation(self, stack: np.ndarray) -> np.ndarray:
         return stack[0] + (self.n - 1) * stack[1] - self.unit
@@ -417,15 +511,10 @@ class _Sectors(_Coordinates):
         """The dense pair (X, Y) on A2B2, with |ij⟩ at index i·d + j."""
         d, n = self.d, self.n
         dense = np.zeros((2, n, n))
-        ii = np.arange(d) * (d + 1)
-        dense[:, ii[:, None], ii] = stack[:, 1]
-        dense[:, np.arange(n), np.arange(n)] = stack[:, 0].reshape(2, n)
+        # |ii⟩ is at index i·(d + 1): the block, then every diagonal entry.
+        dense[:, :: d + 1, :: d + 1] = stack[:, 1]
+        dense.reshape(2, -1)[:, :: n + 1] = stack[:, 0].reshape(2, n)
         return tuple(dense)
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The Kronecker product of two matrices."""
-    return np.einsum("ij,kl->ikjl", a, b).reshape(a.shape[0] * b.shape[0], -1)
 
 
 def solve_primal_ppt(
@@ -484,28 +573,37 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
     """The consensus splitting of ``solve_primal_ppt`` in the given coordinates.
 
     The state s stacks z and the three duals, each weighted by √metric, and
-    the plain step is the map s → f(s) of ``coords.step``: ``_map`` between
-    unweighting and weighting, or the fused map of ``_Sectors``. Each
-    iteration evaluates f once and takes a type-II Anderson step of memory 2
-    (Zhang, O'Donoghue and Boyd, SIAM J. Optim. 30, 2020) on the residual
-    g = f(s) − s: s ← f(s) − Σ_j γ_j Δf_j, where γ fits g by the last
+    ``coords.step`` writes the plain step f(s) with the residual
+    g = f(s) − s: ``_map`` on the operators, or the fused map of
+    ``_Sectors``. Each iteration evaluates f once and takes a type-II
+    Anderson step of memory 2 (Zhang, O'Donoghue and Boyd, SIAM J. Optim.
+    30, 2020): s ← f(s) − Σ_j γ_j Δf_j, where γ fits g by the last
     differences Δg_j in the full-space Frobenius norm, which on the weighted
     state is ``weight`` times the plain one, so every set of coordinates of
     one program takes the same steps. Every check unweights z of f(s), the
     operators the solve returns.
     """
     # z starts at start() and the duals at zero.
-    s = np.stack([coords.start() * coords.root] * 4)
+    s = coords.state
+    s[0] = coords.start() * coords.root
     s[1:] = 0.0
-    f = np.empty_like(s)
-    # Both as real arrays (complex entries as pairs), flat.
-    s_flat, f_flat = s.reshape(-1).view(float), f.reshape(-1).view(float)
-    # The rows one product reads: Δg of the two history slots, g, and Δf of
-    # the two slots; the state is weighted, so their plain inner products
-    # are the weighted ones.
-    window = np.zeros((5, s_flat.size))
-    g, diffs = window[2], window[3:]
-    coeffs = np.zeros(2)
+    # As a real array (complex entries as pairs), flat.
+    s_flat = s.reshape(-1).view(float)
+    # The rows one product reads: (Δg, Δf) of the two history slots, then
+    # (g, f), so row 2j is Δg of slot j, row 2j + 1 its Δf, and rows 4 and 5
+    # are g and f, which the step writes in place. Each pair is contiguous,
+    # so one operation updates both differences of a slot. The state is
+    # weighted, so the rows' plain inner products are the weighted ones.
+    rows = np.zeros((3, 2, s_flat.size))
+    flat = rows.reshape(6, -1)
+    flat_t, products = flat.T, np.empty((6, 6))
+    slots, newest = rows[:2], rows[2]
+    g, f_flat = newest
+    out = newest.view(s.dtype).reshape(coords.image_shape)
+    f = f_flat.view(s.dtype).reshape(s.shape)
+    apply = coords.step
+    # s' = f − Σ_j γ_j Δf_j is one product with (0, −γ_0, 0, −γ_1, 0, 1).
+    weights = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
     scale = coords.weight**2
     quarter = s_flat.size // 4
 
@@ -513,23 +611,23 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
     trace: list[dict] = []
     memory: list[int] = []
     gg_prev = np.inf
-    s_square = scale * float(s_flat @ s_flat)
+    # The step extrapolates while scale·|g|² > _FLOOR max(|s|², 1).
+    floor = _FLOOR * max(scale * float(s_flat @ s_flat), 1.0)
 
     for it in range(1, max_iters + 1):
-        if it > 1:
-            # Δg and Δf go to a free slot or the older one, which takes −g
-            # and −f before the map overwrites them and adds the new ones.
-            slot = memory[0] if len(memory) == 2 else 1 - memory[0] if memory else 0
-            np.negative(g, out=window[slot])
-            np.negative(f_flat, out=diffs[slot])
-        coords.step(s, f)
-        np.subtract(f_flat, s_flat, out=g)
-        if it > 1:
-            window[slot] += g
-            diffs[slot] += f_flat
-            memory = [j for j in memory if j != slot] + [slot]
-        gram = (window @ window.T).tolist()
-        gg = gram[2][2]
+        if it == 1:
+            apply(out)
+        else:
+            # Δg and Δf go to the slot the newest difference is not in, which
+            # takes −g and −f before the map overwrites them and adds the new
+            # ones.
+            j = 1 - memory[-1] if memory else 0
+            np.negative(newest, out=slots[j])
+            apply(out)
+            np.add(slots[j], newest, out=slots[j])
+            memory = memory[-1:] + [j]
+        gram = flat.dot(flat_t, products).tolist()
+        gg = gram[4][4]
 
         if it % _CHECK_EVERY == 0 or it == max_iters:
             z = f[0] / coords.root
@@ -538,7 +636,7 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
             # The ADMM dual residual and the spread of the blocks about z.
             dual_res = math.sqrt(3.0 * scale * float(g[:quarter] @ g[:quarter])) / coords.penalty
             consensus_res = math.sqrt(scale * float(g[quarter:] @ g[quarter:]))
-            s_square = scale * float(f_flat @ f_flat)
+            floor = _FLOOR * max(scale * gram[5][5], 1.0)
             history.append(obj)
             lag = _STALL_WINDOW // _CHECK_EVERY
             if len(history) > lag:
@@ -564,27 +662,26 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
 
         if gg > _GROWTH * gg_prev:
             memory = []
-        memory = [j for j in memory if gram[j][j] > _ROUNDING * gg]
+        memory = [j for j in memory if gram[2 * j][2 * j] > _ROUNDING * gg]
         gg_prev = gg
-        if memory and scale * gg > _FLOOR * max(s_square, 1.0):
+        if memory and scale * gg > floor:
             c0, c1 = _anderson_weights(gram, memory)
             # |g − Σ γ_j Δg_j|², the residual the fit predicts.
-            if gg - c0 * gram[0][2] - c1 * gram[1][2] <= (1.0 - _MIN_FIT) * gg:
+            if gg - c0 * gram[0][4] - c1 * gram[2][4] <= (1.0 - _MIN_FIT) * gg:
                 # |s' − s|² = |g − Σ γ_j Δf_j|².
                 step = (
                     gg
-                    - 2.0 * (c0 * gram[3][2] + c1 * gram[4][2])
-                    + c0 * c0 * gram[3][3]
-                    + 2.0 * c0 * c1 * gram[3][4]
-                    + c1 * c1 * gram[4][4]
+                    - 2.0 * (c0 * gram[1][4] + c1 * gram[3][4])
+                    + c0 * c0 * gram[1][1]
+                    + 2.0 * c0 * c1 * gram[1][3]
+                    + c1 * c1 * gram[3][3]
                 )
                 if step <= _MAX_STEP**2 * gg:
-                    coeffs[0], coeffs[1] = c0, c1
-                    np.dot(coeffs, diffs, out=s_flat)
-                    np.subtract(f_flat, s_flat, out=s_flat)
+                    weights[1], weights[3] = -c0, -c1
+                    np.dot(weights, flat, out=s_flat)
                     continue
                 memory = []
-        s[...] = f
+        np.copyto(s, f)
 
     z = f[0] / coords.root
     rounded = coords.ppt_clip(coords.psd_clip(coords.affine(z)))
@@ -603,23 +700,21 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
 def _anderson_weights(gram: list[list[float]], memory: list[int]) -> tuple[float, float]:
     """γ minimising |g − Σ_j γ_j Δg_j| over the slots in memory, one γ per slot.
 
-    ``gram`` holds the inner products of Δg_0, Δg_1 and g, in that order; a
-    slot out of memory gets γ = 0. Solves the 1 × 1 or 2 × 2 normal
-    equations on floats; two differences parallel to rounding level leave
-    the newer one.
+    ``gram`` holds the inner products of the rows of ``_consensus``: Δg of
+    slot j is row 2j and g row 4. A slot out of memory gets γ = 0. Solves
+    the 1 × 1 or 2 × 2 normal equations on floats; two differences parallel
+    to rounding level leave the newer one.
     """
-    gamma = [0.0, 0.0]
     if len(memory) == 2:
-        j, k = memory
-        a, b, c = gram[j][j], gram[j][k], gram[k][k]
+        # The two slots hold 0 and 1 in either order; solve for slot 0 first.
+        a, b, c = gram[0][0], gram[0][2], gram[2][2]
         det = a * c - b * b
-        if det > _ROUNDING * a * c:
-            rj, rk = gram[j][2], gram[k][2]
-            gamma[j], gamma[k] = (c * rj - b * rk) / det, (a * rk - b * rj) / det
-            return gamma[0], gamma[1]
+        if det > _ROUNDING * (a * c):
+            r0, r1 = gram[0][4], gram[2][4]
+            return (c * r0 - b * r1) / det, (a * r1 - b * r0) / det
     j = memory[-1]
-    gamma[j] = gram[j][2] / gram[j][j]
-    return gamma[0], gamma[1]
+    gamma = gram[2 * j][4] / gram[2 * j][2 * j]
+    return (gamma, 0.0) if j == 0 else (0.0, gamma)
 
 
 @dataclass(frozen=True)

@@ -444,9 +444,10 @@ class TestSizeEstimate:
         matrix = 16 * 3**8
         basis = 16 * 16 * 3**4
         # A complete solve holds 5 arrays of 16 d^4 bytes for its sector
-        # arrays and the dense pair (X, Y); sdp adds the 16 of the basis.
-        pair = 16 * 3**4 * (16 + 5)
-        assert solve_bytes(3, 9) == 16 * 3**4 * 5
+        # arrays and the dense pair (X, Y), and 32 kB of small arrays; sdp
+        # adds the 16 of the basis.
+        pair = 16 * 3**4 * (16 + 5) + 2**15
+        assert solve_bytes(3, 9) == 16 * 3**4 * 5 + 2**15
         # An operator-by-operator solve holds 39 operator-sized arrays per
         # operator, its state and cost among them.
         assert solve_bytes(3, 8) == 39 * 8 * matrix

@@ -1,5 +1,7 @@
 """PPT relaxation solver and the three-way sandwich."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from entdist.sdp import (
     _Operators,
     _Sectors,
     sandwich_report,
+    solve_bytes,
     solve_primal_ppt,
 )
 from entdist.states import (
@@ -97,10 +100,15 @@ def solve_densely(ens, accuracy=DEFAULT_ACCURACY, max_iters=DEFAULT_MAX_ITERS):
     return _consensus(operators_of(ens), accuracy, max_iters)
 
 
-def weighted_step(coords, s: np.ndarray, out: np.ndarray) -> None:
-    """The plain step s → f(s) into ``out``: ``_map`` on the unweighted state."""
-    _map(coords, s / coords.root, out, coords.drive)
-    out *= coords.root
+def weighted_step(coords, out: np.ndarray) -> None:
+    """The plain step of the held state s into ``out`` = (f(s) − s, f(s)).
+
+    ``_map`` on the unweighted state.
+    """
+    g, f = out
+    _map(coords, coords.state / coords.root, f, coords.drive)
+    f *= coords.root
+    np.subtract(f, coords.state, out=g)
 
 
 class _Pair(_Coordinates):
@@ -360,6 +368,10 @@ COMPLETE_ITERATIONS = {
     15: (75, 225, 125),
     16: (100, 225, 125),
 }
+# Iterations of the d = 3 subsets of the first N Weyl states at the spectrum
+# (0.6, 0.3, 0.1), the default accuracy.
+SUBSET_ITERATIONS = {4: 125, 5: 125, 6: 350, 7: 275, 8: 175}
+SKEWED_SPEC = ResourceSpectrum.from_probabilities([0.6, 0.3, 0.1])
 
 
 class TestAnderson:
@@ -419,6 +431,7 @@ class TestAnderson:
         assert not operators_of(build_ensemble(weyl_basis(3), spec, 5)).dual_stop
         result = solve_primal_ppt(weyl_basis(3), spec, 5, max_iters=400)
         assert result.converged
+        assert result.iterations == SUBSET_ITERATIONS[5]
         assert result.trace[-1]["dual_residual"] > DEFAULT_ACCURACY
         assert abs(result.primal_value - 0.99999496) <= DEFAULT_ACCURACY
 
@@ -431,7 +444,16 @@ class TestAnderson:
         spec = ResourceSpectrum.from_probabilities([0.6, 0.3, 0.1])
         result = solve_primal_ppt(weyl_basis(3), spec, 6)
         assert result.converged
+        assert result.iterations == SUBSET_ITERATIONS[6]
         assert abs(result.primal_value - 0.98989753) <= DEFAULT_ACCURACY
+
+    @pytest.mark.parametrize("n", [4, 7, 8])
+    def test_subset_iteration_counts(self, n):
+        """The operator-by-operator solve runs the same loop as the complete
+        one; N = 5 and 6 are pinned by the two tests above."""
+        result = solve_primal_ppt(weyl_basis(3), SKEWED_SPEC, n)
+        assert result.converged
+        assert result.iterations == SUBSET_ITERATIONS[n]
 
 
 def _symmetric_stack(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -452,19 +474,19 @@ class TestFusedMap:
     """The two products of ``_Sectors.step`` against ``_map`` on the unweighted state."""
 
     @staticmethod
-    def _both(coords, s):
-        fused, generic = np.empty_like(s), np.empty_like(s)
-        _Sectors.step(coords, s, fused)
-        weighted_step(coords, s, generic)
-        return fused, generic
+    def _both(coords):
+        fused, generic = np.empty(coords.image_shape), np.empty((2, *coords.state.shape))
+        _Sectors.step(coords, fused)
+        weighted_step(coords, generic)
+        return fused.reshape(generic.shape), generic
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
     def test_matches_the_generic_map(self, d):
         rng = np.random.default_rng(100 + d)
         coords = _Sectors(random_spectrum(d, rng))
         for _ in range(20):
-            s = np.stack([_symmetric_stack(d, rng) for _ in range(4)]) * coords.root
-            fused, generic = self._both(coords, s)
+            coords.state[...] = np.stack([_symmetric_stack(d, rng) for _ in range(4)]) * coords.root
+            fused, generic = self._both(coords)
             assert np.max(np.abs(fused - generic)) <= 1e-15
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
@@ -472,16 +494,37 @@ class TestFusedMap:
         coords = _Sectors(random_spectrum(d, np.random.default_rng(110 + d)))
         gaps = []
 
-        def step(s, out):
-            fused, generic = self._both(coords, s)
+        def step(out):
+            fused, generic = self._both(coords)
             gaps.append(np.max(np.abs(fused - generic)))
-            out[...] = fused
+            out[...] = fused.reshape(out.shape)
 
         coords.step = step
         # An accuracy it cannot reach, so the solve runs all 100 iterations.
         _consensus(coords, 1e-12, 100)
         assert len(gaps) == 100
         assert max(gaps) <= 1e-15
+
+
+class TestCompleteSolveMemory:
+    @pytest.mark.parametrize("d", [4, 8, 16])
+    @pytest.mark.parametrize("seed", [None, 1])
+    def test_peak_stays_within_the_size_estimate(self, d, seed):
+        """The tracemalloc peak of a complete solve, which ``solve_bytes``
+        bounds for the CLI's size guard."""
+        basis = weyl_basis(d)
+        if seed is None:
+            spec = ResourceSpectrum.uniform(d)
+        else:
+            spec = random_spectrum(d, np.random.default_rng(seed))
+        tracemalloc.start()
+        try:
+            result = solve_primal_ppt(basis, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.converged
+        assert peak <= solve_bytes(d, d * d)
 
 
 class TestPPTClip:
