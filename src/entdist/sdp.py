@@ -71,6 +71,16 @@ a column of its matrix:
   = mean(x + u) + drive and duals x + u − z, together with g = f(s) − s,
   the residual the Anderson step reads.
 
+The eigh is one call of ``eigh_lo``, the gufunc ``np.linalg.eigh`` wraps,
+into preallocated eigenvalue and eigenvector buffers: on blocks this small
+the wrapper's checks, conversions and error-state switch cost more than
+LAPACK (at d = 3 ``np.linalg.eigh`` takes about 8 µs a call, the gufunc
+3.5 µs). The wrapper's error state turns a failed decomposition into
+LinAlgError; ``_consensus`` enters it once per solve, around the whole
+loop, so a failed eigensolver or a NaN the loop makes still raises
+LinAlgError, and the caller's error state comes back on return and on
+raise.
+
 The twirl identity holds for every trace-orthogonal basis, which starts at
 the identity, so the complete program depends only on d and the spectrum.
 
@@ -116,6 +126,7 @@ from functools import cached_property
 from numbers import Integral, Real
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .certificate import FeasibilityReport, build_certificate, verify_dual_feasibility
 from .measures import fef
@@ -133,6 +144,15 @@ DEFAULT_MAX_ITERS = 50000
 # but took the d = 3 subsets N = 4…8 near the spectrum (0.6, 0.3, 0.1)
 # from 1,050 to 1,400.
 STEP = 0.5
+
+# The gufunc ``np.linalg.eigh`` wraps (lower triangle), which ``_Sectors.step``
+# calls directly (module docstring).
+_EIGH = _umath_linalg.eigh_lo
+
+
+def _raise_nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
 
 # Averages the three blocks of the splitting.
 _MEAN = np.full((1, 3), 1.0 / 3.0)
@@ -321,6 +341,8 @@ class _Operators(_Coordinates):
     from_blocks = to_blocks
 
 
+# The clips' bound, an array so that ``step`` converts no scalar.
+_ZERO = np.zeros(())
 _SIGNS = ((1.0, 1.0), (1.0, -1.0))
 _EYE2 = ((1.0, 0.0), (0.0, 1.0))
 _EYE4 = np.eye(4)
@@ -437,11 +459,12 @@ class _Sectors(_Coordinates):
         # The views ``step`` reads, in one attribute: the rows the first
         # product reads and writes, the diagonals of the rows (Q_X, Q_Y, P_X,
         # P_Y) and the same with Q and P traded, the rows the clip at 0
-        # serves, the stack of blocks, the clipped eigenvalues (as a row per
-        # block and shaped to scale the eigenvectors' columns) and the scaled
-        # eigenvectors.
+        # serves, the stack of blocks, the eigenvalues the eigensolver writes
+        # and clips in place (as a row per block, and shaped to scale the
+        # eigenvectors' columns), the eigenvectors it writes (and their
+        # transpose) and the scaled eigenvectors.
         diagonals = self._work[23:27].reshape(2, 2, n)[:, :, :: d + 1]
-        eigenvalues = np.empty((2, 1, d))
+        eigenvalues, vectors = np.empty((2, 1, d)), np.empty((2, d, d))
         self._views = (
             self._work[:17],
             self._work[19:],
@@ -451,22 +474,24 @@ class _Sectors(_Coordinates):
             self._work[23:25].reshape(2, d, d),
             eigenvalues[:, 0],
             eigenvalues,
+            vectors,
+            vectors.swapaxes(1, 2),
             np.empty((2, d, d)),
         )
 
     def step(self, out: np.ndarray) -> None:
         """``_map`` on the weighted state in two products around the cone clips."""
-        head, x, diagonals, traded, clip, blocks, clipped, eigenvalues, scaled = self._views
+        head, x, diagonals, traded, clip, blocks, w, eigenvalues, v, vt, scaled = self._views
         np.matmul(self._first, head, out=x)
         # Q's diagonal is zero, so trading the diagonals of Q and P puts
         # B = Q + diag(P) in the Q rows and zero on P's diagonal; then clip
         # P and the eigenvalues.
         diagonals[...] = traded
-        np.maximum(clip, 0.0, out=clip)
-        w, v = np.linalg.eigh(blocks)
-        np.maximum(w, 0.0, out=clipped)
+        np.maximum(clip, _ZERO, out=clip)
+        _EIGH(blocks, out=(w, v), signature="d->dd")
+        np.maximum(w, _ZERO, out=w)
         np.multiply(v, eigenvalues, out=scaled)
-        np.matmul(scaled, v.swapaxes(1, 2), out=blocks)
+        np.matmul(scaled, vt, out=blocks)
         # Trading back moves the clipped blocks' diagonal to P and zero to Q.
         diagonals[...] = traded
         np.matmul(self._second, self._work, out=out)
@@ -597,7 +622,7 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
     rows = np.zeros((3, 2, s_flat.size))
     flat = rows.reshape(6, -1)
     flat_t, products = flat.T, np.empty((6, 6))
-    slots, newest = rows[:2], rows[2]
+    slots, newest = (rows[0], rows[1]), rows[2]
     g, f_flat = newest
     out = newest.view(s.dtype).reshape(coords.image_shape)
     f = f_flat.view(s.dtype).reshape(s.shape)
@@ -614,74 +639,81 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
     # The step extrapolates while scale·|g|² > _FLOOR max(|s|², 1).
     floor = _FLOOR * max(scale * float(s_flat @ s_flat), 1.0)
 
-    for it in range(1, max_iters + 1):
-        if it == 1:
-            apply(out)
-        else:
-            # Δg and Δf go to the slot the newest difference is not in, which
-            # takes −g and −f before the map overwrites them and adds the new
-            # ones.
-            j = 1 - memory[-1] if memory else 0
-            np.negative(newest, out=slots[j])
-            apply(out)
-            np.add(slots[j], newest, out=slots[j])
-            memory = memory[-1:] + [j]
-        gram = flat.dot(flat_t, products).tolist()
-        gg = gram[4][4]
-
-        if it % _CHECK_EVERY == 0 or it == max_iters:
-            z = f[0] / coords.root
-            obj = coords.objective(z)
-            primal_res, cone_res = coords.residuals(z)
-            # The ADMM dual residual and the spread of the blocks about z.
-            dual_res = math.sqrt(3.0 * scale * float(g[:quarter] @ g[:quarter])) / coords.penalty
-            consensus_res = math.sqrt(scale * float(g[quarter:] @ g[quarter:]))
-            floor = _FLOOR * max(scale * gram[5][5], 1.0)
-            history.append(obj)
-            lag = _STALL_WINDOW // _CHECK_EVERY
-            if len(history) > lag:
-                change = abs(obj - history[-1 - lag]) / max(1.0, abs(obj))
+    # The error state ``np.linalg.eigh`` sets around its gufunc, entered once
+    # for the loop: a failed eigensolver, or a NaN the loop makes, raises
+    # LinAlgError.
+    with np.errstate(
+        call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        for it in range(1, max_iters + 1):
+            if it == 1:
+                apply(out)
             else:
-                change = np.inf
-            row = {
-                "iteration": it,
-                "objective": obj,
-                "primal_residual": primal_res,
-                "cone_residual": cone_res,
-                "dual_residual": dual_res,
-                "consensus_residual": consensus_res,
-            }
-            stop = [primal_res, -cone_res, change, consensus_res]
-            if coords.dual_stop:
-                stop.append(dual_res)
-            converged = max(stop) < accuracy
-            if it % _TRACE_EVERY == 0 or converged or it == max_iters:
-                trace.append(row)
-            if converged or it == max_iters:
-                break
+                # Δg and Δf go to the slot the newest difference is not in,
+                # which takes −g and −f before the map overwrites them and
+                # adds the new ones.
+                j = 1 - memory[-1] if memory else 0
+                slot = slots[j]
+                np.negative(newest, out=slot)
+                apply(out)
+                np.add(slot, newest, out=slot)
+                memory = memory[-1:] + [j]
+            gram = flat.dot(flat_t, products).tolist()
+            gg = gram[4][4]
 
-        if gg > _GROWTH * gg_prev:
-            memory = []
-        memory = [j for j in memory if gram[2 * j][2 * j] > _ROUNDING * gg]
-        gg_prev = gg
-        if memory and scale * gg > floor:
-            c0, c1 = _anderson_weights(gram, memory)
-            # |g − Σ γ_j Δg_j|², the residual the fit predicts.
-            if gg - c0 * gram[0][4] - c1 * gram[2][4] <= (1.0 - _MIN_FIT) * gg:
-                # |s' − s|² = |g − Σ γ_j Δf_j|².
-                step = (
-                    gg
-                    - 2.0 * (c0 * gram[1][4] + c1 * gram[3][4])
-                    + c0 * c0 * gram[1][1]
-                    + 2.0 * c0 * c1 * gram[1][3]
-                    + c1 * c1 * gram[3][3]
-                )
-                if step <= _MAX_STEP**2 * gg:
-                    weights[1], weights[3] = -c0, -c1
-                    np.dot(weights, flat, out=s_flat)
-                    continue
+            if it % _CHECK_EVERY == 0 or it == max_iters:
+                z = f[0] / coords.root
+                obj = coords.objective(z)
+                primal_res, cone_res = coords.residuals(z)
+                # The ADMM dual residual and the spread of the blocks about z.
+                dual_res = math.sqrt(3.0 * scale * float(g[:quarter] @ g[:quarter])) / coords.penalty
+                consensus_res = math.sqrt(scale * float(g[quarter:] @ g[quarter:]))
+                floor = _FLOOR * max(scale * gram[5][5], 1.0)
+                history.append(obj)
+                lag = _STALL_WINDOW // _CHECK_EVERY
+                if len(history) > lag:
+                    change = abs(obj - history[-1 - lag]) / max(1.0, abs(obj))
+                else:
+                    change = np.inf
+                row = {
+                    "iteration": it,
+                    "objective": obj,
+                    "primal_residual": primal_res,
+                    "cone_residual": cone_res,
+                    "dual_residual": dual_res,
+                    "consensus_residual": consensus_res,
+                }
+                stop = [primal_res, -cone_res, change, consensus_res]
+                if coords.dual_stop:
+                    stop.append(dual_res)
+                converged = max(stop) < accuracy
+                if it % _TRACE_EVERY == 0 or converged or it == max_iters:
+                    trace.append(row)
+                if converged or it == max_iters:
+                    break
+
+            if gg > _GROWTH * gg_prev:
                 memory = []
-        np.copyto(s, f)
+            memory = [j for j in memory if gram[2 * j][2 * j] > _ROUNDING * gg]
+            gg_prev = gg
+            if memory and scale * gg > floor:
+                c0, c1 = _anderson_weights(gram, memory)
+                # |g − Σ γ_j Δg_j|², the residual the fit predicts.
+                if gg - c0 * gram[0][4] - c1 * gram[2][4] <= (1.0 - _MIN_FIT) * gg:
+                    # |s' − s|² = |g − Σ γ_j Δf_j|².
+                    step = (
+                        gg
+                        - 2.0 * (c0 * gram[1][4] + c1 * gram[3][4])
+                        + c0 * c0 * gram[1][1]
+                        + 2.0 * c0 * c1 * gram[1][3]
+                        + c1 * c1 * gram[3][3]
+                    )
+                    if step <= _MAX_STEP**2 * gg:
+                        weights[1], weights[3] = -c0, -c1
+                        np.dot(weights, flat, out=s_flat)
+                        continue
+                    memory = []
+            np.copyto(s, f)
 
     z = f[0] / coords.root
     rounded = coords.ppt_clip(coords.psd_clip(coords.affine(z)))

@@ -561,6 +561,7 @@ class TestPPTClip:
         def refuse(*args, **kwargs):
             raise AssertionError("the PPT clip called an eigensolver")
 
+        monkeypatch.setattr(sdp, "_EIGH", refuse)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         assert np.max(np.abs(coords.ppt_clip(stack) - closed_form_ppt_clip(stack))) <= 1e-15
@@ -584,8 +585,10 @@ class TestPPTClip:
     def test_eigensolver_calls_of_a_complete_solve(self, d, max_iters, monkeypatch):
         """One eigh per iteration and one to round; one eigvalsh per convergence check.
 
-        The capped run asks for an accuracy it cannot reach in its 60
-        iterations, so it stops at the cap, between two checks.
+        The loop calls the gufunc bound as ``sdp._EIGH`` and the rounding
+        calls ``np.linalg.eigh``, so both count as eigh. The capped run asks
+        for an accuracy it cannot reach in its 60 iterations, so it stops at
+        the cap, between two checks.
         """
         spec = ResourceSpectrum.uniform(d)
         capped = max_iters != DEFAULT_MAX_ITERS
@@ -593,22 +596,61 @@ class TestPPTClip:
         accuracy = 1e-12 if capped else DEFAULT_ACCURACY
         calls = {"eigh": 0, "eigvalsh": 0}
 
-        def counted(name):
-            real = getattr(np.linalg, name)
+        def counted(module, attribute, name):
+            real = getattr(module, attribute)
 
             def call(*args, **kwargs):
                 calls[name] += 1
                 return real(*args, **kwargs)
 
-            return call
+            monkeypatch.setattr(module, attribute, call)
 
-        for name in calls:
-            monkeypatch.setattr(np.linalg, name, counted(name))
+        counted(sdp, "_EIGH", "eigh")
+        counted(np.linalg, "eigh", "eigh")
+        counted(np.linalg, "eigvalsh", "eigvalsh")
         result = solve_primal_ppt(basis, spec, max_iters=max_iters, accuracy=accuracy)
         checks = -(-result.iterations // _CHECK_EVERY)
         assert calls == {"eigh": result.iterations + 1, "eigvalsh": checks}
         assert result.converged != capped
         assert capped == (result.iterations == max_iters)
+
+
+class TestBoundEigensolver:
+    """The loop's eigensolver is numpy's private eigh gufunc, bound once."""
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_matches_numpy_eigh_bit_for_bit(self, d):
+        rng = np.random.default_rng(100 + d)
+        w, v = np.empty((2, d)), np.empty((2, d, d))
+        for _ in range(20):
+            blocks = rng.normal(size=(2, d, d))
+            blocks += blocks.swapaxes(1, 2)
+            sdp._EIGH(blocks, out=(w, v), signature="d->dd")
+            expected_w, expected_v = np.linalg.eigh(blocks)
+            assert np.array_equal(w, expected_w)
+            assert np.array_equal(v, expected_v)
+
+    def test_a_nan_in_the_drive_raises(self):
+        coords = _Sectors(QUTRIT_SPEC)
+        # Row 17 of the work buffer is the drive's X_P; its entry 0, P[0, 0],
+        # is on the diagonal of the first block the eigensolver reads.
+        coords._work[17, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            _consensus(coords, DEFAULT_ACCURACY, 100)
+
+    def test_a_solve_leaves_the_error_state_as_it_found_it(self):
+        def callback(err, flag):
+            pass
+
+        with np.errstate(over="raise", divide="ignore", under="warn", invalid="print", call=callback):
+            before = np.geterr(), np.geterrcall()
+            assert solve_primal_ppt(weyl_basis(2), BELL_SPEC).converged
+            assert (np.geterr(), np.geterrcall()) == before
+            coords = _Sectors(QUTRIT_SPEC)
+            coords._work[17, 0] = np.nan
+            with pytest.raises(np.linalg.LinAlgError):
+                _consensus(coords, DEFAULT_ACCURACY, 100)
+            assert (np.geterr(), np.geterrcall()) == before
 
 
 class TestProblemValidation:
