@@ -288,16 +288,17 @@ def upsilon_spectrum_check(basis: MaxEntBasis, tol: float = 1e-10) -> UpsilonRep
     with F the swap, which has the spectrum of F (1 (x) U_k^dag U_k): with
     g the eigenvalues of U_k^dag U_k, Y_k has eigenvalues 1 - g_m and
     1 -+ sqrt(g_m g_n) for m < n. One batched ``eigvalsh`` of the d x d
-    matrices U_k^dag U_k gives every spectrum.
+    matrices U_k^dag U_k, which the basis kept from its validation, gives
+    every spectrum.
     """
     d = basis.dim
     n_zero = d * (d + 1) // 2
     target = np.concatenate([np.zeros(n_zero), 2.0 * np.ones(d * d - n_zero)])
     target_c = np.concatenate([np.zeros(d * d - n_zero), np.ones(n_zero)])
-    gens = basis.unitaries
-    g = np.linalg.eigvalsh(gens.conj().swapaxes(1, 2) @ gens)
-    m, n = np.triu_indices(d, 1)
-    root = np.sqrt(np.maximum(g[:, m] * g[:, n], 0.0))
+    g = np.linalg.eigvalsh(basis.validation.products)
+    # g_m g_n for m < n, row-major
+    pairs = (g[:, :, None] * g[:, None, :])[:, ~np.tri(d, dtype=bool)]
+    root = np.sqrt(np.maximum(pairs, 0.0))
     # the eigenvalues of d T_A1(Psi_k), row by row
     swap = np.concatenate([g, root, -root], axis=1)
     w = np.sort(1.0 - swap, axis=1)

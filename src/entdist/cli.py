@@ -229,17 +229,17 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _plain(obj):
-    """Recursively coerce numpy scalars and arrays into JSON-safe values."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+def _json_value(obj):
+    """A numpy scalar or array as the Python value or list ``json`` encodes.
+
+    The JSON encoder calls it only on what it cannot encode itself; numpy
+    float64 is a float and is encoded as one.
+    """
     if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    return obj
+    raise TypeError(f"object of type {type(obj).__name__} is not JSON serializable")
 
 
 def emit(config: RunConfig, payload: dict, rows: list[dict]) -> None:
@@ -249,7 +249,10 @@ def emit(config: RunConfig, payload: dict, rows: list[dict]) -> None:
     report leaves stdout empty.
     """
     if config.csv:
-        rows = [_plain(row) for row in rows]
+        rows = [
+            {k: v.item() if isinstance(v, np.generic) else v for k, v in row.items()}
+            for row in rows
+        ]
         if any(
             isinstance(v, float) and not math.isfinite(v)
             for row in rows
@@ -264,7 +267,9 @@ def emit(config: RunConfig, payload: dict, rows: list[dict]) -> None:
     else:
         try:
             text = (
-                json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False)
+                json.dumps(
+                    payload, sort_keys=True, indent=2, allow_nan=False, default=_json_value
+                )
                 + "\n"
             )
         except ValueError as exc:

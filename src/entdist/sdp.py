@@ -75,11 +75,15 @@ The eigh is one call of ``eigh_lo``, the gufunc ``np.linalg.eigh`` wraps,
 into preallocated eigenvalue and eigenvector buffers: on blocks this small
 the wrapper's checks, conversions and error-state switch cost more than
 LAPACK (at d = 3 ``np.linalg.eigh`` takes about 8 µs a call, the gufunc
-3.5 µs). The wrapper's error state turns a failed decomposition into
-LinAlgError; ``_consensus`` enters it once per solve, around the whole
-loop, so a failed eigensolver or a NaN the loop makes still raises
+3.5 µs). The convergence checks' eigenvalues and the final rounding's
+clip call the same gufuncs (``eigvalsh_lo`` and ``eigh_lo``). The
+wrapper's error state turns a failed decomposition into LinAlgError;
+``_consensus`` enters it once per solve, around the whole loop and the
+rounding, so a failed eigensolver or a NaN the loop makes still raises
 LinAlgError, and the caller's error state comes back on return and on
-raise.
+raise. A NaN that no eigensolver reads (one off the blocks' diagonal)
+reaches the objective, and a check that reads a non-finite objective or
+residual raises LinAlgError too.
 
 The twirl identity holds for every trace-orthogonal basis, which starts at
 the identity, so the complete program depends only on d and the spectrum.
@@ -145,13 +149,20 @@ DEFAULT_MAX_ITERS = 50000
 # from 1,050 to 1,400.
 STEP = 0.5
 
-# The gufunc ``np.linalg.eigh`` wraps (lower triangle), which ``_Sectors.step``
-# calls directly (module docstring).
+# The gufuncs ``np.linalg.eigh`` and ``np.linalg.eigvalsh`` wrap (lower
+# triangle), which ``_Sectors`` calls directly (module docstring).
 _EIGH = _umath_linalg.eigh_lo
+_EIGVALSH = _umath_linalg.eigvalsh_lo
 
 
 def _raise_nonconvergence(err, flag):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _require_finite(*values: float) -> None:
+    """Raise LinAlgError unless every value a check reads is finite."""
+    if not all(map(math.isfinite, values)):
+        raise np.linalg.LinAlgError(f"a convergence check read a non-finite value: {values}")
 
 
 # Averages the three blocks of the splitting.
@@ -482,7 +493,7 @@ class _Sectors(_Coordinates):
     def step(self, out: np.ndarray) -> None:
         """``_map`` on the weighted state in two products around the cone clips."""
         head, x, diagonals, traded, clip, blocks, w, eigenvalues, v, vt, scaled = self._views
-        np.matmul(self._first, head, out=x)
+        np.dot(self._first, head, out=x)
         # Q's diagonal is zero, so trading the diagonals of Q and P puts
         # B = Q + diag(P) in the Q rows and zero on P's diagonal; then clip
         # P and the eigenvalues.
@@ -494,7 +505,7 @@ class _Sectors(_Coordinates):
         np.matmul(scaled, vt, out=blocks)
         # Trading back moves the clipped blocks' diagonal to P and zero to Q.
         diagonals[...] = traded
-        np.matmul(self._second, self._work, out=out)
+        np.dot(self._second, self._work, out=out)
 
     def start(self) -> np.ndarray:
         return self.offset[None].repeat(2, axis=0)
@@ -517,7 +528,9 @@ class _Sectors(_Coordinates):
         return float(self.a @ self._blocks(stack)[0] @ self.a)
 
     def psd_clip(self, stack: np.ndarray) -> np.ndarray:
-        out = psd_clip(self._blocks(stack))[:, None] * self.split
+        w, v = _EIGH(self._blocks(stack), signature="d->dd")
+        clipped = (v * np.maximum(w, 0.0)[:, None, :]) @ v.swapaxes(1, 2)
+        out = clipped[:, None] * self.split
         np.maximum(stack[:, 0], 0.0, out=out[:, 0], where=self.off)
         return out
 
@@ -527,7 +540,7 @@ class _Sectors(_Coordinates):
 
     def cone_min(self, stack: np.ndarray) -> float:
         return min(
-            float(np.linalg.eigvalsh(self._blocks(stack)).min()),
+            float(_EIGVALSH(self._blocks(stack), signature="d->d").min()),
             float(stack[:, 0][:, self.off].min()),
             float(self._ppt_eigenvalues(stack).min()),
         )
@@ -633,6 +646,7 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
     quarter = s_flat.size // 4
 
     history: list[float] = []
+    lag = _STALL_WINDOW // _CHECK_EVERY
     trace: list[dict] = []
     memory: list[int] = []
     gg_prev = np.inf
@@ -640,8 +654,8 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
     floor = _FLOOR * max(scale * float(s_flat @ s_flat), 1.0)
 
     # The error state ``np.linalg.eigh`` sets around its gufunc, entered once
-    # for the loop: a failed eigensolver, or a NaN the loop makes, raises
-    # LinAlgError.
+    # for the loop and the rounding: a failed eigensolver, or a NaN the loop
+    # makes, raises LinAlgError.
     with np.errstate(
         call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
     ):
@@ -664,33 +678,38 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
             if it % _CHECK_EVERY == 0 or it == max_iters:
                 z = f[0] / coords.root
                 obj = coords.objective(z)
-                primal_res, cone_res = coords.residuals(z)
-                # The ADMM dual residual and the spread of the blocks about z.
-                dual_res = math.sqrt(3.0 * scale * float(g[:quarter] @ g[:quarter])) / coords.penalty
-                consensus_res = math.sqrt(scale * float(g[quarter:] @ g[quarter:]))
+                _require_finite(obj)
                 floor = _FLOOR * max(scale * gram[5][5], 1.0)
                 history.append(obj)
-                lag = _STALL_WINDOW // _CHECK_EVERY
-                if len(history) > lag:
-                    change = abs(obj - history[-1 - lag]) / max(1.0, abs(obj))
-                else:
-                    change = np.inf
-                row = {
-                    "iteration": it,
-                    "objective": obj,
-                    "primal_residual": primal_res,
-                    "cone_residual": cone_res,
-                    "dual_residual": dual_res,
-                    "consensus_residual": consensus_res,
-                }
-                stop = [primal_res, -cone_res, change, consensus_res]
-                if coords.dual_stop:
-                    stop.append(dual_res)
-                converged = max(stop) < accuracy
-                if it % _TRACE_EVERY == 0 or converged or it == max_iters:
-                    trace.append(row)
-                if converged or it == max_iters:
-                    break
+                full = len(history) > lag
+                # Until the stall window is full the objective change reads
+                # inf and the stop test cannot pass: unless a trace row is due
+                # or the loop ends there, nothing reads the residuals.
+                if full or it % _TRACE_EVERY == 0 or it == max_iters:
+                    change = abs(obj - history[-1 - lag]) / max(1.0, abs(obj)) if full else np.inf
+                    primal_res, cone_res = coords.residuals(z)
+                    # The ADMM dual residual and the spread of the blocks about z.
+                    dual_res = (
+                        math.sqrt(3.0 * scale * float(g[:quarter] @ g[:quarter])) / coords.penalty
+                    )
+                    consensus_res = math.sqrt(scale * float(g[quarter:] @ g[quarter:]))
+                    _require_finite(primal_res, cone_res, dual_res, consensus_res)
+                    stop = [primal_res, -cone_res, change, consensus_res]
+                    if coords.dual_stop:
+                        stop.append(dual_res)
+                    converged = max(stop) < accuracy
+                    if it % _TRACE_EVERY == 0 or converged or it == max_iters:
+                        row = {
+                            "iteration": it,
+                            "objective": obj,
+                            "primal_residual": primal_res,
+                            "cone_residual": cone_res,
+                            "dual_residual": dual_res,
+                            "consensus_residual": consensus_res,
+                        }
+                        trace.append(row)
+                    if converged or it == max_iters:
+                        break
 
             if gg > _GROWTH * gg_prev:
                 memory = []
@@ -715,8 +734,8 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
                     memory = []
             np.copyto(s, f)
 
-    z = f[0] / coords.root
-    rounded = coords.ppt_clip(coords.psd_clip(coords.affine(z)))
+        z = f[0] / coords.root
+        rounded = coords.ppt_clip(coords.psd_clip(coords.affine(z)))
     return SDPResult(
         primal_value=obj,
         rounded_value=coords.objective(rounded),

@@ -92,12 +92,17 @@ class ResourceSpectrum:
 
 @dataclass(frozen=True)
 class BasisValidation:
+    """The ``validate_basis`` report. ``products`` is the read-only stack of
+    the U_k^dagger U_k the unitarity check formed, kept for later checks of
+    the same unitaries; comparisons and ``to_dict`` leave it out."""
+
     count: int
     dim: int
     unitarity_defect: float
     orthogonality_defect: float
     complete: bool
     accepted: bool
+    products: np.ndarray = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -131,12 +136,13 @@ def validate_basis(unitaries) -> BasisValidation:
     if bad.size:
         raise ValueError(f"unitary {bad[0]} has a non-finite entry")
     products = stack.conj().swapaxes(1, 2) @ stack
+    products.flags.writeable = False
     unit_defect = float(np.max(np.abs(products - np.eye(d))))
-    # gram[i, j] = Tr(U_i^dagger U_j), one product over the flattened stack.
+    # gram[i, j] = Tr(U_i^dagger U_j), one product over the flattened stack;
+    # the defect is the largest |gram[i, j]| of its strict upper triangle.
     flat = stack.reshape(n, d * d)
     gram = flat.conj() @ flat.T
-    off_diagonal = np.abs(gram[np.triu_indices(n, 1)])
-    orth_defect = float(off_diagonal.max()) if off_diagonal.size else 0.0
+    orth_defect = float(np.triu(np.abs(gram), 1).max())
     complete = n == d * d
     accepted = unit_defect < BASIS_DEFECT_TOL and orth_defect < BASIS_DEFECT_TOL
     return BasisValidation(
@@ -146,6 +152,7 @@ def validate_basis(unitaries) -> BasisValidation:
         orthogonality_defect=orth_defect,
         complete=complete,
         accepted=accepted,
+        products=products,
     )
 
 
@@ -156,7 +163,7 @@ class MaxEntBasis:
     ``unitaries`` is one (d^2, d, d) complex array. The first unitary is the
     identity, so the first basis ket is the standard maximally entangled
     state. ``validation`` is the ``validate_basis`` report the construction
-    checked.
+    checked, which keeps the products U_k^dagger U_k it formed.
     """
 
     dim: int
@@ -165,7 +172,10 @@ class MaxEntBasis:
 
     def __post_init__(self):
         report = validate_basis(self.unitaries)
-        mats = np.asarray(self.unitaries, dtype=complex)
+        # A read-only view: the report, and the ensembles that rely on it
+        # in place of a Gram check of their own, hold for these entries.
+        mats = np.asarray(self.unitaries, dtype=complex).view()
+        mats.flags.writeable = False
         object.__setattr__(self, "unitaries", mats)
         object.__setattr__(self, "validation", report)
         if report.dim != self.dim:
@@ -225,6 +235,26 @@ class Ensemble:
     priors: tuple[float, ...]
 
     def __post_init__(self):
+        self._check_factors()
+        # <psi_j (x) tau|psi_k (x) tau> = <psi_j|psi_k> ||tau||^2, and ||tau|| = 1
+        flat = self.psi.reshape(len(self.psi), -1)
+        overlaps = np.triu(np.abs(flat.conj() @ flat.T) > 1e-10, 1)
+        if overlaps.any():
+            i, j = np.argwhere(overlaps)[0]
+            raise ValueError(f"states {i} and {j} are not orthogonal")
+
+    @classmethod
+    def _of_orthogonal(cls, psi, resource: ResourceSpectrum, priors) -> "Ensemble":
+        """An ensemble of states known to be orthogonal: every check but the
+        Gram matrix's."""
+        ens = object.__new__(cls)
+        vars(ens).update(psi=psi, resource=resource, priors=priors)
+        ens._check_factors()
+        return ens
+
+    def _check_factors(self) -> None:
+        """Check the priors and the shape and norm of every psi_k, and store
+        both as the normalized tuple and complex array."""
         priors = tuple(float(p) for p in self.priors)
         object.__setattr__(self, "priors", priors)
         if len(self.psi) != len(priors):
@@ -238,12 +268,6 @@ class Ensemble:
         object.__setattr__(self, "psi", psi)
         if np.any(np.abs(np.linalg.norm(psi, axis=(1, 2)) - 1.0) > 1e-12):
             raise ValueError("ensemble states must be normalized")
-        # <psi_j (x) tau|psi_k (x) tau> = <psi_j|psi_k> ||tau||^2, and ||tau|| = 1
-        flat = psi.reshape(len(psi), -1)
-        overlaps = np.triu(np.abs(flat.conj() @ flat.T) > 1e-10, 1)
-        if overlaps.any():
-            i, j = np.argwhere(overlaps)[0]
-            raise ValueError(f"states {i} and {j} are not orthogonal")
 
     def __len__(self) -> int:
         return len(self.psi)
@@ -270,7 +294,10 @@ def build_ensemble(basis: MaxEntBasis, spec: ResourceSpectrum, n_states: int) ->
     if not 1 <= n_states <= d * d:
         raise ValueError(f"n_states must lie in [1, {d * d}], got {n_states}")
     psi = basis.kets()[:n_states].reshape(n_states, d, d)
-    return Ensemble(psi=psi, resource=spec, priors=(1.0 / n_states,) * n_states)
+    # <psi_j|psi_k> = Tr(U_j^dagger U_k)/d, so the basis's accepted
+    # orthogonality defect, below 1e-10, keeps every overlap below the 1e-10
+    # at which an Ensemble refuses a pair: no second Gram matrix is formed.
+    return Ensemble._of_orthogonal(psi, spec, (1.0 / n_states,) * n_states)
 
 
 def random_spectrum(d: int, rng: np.random.Generator) -> ResourceSpectrum:

@@ -9,8 +9,8 @@ here, with the solver loop as it runs without its Anderson step:
   ``permute_ket``, and ``schmidt_coefficients`` across a cut;
 - input generators: ``haar_random_unitary``, ``conjugated_basis`` and
   ``load_basis_file`` (the package's two-step basis file reader in one call);
-- dense builds of kets, projectors and certificate pieces, and
-  ``plain_consensus``.
+- dense builds of kets, projectors and certificate pieces,
+  ``fresh_upsilon_report`` and ``plain_consensus``.
 """
 
 import math
@@ -18,6 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
+from entdist.certificate import UpsilonReport
 from entdist.sdp import _CHECK_EVERY, _STALL_WINDOW, _TRACE_EVERY, SDPResult
 from entdist.states import (
     BASIS_DEFECT_TOL,
@@ -230,6 +231,28 @@ def residual_gram(basis: MaxEntBasis, spec: ResourceSpectrum, n_states: int) -> 
     a = np.asarray(spec.coeffs)
     unitaries = basis.unitaries[:n_states]
     return np.einsum("k,imk,jmk->ij", a * a, unitaries.conj(), unitaries)
+
+
+def fresh_upsilon_report(basis: MaxEntBasis, tol: float = 1e-10) -> UpsilonReport:
+    """``upsilon_spectrum_check`` as it ran before the basis kept its products:
+    the U_k^dag U_k formed afresh from the unitaries, the pairs m < n taken
+    by ``np.triu_indices``."""
+    d = basis.dim
+    n_zero = d * (d + 1) // 2
+    target = np.concatenate([np.zeros(n_zero), 2.0 * np.ones(d * d - n_zero)])
+    target_c = np.concatenate([np.zeros(d * d - n_zero), np.ones(n_zero)])
+    gens = basis.unitaries
+    g = np.linalg.eigvalsh(gens.conj().swapaxes(1, 2) @ gens)
+    m, n = np.triu_indices(d, 1)
+    root = np.sqrt(np.maximum(g[:, m] * g[:, n], 0.0))
+    swap = np.concatenate([g, root, -root], axis=1)
+    w = np.sort(1.0 - swap, axis=1)
+    wc = np.sort((1.0 + swap) / 2, axis=1)
+    spectrum_defect = float(np.max(np.abs(w - target)))
+    complement_defect = float(np.max(np.abs(wc - target_c)))
+    worst_min = float(min(w[:, 0].min(), wc[:, 0].min()))
+    passed = spectrum_defect <= tol and complement_defect <= tol and worst_min >= -tol
+    return UpsilonReport(d, spectrum_defect, complement_defect, worst_min, passed)
 
 
 def upsilon(basis: MaxEntBasis, k: int) -> np.ndarray:

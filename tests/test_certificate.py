@@ -32,6 +32,7 @@ from oracles import (
     SWAP_B1_A2,
     check_swap_transpose_identity,
     conjugated_basis,
+    fresh_upsilon_report,
     gamma_operator,
     haar_random_unitary,
     max_ent_state,
@@ -295,6 +296,15 @@ class TestUpsilon:
         assert got.passed and want.passed
         for field in ("spectrum_defect", "complement_defect", "min_eigenvalue"):
             assert abs(getattr(got, field) - getattr(want, field)) <= 1e-13
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_kept_products_give_the_fresh_report(self, d):
+        """The U_k^dag U_k the basis kept from its validation give, field for
+        field, the report of products formed afresh from its unitaries."""
+        weyl = weyl_basis(d)
+        rotated = conjugated_basis(weyl, haar_random_unitary(d, np.random.default_rng(420 + d)))
+        for basis in (weyl, rotated):
+            assert upsilon_spectrum_check(basis) == fresh_upsilon_report(basis)
 
 
 class TestSwapTransposeIdentity:

@@ -319,6 +319,38 @@ class TestExitCodes:
         assert out == ""
         assert "numerical failure:" in err
 
+    def test_numpy_values_are_emitted_as_their_plain_equivalents(self, capsys):
+        """The JSON encoder's hook converts numpy scalars and arrays where
+        they occur, with the bytes of the plain Python report."""
+        config = cli.resolve_config(cli.build_parser().parse_args(["fef"]))
+        payload = {
+            "float": np.float64(0.1),
+            "int": np.int64(-7),
+            "bool": np.bool_(True),
+            "pair": (np.int64(1), 2.5),
+            "array": np.array([[0.25, 1.0], [2.0, -3.5]]),
+            "nested": {"values": [np.float64(1e-17), np.bool_(False)]},
+        }
+        plain = {
+            "float": 0.1,
+            "int": -7,
+            "bool": True,
+            "pair": [1, 2.5],
+            "array": [[0.25, 1.0], [2.0, -3.5]],
+            "nested": {"values": [1e-17, False]},
+        }
+        cli.emit(config, payload, [{}])
+        out = capsys.readouterr().out
+        assert out == json.dumps(plain, sort_keys=True, indent=2) + "\n"
+        cli.emit(config, plain, [{}])
+        assert capsys.readouterr().out == out
+
+    def test_a_float32_nan_is_refused(self, capsys):
+        config = cli.resolve_config(cli.build_parser().parse_args(["fef"]))
+        with pytest.raises(RuntimeError, match="non-finite"):
+            cli.emit(config, {"fef": np.float32("nan")}, [{}])
+        assert capsys.readouterr().out == ""
+
 
     def test_oversized_sweep_is_refused_before_its_grid_is_built(self, capsys, monkeypatch):
         def never(*args, **kwargs):

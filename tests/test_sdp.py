@@ -580,15 +580,20 @@ class TestPPTClip:
             assert np.max(np.abs(p - p.T)) <= 1e-15
 
     @pytest.mark.parametrize(
-        "d, max_iters", [(2, DEFAULT_MAX_ITERS), (3, DEFAULT_MAX_ITERS), (5, DEFAULT_MAX_ITERS), (2, 60)]
+        "d, max_iters",
+        [(2, DEFAULT_MAX_ITERS), (3, DEFAULT_MAX_ITERS), (5, DEFAULT_MAX_ITERS), (2, 60), (2, 25)],
     )
     def test_eigensolver_calls_of_a_complete_solve(self, d, max_iters, monkeypatch):
-        """One eigh per iteration and one to round; one eigvalsh per convergence check.
+        """One eigh per iteration and one to round; one eigvalsh per check
+        that computes residuals.
 
-        The loop calls the gufunc bound as ``sdp._EIGH`` and the rounding
-        calls ``np.linalg.eigh``, so both count as eigh. The capped run asks
-        for an accuracy it cannot reach in its 60 iterations, so it stops at
-        the cap, between two checks.
+        The loop and the rounding call the gufunc bound as ``sdp._EIGH`` and
+        the checks the one bound as ``sdp._EIGVALSH``; each counts together
+        with its ``np.linalg`` wrapper. The first check cannot stop the solve
+        and computes no residuals unless it is the last. The capped runs ask
+        for an accuracy they cannot reach, so they stop at the cap: after 60
+        iterations between two checks, after 25 at the first check, which
+        still reports the residuals of the z it returns.
         """
         spec = ResourceSpectrum.uniform(d)
         capped = max_iters != DEFAULT_MAX_ITERS
@@ -607,12 +612,21 @@ class TestPPTClip:
 
         counted(sdp, "_EIGH", "eigh")
         counted(np.linalg, "eigh", "eigh")
+        counted(sdp, "_EIGVALSH", "eigvalsh")
         counted(np.linalg, "eigvalsh", "eigvalsh")
         result = solve_primal_ppt(basis, spec, max_iters=max_iters, accuracy=accuracy)
         checks = -(-result.iterations // _CHECK_EVERY)
-        assert calls == {"eigh": result.iterations + 1, "eigvalsh": checks}
+        residual_checks = checks - 1 if checks > 1 else 1
+        assert calls == {"eigh": result.iterations + 1, "eigvalsh": residual_checks}
         assert result.converged != capped
         assert capped == (result.iterations == max_iters)
+        # z from the returned pair: P on the diagonal, Q off it on span{|ii⟩}.
+        pair = np.array(result.operators)
+        z = np.empty((2, 2, d, d))
+        z[:, 0] = np.diagonal(pair, axis1=1, axis2=2).reshape(2, d, d)
+        z[:, 1] = np.where(np.eye(d, dtype=bool), 0.0, pair[:, :: d + 1, :: d + 1])
+        residuals = _Sectors(spec).residuals(z)
+        assert (result.primal_residual, result.cone_residual) == residuals
 
 
 class TestBoundEigensolver:
@@ -637,6 +651,23 @@ class TestBoundEigensolver:
         coords._work[17, 0] = np.nan
         with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
             _consensus(coords, DEFAULT_ACCURACY, 100)
+
+    def test_a_nan_off_the_diagonal_raises_at_the_first_check(self):
+        """Entry 1 of the drive's X_P is P[0, 1], which no block's diagonal
+        holds. The objective reads it and is NaN at the first check, where
+        the solve stops instead of running to its iteration cap."""
+        coords = _Sectors(QUTRIT_SPEC)
+        coords._work[17, 1] = np.nan
+        real_step, steps = coords.step, []
+
+        def step(out):
+            steps.append(None)
+            real_step(out)
+
+        coords.step = step
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            _consensus(coords, DEFAULT_ACCURACY, DEFAULT_MAX_ITERS)
+        assert len(steps) == _CHECK_EVERY
 
     def test_a_solve_leaves_the_error_state_as_it_found_it(self):
         def callback(err, flag):

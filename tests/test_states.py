@@ -103,6 +103,21 @@ class TestWeylBasis:
         assert report.unitarity_defect < 1e-12
         assert report.orthogonality_defect < 1e-12
 
+    def test_kept_products_and_unitaries_are_read_only(self):
+        """What the validation checked cannot change under its report."""
+        basis = weyl_basis(3)
+        products = basis.validation.products
+        assert np.array_equal(products, basis.unitaries.conj().swapaxes(1, 2) @ basis.unitaries)
+        with pytest.raises(ValueError, match="read-only"):
+            products[0, 0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            basis.unitaries[1] = basis.unitaries[0]
+
+    def test_a_basis_leaves_its_caller_s_array_writable(self):
+        unitaries = weyl_basis(2).unitaries.copy()
+        MaxEntBasis(dim=2, unitaries=unitaries)
+        unitaries[0, 0, 0] = 2.0
+
     def test_d2_elements(self):
         basis = weyl_basis(2)
         eye, z, x, xz = basis.unitaries
@@ -310,6 +325,18 @@ class TestStackedBuilds:
                 kets = ens.kets()
                 assert kets.shape == (n, d**4)
                 assert np.max(np.abs(kets - kron_ensemble(basis, spec, n))) <= 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_build_ensemble_holds_the_basis_kets(self, d):
+        """build_ensemble skips the Gram check the basis already made, and its
+        psi_k are the basis kets read as d x d matrices."""
+        basis = conjugated_basis(weyl_basis(d), haar_random_unitary(d, np.random.default_rng(d)))
+        spec = ResourceSpectrum.uniform(d)
+        for n in (1, d + 1, d * d):
+            ens = build_ensemble(basis, spec, n)
+            assert type(ens) is Ensemble
+            assert np.array_equal(ens.psi, basis.kets()[:n].reshape(n, d, d))
+            assert ens.resource == spec and ens.priors == (1.0 / n,) * n
 
     def test_kets_are_the_max_ent_states(self):
         basis = conjugated_basis(weyl_basis(3), haar_random_unitary(3, np.random.default_rng(5)))
