@@ -26,10 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import fef
-from .states import Ensemble, MaxEntBasis, ResourceSpectrum
+from .states import Ensemble, MaxEntBasis, ResourceSpectrum, problem_size
 from .tensor import frobenius, require_hermitian
 
 TRACE_MATCH_TOL = 1e-12
+UPSILON_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -83,12 +84,7 @@ def build_certificate(
     which would signal a bug rather than bad input.
     """
     d = basis.dim
-    if spec.dim != d:
-        raise ValueError(f"spectrum dimension {spec.dim} does not match basis {d}")
-    if n_states is None:
-        n_states = d * d
-    if not 1 <= n_states <= d * d:
-        raise ValueError(f"n_states must lie in [1, {d * d}], got {n_states}")
+    n_states = problem_size(basis, spec, n_states)
     scale = (d * d) / n_states
 
     a = np.asarray(spec.coeffs)
@@ -121,29 +117,9 @@ class FeasibilityReport:
     threshold: float
     lambda_mins: tuple[float, ...]
     decomposition_residuals: tuple[float, ...]
+    worst_lambda_min: float
+    worst_decomposition_residual: float
     passed: bool
-
-    @property
-    def worst_lambda_min(self) -> float:
-        return min(self.lambda_mins)
-
-    @property
-    def worst_decomposition_residual(self) -> float:
-        return max(self.decomposition_residuals)
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "n_states": self.n_states,
-            "trace_value": self.trace_value,
-            "tol": self.tol,
-            "threshold": self.threshold,
-            "lambda_mins": list(self.lambda_mins),
-            "decomposition_residuals": list(self.decomposition_residuals),
-            "worst_lambda_min": self.worst_lambda_min,
-            "worst_decomposition_residual": self.worst_decomposition_residual,
-            "passed": self.passed,
-        }
 
 
 def _feasibility_margins(cert: DualCertificate, ens: Ensemble) -> np.ndarray:
@@ -256,6 +232,8 @@ def verify_dual_feasibility(
         threshold=threshold,
         lambda_mins=tuple(lambda_mins),
         decomposition_residuals=tuple(residuals),
+        worst_lambda_min=min(lambda_mins),
+        worst_decomposition_residual=max(residuals),
         passed=passed,
     )
 
@@ -268,22 +246,14 @@ class UpsilonReport:
     min_eigenvalue: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "spectrum_defect": self.spectrum_defect,
-            "complement_defect": self.complement_defect,
-            "min_eigenvalue": self.min_eigenvalue,
-            "passed": self.passed,
-        }
 
-
-def upsilon_spectrum_check(basis: MaxEntBasis, tol: float = 1e-10) -> UpsilonReport:
+def upsilon_spectrum_check(basis: MaxEntBasis) -> UpsilonReport:
     """Assert the two-point spectra of Y_k and 1 - Y_k/2 for every k.
 
     Each Y_k must have eigenvalue 0 with multiplicity d(d+1)/2 and 2 with
     multiplicity d(d-1)/2; the complement 1 - Y_k/2 then carries 1 and 0
-    with the multiplicities exchanged. Both are PSD up to eigensolver noise.
+    with the multiplicities exchanged. Both are PSD up to eigensolver noise;
+    every defect must stay within UPSILON_TOL.
     For any generator U_k, d T_A1(Psi_k) = (1 (x) U_k) F (1 (x) U_k^dag)
     with F the swap, which has the spectrum of F (1 (x) U_k^dag U_k): with
     g the eigenvalues of U_k^dag U_k, Y_k has eigenvalues 1 - g_m and
@@ -307,7 +277,9 @@ def upsilon_spectrum_check(basis: MaxEntBasis, tol: float = 1e-10) -> UpsilonRep
     complement_defect = float(np.max(np.abs(wc - target_c)))
     worst_min = float(min(w[:, 0].min(), wc[:, 0].min()))
     passed = (
-        spectrum_defect <= tol and complement_defect <= tol and worst_min >= -tol
+        spectrum_defect <= UPSILON_TOL
+        and complement_defect <= UPSILON_TOL
+        and worst_min >= -UPSILON_TOL
     )
     return UpsilonReport(
         dim=d,

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +71,7 @@ _BASIS_ARRAYS = 16
 _SWEEP_ROW_BYTES = 2000
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Fully resolved inputs for one subcommand invocation."""
 
@@ -229,12 +229,23 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def fields_of(report) -> dict:
+    """A report dataclass as the dict of its fields by name, in field order;
+    a field declared ``repr=False`` (an array kept for later use) is left out."""
+    return {
+        f.name: getattr(report, f.name) for f in dataclasses.fields(report) if f.repr
+    }
+
+
 def _json_value(obj):
-    """A numpy scalar or array as the Python value or list ``json`` encodes.
+    """A report dataclass, numpy scalar or array as the dict, Python value or
+    list ``json`` encodes.
 
     The JSON encoder calls it only on what it cannot encode itself; numpy
     float64 is a float and is encoded as one.
     """
+    if dataclasses.is_dataclass(obj):
+        return fields_of(obj)
     if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, np.ndarray):
@@ -316,11 +327,11 @@ def cmd_fef(config: RunConfig):
 def cmd_basis(config: RunConfig):
     # A rejected basis exits 2 at construction, so this report is accepted.
     report = config.basis.validation
-    payload = {"command": "basis", **report.to_dict()}
+    payload = {"command": "basis", **fields_of(report)}
     if config.dump is not None:
         dump_basis_file(config.basis, config.dump)
         payload["dumped_to"] = config.dump
-    rows = [report.to_dict()]
+    rows = [fields_of(report)]
     return EXIT_OK, payload, rows
 
 
@@ -363,8 +374,8 @@ def cmd_certificate(config: RunConfig):
         "scale": cert.scale,
         "trace_value": cert.trace_value,
         "fef": fef(config.spec),
-        "feasibility": feas.to_dict(),
-        "upsilon": ups.to_dict(),
+        "feasibility": feas,
+        "upsilon": ups,
         "passed": passed,
     }
     rows = [
@@ -392,7 +403,7 @@ def cmd_sdp(config: RunConfig):
         "n_states": config.n_states,
         "accuracy": config.accuracy,
         "max_iters": config.max_iters,
-        **result.to_dict(),
+        **fields_of(result),
     }
     rows = list(result.trace)
     return EXIT_OK if result.converged else EXIT_NUMERICAL, payload, rows
@@ -402,7 +413,7 @@ def cmd_bounds(config: RunConfig):
     bounds = incomplete_bounds(
         config.basis, config.spec, config.n_states, strategy=config.strategy
     )
-    payload = {"command": "bounds", **bounds.to_dict()}
+    payload = {"command": "bounds", **fields_of(bounds)}
     rows = [
         {
             "completion_index": i,
@@ -424,7 +435,7 @@ def cmd_sandwich(config: RunConfig):
         tol=config.tol,
         strategy=config.strategy,
     )
-    payload = {"command": "sandwich", **report.to_dict()}
+    payload = {"command": "sandwich", **fields_of(report)}
     rows = [
         {
             "dim": report.dim,
@@ -436,7 +447,7 @@ def cmd_sandwich(config: RunConfig):
             "agreement": report.agreement,
         }
     ]
-    code = EXIT_OK if report.agreement and report.result.converged else EXIT_NUMERICAL
+    code = EXIT_OK if report.agreement and report.sdp.converged else EXIT_NUMERICAL
     return code, payload, rows
 
 

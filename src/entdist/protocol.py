@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import fef
-from .states import MaxEntBasis, ResourceSpectrum
+from .states import MaxEntBasis, ResourceSpectrum, problem_size
 from .tensor import require_hermitian
 
 GRAM_TOL = 1e-12
@@ -50,13 +50,7 @@ def teleport_residuals(
     """Residuals gamma_i = sum_k a_k |k> (x) U_i|k> for the first n_states,
     with their Gram matrix."""
     d = basis.dim
-    if spec.dim != d:
-        raise ValueError(f"spectrum dimension {spec.dim} does not match basis {d}")
-    if n_states is None:
-        n_states = d * d
-    if not 1 <= n_states <= d * d:
-        raise ValueError(f"n_states must lie in [1, {d * d}], got {n_states}")
-
+    n_states = problem_size(basis, spec, n_states)
     a = np.asarray(spec.coeffs)
     unitaries = basis.unitaries[:n_states]
     gammas = (a[:, None] * unitaries.transpose(0, 2, 1)).reshape(n_states, d * d)
@@ -160,19 +154,6 @@ class IncompleteBounds:
     overlaps: tuple[float, ...]
     in_range: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "n_states": self.n_states,
-            "strategy": self.strategy,
-            "lower": self.lower,
-            "upper": self.upper,
-            "fef_value": self.fef_value,
-            "assignments": list(self.assignments),
-            "overlaps": list(self.overlaps),
-            "in_range": self.in_range,
-        }
-
 
 def incomplete_bounds(
     basis: MaxEntBasis,
@@ -194,7 +175,7 @@ def incomplete_bounds(
     maximum itself. Either way upper = min(1, (d^2/N) F) and lower <= upper
     is enforced.
     """
-    _check_bounds_args(basis, spec, strategy, n_states)
+    _check_strategy(strategy)
     outcomes = _outcome_matrix(basis, teleport_residuals(basis, spec, n_states))
     return _bounds(outcomes, spec, strategy)
 
@@ -208,20 +189,13 @@ def incomplete_bounds_sweep(
     for the whole basis serves every N: the first N states read its first N
     rows.
     """
-    _check_bounds_args(basis, spec, strategy)
+    _check_strategy(strategy)
     d = basis.dim
     outcomes = _outcome_matrix(basis, teleport_residuals(basis, spec))
     return tuple(_bounds(outcomes[:n], spec, strategy) for n in range(d + 1, d * d + 1))
 
 
-def _check_bounds_args(
-    basis: MaxEntBasis, spec: ResourceSpectrum, strategy: str, n_states: int | None = None
-) -> None:
-    d = basis.dim
-    if spec.dim != d:
-        raise ValueError(f"spectrum dimension {spec.dim} does not match basis {d}")
-    if n_states is not None and not 1 <= n_states <= d * d:
-        raise ValueError(f"n_states must lie in [1, {d * d}], got {n_states}")
+def _check_strategy(strategy: str) -> None:
     if strategy not in ("completion", "projector"):
         raise ValueError(f"unknown strategy {strategy!r}")
 

@@ -135,7 +135,7 @@ from numpy.linalg import _umath_linalg
 from .certificate import FeasibilityReport, build_certificate, verify_dual_feasibility
 from .measures import fef
 from .protocol import incomplete_bounds, protocol_success
-from .states import MaxEntBasis, ResourceSpectrum, build_ensemble
+from .states import MaxEntBasis, ResourceSpectrum, build_ensemble, problem_size
 from .tensor import psd_clip
 
 DEFAULT_ACCURACY = 1e-4
@@ -234,17 +234,6 @@ class SDPResult:
     iterations: int
     converged: bool
     trace: tuple[dict, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "primal_value": self.primal_value,
-            "rounded_value": self.rounded_value,
-            "primal_residual": self.primal_residual,
-            "cone_residual": self.cone_residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "trace": list(self.trace),
-        }
 
 
 class _Coordinates:
@@ -578,12 +567,10 @@ def solve_primal_ppt(
         raise ValueError(f"accuracy must be finite and positive, got {accuracy!r}")
     if isinstance(max_iters, bool) or not isinstance(max_iters, Integral) or max_iters < 1:
         raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
-    d = basis.dim
-    n = d * d if n_states is None else n_states
-    if n == d * d and spec.dim == d:
+    n = problem_size(basis, spec, n_states)
+    if n == basis.dim**2:
         coords = _Sectors(spec)
     else:
-        # build_ensemble refuses a spectrum of another dimension and N outside [1, d²].
         ens = build_ensemble(basis, spec, n)
         cost = np.asarray(ens.priors)[:, None, None] * ens.density_operators()
         coords = _Operators(cost)
@@ -782,22 +769,7 @@ class SandwichReport:
     accuracy: float
     agreement: bool
     feasibility: FeasibilityReport
-    result: SDPResult
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "n_states": self.n_states,
-            "fef_value": self.fef_value,
-            "lower": self.lower,
-            "sdp_value": self.sdp_value,
-            "upper": self.upper,
-            "upper_unclipped": self.upper_unclipped,
-            "accuracy": self.accuracy,
-            "agreement": self.agreement,
-            "feasibility": self.feasibility.to_dict(),
-            "sdp": self.result.to_dict(),
-        }
+    sdp: SDPResult
 
 
 def sandwich_report(
@@ -820,8 +792,7 @@ def sandwich_report(
     nothing.
     """
     d = basis.dim
-    if n_states is None:
-        n_states = d * d
+    n_states = problem_size(basis, spec, n_states)
     ens = build_ensemble(basis, spec, n_states)
     cert = build_certificate(basis, spec, n_states)
     feas = verify_dual_feasibility(cert, ens, tol)
@@ -870,5 +841,5 @@ def sandwich_report(
         accuracy=accuracy,
         agreement=agreement,
         feasibility=feas,
-        result=result,
+        sdp=result,
     )

@@ -94,7 +94,7 @@ class ResourceSpectrum:
 class BasisValidation:
     """The ``validate_basis`` report. ``products`` is the read-only stack of
     the U_k^dagger U_k the unitarity check formed, kept for later checks of
-    the same unitaries; comparisons and ``to_dict`` leave it out."""
+    the same unitaries; comparisons and the printed report leave it out."""
 
     count: int
     dim: int
@@ -103,16 +103,6 @@ class BasisValidation:
     complete: bool
     accepted: bool
     products: np.ndarray = field(repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "dim": self.dim,
-            "unitarity_defect": self.unitarity_defect,
-            "orthogonality_defect": self.orthogonality_defect,
-            "complete": self.complete,
-            "accepted": self.accepted,
-        }
 
 
 def validate_basis(unitaries) -> BasisValidation:
@@ -285,14 +275,24 @@ class Ensemble:
         return kets[:, :, None] * kets[:, None, :].conj()
 
 
+def problem_size(basis: MaxEntBasis, spec: ResourceSpectrum, n_states: int | None) -> int:
+    """The number N of basis states a problem on ``basis`` and ``spec`` uses,
+    d^2 when n_states is None; raises unless the spectrum acts on the basis's
+    dimension d and 1 <= N <= d^2."""
+    d = basis.dim
+    if spec.dim != d:
+        raise ValueError(f"spectrum dimension {spec.dim} does not match basis {d}")
+    n = d * d if n_states is None else n_states
+    if not 1 <= n <= d * d:
+        raise ValueError(f"n_states must lie in [1, {d * d}], got {n}")
+    return n
+
+
 def build_ensemble(basis: MaxEntBasis, spec: ResourceSpectrum, n_states: int) -> Ensemble:
     """Ensemble of the first n_states basis elements paired with the resource,
     with uniform priors."""
     d = basis.dim
-    if spec.dim != d:
-        raise ValueError(f"spectrum dimension {spec.dim} does not match basis {d}")
-    if not 1 <= n_states <= d * d:
-        raise ValueError(f"n_states must lie in [1, {d * d}], got {n_states}")
+    n_states = problem_size(basis, spec, n_states)
     psi = basis.kets()[:n_states].reshape(n_states, d, d)
     # <psi_j|psi_k> = Tr(U_j^dagger U_k)/d, so the basis's accepted
     # orthogonality defect, below 1e-10, keeps every overlap below the 1e-10

@@ -15,8 +15,8 @@ def frobenius(M: np.ndarray) -> float:
     return float(np.linalg.norm(M))
 
 
-def require_hermitian(M: np.ndarray, rtol: float = HERMITICITY_RTOL) -> None:
-    """Raise unless max |M - M^dagger| <= rtol * (1 + ||M||_F).
+def require_hermitian(M: np.ndarray) -> None:
+    """Raise unless max |M - M^dagger| <= HERMITICITY_RTOL * (1 + ||M||_F).
 
     M is one matrix or a stack M[..., D, D]; in a stack each matrix is held
     to the rule on its own, and the message names the first that fails.
@@ -26,7 +26,7 @@ def require_hermitian(M: np.ndarray, rtol: float = HERMITICITY_RTOL) -> None:
     if M.size == 0:
         return
     defect = np.abs(M - M.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    bound = rtol * (1.0 + np.linalg.norm(M, axis=(-2, -1)))
+    bound = HERMITICITY_RTOL * (1.0 + np.linalg.norm(M, axis=(-2, -1)))
     bad = defect > bound
     if bad.any():
         at = np.unravel_index(np.argmax(bad), bad.shape)

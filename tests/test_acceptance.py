@@ -194,7 +194,7 @@ def test_criterion_6_certificate_structure(acceptance_log):
     for d in (2, 3, 4):
         start = time.perf_counter()
         basis = weyl_basis(d)
-        ups = upsilon_spectrum_check(basis, tol=1e-10)
+        ups = upsilon_spectrum_check(basis)
         trace_dev = 0.0
         for spec in (random_spectrum(d, rng), ResourceSpectrum.uniform(d)):
             cert = build_certificate(basis, spec)
@@ -307,8 +307,8 @@ def test_criterion_10_d4_sandwich(acceptance_log):
     )
     ok = (
         sandwich.agreement
-        and sandwich.result.converged
-        and sandwich.result.iterations == 100
+        and sandwich.sdp.converged
+        and sandwich.sdp.iterations == 100
         and worst <= slack
     )
     line = report(
@@ -316,7 +316,7 @@ def test_criterion_10_d4_sandwich(acceptance_log):
         10,
         ok,
         f"F={target:.8f} sdp={sandwich.sdp_value:.8f} worst dev={worst:.2e} "
-        f"iterations={sandwich.result.iterations} elapsed={elapsed:.1f}s",
+        f"iterations={sandwich.sdp.iterations} elapsed={elapsed:.1f}s",
     )
     assert ok, line
 
@@ -361,8 +361,8 @@ def test_criterion_12_d6_sandwich(acceptance_log):
     ok = (
         len(set(spec.coeffs)) == 6
         and sandwich.agreement
-        and sandwich.result.converged
-        and sandwich.result.iterations == 100
+        and sandwich.sdp.converged
+        and sandwich.sdp.iterations == 100
         and worst <= slack
     )
     line = report(
@@ -370,7 +370,7 @@ def test_criterion_12_d6_sandwich(acceptance_log):
         12,
         ok,
         f"F={target:.8f} sdp={sandwich.sdp_value:.8f} worst dev={worst:.2e} "
-        f"iterations={sandwich.result.iterations} elapsed={elapsed:.1f}s",
+        f"iterations={sandwich.sdp.iterations} elapsed={elapsed:.1f}s",
     )
     assert ok, line
 

@@ -191,9 +191,12 @@ class TestFeasibility:
         basis, spec = d2_setup
         cert = build_certificate(basis, spec)
         ens = build_ensemble(basis, spec, 4)
-        payload = verify_dual_feasibility(cert, ens, 1e-9).to_dict()
+        report = verify_dual_feasibility(cert, ens, 1e-9)
+        payload = json.loads(json.dumps(report, default=cli._json_value))
         assert payload["passed"] is True
         assert len(payload["lambda_mins"]) == 4
+        assert payload["worst_lambda_min"] == min(report.lambda_mins)
+        assert payload["worst_decomposition_residual"] == max(report.decomposition_residuals)
 
 
 class TestParts:

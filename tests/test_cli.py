@@ -717,6 +717,124 @@ class TestTables:
         assert [row["n_states"] for row in payload["rows"]] == [3, 4]
 
 
+def _key_paths(value, prefix: str = "") -> set[str]:
+    """Dotted paths to the leaves of a JSON value; list items add ``[]``."""
+    if isinstance(value, dict):
+        return set().union(
+            *(_key_paths(v, f"{prefix}.{k}" if prefix else k) for k, v in value.items())
+        )
+    if isinstance(value, list):
+        return set().union({prefix + "[]"}, *(_key_paths(v, prefix + "[]") for v in value))
+    return {prefix}
+
+
+_FEASIBILITY_KEYS = [
+    "decomposition_residuals[]", "dim", "lambda_mins[]", "n_states", "passed",
+    "threshold", "tol", "trace_value", "worst_decomposition_residual",
+    "worst_lambda_min",
+]
+_TRACE_KEYS = [
+    "cone_residual", "consensus_residual", "dual_residual", "iteration",
+    "objective", "primal_residual",
+]
+_SOLVE_KEYS = [
+    "cone_residual", "converged", "iterations", "primal_residual",
+    "primal_value", "rounded_value", "trace[]", *(f"trace[].{k}" for k in _TRACE_KEYS),
+]
+_SPECTRUM_KEYS = ["amplitudes[]", "probabilities[]"]
+
+# Per subcommand: a fast command line, the key paths of its JSON report and
+# the header row of its --csv table.
+_SCHEMAS = {
+    "fef": (
+        ["--dim", "2", "--spectrum", "0.8,0.2"],
+        ["command", "dim", *_SPECTRUM_KEYS, "fef", "negativity", "relation_defect",
+         "relation_ok"],
+        "dim,fef,negativity,relation_defect",
+    ),
+    "basis": (
+        ["--dim", "2"],
+        ["accepted", "command", "complete", "count", "dim", "orthogonality_defect",
+         "unitarity_defect"],
+        "count,dim,unitarity_defect,orthogonality_defect,complete,accepted",
+    ),
+    "protocol": (
+        ["--dim", "2", "--shots", "10"],
+        ["command", "dim", *_SPECTRUM_KEYS, "deviation_from_fef", "fef",
+         "max_term_deviation", "per_state[]", "sampled_value", "sampling_error",
+         "seed", "shots", "value"],
+        "state,success,deviation",
+    ),
+    "certificate": (
+        ["--dim", "2", "--n-states", "3"],
+        ["command", "dim", *(f"feasibility.{k}" for k in _FEASIBILITY_KEYS), "fef",
+         "n_states", "passed", "scale", "trace_value",
+         *(f"upsilon.{k}" for k in
+           ["complement_defect", "dim", "min_eigenvalue", "passed", "spectrum_defect"])],
+        "k,lambda_min,decomposition_residual",
+    ),
+    "sdp": (
+        ["--dim", "2"],
+        ["accuracy", "command", "dim", "max_iters", "n_states", *_SOLVE_KEYS],
+        "iteration,objective,primal_residual,cone_residual,dual_residual,consensus_residual",
+    ),
+    "bounds": (
+        ["--dim", "2", "--n-states", "3"],
+        ["assignments[]", "command", "dim", "fef_value", "in_range", "lower",
+         "n_states", "overlaps[]", "strategy", "upper"],
+        "completion_index,assigned_state,overlap",
+    ),
+    "sandwich": (
+        ["--dim", "2"],
+        ["accuracy", "agreement", "command", "dim",
+         *(f"feasibility.{k}" for k in _FEASIBILITY_KEYS), "fef_value", "lower",
+         "n_states", *(f"sdp.{k}" for k in _SOLVE_KEYS), "sdp_value", "upper",
+         "upper_unclipped"],
+        "dim,n_states,lower,sdp,upper,fef,agreement",
+    ),
+    "verify": (
+        ["--dim", "2", "--spectrum", "uniform"],
+        ["checks[]", "checks[].check", "checks[].detail", "checks[].passed",
+         "command", "dim", "passed", "seed"],
+        "check,passed,detail",
+    ),
+    "sweep": (
+        ["--steps", "2", "--sdp"],
+        ["accuracy", "command", "converged", "dim", "max_iters", "rows[]",
+         *(f"rows[].{k}" for k in ["certificate", "fef", "p1", "protocol", "sdp"]),
+         "steps"],
+        "p1,fef,protocol,certificate,sdp",
+    ),
+    "scan": (
+        ["--dim", "2"],
+        ["command", "dim", *_SPECTRUM_KEYS, "rows[]",
+         *(f"rows[].{k}" for k in
+           ["lower_completion", "lower_projector", "n_states", "sdp", "upper"])],
+        "n_states,lower_completion,lower_projector,upper,sdp",
+    ),
+}
+
+
+class TestReportSchema:
+    """Every subcommand's report keys and CSV header, pinned."""
+
+    def test_every_subcommand_is_pinned(self):
+        assert sorted(_SCHEMAS) == sorted(cli._HANDLERS)
+
+    @pytest.mark.parametrize("command", sorted(_SCHEMAS))
+    def test_json_key_paths(self, capsys, command):
+        argv, keys, _ = _SCHEMAS[command]
+        payload = run_json(capsys, command, *argv)
+        assert sorted(_key_paths(payload)) == sorted(keys)
+
+    @pytest.mark.parametrize("command", sorted(_SCHEMAS))
+    def test_csv_header(self, capsys, command):
+        argv, _, header = _SCHEMAS[command]
+        code, out, err = run(capsys, command, *argv, "--csv")
+        assert code == EXIT_OK, err
+        assert out.splitlines()[0] == header
+
+
 class TestFiles:
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "fef.json"

@@ -1,11 +1,13 @@
 """PPT relaxation solver and the three-way sandwich."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import entdist.sdp as sdp
+from entdist import cli
 from entdist.certificate import build_certificate
 from entdist.measures import fef
 from entdist.sdp import (
@@ -224,10 +226,13 @@ class TestSolver:
                 "consensus_residual",
             }
 
-    def test_to_dict_omits_operators(self, bell_result):
-        d = bell_result.to_dict()
-        assert "operators" not in d
-        assert d["primal_value"] == bell_result.primal_value
+    def test_fields_omit_operators_and_products(self, bell_result):
+        fields = cli.fields_of(bell_result)
+        assert "operators" not in fields
+        assert fields["primal_value"] == bell_result.primal_value
+        assert list(cli.fields_of(weyl_basis(2).validation)) == [
+            "count", "dim", "unitarity_defect", "orthogonality_defect", "complete", "accepted",
+        ]
 
 
 class TestCovariantPath:
@@ -296,7 +301,7 @@ class TestCovariantPath:
         ]
         results = [solve_primal_ppt(b, QUTRIT_SPEC) for b in bases]
         for result in results[1:]:
-            assert result.to_dict() == results[0].to_dict()
+            assert cli.fields_of(result) == cli.fields_of(results[0])
             for x, y in zip(result.operators, results[0].operators, strict=True):
                 assert np.array_equal(x, y)
 
@@ -745,10 +750,12 @@ class TestSandwich:
         assert report.fef_value == pytest.approx(fef(spec), abs=1e-15)
         assert abs(report.sdp_value - fef(spec)) < 1e-3
 
-    def test_to_dict_round_trips_scalars(self):
+    def test_fields_round_trip_scalars(self):
         report = sandwich_report(weyl_basis(2), BELL_SPEC)
-        d = report.to_dict()
+        d = json.loads(json.dumps(report, default=cli._json_value))
         assert d["dim"] == 2
         assert d["n_states"] == 4
         assert d["agreement"] is True
         assert d["lower"] == report.lower
+        assert d["sdp"]["primal_value"] == report.sdp_value
+        assert "operators" not in d["sdp"]

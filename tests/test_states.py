@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entdist.certificate import build_certificate
+from entdist.protocol import incomplete_bounds, teleport_residuals
+from entdist.sdp import sandwich_report, solve_primal_ppt
 from entdist.states import (
     Ensemble,
     MaxEntBasis,
     ResourceSpectrum,
     build_ensemble,
     dump_basis_file,
+    problem_size,
     random_spectrum,
     resource_state,
     validate_basis,
@@ -280,6 +284,33 @@ class TestEnsemble:
         assert tau[0] == pytest.approx(np.sqrt(0.8))
         assert tau[3] == pytest.approx(np.sqrt(0.2))
         assert tau[1] == tau[2] == 0.0
+
+
+class TestProblemSize:
+    """Every route checks the problem's shape through ``problem_size``."""
+
+    def test_defaults_to_the_whole_basis(self):
+        assert problem_size(weyl_basis(3), ResourceSpectrum.uniform(3), None) == 9
+        assert problem_size(weyl_basis(3), ResourceSpectrum.uniform(3), 4) == 4
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            build_ensemble,
+            build_certificate,
+            teleport_residuals,
+            incomplete_bounds,
+            solve_primal_ppt,
+            sandwich_report,
+        ],
+        ids=lambda route: route.__name__,
+    )
+    def test_every_route_refuses_the_same_shapes(self, route):
+        with pytest.raises(ValueError, match="^spectrum dimension 3 does not match basis 2$"):
+            route(weyl_basis(2), ResourceSpectrum.uniform(3), 3)
+        for n in (0, 5):
+            with pytest.raises(ValueError, match=rf"^n_states must lie in \[1, 4\], got {n}$"):
+                route(weyl_basis(2), QUBITS, n)
 
 
 class TestStackedBuilds:
