@@ -54,30 +54,42 @@ i ≠ j with Q[i, i] = 0, and works on them entry by entry:
 
 Every step of the loop but the eigh is linear on the rows (X_P, X_Q, Y_P,
 Y_Q) of z and the three duals u₁, u₂, u₃, so one iteration is two small
-products on one work buffer around the clips. The buffer's rows, each of
-d² entries, are the state s = (z, u₁, u₂, u₃) (16 rows), a row of ones,
-the drive's rows X_P and X_Q (it has no Y part) and the 12 rows x of the
-projections, so each product reads one slice of it and every constant is
+products on one work buffer around the clips. The buffer's 32 rows, each
+of d² entries, are the state s = (z, u₁, u₂, u₃) (16 rows), a row of ones,
+the drive's rows X_P and X_Q (it has no Y part), the 12 rows x of the
+projections and a row whose first 2d entries take the blocks'
+eigenvalues, so each product reads one slice of it and every constant is
 a column of its matrix:
 
 - The first, 12 × 17, reads s and the ones and writes x: the affine
   projection of z − u₁ with its constant, the PSD input z − u₂ in the rows
   (Q_X, Q_Y, P_X, P_Y) and the PPT eigenvalues of z − u₃.
 - Q's diagonal is zero, so trading the diagonals of the Q and P rows puts
-  the blocks B in the Q rows. One clip at 0 of the P rows and the
-  eigenvalues, one eigh of the (2, d, d) blocks with its clip, and the
-  trade back, which moves the clipped blocks' diagonal to P, follow.
-- The second, 32 × 31, reads the whole buffer and writes f(s), the next z
-  = mean(x + u) + drive and duals x + u − z, together with g = f(s) − s,
-  the residual the Anderson step reads.
+  the blocks B in the Q rows. One eigh of the (2, d, d) blocks writes
+  their eigenvalues into the last row, one clip at 0 serves the P rows,
+  the PPT eigenvalues and that row together, the blocks are rebuilt from
+  the clipped eigenvalues, and the trade back moves their diagonal to P.
+- The second, 32 × 31, reads the first 31 rows, all but the eigenvalues,
+  and writes f(s), the next z = mean(x + u) + drive and duals x + u − z,
+  together with g = f(s) − s, the residual the Anderson step reads. (A
+  product over all 32 rows, with a zero column for the last, sums in
+  another order and moves the last bits of the iterates.)
+
+Each entry of either product is a coefficient that depends on d times a
+fixed factor: ±1 or ±0, or in the second product's last 12 columns a
+weight of the consensus update times ±1 or ±0. So both are laid out at
+import (``_first_layout``, ``_second_layout``) and formed for one d by one
+gather of the coefficients and one elementwise product, which rounds an
+entry only where an update weight multiplies its coefficient.
 
 The eigh is one call of ``eigh_lo``, the gufunc ``np.linalg.eigh`` wraps,
-into preallocated eigenvalue and eigenvector buffers: on blocks this small
-the wrapper's checks, conversions and error-state switch cost more than
-LAPACK (at d = 3 ``np.linalg.eigh`` takes about 8 µs a call, the gufunc
-3.5 µs). The convergence checks' eigenvalues and the final rounding's
-clip call the same gufuncs (``eigvalsh_lo`` and ``eigh_lo``). The
-wrapper's error state turns a failed decomposition into LinAlgError;
+into the buffer's last row and a preallocated eigenvector buffer: on
+blocks this small the wrapper's checks, conversions and error-state switch
+cost more than LAPACK (at d = 3 ``np.linalg.eigh`` takes about 8 µs a
+call, the gufunc 3.5 µs). The convergence checks' eigenvalues and the
+final rounding's clip call the same gufuncs (``eigvalsh_lo`` and
+``eigh_lo``). The wrapper's error state turns a failed decomposition into
+LinAlgError;
 ``_consensus`` enters it once per solve, around the whole loop and the
 rounding, so a failed eigensolver or a NaN the loop makes still raises
 LinAlgError, and the caller's error state comes back on return and on
@@ -109,17 +121,23 @@ operator-by-operator solve, the solve on the sectors and a dense solve on
 of Y times √(d² − 1), so the fit reads plain inner products. The step is
 safeguarded: its memory restarts when ‖g‖ grows, and it is taken only
 when the fit removes a tenth of ‖g‖² and the step is at most 10‖g‖ long;
-otherwise the iteration takes the plain step f(s). The stop test reads
-f(s): the primal residual, the cone violation and the spread of the three
-blocks about z, all in the full-space norm, the objective change over the
-stall window and, for a complete program, the ADMM dual residual
-√3·‖z' − z‖/ρ. Near the optimum a complete program can drift with its
-objective rising by less than the accuracy per window, and the dual
-residual holds it until the drift ends (d = 12, random spectrum of seed
-0: 825 iterations, where the other tests alone stop at 750, 4.9e-5 below
-the optimum). On a subset the dual residual falls slowly after the value has
-settled (d = 3, N = 5: 1.9e-3 at 125 iterations, with the value 1.5e-5
-from where it ends at 9,550), so there it is reported but not waited on.
+otherwise the iteration takes the plain step f(s). The memory is two
+slots of differences, held as two flags with the index of the slot the
+newest difference went to: a difference at rounding level is forgotten,
+a new one goes to the slot that does not hold the later of the held
+differences (the newest, or the older when the newest was forgotten),
+and the 1 × 1 or 2 × 2 fit is solved inline on the Gram matrix's floats.
+The stop test reads f(s): the primal residual, the cone violation and the
+spread of the three blocks about z, all in the full-space norm, the
+objective change over the stall window and, for a complete program, the
+ADMM dual residual √3·‖z' − z‖/ρ. Near the optimum a complete program can
+drift with its objective rising by less than the accuracy per window, and
+the dual residual holds it until the drift ends (d = 12, random spectrum
+of seed 0: 825 iterations, where the other tests alone stop at 750, 4.9e-5
+below the optimum). On a subset the dual residual falls slowly after the
+value has settled (d = 3, N = 5: 1.9e-3 at 125 iterations, with the value
+1.5e-5 from where it ends at 9,550), so there it is reported but not
+waited on.
 """
 
 from __future__ import annotations
@@ -344,7 +362,6 @@ class _Operators(_Coordinates):
 # The clips' bound, an array so that ``step`` converts no scalar.
 _ZERO = np.zeros(())
 _SIGNS = ((1.0, 1.0), (1.0, -1.0))
-_EYE2 = ((1.0, 0.0), (0.0, 1.0))
 _EYE4 = np.eye(4)
 # Block i of the first product reads z − u_i.
 _SELECT = np.hstack([np.ones((3, 1)), -np.eye(3)])
@@ -360,17 +377,97 @@ _SECOND_HEAD[:, ::4, 17] = _SECOND_HEAD[:, 1::4, 18] = [1.0, -1.0, -1.0, -1.0]
 _SECOND_HEAD[0, :, :16] -= np.eye(16)
 _SECOND_HEAD = _SECOND_HEAD.reshape(32, 19)
 
+# The coefficients of the complete program that depend on d, in the order
+# ``_Sectors`` lists them (n = d², r = √(n − 1); shift, mix and unmix as
+# named there). Each constant matrix of ``_Sectors`` is laid out here once:
+# for every entry the index of its coefficient and its fixed factor
+# (module docstring).
+(
+    _ONE, _R, _INV_R, _S0, _S1, _S2, _S3, _S1_R, _R_S2,
+    _MIX0, _MIX1, _MIX2, _MIX3, _MIX1_R, _MIX3_R,
+    _UNMIX0, _UNMIX1, _QUARTER, _R_QUARTER, _INV_N, _R_N,
+) = range(21)
 
-def _kron(m, k) -> list[list[float]]:
-    """The Kronecker product of two 2 × 2 matrices, as nested lists."""
-    (a, b), (c, e) = m
-    (p, q), (s, t) = k
-    return [
-        [a * p, a * q, b * p, b * q],
-        [a * s, a * t, b * s, b * t],
-        [c * p, c * q, e * p, e * q],
-        [c * s, c * t, e * s, e * t],
-    ]
+
+def _kron_layout(coefficients, k) -> tuple[np.ndarray, np.ndarray]:
+    """The layout of the Kronecker product of a 2 × 2 matrix of coefficients
+    (their indices) with a 2 × 2 constant k: entry (2i + p, 2j + q) is
+    coefficient (i, j) times k[p, q]."""
+    index = np.array(coefficients)[:, None, :, None].repeat(2, axis=1).repeat(2, axis=3)
+    factor = np.array(k)[None, :, None, :] * np.ones((2, 1, 2, 1))
+    return index.reshape(4, 4), factor.reshape(4, 4)
+
+
+def _stack_layouts(*layouts) -> tuple[np.ndarray, np.ndarray]:
+    """Layouts of equal shape, stacked along a new first axis."""
+    return np.array([index for index, _ in layouts]), np.array([factor for _, factor in layouts])
+
+
+# Maps (X, Y) to the PSD input (Q_X, Q_Y, P_X, P_Y), and its transpose back.
+_TO_PSD = np.array([
+    [0.0, 1.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 1.0],
+    [1.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0],
+])
+
+
+_SHIFT_LAYOUT = np.array([[_S0, _S1], [_S2, _S3]]), np.ones((2, 2))
+_TO_PPT_LAYOUT = _kron_layout([[_MIX0, _MIX1], [_MIX2, _MIX3]], _SIGNS)
+_FROM_PPT_LAYOUT = _kron_layout([[_UNMIX0, _UNMIX1], [_QUARTER, _QUARTER]], _SIGNS)
+
+
+def _first_layout() -> tuple[np.ndarray, np.ndarray]:
+    """The first product of ``_Sectors.step``, 12 × 17.
+
+    It maps z − u_i to x_i: the affine map (weighted in and out), and the
+    PSD input in the rows (Q_X, Q_Y, P_X, P_Y) and the PPT eigenvalues,
+    both unweighted; the ones carry the affine constant unit/n to the rows
+    X_P and Y_P.
+    """
+    index, factor = _stack_layouts(
+        _kron_layout([[_S0, _S1_R], [_R_S2, _S3]], np.eye(2)),
+        # Unweighted: the Y columns divide by r.
+        (np.array([[_ONE, _ONE, _INV_R, _INV_R]] * 4), _TO_PSD),
+        _kron_layout([[_MIX0, _MIX1_R], [_MIX2, _MIX3_R]], _SIGNS),
+    )
+    first_index, first_factor = np.full((12, 17), _ONE), np.zeros((12, 17))
+    first_index[:, :16] = index[:, :, None].repeat(4, axis=2).reshape(12, 16)
+    first_factor[:, :16] = (factor[:, :, None] * _SELECT[:, None, :, None]).reshape(12, 16)
+    first_index[0, 16], first_index[2, 16] = _INV_N, _R_N
+    first_factor[0, 16] = first_factor[2, 16] = 1.0
+    return first_index, first_factor
+
+
+def _second_layout() -> tuple[np.ndarray, np.ndarray]:
+    """The second product of ``_Sectors.step``, 32 × 31.
+
+    It maps x_i back to the weighted rows: the affine projection as it is,
+    the PSD and the PPT projections by the transposed row map and by unmix,
+    then weighted, and takes them by the consensus update into both f and g.
+    """
+    index, factor = _stack_layouts(
+        (np.full((4, 4), _ONE), _EYE4),
+        # Weighted: the Y rows multiply by r.
+        (np.array([[_ONE] * 4, [_ONE] * 4, [_R] * 4, [_R] * 4]), _TO_PSD.T),
+        _kron_layout([[_UNMIX0, _UNMIX1], [_R_QUARTER, _R_QUARTER]], _SIGNS),
+    )
+    second_index, second_factor = np.full((2, 16, 31), _ONE), np.empty((2, 16, 31))
+    second_factor.reshape(32, 31)[:, :19] = _SECOND_HEAD
+    second_index[:, :, 19:] = index.swapaxes(0, 1)[None].repeat(4, axis=0).reshape(16, 12)
+    second_factor[:, :, 19:] = (_UPDATE[:, None, :, None] * factor.swapaxes(0, 1)).reshape(16, 12)
+    return second_index.reshape(32, 31), second_factor.reshape(32, 31)
+
+
+_FIRST_LAYOUT, _SECOND_LAYOUT = _first_layout(), _second_layout()
+
+
+def _laid_out(coefficients: np.ndarray, layout: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The matrix of a layout for the given coefficients."""
+    index, factor = layout
+    out = coefficients.take(index)
+    out *= factor
+    return out
 
 
 class _Sectors(_Coordinates):
@@ -397,16 +494,22 @@ class _Sectors(_Coordinates):
         # The identity on A2B2: every P is 1, every Q is 0.
         self.unit = np.zeros((2, d, d))
         self.unit[0] = 1.0
-        # The affine step (X, Y) -= E/n as a map on (X, Y) plus unit/n.
-        shift = ((1.0 - 1.0 / n, -(n - 1.0) / n), (-1.0 / n, 1.0 - (n - 1.0) / n))
-        self.shift = np.array(shift)
+        # The affine step (X, Y) -= E/n is the map shift on (X, Y) plus unit/n.
+        shift = 1.0 - 1.0 / n, -(n - 1.0) / n, -1.0 / n, 1.0 - (n - 1.0) / n
+        # mix takes (X, Y) to (M_s, M_a) entry by entry, and to_ppt then
+        # (P, Q) to (P + Q, P − Q), the eigenvalues of the 2 × 2 blocks;
+        # unmix and from_ppt map back.
+        mix = 1.0 / d, (d - 1.0) / d, -1.0 / d, (d + 1.0) / d
+        unmix = (d + 1.0) / 4, (1.0 - d) / 4
+        coefficients = np.array([
+            1.0, r, 1.0 / r, *shift, shift[1] / r, r * shift[2],
+            *mix, mix[1] / r, mix[3] / r,
+            *unmix, 0.25, r * 0.25, 1.0 / n, r / n,
+        ])
+        self.shift = _laid_out(coefficients, _SHIFT_LAYOUT)
         self.offset = self.unit / n
-        # (X, Y) → (M_s, M_a) entry by entry, then (P, Q) → (P + Q, P − Q),
-        # the eigenvalues of the 2 × 2 blocks; and back.
-        mix = ((1.0 / d, (d - 1.0) / d), (-1.0 / d, (d + 1.0) / d))
-        unmix = (((d + 1.0) / 4, (1.0 - d) / 4), (0.25, 0.25))
-        to_ppt, from_ppt = _kron(mix, _SIGNS), _kron(unmix, _SIGNS)
-        self.to_ppt, self.from_ppt = np.array(to_ppt), np.array(from_ppt)
+        self.to_ppt = _laid_out(coefficients, _TO_PPT_LAYOUT)
+        self.from_ppt = _laid_out(coefficients, _FROM_PPT_LAYOUT)
         tau = self.a[:, None] * self.a / n
         self.cost = np.zeros((2, 2, d, d))
         np.multiply(tau, self.eye, out=self.cost[0, 0])
@@ -415,124 +518,118 @@ class _Sectors(_Coordinates):
         self.penalty = STEP * self.weight * float(self.a @ self.a) / n
         self.drive = self.cost / (3.0 * self.penalty)
 
-        # The two products of ``step``, on the weighted rows. The first maps
-        # z − u_i to x_i: the affine map (weighted in and out), and the PSD
-        # input in the rows (Q_X, Q_Y, P_X, P_Y) and the PPT eigenvalues,
-        # both unweighted.
-        (s0, s1), (s2, s3) = shift
-        into = np.array([
-            _kron(((s0, s1 / r), (r * s2, s3)), _EYE2),
-            [
-                [0.0, 1.0, 0.0, 0.0],
-                [0.0, 0.0, 0.0, 1.0 / r],
-                [1.0, 0.0, 0.0, 0.0],
-                [0.0, 0.0, 1.0 / r, 0.0],
-            ],
-            [row[:2] + [row[2] / r, row[3] / r] for row in to_ppt],
-        ])
-        self._first = np.zeros((12, 17))
-        self._first[:, :16] = (into[:, :, None] * _SELECT[:, None, :, None]).reshape(12, 16)
-        # The ones carry the affine constant unit/n to the rows X_P and Y_P.
-        self._first[0, 16], self._first[2, 16] = 1.0 / n, r / n
-        # The second maps x_i back to the weighted rows: the affine
-        # projection as it is, the PSD and the PPT projections by the
-        # transposed row map and by unmix, then weighted.
-        back = np.array([
-            _EYE4,
-            [[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, r], [0.0, r, 0.0, 0.0]],
-            from_ppt[:2] + [[r * v for v in row] for row in from_ppt[2:]],
-        ])
-        # The second product writes (g, f) as 32 rows.
+        # The two products of ``step`` on the weighted rows (``_first_layout``
+        # and ``_second_layout``); the second writes (g, f) as 32 rows.
+        self._first = _laid_out(coefficients, _FIRST_LAYOUT)
+        self._second = _laid_out(coefficients, _SECOND_LAYOUT)
         self.image_shape = (32, n)
-        self._second = np.empty((32, 31))
-        self._second[:, :19] = _SECOND_HEAD
-        self._second[:16, 19:] = self._second[16:, 19:] = (
-            _UPDATE[:, None, :, None] * back.swapaxes(0, 1)
-        ).reshape(16, 12)
 
         # The work buffer: the state s (z, u₁, u₂, u₃), a row of ones, the
-        # drive's rows X_P and X_Q (it has no Y part) and the rows x.
-        self._work = np.zeros((31, n))
+        # drive's rows X_P and X_Q (it has no Y part), the rows x and a row
+        # whose first 2d entries take the blocks' eigenvalues.
+        self._work = np.zeros((32, n))
         self._work[16] = 1.0
         self._work[17:19] = self.drive[0].reshape(2, n)
         self.state = self._work[:16].reshape(4, 2, 2, d, d)
         # The views ``step`` reads, in one attribute: the rows the first
         # product reads and writes, the diagonals of the rows (Q_X, Q_Y, P_X,
         # P_Y) and the same with Q and P traded, the rows the clip at 0
-        # serves, the stack of blocks, the eigenvalues the eigensolver writes
-        # and clips in place (as a row per block, and shaped to scale the
-        # eigenvectors' columns), the eigenvectors it writes (and their
-        # transpose) and the scaled eigenvectors.
+        # serves (P, the PPT eigenvalues and the blocks' eigenvalues), the
+        # stack of blocks, the blocks' eigenvalues (as the eigensolver
+        # writes them, and shaped to scale the eigenvectors' columns), the
+        # eigenvectors it writes (and their transpose), the scaled
+        # eigenvectors and the rows the second product reads.
         diagonals = self._work[23:27].reshape(2, 2, n)[:, :, :: d + 1]
-        eigenvalues, vectors = np.empty((2, 1, d)), np.empty((2, d, d))
+        eigenvalues, vectors = self._work[31, : 2 * d], np.empty((2, d, d))
         self._views = (
             self._work[:17],
-            self._work[19:],
+            self._work[19:31],
             diagonals,
             diagonals[::-1],
             self._work[25:],
             self._work[23:25].reshape(2, d, d),
-            eigenvalues[:, 0],
-            eigenvalues,
+            eigenvalues.reshape(2, d),
+            eigenvalues.reshape(2, 1, d),
             vectors,
             vectors.swapaxes(1, 2),
             np.empty((2, d, d)),
+            self._work[:31],
         )
 
     def step(self, out: np.ndarray) -> None:
         """``_map`` on the weighted state in two products around the cone clips."""
-        head, x, diagonals, traded, clip, blocks, w, eigenvalues, v, vt, scaled = self._views
+        head, x, diagonals, traded, clip, blocks, w, eigenvalues, v, vt, scaled, rows = self._views
         np.dot(self._first, head, out=x)
         # Q's diagonal is zero, so trading the diagonals of Q and P puts
-        # B = Q + diag(P) in the Q rows and zero on P's diagonal; then clip
-        # P and the eigenvalues.
+        # B = Q + diag(P) in the Q rows and zero on P's diagonal; then one
+        # clip serves P, the PPT eigenvalues and the blocks' eigenvalues.
         diagonals[...] = traded
-        np.maximum(clip, _ZERO, out=clip)
         _EIGH(blocks, out=(w, v), signature="d->dd")
-        np.maximum(w, _ZERO, out=w)
+        np.maximum(clip, _ZERO, out=clip)
         np.multiply(v, eigenvalues, out=scaled)
         np.matmul(scaled, vt, out=blocks)
         # Trading back moves the clipped blocks' diagonal to P and zero to Q.
         diagonals[...] = traded
-        np.dot(self._second, self._work, out=out)
+        np.dot(self._second, rows, out=out)
 
     def start(self) -> np.ndarray:
         return self.offset[None].repeat(2, axis=0)
 
     def deviation(self, stack: np.ndarray) -> np.ndarray:
-        return stack[0] + (self.n - 1) * stack[1] - self.unit
+        out = (self.n - 1) * stack[1]
+        out += stack[0]
+        out -= self.unit
+        return out
 
     def affine(self, stack: np.ndarray) -> np.ndarray:
-        return (self.shift @ stack.reshape(2, -1)).reshape(stack.shape) + self.offset
+        out = (self.shift @ stack.reshape(2, -1)).reshape(stack.shape)
+        out += self.offset
+        return out
 
     def _blocks(self, stack: np.ndarray) -> np.ndarray:
         """B = Q + diag(P), the blocks of X and Y on span{|ii⟩}."""
-        return stack[:, 1] + stack[:, 0] * self.eye
+        out = stack[:, 0] * self.eye
+        out += stack[:, 1]
+        return out
 
     def _ppt_eigenvalues(self, stack: np.ndarray) -> np.ndarray:
         """Rows P ± Q of M_s, then of M_a: the eigenvalues of every 2 × 2 block."""
         return self.to_ppt @ stack.reshape(4, -1)
 
     def objective(self, stack: np.ndarray) -> float:
-        return float(self.a @ self._blocks(stack)[0] @ self.a)
+        block = stack[0, 0] * self.eye
+        block += stack[0, 1]
+        return float(self.a @ block @ self.a)
 
     def psd_clip(self, stack: np.ndarray) -> np.ndarray:
         w, v = _EIGH(self._blocks(stack), signature="d->dd")
-        clipped = (v * np.maximum(w, 0.0)[:, None, :]) @ v.swapaxes(1, 2)
+        np.maximum(w, 0.0, out=w)
+        clipped = (v * w[:, None, :]) @ v.swapaxes(1, 2)
         out = clipped[:, None] * self.split
         np.maximum(stack[:, 0], 0.0, out=out[:, 0], where=self.off)
         return out
 
     def ppt_clip(self, stack: np.ndarray) -> np.ndarray:
-        clipped = np.maximum(self._ppt_eigenvalues(stack), 0.0)
-        return (self.from_ppt @ clipped).reshape(stack.shape)
+        eigenvalues = self._ppt_eigenvalues(stack)
+        np.maximum(eigenvalues, 0.0, out=eigenvalues)
+        return (self.from_ppt @ eigenvalues).reshape(stack.shape)
 
     def cone_min(self, stack: np.ndarray) -> float:
+        d = self.d
+        # P off its diagonal: after P[0, 0], every run of d + 1 entries of
+        # the flat P starts with d of them and ends on the diagonal.
+        off = stack[:, 0].reshape(2, -1)[:, 1:].reshape(2, d - 1, d + 1)[:, :, :d]
         return min(
             float(_EIGVALSH(self._blocks(stack), signature="d->d").min()),
-            float(stack[:, 0][:, self.off].min()),
+            float(off.min()),
             float(self._ppt_eigenvalues(stack).min()),
         )
+
+    def residuals(self, stack: np.ndarray) -> tuple[float, float]:
+        # ``np.linalg.norm`` of the deviation, without its checks.
+        deviation = self.deviation(stack).reshape(-1)
+        primal = self.weight * math.sqrt(float(deviation.dot(deviation)))
+        return primal, min(0.0, self.cone_min(stack))
 
     def operators(self, stack: np.ndarray) -> tuple[np.ndarray, ...]:
         """The dense pair (X, Y) on A2B2, with |ij⟩ at index i·d + j."""
@@ -622,9 +719,9 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
     rows = np.zeros((3, 2, s_flat.size))
     flat = rows.reshape(6, -1)
     flat_t, products = flat.T, np.empty((6, 6))
-    slots, newest = (rows[0], rows[1]), rows[2]
-    g, f_flat = newest
-    out = newest.view(s.dtype).reshape(coords.image_shape)
+    slots, latest = (rows[0], rows[1]), rows[2]
+    g, f_flat = latest
+    out = latest.view(s.dtype).reshape(coords.image_shape)
     f = f_flat.view(s.dtype).reshape(s.shape)
     apply = coords.step
     # s' = f − Σ_j γ_j Δf_j is one product with (0, −γ_0, 0, −γ_1, 0, 1).
@@ -635,7 +732,11 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
     history: list[float] = []
     lag = _STALL_WINDOW // _CHECK_EVERY
     trace: list[dict] = []
-    memory: list[int] = []
+    # The memory: whether slot 0 and slot 1 hold a difference the fit
+    # reads, and the slot the newest difference went to. Of two held slots
+    # the newest is the later; a slot held alone is the later all the same.
+    held0 = held1 = False
+    newest = 0
     gg_prev = np.inf
     # The step extrapolates while scale·|g|² > _FLOOR max(|s|², 1).
     floor = _FLOOR * max(scale * float(s_flat @ s_flat), 1.0)
@@ -650,16 +751,23 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
             if it == 1:
                 apply(out)
             else:
-                # Δg and Δf go to the slot the newest difference is not in,
-                # which takes −g and −f before the map overwrites them and
-                # adds the new ones.
-                j = 1 - memory[-1] if memory else 0
-                slot = slots[j]
-                np.negative(newest, out=slot)
+                # Δg and Δf go to the slot the later held difference is not
+                # in (slot 0 when none is held), which takes −g and −f before
+                # the map overwrites them and adds the new ones.
+                if held0 and held1:
+                    newest = 1 - newest
+                else:
+                    # Slot 1 when slot 0 is held alone, else slot 0.
+                    newest = 1 if held0 else 0
+                slot = slots[newest]
+                np.negative(latest, out=slot)
                 apply(out)
-                np.add(slot, newest, out=slot)
-                memory = memory[-1:] + [j]
-            gram = flat.dot(flat_t, products).tolist()
+                np.add(slot, latest, out=slot)
+                # The later held difference, if any, stays: both slots are
+                # held now, or slot 0 alone when none was.
+                held1 = held0 or held1
+                held0 = True
+            gram = np.dot(flat, flat_t, products).tolist()
             gg = gram[4][4]
 
             if it % _CHECK_EVERY == 0 or it == max_iters:
@@ -699,11 +807,29 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
                         break
 
             if gg > _GROWTH * gg_prev:
-                memory = []
-            memory = [j for j in memory if gram[2 * j][2 * j] > _ROUNDING * gg]
+                held0 = held1 = False
+            held0 = held0 and gram[0][0] > _ROUNDING * gg
+            held1 = held1 and gram[2][2] > _ROUNDING * gg
             gg_prev = gg
-            if memory and scale * gg > floor:
-                c0, c1 = _anderson_weights(gram, memory)
+            if (held0 or held1) and scale * gg > floor:
+                # γ minimising |g − Σ_j γ_j Δg_j| over the held slots, one γ
+                # per slot (Δg of slot j is row 2j, g row 4) and 0 for a slot
+                # not held: the 2 × 2 normal equations, solved for slot 0
+                # first, or the 1 × 1 on the later held slot (the newest, or
+                # the one held alone) when only one is held or the two
+                # differences are parallel to rounding level.
+                two = held0 and held1
+                if two:
+                    a, b, c = gram[0][0], gram[0][2], gram[2][2]
+                    det = a * c - b * b
+                    two = det > _ROUNDING * (a * c)
+                if two:
+                    r0, r1 = gram[0][4], gram[2][4]
+                    c0, c1 = (c * r0 - b * r1) / det, (a * r1 - b * r0) / det
+                elif held0 and (newest == 0 or not held1):
+                    c0, c1 = gram[0][4] / gram[0][0], 0.0
+                else:
+                    c0, c1 = 0.0, gram[2][4] / gram[2][2]
                 # |g − Σ γ_j Δg_j|², the residual the fit predicts.
                 if gg - c0 * gram[0][4] - c1 * gram[2][4] <= (1.0 - _MIN_FIT) * gg:
                     # |s' − s|² = |g − Σ γ_j Δf_j|².
@@ -718,7 +844,7 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
                         weights[1], weights[3] = -c0, -c1
                         np.dot(weights, flat, out=s_flat)
                         continue
-                    memory = []
+                    held0 = held1 = False
             np.copyto(s, f)
 
         z = f[0] / coords.root
@@ -733,26 +859,6 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
         converged=converged,
         trace=tuple(trace),
     )
-
-
-def _anderson_weights(gram: list[list[float]], memory: list[int]) -> tuple[float, float]:
-    """γ minimising |g − Σ_j γ_j Δg_j| over the slots in memory, one γ per slot.
-
-    ``gram`` holds the inner products of the rows of ``_consensus``: Δg of
-    slot j is row 2j and g row 4. A slot out of memory gets γ = 0. Solves
-    the 1 × 1 or 2 × 2 normal equations on floats; two differences parallel
-    to rounding level leave the newer one.
-    """
-    if len(memory) == 2:
-        # The two slots hold 0 and 1 in either order; solve for slot 0 first.
-        a, b, c = gram[0][0], gram[0][2], gram[2][2]
-        det = a * c - b * b
-        if det > _ROUNDING * (a * c):
-            r0, r1 = gram[0][4], gram[2][4]
-            return (c * r0 - b * r1) / det, (a * r1 - b * r0) / det
-    j = memory[-1]
-    gamma = gram[2 * j][4] / gram[2 * j][2 * j]
-    return (gamma, 0.0) if j == 0 else (0.0, gamma)
 
 
 @dataclass(frozen=True)

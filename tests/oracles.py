@@ -2,7 +2,8 @@
 
 The tests build full operators on the pair and four-factor spaces to check
 the package's smaller routes against them; the helpers they share live
-here, with the solver loop as it runs without its Anderson step:
+here, with the solver loop as it runs without its Anderson step and as it
+ran with the step's memory a list of slots:
 
 - tensor layouts, given as plain tuples of factor dimensions:
   ``partial_transpose`` over any factors, ``permute_factors`` and
@@ -10,7 +11,7 @@ here, with the solver loop as it runs without its Anderson step:
 - input generators: ``haar_random_unitary``, ``conjugated_basis`` and
   ``load_basis_file`` (the package's two-step basis file reader in one call);
 - dense builds of kets, projectors and certificate pieces,
-  ``fresh_upsilon_report`` and ``plain_consensus``.
+  ``fresh_upsilon_report``, ``plain_consensus`` and ``list_memory_consensus``.
 """
 
 import math
@@ -19,7 +20,19 @@ from typing import Iterable
 import numpy as np
 
 from entdist.certificate import UpsilonReport
-from entdist.sdp import _CHECK_EVERY, _STALL_WINDOW, _TRACE_EVERY, SDPResult
+from entdist.sdp import (
+    _CHECK_EVERY,
+    _FLOOR,
+    _GROWTH,
+    _MAX_STEP,
+    _MIN_FIT,
+    _ROUNDING,
+    _STALL_WINDOW,
+    _TRACE_EVERY,
+    SDPResult,
+    _raise_nonconvergence,
+    _require_finite,
+)
 from entdist.states import (
     BASIS_DEFECT_TOL,
     MaxEntBasis,
@@ -340,3 +353,159 @@ def plain_consensus(coords, accuracy: float, max_iters: int):
         converged=converged,
         trace=tuple(trace),
     )
+
+
+def list_memory_consensus(coords, accuracy: float, max_iters: int) -> SDPResult:
+    """``sdp._consensus`` as it ran with the Anderson memory a list of slots.
+
+    The body is the loop before its memory became two slot flags and the
+    newest slot's index: ``memory`` lists the held slots oldest first, a
+    list comprehension forgets the slots whose difference is at rounding
+    level, and ``_anderson_weights`` solves the fit. The loop must take the
+    same steps bit for bit.
+    """
+    # z starts at start() and the duals at zero.
+    s = coords.state
+    s[0] = coords.start() * coords.root
+    s[1:] = 0.0
+    # As a real array (complex entries as pairs), flat.
+    s_flat = s.reshape(-1).view(float)
+    # The rows one product reads: (Δg, Δf) of the two history slots, then
+    # (g, f), so row 2j is Δg of slot j, row 2j + 1 its Δf, and rows 4 and 5
+    # are g and f, which the step writes in place. Each pair is contiguous,
+    # so one operation updates both differences of a slot. The state is
+    # weighted, so the rows' plain inner products are the weighted ones.
+    rows = np.zeros((3, 2, s_flat.size))
+    flat = rows.reshape(6, -1)
+    flat_t, products = flat.T, np.empty((6, 6))
+    slots, newest = (rows[0], rows[1]), rows[2]
+    g, f_flat = newest
+    out = newest.view(s.dtype).reshape(coords.image_shape)
+    f = f_flat.view(s.dtype).reshape(s.shape)
+    apply = coords.step
+    # s' = f − Σ_j γ_j Δf_j is one product with (0, −γ_0, 0, −γ_1, 0, 1).
+    weights = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+    scale = coords.weight**2
+    quarter = s_flat.size // 4
+
+    history: list[float] = []
+    lag = _STALL_WINDOW // _CHECK_EVERY
+    trace: list[dict] = []
+    memory: list[int] = []
+    gg_prev = np.inf
+    # The step extrapolates while scale·|g|² > _FLOOR max(|s|², 1).
+    floor = _FLOOR * max(scale * float(s_flat @ s_flat), 1.0)
+
+    # The error state ``np.linalg.eigh`` sets around its gufunc, entered once
+    # for the loop and the rounding: a failed eigensolver, or a NaN the loop
+    # makes, raises LinAlgError.
+    with np.errstate(
+        call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        for it in range(1, max_iters + 1):
+            if it == 1:
+                apply(out)
+            else:
+                # Δg and Δf go to the slot the newest difference is not in,
+                # which takes −g and −f before the map overwrites them and
+                # adds the new ones.
+                j = 1 - memory[-1] if memory else 0
+                slot = slots[j]
+                np.negative(newest, out=slot)
+                apply(out)
+                np.add(slot, newest, out=slot)
+                memory = memory[-1:] + [j]
+            gram = flat.dot(flat_t, products).tolist()
+            gg = gram[4][4]
+
+            if it % _CHECK_EVERY == 0 or it == max_iters:
+                z = f[0] / coords.root
+                obj = coords.objective(z)
+                _require_finite(obj)
+                floor = _FLOOR * max(scale * gram[5][5], 1.0)
+                history.append(obj)
+                full = len(history) > lag
+                # Until the stall window is full the objective change reads
+                # inf and the stop test cannot pass: unless a trace row is due
+                # or the loop ends there, nothing reads the residuals.
+                if full or it % _TRACE_EVERY == 0 or it == max_iters:
+                    change = abs(obj - history[-1 - lag]) / max(1.0, abs(obj)) if full else np.inf
+                    primal_res, cone_res = coords.residuals(z)
+                    # The ADMM dual residual and the spread of the blocks about z.
+                    dual_res = (
+                        math.sqrt(3.0 * scale * float(g[:quarter] @ g[:quarter])) / coords.penalty
+                    )
+                    consensus_res = math.sqrt(scale * float(g[quarter:] @ g[quarter:]))
+                    _require_finite(primal_res, cone_res, dual_res, consensus_res)
+                    stop = [primal_res, -cone_res, change, consensus_res]
+                    if coords.dual_stop:
+                        stop.append(dual_res)
+                    converged = max(stop) < accuracy
+                    if it % _TRACE_EVERY == 0 or converged or it == max_iters:
+                        row = {
+                            "iteration": it,
+                            "objective": obj,
+                            "primal_residual": primal_res,
+                            "cone_residual": cone_res,
+                            "dual_residual": dual_res,
+                            "consensus_residual": consensus_res,
+                        }
+                        trace.append(row)
+                    if converged or it == max_iters:
+                        break
+
+            if gg > _GROWTH * gg_prev:
+                memory = []
+            memory = [j for j in memory if gram[2 * j][2 * j] > _ROUNDING * gg]
+            gg_prev = gg
+            if memory and scale * gg > floor:
+                c0, c1 = _anderson_weights(gram, memory)
+                # |g − Σ γ_j Δg_j|², the residual the fit predicts.
+                if gg - c0 * gram[0][4] - c1 * gram[2][4] <= (1.0 - _MIN_FIT) * gg:
+                    # |s' − s|² = |g − Σ γ_j Δf_j|².
+                    step = (
+                        gg
+                        - 2.0 * (c0 * gram[1][4] + c1 * gram[3][4])
+                        + c0 * c0 * gram[1][1]
+                        + 2.0 * c0 * c1 * gram[1][3]
+                        + c1 * c1 * gram[3][3]
+                    )
+                    if step <= _MAX_STEP**2 * gg:
+                        weights[1], weights[3] = -c0, -c1
+                        np.dot(weights, flat, out=s_flat)
+                        continue
+                    memory = []
+            np.copyto(s, f)
+
+        z = f[0] / coords.root
+        rounded = coords.ppt_clip(coords.psd_clip(coords.affine(z)))
+    return SDPResult(
+        primal_value=obj,
+        rounded_value=coords.objective(rounded),
+        operators=coords.operators(z),
+        primal_residual=primal_res,
+        cone_residual=cone_res,
+        iterations=it,
+        converged=converged,
+        trace=tuple(trace),
+    )
+
+
+def _anderson_weights(gram: list[list[float]], memory: list[int]) -> tuple[float, float]:
+    """γ minimising |g − Σ_j γ_j Δg_j| over the slots in memory, one γ per slot.
+
+    ``gram`` holds the inner products of the rows of ``_consensus``: Δg of
+    slot j is row 2j and g row 4. A slot out of memory gets γ = 0. Solves
+    the 1 × 1 or 2 × 2 normal equations on floats; two differences parallel
+    to rounding level leave the newer one.
+    """
+    if len(memory) == 2:
+        # The two slots hold 0 and 1 in either order; solve for slot 0 first.
+        a, b, c = gram[0][0], gram[0][2], gram[2][2]
+        det = a * c - b * b
+        if det > _ROUNDING * (a * c):
+            r0, r1 = gram[0][4], gram[2][4]
+            return (c * r0 - b * r1) / det, (a * r1 - b * r0) / det
+    j = memory[-1]
+    gamma = gram[2 * j][4] / gram[2 * j][2 * j]
+    return (gamma, 0.0) if j == 0 else (0.0, gamma)

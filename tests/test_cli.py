@@ -5,6 +5,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 import time
 import warnings
 
@@ -450,6 +451,30 @@ class TestFlags:
             assert refused.startswith("entdist: error: unrecognized arguments: "), err
             refused_flags = [a for a in argv if a.startswith("--") and a not in _READS[argv[0]]]
             assert refused_flags and all(flag in refused for flag in refused_flags), err
+
+
+class TestHelp:
+    """argparse formats help strings only when asked, so a help string it
+    cannot format would go unnoticed until a user asks for it."""
+
+    def test_top_level_help_exits_0_and_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        out, err = capsys.readouterr()
+        assert exit_info.value.code == EXIT_OK, err
+        assert "{" + ",".join(cli._COMMAND_FLAGS) + "}" in out
+
+    @pytest.mark.parametrize("command", list(cli._COMMAND_FLAGS))
+    def test_subcommand_help_exits_0_and_lists_exactly_its_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        out, err = capsys.readouterr()
+        assert exit_info.value.code == EXIT_OK, err
+        # One line per option in the options section, each starting with two
+        # spaces and the option (``-h, --help`` for argparse's own).
+        listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", out, re.MULTILINE)
+        assert len(listed) == len(set(listed))
+        assert set(listed) == {*cli._COMMAND_FLAGS[command], "--out", "--csv", "--help"}
 
 
 class TestBasisUse:

@@ -37,6 +37,7 @@ from oracles import (
     closed_form_ppt_clip,
     conjugated_basis,
     haar_random_unitary,
+    list_memory_consensus,
     max_ent_state,
     partial_transpose,
     permute_factors,
@@ -459,6 +460,112 @@ class TestAnderson:
         result = solve_primal_ppt(weyl_basis(3), SKEWED_SPEC, n)
         assert result.converged
         assert result.iterations == SUBSET_ITERATIONS[n]
+
+
+def _bits(result) -> tuple:
+    """Every field of a solve result, as bits: floats by repr, arrays by bytes."""
+    scalars = tuple(
+        repr(getattr(result, name))
+        for name in (
+            "primal_value",
+            "rounded_value",
+            "primal_residual",
+            "cone_residual",
+            "iterations",
+            "converged",
+            "trace",
+        )
+    )
+    return scalars, tuple(np.ascontiguousarray(op).tobytes() for op in result.operators)
+
+
+class _Scripted(_Coordinates):
+    """A loop whose residuals are given in advance: the k-th step writes
+    g = g_k and f(s) = s + g_k, so the differences Δg are the script's and
+    the Anderson step alone decides the states the loop steps to, which
+    ``visited`` records."""
+
+    weight = 1.0
+    penalty = 1.0
+    root = 1.0
+
+    def __init__(self, script):
+        self.script = iter(script)
+        self.state = np.zeros((4, 1))
+        self.image_shape = (2, 4, 1)
+        self.visited = []
+
+    def start(self) -> np.ndarray:
+        return np.ones(1)
+
+    def step(self, out: np.ndarray) -> None:
+        self.visited.append(self.state.tobytes())
+        g, f = out
+        g[...] = next(self.script)
+        np.add(self.state, g, out=f)
+
+    def objective(self, stack: np.ndarray) -> float:
+        return float(stack.sum())
+
+    def residuals(self, stack: np.ndarray) -> tuple[float, float]:
+        return 1.0, 0.0
+
+    def affine(self, stack: np.ndarray) -> np.ndarray:
+        return stack
+
+    psd_clip = ppt_clip = affine
+
+    def operators(self, stack: np.ndarray) -> tuple[np.ndarray, ...]:
+        return (stack,)
+
+
+class TestAndersonMemory:
+    """The two slot flags of ``_consensus`` against the list memory of
+    ``oracles.list_memory_consensus``: the same steps, bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_complete_solves(self, d, seed):
+        if seed is None:
+            spec = ResourceSpectrum.uniform(d)
+        else:
+            spec = random_spectrum(d, np.random.default_rng(seed))
+        flags = _consensus(_Sectors(spec), DEFAULT_ACCURACY, DEFAULT_MAX_ITERS)
+        listed = list_memory_consensus(_Sectors(spec), DEFAULT_ACCURACY, DEFAULT_MAX_ITERS)
+        assert flags.converged
+        assert _bits(flags) == _bits(listed)
+
+    @pytest.mark.parametrize(
+        "d, n, spec",
+        [(2, 3, BELL_SPEC), (3, 5, ResourceSpectrum.uniform(3))],
+        ids=["d2-n3", "d3-n5"],
+    )
+    def test_subsets(self, d, n, spec):
+        ens = build_ensemble(weyl_basis(d), spec, n)
+        flags = _consensus(operators_of(ens), DEFAULT_ACCURACY, 200)
+        listed = list_memory_consensus(operators_of(ens), DEFAULT_ACCURACY, 200)
+        assert _bits(flags) == _bits(listed)
+
+    def test_the_newest_difference_forgotten(self):
+        """g_4 = g_3, so the fourth step's difference is zero and the memory
+        forgets it while it holds the older one: the memory's later slot is
+        then the older, and the fifth difference must go to the slot just
+        forgotten, not over the older one. The fifth step extrapolates, so
+        a wrong slot shows in the states."""
+        rng = np.random.default_rng(7)
+        script = []
+        for k in range(12):
+            v = rng.normal(size=(4, 1))
+            script.append(v / np.linalg.norm(v) * 0.5**k)
+        script[3] = script[2].copy()
+        flags, listed = _Scripted(script), _Scripted(script)
+        _consensus(flags, 1e-12, len(script))
+        list_memory_consensus(listed, 1e-12, len(script))
+        assert flags.visited == listed.visited
+        # The state after the fifth step is not its plain step s + g_5.
+        fifth = np.frombuffer(flags.visited[4]).reshape(4, 1)
+        sixth = np.frombuffer(flags.visited[5]).reshape(4, 1)
+        assert not np.array_equal(sixth, fifth + script[4])
 
 
 def _symmetric_stack(d: int, rng: np.random.Generator) -> np.ndarray:
