@@ -107,7 +107,7 @@ coordinates of one program computes the same ρ. The drive cost/(3ρ) then
 keeps its strength against the penalty as d grows; ADMM's rate depends on
 that ratio (Boyd et al. 2011, §3.4.1). With ρ fixed at 0.5 the complete
 solves of the uniform spectrum and two random ones took up to 2,600
-iterations at d = 16; now they take 75–225 up to d = 16.
+iterations at d = 16; now they take 50–225 up to d = 16.
 
 The loop is a fixed-point iteration s → f(s) on the state s = (z, duals),
 and each iteration extrapolates by a type-II Anderson step of memory 2
@@ -127,24 +127,61 @@ newest difference went to: a difference at rounding level is forgotten,
 a new one goes to the slot that does not hold the later of the held
 differences (the newest, or the older when the newest was forgotten),
 and the 1 × 1 or 2 × 2 fit is solved inline on the Gram matrix's floats.
+
 The stop test reads f(s): the primal residual, the cone violation and the
-spread of the three blocks about z, all in the full-space norm, the
-objective change over the stall window and, for a complete program, the
-ADMM dual residual √3·‖z' − z‖/ρ. Near the optimum a complete program can
-drift with its objective rising by less than the accuracy per window, and
-the dual residual holds it until the drift ends (d = 12, random spectrum
-of seed 0: 825 iterations, where the other tests alone stop at 750, 4.9e-5
-below the optimum). On a subset the dual residual falls slowly after the
+spread of the three blocks about z, all in the full-space norm, and then,
+for a complete program, a certified bracket [lower, upper] on its optimum
+(``bracket``) and, for a subset, the objective change over the stall
+window. Every check reports the ADMM dual residual √3·‖z' − z‖/ρ, but no
+stop test waits on it. The bracket holds a feasible point of each program:
+
+- Upper: the consensus multipliers give a dual point (O'Donoghue, Chu,
+  Parikh and Boyd, JOTA 169, 2016). y_i = ρ·(proj_i(z − u_i) − (z − u_i))
+  lies in the dual cone of block i by construction, and at a fixed point
+  C_k + y₂,k + y₃,k is one operator M for every k. Take M₀ = I ⊗ μ₀, the
+  twirl average of C + y₂ + y₃ (on the sectors μ₀ = (X-part + (d² − 1)
+  Y-part)/d²), and shift it by εI with ε = max(0, λ_max(C_X + y₃,X − μ₀),
+  λ_max(y₃,Y − μ₀)), as Jansson, Chaykin and Keil (SIAM J. Numer. Anal. 46,
+  2007) size a shift by eigenvalue bounds: then M₀ + εI − C_k − y₃,k is
+  PSD and y₃,k is the partial transpose of a PSD operator, so
+  Tr(M₀ + εI) = d²·Tr μ₀ + d⁴ε bounds the optimum from above.
+- Lower: the PSD clip v of z, shifted by δ(I, I) until its partial
+  transpose is PSD, mixed to v/c + (I − S/c)/d² with S = Σ_k v_k and
+  c = max(λ_max S, λ_max S^Γ): every term is PSD and PPT and the terms
+  sum to I, so its objective bounds the optimum from below. The point is
+  the affine projection of v/c.
+
+Each eigenvalue the bracket reads moves by a margin for eigensolver
+rounding, ``_MARGIN`` times its operators' scale, so a bracket from dense
+eigensolvers and one from the sectors agree far inside 1e-10. On the
+sectors it is two products around one eigh of the four d × d blocks of
+z − u₂ and z and one eigvalsh of three (``_bracket_products``), about
+40 µs at d = 2, 3, a few iterations' worth.
+
+A complete program stops once its residuals pass and upper − lower ≤
+accuracy. The bracket is computed only at checks whose residuals pass,
+and at the last iterate, so a capped solve reports one too. At d = 12 and
+the random spectrum of seed 0 the residuals pass at iteration 750 with
+the value 4.9e-5 below the optimum, the gap reads 0.56, and it holds the
+solve to 825. At d ≤ 3 most solves stop at iteration 50, where the stall
+window held them to 75: it compares the objective with its value 25
+iterations earlier, then still 2e-3 to 5e-3 off. The first check reads
+no residuals unless it is the last or a trace row is due: a subset's
+stall window is not full there, and no complete program's residuals have
+passed there at the default accuracy (d = 2…16 at the uniform and random
+spectra; at accuracy 1e-2 one of nine small solves would stop there). A
+subset keeps the stall window. Its dual residual falls slowly after the
 value has settled (d = 3, N = 5: 1.9e-3 at 125 iterations, with the value
-1.5e-5 from where it ends at 9,550), so there it is reported but not
-waited on.
+1.5e-5 from where it ends at 9,550), so a gap there would wait as long
+until the penalty adapts (ROADMAP item 4), and N < d² operators have no
+twirl average.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from numbers import Integral, Real
 
 import numpy as np
@@ -201,11 +238,15 @@ _FLOOR = 1e-26
 
 _CHECK_EVERY = 25
 _TRACE_EVERY = 100
-# The stop test reads the objective change since the previous check. On a
-# complete program the dual residual catches the slow drift a longer window
-# used to wait out; on a subset the primal and consensus residuals bind
-# later than either window.
+# A subset's stop test reads the objective change since the previous check;
+# its primal and consensus residuals bind later than a longer window would.
+# A complete program stops on the certified gap instead.
 _STALL_WINDOW = 25
+# The bracket's margin for eigensolver rounding (``_Coordinates.bracket``):
+# each extreme eigenvalue it reads moves outward by _MARGIN times the scale
+# of its operators, 1 for the clipped measurement and its sum (about I) and
+# 1/d² for the dual's, whose cost is τ/d².
+_MARGIN = 1e-12
 
 # Arrays of 16 d⁴ bytes the complete solve holds: the dense pair (X, Y) it
 # returns is one, and its O(d²) sector arrays shrink against it as d grows;
@@ -251,6 +292,8 @@ class SDPResult:
     cone_residual: float
     iterations: int
     converged: bool
+    lower_bound: float | None
+    upper_bound: float | None
     trace: tuple[dict, ...]
 
 
@@ -264,9 +307,13 @@ class _Coordinates:
     norm is the Frobenius norm on the full space.
     ``to_blocks`` maps the stack onto matrices that are all PSD exactly
     when every partial transpose is, and ``from_blocks`` maps them back.
-    ``operators`` gives the matrices a result returns. ``dual_stop`` says
-    whether the stop test reads the dual residual (``_consensus``), and
-    ``penalty`` is the ADMM penalty ρ of the module docstring.
+    ``operators`` gives the matrices a result returns. ``gap_stop`` says
+    whether the program is complete, so that the stop test reads the
+    certified gap of ``bracket`` (``_consensus``), and ``penalty`` is the
+    ADMM penalty ρ of the module docstring. ``bracket`` reads the
+    ``average`` of a stack, every operator replaced by their mean (the
+    twirl average of a complete program), and its ``trace``, the sum of
+    the operators' traces on the full space.
 
     The loop iterates the state s = (z, three duals) held in ``state``,
     each stack times √metric (``root``), so that ``weight`` times its plain
@@ -275,7 +322,7 @@ class _Coordinates:
     """
 
     metric = 1.0
-    dual_stop = True
+    gap_stop = True
 
     @cached_property
     def root(self) -> np.ndarray:
@@ -314,12 +361,12 @@ class _Coordinates:
     def objective(self, stack: np.ndarray) -> float:
         return float(np.einsum("kij,kji->", self.cost, stack).real)
 
+    def min_eigenvalue(self, stack: np.ndarray) -> float:
+        return float(np.linalg.eigvalsh(stack).min())
+
     def cone_min(self, stack: np.ndarray) -> float:
         """The smallest eigenvalue of any iterated matrix or partial transpose."""
-        return min(
-            float(np.linalg.eigvalsh(stack).min()),
-            float(np.linalg.eigvalsh(self.to_blocks(stack)).min()),
-        )
+        return min(self.min_eigenvalue(stack), self.min_eigenvalue(self.to_blocks(stack)))
 
     def residuals(self, stack: np.ndarray) -> tuple[float, float]:
         primal = self.weight * float(np.linalg.norm(self.deviation(stack)))
@@ -327,6 +374,25 @@ class _Coordinates:
 
     def operators(self, stack: np.ndarray) -> tuple[np.ndarray, ...]:
         return tuple(stack)
+
+    def bracket(self, f: np.ndarray) -> tuple[float, float]:
+        """Certified bounds [lower, upper] on the optimum of a complete program,
+        read from a state f = (z, u₁, u₂, u₃) as the loop holds it, each
+        stack times √metric (module docstring)."""
+        z, _, u2, u3 = f / self.root
+        n = self.n
+        psd_in, ppt_in = z - u2, z - u3
+        y2 = self.penalty * (self.psd_clip(psd_in) - psd_in)
+        y3 = self.penalty * (self.ppt_clip(ppt_in) - ppt_in)
+        mean = self.average(self.cost + y2 + y3)
+        shift = max(0.0, -self.min_eigenvalue(mean - self.cost - y3)) + _MARGIN / n
+        # Tr(M₀ + εI), M₀ the mean operator, on the space of dimension n².
+        upper = self.trace(mean) / n + n * n * shift
+        clipped = self.psd_clip(z)
+        clipped += (max(0.0, -self.cone_min(clipped)) + _MARGIN) * n * self.start()
+        # c = max(λ_max S, λ_max S^Γ) for S = n times the mean operator.
+        scale = -n * self.cone_min(-self.average(clipped)) + _MARGIN
+        return self.objective(self.affine(clipped / scale)), upper
 
 
 class _Operators(_Coordinates):
@@ -340,10 +406,16 @@ class _Operators(_Coordinates):
         # Each operator acts on A1⊗A2⊗B1⊗B2, of dimension d⁴.
         self.d = math.isqrt(math.isqrt(cost.shape[1]))
         # A complete basis: d² states.
-        self.dual_stop = self.n == self.d**2
+        self.gap_stop = self.n == self.d**2
 
     def deviation(self, stack: np.ndarray) -> np.ndarray:
         return stack.sum(axis=0) - np.eye(stack.shape[1])
+
+    def average(self, stack: np.ndarray) -> np.ndarray:
+        return np.repeat(stack.mean(axis=0, keepdims=True), len(stack), axis=0)
+
+    def trace(self, stack: np.ndarray) -> float:
+        return float(np.trace(stack, axis1=1, axis2=2).sum().real)
 
     def step(self, out: np.ndarray) -> None:
         # The metric is 1, so the state needs no weighting.
@@ -468,6 +540,50 @@ def _laid_out(coefficients: np.ndarray, layout: tuple[np.ndarray, np.ndarray]) -
     out = coefficients.take(index)
     out *= factor
     return out
+
+
+@lru_cache
+def _bracket_products(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two products of ``_Sectors.bracket``, 12 × 16 and 13 × 14.
+
+    The first maps the weighted state (z, u₁, u₂, u₃) to the Q rows, then
+    the P rows, of u₂ − z and of z, unweighted, and to the PPT eigenvalues
+    of u₃ − z; the clips at 0 make them y₂/ρ, the clip v of z and the PPT
+    eigenvalues of y₃/ρ. The second reads those 12 rows and C/ρ (X_P and
+    X_Q) and writes the Q rows, then the P rows, of (C_X + y₃,X − μ₀)/ρ,
+    (y₃,Y − μ₀)/ρ and S/d² = (v_X + (d² − 1) v_Y)/d², the rows P ± Q of
+    S/d², the PPT eigenvalues of v and the P row of μ₀/ρ, μ₀ the twirl
+    average of C + y₂ + y₃.
+    """
+    n = d * d
+    signs = np.array(_SIGNS)
+    to_ppt = np.kron(np.array([[1.0, d - 1.0], [-1.0, d + 1.0]]) / d, signs)
+    from_ppt = np.kron(np.array([[d + 1.0, 1.0 - d], [1.0, 1.0]]) / 4, signs)
+    # Rows X_P, X_Q, Y_P, Y_Q of z, u₂ and u₃, unweighted.
+    r = math.sqrt(n - 1.0)
+    z, u2, u3 = np.zeros((3, 4, 16))
+    for rows, j in ((z, 0), (u2, 8), (u3, 12)):
+        rows[:, j : j + 4] = np.diag([1.0, 1.0, 1.0 / r, 1.0 / r])
+    psd = u2 - z
+    first = np.vstack([psd[[1, 3]], z[[1, 3]], psd[[0, 2]], z[[0, 2]], to_ppt @ (u3 - z)])
+
+    pick = np.eye(14)
+    # Rows X_P, X_Q, Y_P, Y_Q of y₂/ρ, v and C/ρ.
+    y2, v = pick[[4, 0, 5, 1]], pick[[6, 2, 7, 3]]
+    cost = np.zeros((4, 14))
+    cost[:2] = pick[12:14]
+    y3 = from_ppt @ pick[8:12]
+    dual = cost + y2 + y3
+    mean = (dual[:2] + (n - 1) * dual[2:]) / n
+    gap = cost + y3 - np.vstack([mean, mean])
+    total = (v[:2] + (n - 1) * v[2:]) / n
+    second = np.vstack([
+        gap[1], gap[3], total[1], gap[0], gap[2], total[0],
+        total[0] + total[1], total[0] - total[1], to_ppt @ v, mean[0],
+    ])
+    # Every solve at this d shares them.
+    first.flags.writeable = second.flags.writeable = False
+    return first, second
 
 
 class _Sectors(_Coordinates):
@@ -631,6 +747,51 @@ class _Sectors(_Coordinates):
         primal = self.weight * math.sqrt(float(deviation.dot(deviation)))
         return primal, min(0.0, self.cone_min(stack))
 
+    def bracket(self, f: np.ndarray) -> tuple[float, float]:
+        """``_Coordinates.bracket`` in two products around one eigh and one
+        eigvalsh of d × d blocks (``_bracket_products``).
+
+        y₂ = ρ·clip(u₂ − z) and y₃ = ρ·clip₃(u₃ − z), with clip₃ the PPT
+        clip, are the positive parts of the PSD and PPT inputs' negatives;
+        the rows hold y₂/ρ, the PPT eigenvalues of y₃/ρ and C/ρ, so the
+        dual's rows come out divided by ρ. λ_max of a pair (X, Y) is that of
+        its blocks and of its P off the diagonal; the twirl average and the
+        sum of the measurement have X = Y, and λ_max of the partial
+        transpose of X = Y = S is that of P ± Q. The objective of the
+        feasible point is read from ⟨τ, X⟩ and ⟨τ, Y⟩ of the clip of z.
+        """
+        d, n, rho = self.d, self.n, self.penalty
+        first, second = _bracket_products(d)
+        work = np.empty((27, n))
+        np.dot(first, f.reshape(16, n), out=work[:12])
+        np.divide(self.cost[0].reshape(2, n), rho, out=work[12:14])
+        # The Q rows 0-3 and P rows 4-7 of the inputs: trading their
+        # diagonals puts the four blocks in the Q rows, as in ``step``.
+        diagonals = work[:8].reshape(2, 4, n)[:, :, :: d + 1]
+        diagonals[...] = diagonals[::-1]
+        blocks = work[:4].reshape(4, d, d)
+        w, v = _EIGH(blocks, signature="d->dd")
+        np.maximum(w, 0.0, out=w)
+        np.maximum(work[4:12], 0.0, out=work[4:12])
+        np.matmul(v * w[:, None, :], v.swapaxes(1, 2), out=blocks)
+        tx, ty = (blocks[2:] @ self.a @ self.a).tolist()
+        diagonals[...] = diagonals[::-1]
+        out = work[14:]
+        np.dot(second, work[:14], out=out)
+        # δ(I, I) makes the clip of z PPT; S/d² and its partial transpose
+        # gain δ on every P and every eigenvalue.
+        delta = max(0.0, -float(out[8:12].min())) + _MARGIN
+        out[5:8] += delta
+        diagonals = out[:6].reshape(2, 3, n)[:, :, :: d + 1]
+        diagonals[...] = diagonals[::-1]
+        w = _EIGVALSH(out[:3].reshape(3, d, d), signature="d->d")
+        shift = rho * float(max(0.0, w[:2].max(), out[3:5].max())) + _MARGIN / n
+        scale = n * float(max(w[2].max(), out[5:8].max())) + _MARGIN
+        norm = float(self.a @ self.a)
+        total = tx + (n - 1) * ty + n * delta * norm
+        lower = (tx + delta * norm) / scale + (norm - total / scale) / n
+        return lower, n * rho * float(out[12].sum()) + n * n * shift
+
     def operators(self, stack: np.ndarray) -> tuple[np.ndarray, ...]:
         """The dense pair (X, Y) on A2B2, with |ij⟩ at index i·d + j."""
         d, n = self.d, self.n
@@ -653,12 +814,15 @@ def solve_primal_ppt(
 
     Φ_k is the k-th of the first n_states basis states (all d² by default)
     paired with the resource. Runs the Anderson-accelerated consensus
-    splitting until max(primal residual, cone violation, consensus residual,
-    relative objective change over the stall window and, for a complete
-    program, the ADMM dual residual) drops below the target accuracy,
-    checking every few iterations; hitting the iteration cap returns the
-    last iterate with converged=False rather than raising. A complete
-    program runs the same iterations on the (P, Q) arrays of X and Y.
+    splitting until the primal residual, the cone violation and the
+    consensus residual drop below the target accuracy and, for a complete
+    program, its certified bracket [lower_bound, upper_bound] on the
+    optimum is at most the accuracy wide, or, for a subset, the relative
+    objective change over the stall window is below it, checking every few
+    iterations; hitting the iteration cap returns the last iterate with
+    converged=False rather than raising, a complete program's with its
+    bracket. A complete program runs the same iterations on the (P, Q)
+    arrays of X and Y.
     """
     if not (isinstance(accuracy, Real) and math.isfinite(accuracy) and accuracy > 0):
         raise ValueError(f"accuracy must be finite and positive, got {accuracy!r}")
@@ -703,7 +867,8 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
     differences Δg_j in the full-space Frobenius norm, which on the weighted
     state is ``weight`` times the plain one, so every set of coordinates of
     one program takes the same steps. Every check unweights z of f(s), the
-    operators the solve returns.
+    operators the solve returns; a complete program's checks read the
+    bracket from f(s) (module docstring).
     """
     # z starts at start() and the duals at zero.
     s = coords.state
@@ -732,6 +897,8 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
     history: list[float] = []
     lag = _STALL_WINDOW // _CHECK_EVERY
     trace: list[dict] = []
+    gap_stop = coords.gap_stop
+    lower = upper = None
     # The memory: whether slot 0 and slot 1 hold a difference the fit
     # reads, and the slot the newest difference went to. Of two held slots
     # the newest is the later; a slot held alone is the later all the same.
@@ -777,11 +944,12 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
                 floor = _FLOOR * max(scale * gram[5][5], 1.0)
                 history.append(obj)
                 full = len(history) > lag
-                # Until the stall window is full the objective change reads
-                # inf and the stop test cannot pass: unless a trace row is due
-                # or the loop ends there, nothing reads the residuals.
-                if full or it % _TRACE_EVERY == 0 or it == max_iters:
-                    change = abs(obj - history[-1 - lag]) / max(1.0, abs(obj)) if full else np.inf
+                last = it == max_iters
+                # The first check reads no residuals unless a trace row is due
+                # or the loop ends there: a subset's stall window reads inf
+                # until it is full, and no complete program's residuals have
+                # passed there at the default accuracy (module docstring).
+                if full or it % _TRACE_EVERY == 0 or last:
                     primal_res, cone_res = coords.residuals(z)
                     # The ADMM dual residual and the spread of the blocks about z.
                     dual_res = (
@@ -789,11 +957,18 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
                     )
                     consensus_res = math.sqrt(scale * float(g[quarter:] @ g[quarter:]))
                     _require_finite(primal_res, cone_res, dual_res, consensus_res)
-                    stop = [primal_res, -cone_res, change, consensus_res]
-                    if coords.dual_stop:
-                        stop.append(dual_res)
-                    converged = max(stop) < accuracy
-                    if it % _TRACE_EVERY == 0 or converged or it == max_iters:
+                    if gap_stop:
+                        converged = max(primal_res, -cone_res, consensus_res) < accuracy
+                        # The bracket is read only where the residuals pass,
+                        # and at the last iterate.
+                        if converged or last:
+                            lower, upper = coords.bracket(f)
+                            _require_finite(lower, upper)
+                            converged = converged and upper - lower <= accuracy
+                    else:
+                        change = abs(obj - history[-1 - lag]) / max(1.0, abs(obj)) if full else np.inf
+                        converged = max(primal_res, -cone_res, change, consensus_res) < accuracy
+                    if it % _TRACE_EVERY == 0 or converged or last:
                         row = {
                             "iteration": it,
                             "objective": obj,
@@ -803,7 +978,7 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
                             "consensus_residual": consensus_res,
                         }
                         trace.append(row)
-                    if converged or it == max_iters:
+                    if converged or last:
                         break
 
             if gg > _GROWTH * gg_prev:
@@ -857,6 +1032,8 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
         cone_residual=cone_res,
         iterations=it,
         converged=converged,
+        lower_bound=lower,
+        upper_bound=upper,
         trace=tuple(trace),
     )
 

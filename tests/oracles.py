@@ -302,8 +302,10 @@ def closed_form_ppt_clip(stack: np.ndarray) -> np.ndarray:
 def plain_consensus(coords, accuracy: float, max_iters: int):
     """The consensus splitting of ``entdist.sdp`` without its Anderson step.
 
-    The same projections, stop test and trace rows as ``sdp._consensus``;
-    each iteration takes the plain map z, duals → z', duals'.
+    The same projections, stop test (the certified gap of
+    ``coords.bracket`` for a complete program) and trace rows as
+    ``sdp._consensus``; each iteration takes the plain map z, duals → z',
+    duals'.
     """
     z = coords.start()
     duals = np.zeros((3, *z.shape), dtype=z.dtype)
@@ -315,6 +317,7 @@ def plain_consensus(coords, accuracy: float, max_iters: int):
 
     history, trace = [], []
     converged = False
+    lower = upper = None
     for it in range(1, max_iters + 1):
         v = z - duals
         x = np.stack([coords.affine(v[0]), coords.psd_clip(v[1]), coords.ppt_clip(v[2])])
@@ -337,8 +340,16 @@ def plain_consensus(coords, accuracy: float, max_iters: int):
             "dual_residual": dual,
             "consensus_residual": consensus,
         }
-        stop = [primal, -cone, change, consensus] + ([dual] if coords.dual_stop else [])
-        converged = max(stop) < accuracy
+        if coords.gap_stop:
+            # As in ``sdp._consensus``, the first check stops nothing unless
+            # it is the last.
+            read = len(history) > lag or it == max_iters
+            converged = read and max(primal, -cone, consensus) < accuracy
+            if converged or it == max_iters:
+                lower, upper = coords.bracket(np.concatenate([z[None], duals]) * coords.root)
+                converged = converged and upper - lower <= accuracy
+        else:
+            converged = max(primal, -cone, change, consensus) < accuracy
         if it % _TRACE_EVERY == 0 or it == max_iters or converged:
             trace.append(row)
         if converged:
@@ -351,6 +362,8 @@ def plain_consensus(coords, accuracy: float, max_iters: int):
         cone_residual=cone,
         iterations=it,
         converged=converged,
+        lower_bound=lower,
+        upper_bound=upper,
         trace=tuple(trace),
     )
 
@@ -361,8 +374,10 @@ def list_memory_consensus(coords, accuracy: float, max_iters: int) -> SDPResult:
     The body is the loop before its memory became two slot flags and the
     newest slot's index: ``memory`` lists the held slots oldest first, a
     list comprehension forgets the slots whose difference is at rounding
-    level, and ``_anderson_weights`` solves the fit. The loop must take the
-    same steps bit for bit.
+    level, and ``_anderson_weights`` solves the fit. Its stop test is the
+    package's: a complete program stops on the certified gap of
+    ``coords.bracket``, and a subset on the stall window as that loop did.
+    The loop must take the same steps bit for bit.
     """
     # z starts at start() and the duals at zero.
     s = coords.state
@@ -391,6 +406,7 @@ def list_memory_consensus(coords, accuracy: float, max_iters: int) -> SDPResult:
     history: list[float] = []
     lag = _STALL_WINDOW // _CHECK_EVERY
     trace: list[dict] = []
+    lower = upper = None
     memory: list[int] = []
     gg_prev = np.inf
     # The step extrapolates while scale·|g|² > _FLOOR max(|s|², 1).
@@ -426,8 +442,8 @@ def list_memory_consensus(coords, accuracy: float, max_iters: int) -> SDPResult:
                 history.append(obj)
                 full = len(history) > lag
                 # Until the stall window is full the objective change reads
-                # inf and the stop test cannot pass: unless a trace row is due
-                # or the loop ends there, nothing reads the residuals.
+                # inf and a subset's stop test cannot pass: unless a trace row
+                # is due or the loop ends there, nothing reads its residuals.
                 if full or it % _TRACE_EVERY == 0 or it == max_iters:
                     change = abs(obj - history[-1 - lag]) / max(1.0, abs(obj)) if full else np.inf
                     primal_res, cone_res = coords.residuals(z)
@@ -437,10 +453,15 @@ def list_memory_consensus(coords, accuracy: float, max_iters: int) -> SDPResult:
                     )
                     consensus_res = math.sqrt(scale * float(g[quarter:] @ g[quarter:]))
                     _require_finite(primal_res, cone_res, dual_res, consensus_res)
-                    stop = [primal_res, -cone_res, change, consensus_res]
-                    if coords.dual_stop:
-                        stop.append(dual_res)
-                    converged = max(stop) < accuracy
+                    if coords.gap_stop:
+                        converged = max(primal_res, -cone_res, consensus_res) < accuracy
+                        if converged or it == max_iters:
+                            lower, upper = coords.bracket(f)
+                            _require_finite(lower, upper)
+                            converged = converged and upper - lower <= accuracy
+                    else:
+                        stop = [primal_res, -cone_res, change, consensus_res]
+                        converged = max(stop) < accuracy
                     if it % _TRACE_EVERY == 0 or converged or it == max_iters:
                         row = {
                             "iteration": it,
@@ -487,6 +508,8 @@ def list_memory_consensus(coords, accuracy: float, max_iters: int) -> SDPResult:
         cone_residual=cone_res,
         iterations=it,
         converged=converged,
+        lower_bound=lower,
+        upper_bound=upper,
         trace=tuple(trace),
     )
 

@@ -58,6 +58,14 @@ def sdp_value(basis, spec, n_states) -> float:
     return result.primal_value
 
 
+def certified(result, target) -> bool:
+    """The solve's bracket holds F and is at most the accuracy wide."""
+    return (
+        result.lower_bound <= target <= result.upper_bound
+        and result.upper_bound - result.lower_bound <= DEFAULT_ACCURACY
+    )
+
+
 def test_criterion_1_bell_sandwich(acceptance_log):
     """d=2, squared weights (0.8, 0.2): all three routes give 0.9."""
     start = time.perf_counter()
@@ -293,7 +301,8 @@ def test_criterion_9_gram_cross_check(acceptance_log):
 
 def test_criterion_10_d4_sandwich(acceptance_log):
     """d=4 complete Weyl basis, seeded random spectrum: protocol, solver and
-    certificate all agree with F within the solver accuracy plus 1e-6."""
+    certificate all agree with F within the solver accuracy plus 1e-6, and
+    the solve's certified bracket holds F."""
     start = time.perf_counter()
     spec = random_spectrum(4, np.random.default_rng(SPECTRUM_SEED))
     target = fef(spec)
@@ -308,7 +317,8 @@ def test_criterion_10_d4_sandwich(acceptance_log):
     ok = (
         sandwich.agreement
         and sandwich.sdp.converged
-        and sandwich.sdp.iterations == 100
+        and sandwich.sdp.iterations == 75
+        and certified(sandwich.sdp, target)
         and worst <= slack
     )
     line = report(
@@ -323,7 +333,8 @@ def test_criterion_10_d4_sandwich(acceptance_log):
 
 def test_criterion_11_d8_solver(acceptance_log):
     """d=8 complete Weyl basis, seeded random spectrum: the solver converges
-    on the commutant pair to within the solver accuracy plus 1e-6 of F."""
+    on the commutant pair to within the solver accuracy plus 1e-6 of F, with
+    a certified bracket that holds F."""
     start = time.perf_counter()
     spec = random_spectrum(8, np.random.default_rng(SPECTRUM_SEED))
     target = fef(spec)
@@ -331,7 +342,12 @@ def test_criterion_11_d8_solver(acceptance_log):
     elapsed = time.perf_counter() - start
 
     dev = abs(result.primal_value - target)
-    ok = result.converged and dev <= DEFAULT_ACCURACY + 1e-6 and elapsed < 20.0
+    ok = (
+        result.converged
+        and certified(result, target)
+        and dev <= DEFAULT_ACCURACY + 1e-6
+        and elapsed < 20.0
+    )
     line = report(
         acceptance_log,
         11,
@@ -345,8 +361,9 @@ def test_criterion_11_d8_solver(acceptance_log):
 def test_criterion_12_d6_sandwich(acceptance_log):
     """d=6 complete Weyl basis, seeded random spectrum (`sandwich --dim 6
     --spectrum random --seed 4`): protocol, solver and certificate all agree
-    with F within the solver accuracy plus 1e-6. The weights a_i a_j differ
-    from each other, so a certificate that reads a wrong weight fails."""
+    with F within the solver accuracy plus 1e-6, and the solve's certified
+    bracket holds F. The weights a_i a_j differ from each other, so a
+    certificate that reads a wrong weight fails."""
     start = time.perf_counter()
     spec = random_spectrum(6, np.random.default_rng(4))
     target = fef(spec)
@@ -363,6 +380,7 @@ def test_criterion_12_d6_sandwich(acceptance_log):
         and sandwich.agreement
         and sandwich.sdp.converged
         and sandwich.sdp.iterations == 100
+        and certified(sandwich.sdp, target)
         and worst <= slack
     )
     line = report(
@@ -378,7 +396,8 @@ def test_criterion_12_d6_sandwich(acceptance_log):
 def test_criterion_13_d16_solver(acceptance_log):
     """d=16 complete basis, seeded random spectrum (`sdp --dim 16 --spectrum
     random --seed 3`): the solve on the Schmidt sectors of (X, Y) converges
-    in its 150 iterations to within the solver accuracy plus 1e-6 of F."""
+    in its 150 iterations to within the solver accuracy plus 1e-6 of F, with
+    a certified bracket that holds F."""
     start = time.perf_counter()
     spec = random_spectrum(16, np.random.default_rng(3))
     target = fef(spec)
@@ -390,6 +409,7 @@ def test_criterion_13_d16_solver(acceptance_log):
         abs(target - 0.77234073) <= 5e-9
         and result.converged
         and result.iterations == 150
+        and certified(result, target)
         and dev <= DEFAULT_ACCURACY + 1e-6
     )
     line = report(

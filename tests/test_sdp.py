@@ -1,5 +1,7 @@
 """PPT relaxation solver and the three-way sandwich."""
 
+import dataclasses
+import functools
 import json
 import tracemalloc
 
@@ -136,6 +138,13 @@ class _Pair(_Coordinates):
     def deviation(self, stack: np.ndarray) -> np.ndarray:
         return stack[0] + (self.n - 1) * stack[1] - np.eye(self.n)
 
+    def average(self, stack: np.ndarray) -> np.ndarray:
+        mean = (stack[0] + (self.n - 1) * stack[1]) / self.n
+        return np.stack([mean, mean])
+
+    def trace(self, stack: np.ndarray) -> float:
+        return self.n * float((np.trace(stack[0]) + (self.n - 1) * np.trace(stack[1])).real)
+
     def objective(self, stack: np.ndarray) -> float:
         return self.n * super().objective(stack)
 
@@ -236,29 +245,30 @@ class TestSolver:
         ]
 
 
+# Complete bases at d = 2 and 3 with a resource each: the Weyl basis, the
+# Weyl basis conjugated by a Haar-random unitary and a twisted clock basis.
+COVARIANT_CASES = [
+    pytest.param(weyl_basis(2), BELL_SPEC, id="weyl2"),
+    pytest.param(
+        conjugated_basis(weyl_basis(2), haar_random_unitary(2, np.random.default_rng(41))),
+        BELL_SPEC,
+        id="haar-weyl2",
+    ),
+    pytest.param(weyl_basis(3), QUTRIT_SPEC, id="weyl3"),
+    pytest.param(twisted_clock_basis(5), QUTRIT_SPEC, id="twisted3"),
+]
+
+
 class TestCovariantPath:
-    @pytest.mark.parametrize(
-        "basis, spec",
-        [
-            (weyl_basis(2), BELL_SPEC),
-            (
-                conjugated_basis(
-                    weyl_basis(2), haar_random_unitary(2, np.random.default_rng(41))
-                ),
-                BELL_SPEC,
-            ),
-            (weyl_basis(3), QUTRIT_SPEC),
-            (twisted_clock_basis(5), QUTRIT_SPEC),
-        ],
-        ids=["weyl2", "haar-weyl2", "weyl3", "twisted3"],
-    )
+    @pytest.mark.parametrize("basis, spec", COVARIANT_CASES)
     def test_matches_the_full_solver(self, basis, spec):
         d = basis.dim
         a, b = solve_primal_ppt(basis, spec), solve_densely(build_ensemble(basis, spec, d * d))
         assert a.iterations == b.iterations
         assert a.converged and b.converged
         assert abs(a.primal_value - fef(spec)) <= DEFAULT_ACCURACY + 1e-6
-        for name in ("primal_value", "rounded_value", "primal_residual", "cone_residual"):
+        names = ("primal_value", "rounded_value", "primal_residual", "cone_residual")
+        for name in (*names, "lower_bound", "upper_bound"):
             assert abs(getattr(a, name) - getattr(b, name)) <= 1e-10, name
         assert [x.shape for x in a.operators] == [(d * d, d * d)] * 2
         expanded = expand_pair(a.operators, basis)
@@ -284,6 +294,8 @@ class TestCovariantPath:
         assert a.converged and b.converged
         for name in ("primal_value", "rounded_value", "primal_residual", "cone_residual"):
             assert abs(getattr(a, name) - getattr(b, name)) <= 1e-12, name
+        for name in ("lower_bound", "upper_bound"):
+            assert abs(getattr(a, name) - getattr(b, name)) <= 1e-10, name
         assert len(a.trace) == len(b.trace)
         for row_a, row_b in zip(a.trace, b.trace):
             assert row_a["iteration"] == row_b["iteration"]
@@ -355,29 +367,88 @@ class TestPenalty:
         assert abs(coords.penalty - STEP / np.sqrt(n)) <= 1e-15
 
 
+class TestBracket:
+    """The certified bounds [lower, upper] of a complete solve."""
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_holds_the_optimum_along_a_solve(self, d):
+        """F lies in the bracket of the iterate after 25, 50, 75 and 100
+        iterations, for the uniform, product and six random spectra."""
+        specs = [ResourceSpectrum.uniform(d), ResourceSpectrum.product(d)] + [
+            random_spectrum(d, np.random.default_rng(seed)) for seed in range(6)
+        ]
+        for spec in specs:
+            target = fef(spec)
+            for iterations in (25, 50, 75, 100):
+                # An accuracy it cannot reach, so the solve stops at the cap.
+                result = _consensus(_Sectors(spec), 1e-12, iterations)
+                assert result.iterations == iterations
+                assert result.lower_bound <= target <= result.upper_bound
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("max_iters", [10, 25])
+    def test_a_capped_solve_returns_a_valid_bracket(self, d, max_iters):
+        spec = random_spectrum(d, np.random.default_rng(d))
+        result = solve_primal_ppt(weyl_basis(d), spec, max_iters=max_iters)
+        assert not result.converged
+        assert result.iterations == max_iters
+        assert result.lower_bound <= fef(spec) <= result.upper_bound
+
+    @pytest.mark.parametrize("basis, spec", COVARIANT_CASES)
+    def test_matches_the_dense_bracket(self, basis, spec):
+        """The bracket on the sectors equals the one read from the d⁴ × d⁴
+        operators and from the dense pair (X, Y) after 10 iterations, where
+        it is still wide."""
+        d = basis.dim
+        sectors = _consensus(_Sectors(spec), DEFAULT_ACCURACY, 10)
+        dense = solve_densely(build_ensemble(basis, spec, d * d), max_iters=10)
+        pair = _consensus(_Pair(spec), DEFAULT_ACCURACY, 10)
+        assert sectors.upper_bound - sectors.lower_bound > 0.01
+        for other in (dense, pair):
+            assert abs(sectors.lower_bound - other.lower_bound) <= 1e-10
+            assert abs(sectors.upper_bound - other.upper_bound) <= 1e-10
+
+    def test_a_subset_has_none(self):
+        result = solve_primal_ppt(weyl_basis(2), BELL_SPEC, 3)
+        assert result.converged
+        assert result.lower_bound is None and result.upper_bound is None
+
+
 # Iterations of the complete solve at the default accuracy for the uniform
 # spectrum and the random spectra of seeds 1 and 2.
 COMPLETE_ITERATIONS = {
-    2: (75, 75, 75),
-    3: (75, 75, 75),
-    4: (75, 75, 75),
+    2: (50, 50, 50),
+    3: (50, 75, 50),
+    4: (50, 75, 75),
     5: (75, 100, 75),
-    6: (75, 100, 100),
-    7: (75, 100, 100),
-    8: (75, 100, 100),
-    9: (75, 150, 100),
-    10: (100, 175, 100),
+    6: (50, 100, 75),
+    7: (75, 100, 75),
+    8: (75, 100, 75),
+    9: (75, 150, 75),
+    10: (75, 175, 100),
     11: (75, 175, 100),
-    12: (100, 175, 100),
+    12: (75, 175, 100),
     13: (100, 200, 100),
-    14: (75, 200, 125),
-    15: (75, 225, 125),
-    16: (100, 225, 125),
+    14: (75, 200, 100),
+    15: (100, 225, 125),
+    16: (75, 225, 125),
 }
 # Iterations of the d = 3 subsets of the first N Weyl states at the spectrum
 # (0.6, 0.3, 0.1), the default accuracy.
 SUBSET_ITERATIONS = {4: 125, 5: 125, 6: 350, 7: 275, 8: 175}
 SKEWED_SPEC = ResourceSpectrum.from_probabilities([0.6, 0.3, 0.1])
+
+
+# A cap the subsets above stop well inside, so a stop test that never
+# passes fails in seconds, not after the default cap.
+SUBSET_MAX_ITERS = 400
+
+
+@functools.cache
+def skewed_subset(n: int):
+    """The solve of the first n Weyl states at d = 3 and the spectrum
+    (0.6, 0.3, 0.1), shared by the tests that read it."""
+    return solve_primal_ppt(weyl_basis(3), SKEWED_SPEC, n, max_iters=SUBSET_MAX_ITERS)
 
 
 class TestAnderson:
@@ -404,15 +475,21 @@ class TestAnderson:
         assert fast.iterations <= plain.iterations
         assert abs(fast.primal_value - plain.primal_value) <= DEFAULT_ACCURACY + 1e-6
 
-    def test_stops_on_the_dual_residual(self):
+    def test_stops_on_the_certified_gap(self):
         """`sdp --dim 12 --spectrum random --seed 0`: the stall test alone
-        stopped 6.16e-3 below F, with its objective still rising."""
+        stopped 6.16e-3 below F, with its objective still rising. At
+        iteration 750 the residuals pass with the value 4.9e-5 below F, but
+        the certified gap is 0.56; it holds the solve until 825, where F lies
+        in a bracket 5.7e-7 wide."""
         spec = random_spectrum(12, np.random.default_rng(0))
         result = solve_primal_ppt(weyl_basis(12), spec)
         assert result.converged
-        assert abs(result.primal_value - fef(spec)) <= DEFAULT_ACCURACY + 1e-6
-        last = result.trace[-1]
-        assert max(last["dual_residual"], last["consensus_residual"]) < DEFAULT_ACCURACY
+        assert result.iterations == 825
+        target = fef(spec)
+        assert abs(result.primal_value - target) <= DEFAULT_ACCURACY + 1e-6
+        assert result.lower_bound <= target <= result.upper_bound
+        assert result.upper_bound - result.lower_bound <= DEFAULT_ACCURACY
+        assert result.trace[-1]["consensus_residual"] < DEFAULT_ACCURACY
 
     @pytest.mark.parametrize("d", sorted(COMPLETE_ITERATIONS))
     def test_complete_iteration_counts(self, d):
@@ -431,11 +508,10 @@ class TestAnderson:
         0.99999496 it reached under the fixed penalty 0.5 when the dual
         residual also had to fall below the accuracy, after 5,350
         iterations."""
-        spec = ResourceSpectrum.from_probabilities([0.6, 0.3, 0.1])
         complete = operators_of(build_ensemble(weyl_basis(2), BELL_SPEC, 4))
-        assert complete.dual_stop and _Sectors(spec).dual_stop
-        assert not operators_of(build_ensemble(weyl_basis(3), spec, 5)).dual_stop
-        result = solve_primal_ppt(weyl_basis(3), spec, 5, max_iters=400)
+        assert complete.gap_stop and _Sectors(SKEWED_SPEC).gap_stop
+        assert not operators_of(build_ensemble(weyl_basis(3), SKEWED_SPEC, 5)).gap_stop
+        result = skewed_subset(5)
         assert result.converged
         assert result.iterations == SUBSET_ITERATIONS[5]
         assert result.trace[-1]["dual_residual"] > DEFAULT_ACCURACY
@@ -447,8 +523,7 @@ class TestAnderson:
         fixed penalty 0.5). That penalty stopped it 2.7e-4 short after 275
         iterations, with every residual of the stop test below the accuracy;
         the scaled penalty stops it 2.9e-5 short after 350."""
-        spec = ResourceSpectrum.from_probabilities([0.6, 0.3, 0.1])
-        result = solve_primal_ppt(weyl_basis(3), spec, 6)
+        result = skewed_subset(6)
         assert result.converged
         assert result.iterations == SUBSET_ITERATIONS[6]
         assert abs(result.primal_value - 0.98989753) <= DEFAULT_ACCURACY
@@ -457,24 +532,26 @@ class TestAnderson:
     def test_subset_iteration_counts(self, n):
         """The operator-by-operator solve runs the same loop as the complete
         one; N = 5 and 6 are pinned by the two tests above."""
-        result = solve_primal_ppt(weyl_basis(3), SKEWED_SPEC, n)
+        result = skewed_subset(n)
         assert result.converged
         assert result.iterations == SUBSET_ITERATIONS[n]
+
+    @pytest.mark.parametrize("n", sorted(SUBSET_ITERATIONS))
+    def test_a_subset_keeps_the_stall_stop(self, n):
+        """A subset reads no bracket: every field of its solve, bit for bit,
+        is that of the loop in ``oracles.list_memory_consensus``, whose
+        subset path is the loop as it ran before the certified gap."""
+        result = skewed_subset(n)
+        assert result.lower_bound is None and result.upper_bound is None
+        ens = build_ensemble(weyl_basis(3), SKEWED_SPEC, n)
+        listed = list_memory_consensus(operators_of(ens), DEFAULT_ACCURACY, SUBSET_MAX_ITERS)
+        assert _bits(result) == _bits(listed)
 
 
 def _bits(result) -> tuple:
     """Every field of a solve result, as bits: floats by repr, arrays by bytes."""
     scalars = tuple(
-        repr(getattr(result, name))
-        for name in (
-            "primal_value",
-            "rounded_value",
-            "primal_residual",
-            "cone_residual",
-            "iterations",
-            "converged",
-            "trace",
-        )
+        repr(getattr(result, f.name)) for f in dataclasses.fields(result) if f.name != "operators"
     )
     return scalars, tuple(np.ascontiguousarray(op).tobytes() for op in result.operators)
 
@@ -488,6 +565,7 @@ class _Scripted(_Coordinates):
     weight = 1.0
     penalty = 1.0
     root = 1.0
+    gap_stop = False
 
     def __init__(self, script):
         self.script = iter(script)
@@ -691,26 +769,10 @@ class TestPPTClip:
             p = np.diag(op).reshape(d, d)
             assert np.max(np.abs(p - p.T)) <= 1e-15
 
-    @pytest.mark.parametrize(
-        "d, max_iters",
-        [(2, DEFAULT_MAX_ITERS), (3, DEFAULT_MAX_ITERS), (5, DEFAULT_MAX_ITERS), (2, 60), (2, 25)],
-    )
-    def test_eigensolver_calls_of_a_complete_solve(self, d, max_iters, monkeypatch):
-        """One eigh per iteration and one to round; one eigvalsh per check
-        that computes residuals.
-
-        The loop and the rounding call the gufunc bound as ``sdp._EIGH`` and
-        the checks the one bound as ``sdp._EIGVALSH``; each counts together
-        with its ``np.linalg`` wrapper. The first check cannot stop the solve
-        and computes no residuals unless it is the last. The capped runs ask
-        for an accuracy they cannot reach, so they stop at the cap: after 60
-        iterations between two checks, after 25 at the first check, which
-        still reports the residuals of the z it returns.
-        """
-        spec = ResourceSpectrum.uniform(d)
-        capped = max_iters != DEFAULT_MAX_ITERS
-        basis = weyl_basis(d)
-        accuracy = 1e-12 if capped else DEFAULT_ACCURACY
+    @staticmethod
+    def _counted(monkeypatch) -> dict:
+        """Count the calls of the gufuncs bound as ``sdp._EIGH`` and
+        ``sdp._EIGVALSH``, each together with its ``np.linalg`` wrapper."""
         calls = {"eigh": 0, "eigvalsh": 0}
 
         def counted(module, attribute, name):
@@ -726,12 +788,36 @@ class TestPPTClip:
         counted(np.linalg, "eigh", "eigh")
         counted(sdp, "_EIGVALSH", "eigvalsh")
         counted(np.linalg, "eigvalsh", "eigvalsh")
+        return calls
+
+    @pytest.mark.parametrize(
+        "d, max_iters",
+        [(2, DEFAULT_MAX_ITERS), (3, DEFAULT_MAX_ITERS), (5, DEFAULT_MAX_ITERS), (2, 60), (2, 25)],
+    )
+    def test_eigensolver_calls_of_a_complete_solve(self, d, max_iters, monkeypatch):
+        """One eigh per iteration and one to round; one eigvalsh per check
+        that computes residuals; one eigh and one eigvalsh for the bracket.
+
+        The first check cannot stop the solve and computes no residuals
+        unless it is the last. A check computes the bracket when its
+        residuals pass, and the last check always; these solves compute it
+        once. The capped runs ask for an accuracy they cannot reach, so they
+        stop at the cap: after 60 iterations between two checks, after 25 at
+        the first check, which still reports the residuals and the bracket
+        of the z it returns.
+        """
+        spec = ResourceSpectrum.uniform(d)
+        capped = max_iters != DEFAULT_MAX_ITERS
+        basis = weyl_basis(d)
+        accuracy = 1e-12 if capped else DEFAULT_ACCURACY
+        calls = self._counted(monkeypatch)
         result = solve_primal_ppt(basis, spec, max_iters=max_iters, accuracy=accuracy)
         checks = -(-result.iterations // _CHECK_EVERY)
         residual_checks = checks - 1 if checks > 1 else 1
-        assert calls == {"eigh": result.iterations + 1, "eigvalsh": residual_checks}
+        assert calls == {"eigh": result.iterations + 2, "eigvalsh": residual_checks + 1}
         assert result.converged != capped
         assert capped == (result.iterations == max_iters)
+        assert result.lower_bound <= fef(spec) <= result.upper_bound
         # z from the returned pair: P on the diagonal, Q off it on span{|ii⟩}.
         pair = np.array(result.operators)
         z = np.empty((2, 2, d, d))
@@ -739,6 +825,14 @@ class TestPPTClip:
         z[:, 1] = np.where(np.eye(d, dtype=bool), 0.0, pair[:, :: d + 1, :: d + 1])
         residuals = _Sectors(spec).residuals(z)
         assert (result.primal_residual, result.cone_residual) == residuals
+
+    def test_a_bracket_that_does_not_stop_the_solve(self, monkeypatch):
+        """d = 7, uniform: the residuals pass at iteration 50 with the gap
+        1.5e-4, and the solve stops at 75, so it computes two brackets."""
+        calls = self._counted(monkeypatch)
+        result = solve_primal_ppt(weyl_basis(7), ResourceSpectrum.uniform(7))
+        assert result.converged and result.iterations == 75
+        assert calls == {"eigh": 75 + 1 + 2, "eigvalsh": 2 + 2}
 
 
 class TestBoundEigensolver:
