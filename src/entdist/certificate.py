@@ -9,8 +9,10 @@ feasibility of the dual constraint is re-verified numerically for every
 ensemble member rather than trusted. Each member is psi_k (x) tau, held as
 its factors, and every Schmidt sector of the shifted operator is then a
 scaled copy of T_A1(|psi_k><psi_k|), whose spectrum follows from the
-singular values of the d x d matrix psi_k: the check takes one batched SVD
-and forms no d^2 x d^2 or d^4 x d^4 matrix.
+singular values of the d x d matrix psi_k. The margins need only the
+largest, s_1^2, the top eigenvalue of psi_k psi_k^dag: the check takes one
+batched ``eigvalsh`` of d x d matrices and forms no d^2 x d^2 or d^4 x d^4
+matrix.
 
 The structure checks work on d x d arrays. Every operator on the resource
 pair that the decomposition identity involves is diagonal on the Schmidt
@@ -31,6 +33,13 @@ from .tensor import frobenius, require_hermitian
 
 TRACE_MATCH_TOL = 1e-12
 UPSILON_TOL = 1e-10
+
+# (P, Q) coefficients of Gamma, A/2 and T_A1(tau tau^dag) on a_i a_j, for
+# i == j and for i != j (see _decomposition_residuals)
+_ON_DIAGONAL = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])[:, :, None, None]
+_OFF_DIAGONAL = np.array([[0.5, 0.5], [0.5, -0.5], [0.0, 1.0]])[:, :, None, None]
+# keeps the P array of a (P, Q) pair: diag W has Q = 0
+_P_ONLY = np.array([1.0, 0.0])[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -88,7 +97,7 @@ def build_certificate(
     scale = (d * d) / n_states
 
     a = np.asarray(spec.coeffs)
-    weights = np.outer(a, a)
+    weights = a[:, None] * a
     # Tr H adds the d^4 diagonal entries of H, each weight d^2 times.
     trace_value = scale / d * float(weights.sum())
     expected = scale * fef(spec)
@@ -136,19 +145,21 @@ def _feasibility_margins(cert: DualCertificate, ens: Ensemble) -> np.ndarray:
     values of psi_k, Gamma_k has the eigenvalues s_m^2 and +-s_m s_n for
     m < n (Vidal and Werner, PRA 65, 032314, 2002), so the largest, s_1^2,
     is also the largest in magnitude, and both sector minima sit there.
+    s_1^2 is the top eigenvalue of psi_k psi_k^dag, read from one batched
+    ``eigvalsh`` of those d x d matrices.
     """
-    d = cert.dim
     weights = cert.weights
     require_hermitian(weights)
     b = np.asarray(ens.resource.coeffs)
-    top = np.linalg.svd(ens.psi, compute_uv=False)[:, 0] ** 2
-    c = cert.coefficient
-    drive = (np.asarray(ens.priors) * top)[:, None, None] * np.outer(b, b)
-    mean = c * (weights + weights.T) / 2
-    half = c * (weights - weights.T) / 2
-    sector_min = np.where(
-        np.eye(d, dtype=bool), c * weights - drive, mean - np.hypot(half, drive)
-    )
+    psi = ens.psi
+    top = np.linalg.eigvalsh(psi @ psi.conj().swapaxes(1, 2))[:, -1]
+    drive = (np.asarray(ens.priors) * top)[:, None, None] * (b[:, None] * b)
+    # half of c W on the diagonal gives (c W + c W^T)/2 = c W_ii and half
+    # difference 0 there, and hypot(0, drive) = drive, so one expression,
+    # formed in place, holds the minima of both kinds of sector
+    half_c = cert.coefficient / 2
+    sector_min = np.hypot(half_c * (weights - weights.T), drive, out=drive)
+    np.subtract(half_c * (weights + weights.T), sector_min, out=sector_min)
     return sector_min.min(axis=(1, 2))
 
 
@@ -170,25 +181,25 @@ def _decomposition_residuals(cert: DualCertificate, ens: Ensemble) -> list[float
     """
     d = cert.dim
     a = np.asarray(ens.resource.coeffs)
-    outer = np.outer(a, a)
-    eye = np.eye(d, dtype=bool)
-    cross = np.where(eye, 0.0, outer)
-    # (P, Q) stacks; Q is zero on its diagonal, so sums over a stack are
-    # sums over the entries of the operator
-    gamma = np.stack([np.where(eye, outer, outer / 2), cross / 2])
-    antisym = np.stack([cross, -cross])
-    tau_t = np.stack([outer - cross, cross])
-    diag_w = np.stack([cert.weights, np.zeros((d, d))])
-    c = cert.coefficient
-    x = c * (diag_w - gamma - antisym / 2)
-    p = np.asarray(ens.priors)
-    z = c * d * (gamma - antisym / 2) - p[:, None, None, None] * tau_t
-    n = np.sum(np.abs(ens.psi) ** 2, axis=(1, 2))
-    square = (
-        d * d * np.sum(np.abs(x) ** 2)
-        + n**2 * np.sum(np.abs(z) ** 2, axis=(1, 2, 3))
-        + 2 * n * np.einsum("tij,ktij->k", x.conj(), z).real
+    # Gamma, A/2 and T_A1(tau tau^dag) as (P, Q) stacks, each entry a_i a_j
+    # times an exact coefficient (0, +-1/2 or 1); Q is zero on its diagonal,
+    # so sums over a stack are sums over the entries of the operator
+    gamma, half_a, tau_t = (a[:, None] * a) * np.where(
+        np.eye(d, dtype=bool), _ON_DIAGONAL, _OFF_DIAGONAL
     )
+    c = cert.coefficient
+    x = c * (cert.weights * _P_ONLY - gamma - half_a)
+    p = np.asarray(ens.priors)
+    # the (N, 2, d, d) stacks are formed in place; Z_k is real, so its
+    # squared entries are z * z
+    z = p[:, None, None, None] * tau_t
+    np.subtract(c * d * (gamma - half_a), z, out=z)
+    cross = np.einsum("tij,ktij->k", x.conj(), z).real
+    z *= z
+    magnitude = np.abs(ens.psi)
+    magnitude *= magnitude
+    n = magnitude.sum(axis=(1, 2))
+    square = d * d * np.sum(np.abs(x) ** 2) + n**2 * z.sum(axis=(1, 2, 3)) + 2 * n * cross
     return np.sqrt(np.maximum(square, 0.0)).tolist()
 
 
@@ -204,7 +215,7 @@ def verify_dual_feasibility(
     Schmidt diagonal, so for psi_k (x) tau the operator splits into d
     sectors of size d^2 (a2 = b2) and d(d-1)/2 of size 2d^2
     ({a2, b2} = {i, j}), whose spectra follow from the weights, the
-    resource and the singular values of psi_k. Each
+    resource and the largest singular value of psi_k. Each
     ``decomposition_residuals`` entry is the structural residual of
     ``_decomposition_residuals``.
     """
@@ -263,19 +274,24 @@ def upsilon_spectrum_check(basis: MaxEntBasis) -> UpsilonReport:
     """
     d = basis.dim
     n_zero = d * (d + 1) // 2
-    target = np.concatenate([np.zeros(n_zero), 2.0 * np.ones(d * d - n_zero)])
-    target_c = np.concatenate([np.zeros(d * d - n_zero), np.ones(n_zero)])
+    n_two = d * d - n_zero
     g = np.linalg.eigvalsh(basis.validation.products)
     # g_m g_n for m < n, row-major
-    pairs = (g[:, :, None] * g[:, None, :])[:, ~np.tri(d, dtype=bool)]
+    index = np.arange(d)
+    pairs = (g[:, :, None] * g[:, None, :])[:, index[:, None] < index]
     root = np.sqrt(np.maximum(pairs, 0.0))
     # the eigenvalues of d T_A1(Psi_k), row by row
     swap = np.concatenate([g, root, -root], axis=1)
-    w = np.sort(1.0 - swap, axis=1)
-    wc = np.sort((1.0 + swap) / 2, axis=1)
-    spectrum_defect = float(np.max(np.abs(w - target)))
-    complement_defect = float(np.max(np.abs(wc - target_c)))
-    worst_min = float(min(w[:, 0].min(), wc[:, 0].min()))
+    # rows 1 - swap (Y_k) and (1 + swap)/2 (1 - Y_k/2) in one stack, each
+    # row sorted, then their distances to the two-point targets, in place
+    both = np.empty((2, *swap.shape))
+    np.subtract(1.0, swap, out=both[0])
+    np.add(1.0, swap, out=both[1])
+    both[1] /= 2
+    both.sort(axis=2)
+    worst_min = float(both[:, :, 0].min())
+    both -= np.array([[0.0] * n_zero + [2.0] * n_two, [0.0] * n_two + [1.0] * n_zero])[:, None]
+    spectrum_defect, complement_defect = np.abs(both, out=both).max(axis=(1, 2)).tolist()
     passed = (
         spectrum_defect <= UPSILON_TOL
         and complement_defect <= UPSILON_TOL

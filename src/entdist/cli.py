@@ -62,8 +62,9 @@ _SPECTRUM_BYTES = 400
 # Basis-sized arrays (d^2 matrices of d x d, 16 d^4 bytes) that basis, protocol,
 # bounds, certificate and verify hold at their peak. Parsing a basis file's
 # JSON alone costs about 14 of them (tracemalloc peaks at 14.1-14.6 at
-# d = 6-16, against 4.0-7.2 for the built-in basis; certificate peaks at
-# 4.8-7.1 and verify at 8.2-11.8 of them at d = 4-16).
+# d = 6-16, against 4.0-7.2 for the built-in basis). Whole runs after a
+# d = 2 warm-up peak at 5.1-8.0 of them for certificate (the margins'
+# psi_k psi_k^dag stack is one) and at 9.2-14.3 for verify, at d = 4-16.
 _BASIS_ARRAYS = 16
 # Bytes per point of a sweep: its grid entry, its row and the row's text in
 # the report; tracemalloc peaks at 1,650-1,850 of them per point at 50-3,000

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,21 +34,21 @@ class ResourceSpectrum:
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        a = tuple(float(x) for x in self.coeffs)
+        a = tuple(map(float, self.coeffs))
         object.__setattr__(self, "coeffs", a)
         if len(a) < 2:
             raise ValueError("a resource spectrum needs at least two coefficients")
-        if not all(math.isfinite(x) for x in a):
+        if not all(map(math.isfinite, a)):
             raise ValueError(f"Schmidt coefficients must be finite, got {a}")
-        if any(x < 0 for x in a):
+        if min(a) < 0:
             raise ValueError(f"Schmidt coefficients must be nonnegative, got {a}")
-        if any(a[i] < a[i + 1] for i in range(len(a) - 1)):
+        if any(map(operator.lt, a, a[1:])):
             raise ValueError(f"Schmidt coefficients must be sorted descending, got {a}")
         # No coefficient of a unit vector exceeds 1, and a larger one fails the
         # norm check below anyway; refusing it first keeps the squares finite.
         if a[0] > 1.0 + 1e-12:
             raise ValueError(f"Schmidt coefficients must be at most 1, got {a[0]!r}")
-        norm = math.fsum(x * x for x in a)
+        norm = math.fsum(map(operator.mul, a, a))
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(
                 f"squared Schmidt coefficients must sum to 1, got {norm!r} "
@@ -60,26 +61,31 @@ class ResourceSpectrum:
 
     @classmethod
     def from_amplitudes(cls, values, normalize: bool = False) -> "ResourceSpectrum":
-        a = np.asarray(sorted((float(v) for v in values), reverse=True))
+        a = sorted(map(float, values), reverse=True)
         if normalize:
-            n = np.linalg.norm(a)
+            n = float(np.linalg.norm(a))
             if n == 0:
                 raise ValueError("cannot normalize an all-zero spectrum")
-            a = a / n
+            a = [x / n for x in a]
         return cls(tuple(a))
 
     @classmethod
     def from_probabilities(cls, values, normalize: bool = False) -> "ResourceSpectrum":
-        """Build from squared weights (Schmidt probabilities)."""
-        p = np.asarray([float(v) for v in values])
-        if np.any(p < 0):
-            raise ValueError(f"squared weights must be nonnegative, got {p.tolist()}")
+        """Build from squared weights (Schmidt probabilities).
+
+        The d weights are plain floats: division and math.sqrt round as
+        numpy's do, and a normalizing sum is numpy's.
+        """
+        p = list(map(float, values))
+        # 0 > x for every weight without a Python loop; a NaN compares false
+        if any(map((0.0).__gt__, p)):
+            raise ValueError(f"squared weights must be nonnegative, got {p}")
         if normalize:
-            s = p.sum()
+            s = float(np.sum(p))
             if s == 0:
                 raise ValueError("cannot normalize an all-zero spectrum")
-            p = p / s
-        return cls(tuple(sorted(np.sqrt(p).tolist(), reverse=True)))
+            p = [x / s for x in p]
+        return cls(tuple(sorted(map(math.sqrt, p), reverse=True)))
 
     @classmethod
     def uniform(cls, d: int) -> "ResourceSpectrum":
@@ -122,17 +128,19 @@ def validate_basis(unitaries) -> BasisValidation:
             )
     stack = np.asarray(unitaries, dtype=complex)
     n = len(stack)
-    bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
-    if bad.size:
+    # one reduction on the common path; the offending index only on failure
+    if not np.isfinite(stack).all():
+        bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
         raise ValueError(f"unitary {bad[0]} has a non-finite entry")
     products = stack.conj().swapaxes(1, 2) @ stack
     products.flags.writeable = False
-    unit_defect = float(np.max(np.abs(products - np.eye(d))))
+    unit_defect = float(np.abs(products - np.eye(d)).max())
     # gram[i, j] = Tr(U_i^dagger U_j), one product over the flattened stack;
     # the defect is the largest |gram[i, j]| of its strict upper triangle.
     flat = stack.reshape(n, d * d)
     gram = flat.conj() @ flat.T
-    orth_defect = float(np.triu(np.abs(gram), 1).max())
+    index = np.arange(n)
+    orth_defect = float(np.abs(gram)[index[:, None] < index].max(initial=0.0))
     complete = n == d * d
     accepted = unit_defect < BASIS_DEFECT_TOL and orth_defect < BASIS_DEFECT_TOL
     return BasisValidation(
@@ -178,7 +186,7 @@ class MaxEntBasis:
                 f"{report.unitarity_defect:.3e}, orthogonality defect "
                 f"{report.orthogonality_defect:.3e}"
             )
-        if np.max(np.abs(mats[0] - np.eye(self.dim))) > BASIS_DEFECT_TOL:
+        if np.abs(mats[0] - np.eye(self.dim)).max() > BASIS_DEFECT_TOL:
             raise ValueError("the first unitary must be the identity")
 
     def __len__(self) -> int:
@@ -190,7 +198,9 @@ class MaxEntBasis:
         <ij|(1⊗U)|Phi> = U[j, i]/sqrt(d): row k is U_k^T flattened row-major.
         """
         d = self.dim
-        return self.unitaries.swapaxes(1, 2).reshape(-1, d * d) / np.sqrt(d)
+        # one pass: the quotient is written in row order, so the reshape is a view
+        kets = np.divide(self.unitaries.swapaxes(1, 2), math.sqrt(d), order="C")
+        return kets.reshape(-1, d * d)
 
 
 def weyl_basis(d: int) -> MaxEntBasis:
@@ -203,9 +213,11 @@ def weyl_basis(d: int) -> MaxEntBasis:
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     i = np.arange(d)
-    shift = (i[None, :, None] - i[None, None, :] - i[:, None, None]) % d == 0
-    phase = np.exp(2j * np.pi * (np.outer(i, i) % d) / d)
-    unitaries = np.where(shift[:, None], phase[None, :, None, :], 0)
+    phase = np.exp(2j * np.pi * (i[:, None] * i % d) / d)
+    # unitaries[a, b, (j + a) % d, j] = phase[b, j]; the index arrays
+    # broadcast to (a, j), so the entries land as (a, j, b)
+    unitaries = np.zeros((d, d, d, d), dtype=complex)
+    unitaries[i[:, None], :, (i + i[:, None]) % d, i] = phase.T
     return MaxEntBasis(dim=d, unitaries=unitaries.reshape(d * d, d, d))
 
 
@@ -245,18 +257,20 @@ class Ensemble:
     def _check_factors(self) -> None:
         """Check the priors and the shape and norm of every psi_k, and store
         both as the normalized tuple and complex array."""
-        priors = tuple(float(p) for p in self.priors)
+        priors = tuple(map(float, self.priors))
         object.__setattr__(self, "priors", priors)
         if len(self.psi) != len(priors):
             raise ValueError("need one prior per state")
-        if abs(sum(priors) - 1.0) > 1e-12 or any(p < 0 for p in priors):
+        if abs(sum(priors) - 1.0) > 1e-12 or any(map((0.0).__gt__, priors)):
             raise ValueError(f"priors must be a probability vector, got {priors}")
         d = self.resource.dim
         psi = np.asarray(self.psi, dtype=complex)
         if psi.ndim != 3 or psi.shape[1:] != (d, d):
             raise ValueError(f"psi shape {psi.shape} does not match (N, {d}, {d})")
         object.__setattr__(self, "psi", psi)
-        if np.any(np.abs(np.linalg.norm(psi, axis=(1, 2)) - 1.0) > 1e-12):
+        # the Frobenius norms, summed as np.linalg.norm sums them
+        norms = np.sqrt((psi.conj() * psi).real.sum(axis=(1, 2)))
+        if np.abs(norms - 1.0).max() > 1e-12:
             raise ValueError("ensemble states must be normalized")
 
     def __len__(self) -> int:

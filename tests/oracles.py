@@ -11,7 +11,8 @@ ran with the step's memory a list of slots:
 - input generators: ``haar_random_unitary``, ``conjugated_basis`` and
   ``load_basis_file`` (the package's two-step basis file reader in one call);
 - dense builds of kets, projectors and certificate pieces,
-  ``fresh_upsilon_report``, ``plain_consensus`` and ``list_memory_consensus``.
+  ``fresh_upsilon_report``, ``svd_feasibility_margins``, ``plain_consensus``
+  and ``list_memory_consensus``.
 """
 
 import math
@@ -19,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from entdist.certificate import UpsilonReport
+from entdist.certificate import DualCertificate, UpsilonReport
 from entdist.sdp import (
     _CHECK_EVERY,
     _FLOOR,
@@ -36,6 +37,7 @@ from entdist.sdp import (
 from entdist.states import (
     BASIS_DEFECT_TOL,
     MaxEntBasis,
+    Ensemble,
     ResourceSpectrum,
     basis_from_entries,
     read_basis_file,
@@ -266,6 +268,25 @@ def fresh_upsilon_report(basis: MaxEntBasis, tol: float = 1e-10) -> UpsilonRepor
     worst_min = float(min(w[:, 0].min(), wc[:, 0].min()))
     passed = spectrum_defect <= tol and complement_defect <= tol and worst_min >= -tol
     return UpsilonReport(d, spectrum_defect, complement_defect, worst_min, passed)
+
+
+def svd_feasibility_margins(cert: DualCertificate, ens: Ensemble) -> np.ndarray:
+    """``_feasibility_margins`` as it ran before it read s_1^2 from a
+    Hermitian eigensolve: the largest singular value of each psi_k from one
+    batched SVD, and the diagonal sectors c W_ii - p b_i^2 s_1^2 apart from
+    the {i, j} sectors."""
+    d = cert.dim
+    weights = cert.weights
+    b = np.asarray(ens.resource.coeffs)
+    top = np.linalg.svd(ens.psi, compute_uv=False)[:, 0] ** 2
+    c = cert.coefficient
+    drive = (np.asarray(ens.priors) * top)[:, None, None] * np.outer(b, b)
+    mean = c * (weights + weights.T) / 2
+    half = c * (weights - weights.T) / 2
+    sector_min = np.where(
+        np.eye(d, dtype=bool), c * weights - drive, mean - np.hypot(half, drive)
+    )
+    return sector_min.min(axis=(1, 2))
 
 
 def upsilon(basis: MaxEntBasis, k: int) -> np.ndarray:

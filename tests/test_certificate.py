@@ -13,6 +13,7 @@ from entdist.certificate import (
     DualCertificate,
     UpsilonReport,
     _decomposition_residuals,
+    _feasibility_margins,
     build_certificate,
     upsilon_spectrum_check,
     verify_dual_feasibility,
@@ -23,6 +24,7 @@ from entdist.states import (
     MaxEntBasis,
     ResourceSpectrum,
     build_ensemble,
+    dump_basis_file,
     random_spectrum,
     resource_state,
     weyl_basis,
@@ -35,11 +37,13 @@ from oracles import (
     fresh_upsilon_report,
     gamma_operator,
     haar_random_unitary,
+    load_basis_file,
     max_ent_state,
     pair_projectors,
     partial_transpose,
     permute_factors,
     pure_partial_transpose,
+    svd_feasibility_margins,
     upsilon,
 )
 
@@ -403,6 +407,43 @@ def _margin_cases():
         yield pytest.param(_bent_basis(d, 2e-11, rng), spec, d * d, id=f"bent-d{d}")
 
 
+class TestMarginsAgainstTheSvd:
+    """The margins read s_1(psi_k)^2 as the top eigenvalue of psi_k psi_k^dag;
+    the batched SVD they read it from before is the oracle."""
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_weyl_and_a_haar_basis_file(self, d, tmp_path):
+        rng = np.random.default_rng(620 + d)
+        path = tmp_path / "haar.json"
+        dump_basis_file(conjugated_basis(weyl_basis(d), haar_random_unitary(d, rng)), path)
+        for basis in (weyl_basis(d), load_basis_file(path)):
+            for spec in (random_spectrum(d, rng), ResourceSpectrum.uniform(d)):
+                for n in (d * d, d * d - 1, d + 1, 1):
+                    cert = build_certificate(basis, spec, n)
+                    ens = build_ensemble(basis, spec, n)
+                    got = _feasibility_margins(cert, ens)
+                    assert got.shape == (n,)
+                    assert np.max(np.abs(got - svd_feasibility_margins(cert, ens))) <= 1e-15
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_product_spectrum_margins_vanish(self, d):
+        """On the product resource every margin is 0 in exact arithmetic;
+        both routes land within rounding of it and the report passes."""
+        rng = np.random.default_rng(640 + d)
+        spec = ResourceSpectrum.product(d)
+        rotated = conjugated_basis(weyl_basis(d), haar_random_unitary(d, rng))
+        for basis in (weyl_basis(d), rotated):
+            for n in (d * d, d + 1):
+                cert = build_certificate(basis, spec, n)
+                ens = build_ensemble(basis, spec, n)
+                report = verify_dual_feasibility(cert, ens, 1e-9)
+                got = np.array(report.lambda_mins)
+                want = svd_feasibility_margins(cert, ens)
+                assert report.passed
+                assert np.max(np.abs(got - want)) <= 1e-15
+                assert np.max(np.abs(got)) <= 1e-15
+
+
 def _per_pair_residuals(cert, basis, spec, priors):
     """The decomposition residual from dense d^4 x d^4 krons, one per projector."""
     d = cert.dim
@@ -531,8 +572,9 @@ def test_d6_check_stays_below_one_dense_operator():
 
 
 def test_certificate_run_diagonalises_only_the_small_stacks(monkeypatch):
-    """certificate --dim 4 diagonalises only the U_k^dag U_k stack; the margins
-    take an SVD of the psi_k."""
+    """certificate --dim 4 diagonalises two (N, d, d) stacks and nothing
+    larger: psi_k psi_k^dag for the margins, then the U_k^dag U_k the basis
+    kept for the Upsilon check."""
     shapes = []
     for name in ("eigh", "eigvalsh"):
 
@@ -543,7 +585,7 @@ def test_certificate_run_diagonalises_only_the_small_stacks(monkeypatch):
         monkeypatch.setattr(np.linalg, name, recorded)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["certificate", "--dim", "4"]) == 0
-    assert shapes == [(16, 4, 4)]
+    assert shapes == [(16, 4, 4), (16, 4, 4)]
 
 
 def test_certificate_run_holds_no_d6_array():

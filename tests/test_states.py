@@ -42,6 +42,25 @@ class TestResourceSpectrum:
         with pytest.raises(ValueError):
             ResourceSpectrum.from_amplitudes([1.2, -0.2])
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_rejects_negative_weights(self, normalize):
+        with pytest.raises(ValueError, match="^squared weights must be nonnegative"):
+            ResourceSpectrum.from_probabilities([0.7, -0.1, 0.4], normalize=normalize)
+
+    @pytest.mark.parametrize("d", [2, 5, 9, 40])
+    def test_plain_float_builds_match_the_array_route(self, d):
+        """The builds work on plain floats; numpy's array route, which they
+        replaced, gives the same bits (its pairwise sum is kept)."""
+        rng = np.random.default_rng(90 + d)
+        for _ in range(20):
+            p = rng.exponential(size=d)
+            q = np.asarray([float(v) for v in p])
+            want = tuple(sorted(np.sqrt(q / q.sum()).tolist(), reverse=True))
+            assert ResourceSpectrum.from_probabilities(p, normalize=True).coeffs == want
+            a = np.asarray(sorted(p.tolist(), reverse=True))
+            want = tuple((a / np.linalg.norm(a)).tolist())
+            assert ResourceSpectrum.from_amplitudes(p, normalize=True).coeffs == want
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             ResourceSpectrum((0.9, 0.1))
