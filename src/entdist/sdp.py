@@ -75,12 +75,9 @@ a column of its matrix:
   product over all 32 rows, with a zero column for the last, sums in
   another order and moves the last bits of the iterates.)
 
-Each entry of either product is a coefficient that depends on d times a
-fixed factor: ±1 or ±0, or in the second product's last 12 columns a
-weight of the consensus update times ±1 or ±0. So both are laid out at
-import (``_first_layout``, ``_second_layout``) and formed for one d by one
-gather of the coefficients and one elementwise product, which rounds an
-entry only where an update weight multiplies its coefficient.
+Both products, the bracket's two (below), the maps shift, to_ppt and
+from_ppt and every other constant of the sectors depend only on d:
+``_sector_maps`` builds them once per d, read-only, for every solve at d.
 
 The eigh is one call of ``eigh_lo``, the gufunc ``np.linalg.eigh`` wraps,
 into the buffer's last row and a preallocated eigenvector buffer: on
@@ -278,11 +275,14 @@ def solve_bytes(dim: int, n_states: int) -> int:
 
 @dataclass(frozen=True)
 class SDPResult:
-    """Solver output; residuals describe the returned operators.
+    """Solver output; the residuals are those of the last iterate.
 
-    For a subset of N states, ``operators`` holds the N operators P_k.
-    For a complete program it holds the real pair (X, Y), from which
-    P_k = W_k (Φ_0 ⊗ X + (I − Φ_0) ⊗ Y) W_k† for any complete basis.
+    For a subset of N states, ``operators`` holds that iterate's N operators
+    P_k. For a complete program it holds the real pair (X, Y), from which
+    P_k = W_k (Φ_0 ⊗ X + (I − Φ_0) ⊗ Y) W_k† for any complete basis, and
+    which matches the residuals to rounding: its |ii⟩ diagonal is P, so it
+    drops the iterate's rounding-level Q diagonal (up to 3.3e-17 at d = 3,
+    random seed 4).
     """
 
     primal_value: float
@@ -449,102 +449,78 @@ _SECOND_HEAD[:, ::4, 17] = _SECOND_HEAD[:, 1::4, 18] = [1.0, -1.0, -1.0, -1.0]
 _SECOND_HEAD[0, :, :16] -= np.eye(16)
 _SECOND_HEAD = _SECOND_HEAD.reshape(32, 19)
 
-# The coefficients of the complete program that depend on d, in the order
-# ``_Sectors`` lists them (n = d², r = √(n − 1); shift, mix and unmix as
-# named there). Each constant matrix of ``_Sectors`` is laid out here once:
-# for every entry the index of its coefficient and its fixed factor
-# (module docstring).
-(
-    _ONE, _R, _INV_R, _S0, _S1, _S2, _S3, _S1_R, _R_S2,
-    _MIX0, _MIX1, _MIX2, _MIX3, _MIX1_R, _MIX3_R,
-    _UNMIX0, _UNMIX1, _QUARTER, _R_QUARTER, _INV_N, _R_N,
-) = range(21)
 
-
-def _kron_layout(coefficients, k) -> tuple[np.ndarray, np.ndarray]:
-    """The layout of the Kronecker product of a 2 × 2 matrix of coefficients
-    (their indices) with a 2 × 2 constant k: entry (2i + p, 2j + q) is
-    coefficient (i, j) times k[p, q]."""
-    index = np.array(coefficients)[:, None, :, None].repeat(2, axis=1).repeat(2, axis=3)
-    factor = np.array(k)[None, :, None, :] * np.ones((2, 1, 2, 1))
-    return index.reshape(4, 4), factor.reshape(4, 4)
-
-
-def _stack_layouts(*layouts) -> tuple[np.ndarray, np.ndarray]:
-    """Layouts of equal shape, stacked along a new first axis."""
-    return np.array([index for index, _ in layouts]), np.array([factor for _, factor in layouts])
-
-
-# Maps (X, Y) to the PSD input (Q_X, Q_Y, P_X, P_Y), and its transpose back.
-_TO_PSD = np.array([
-    [0.0, 1.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 1.0],
-    [1.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 1.0, 0.0],
-])
-
-
-_SHIFT_LAYOUT = np.array([[_S0, _S1], [_S2, _S3]]), np.ones((2, 2))
-_TO_PPT_LAYOUT = _kron_layout([[_MIX0, _MIX1], [_MIX2, _MIX3]], _SIGNS)
-_FROM_PPT_LAYOUT = _kron_layout([[_UNMIX0, _UNMIX1], [_QUARTER, _QUARTER]], _SIGNS)
-
-
-def _first_layout() -> tuple[np.ndarray, np.ndarray]:
-    """The first product of ``_Sectors.step``, 12 × 17.
-
-    It maps z − u_i to x_i: the affine map (weighted in and out), and the
-    PSD input in the rows (Q_X, Q_Y, P_X, P_Y) and the PPT eigenvalues,
-    both unweighted; the ones carry the affine constant unit/n to the rows
-    X_P and Y_P.
-    """
-    index, factor = _stack_layouts(
-        _kron_layout([[_S0, _S1_R], [_R_S2, _S3]], np.eye(2)),
-        # Unweighted: the Y columns divide by r.
-        (np.array([[_ONE, _ONE, _INV_R, _INV_R]] * 4), _TO_PSD),
-        _kron_layout([[_MIX0, _MIX1_R], [_MIX2, _MIX3_R]], _SIGNS),
-    )
-    first_index, first_factor = np.full((12, 17), _ONE), np.zeros((12, 17))
-    first_index[:, :16] = index[:, :, None].repeat(4, axis=2).reshape(12, 16)
-    first_factor[:, :16] = (factor[:, :, None] * _SELECT[:, None, :, None]).reshape(12, 16)
-    first_index[0, 16], first_index[2, 16] = _INV_N, _R_N
-    first_factor[0, 16] = first_factor[2, 16] = 1.0
-    return first_index, first_factor
-
-
-def _second_layout() -> tuple[np.ndarray, np.ndarray]:
-    """The second product of ``_Sectors.step``, 32 × 31.
-
-    It maps x_i back to the weighted rows: the affine projection as it is,
-    the PSD and the PPT projections by the transposed row map and by unmix,
-    then weighted, and takes them by the consensus update into both f and g.
-    """
-    index, factor = _stack_layouts(
-        (np.full((4, 4), _ONE), _EYE4),
-        # Weighted: the Y rows multiply by r.
-        (np.array([[_ONE] * 4, [_ONE] * 4, [_R] * 4, [_R] * 4]), _TO_PSD.T),
-        _kron_layout([[_UNMIX0, _UNMIX1], [_R_QUARTER, _R_QUARTER]], _SIGNS),
-    )
-    second_index, second_factor = np.full((2, 16, 31), _ONE), np.empty((2, 16, 31))
-    second_factor.reshape(32, 31)[:, :19] = _SECOND_HEAD
-    second_index[:, :, 19:] = index.swapaxes(0, 1)[None].repeat(4, axis=0).reshape(16, 12)
-    second_factor[:, :, 19:] = (_UPDATE[:, None, :, None] * factor.swapaxes(0, 1)).reshape(16, 12)
-    return second_index.reshape(32, 31), second_factor.reshape(32, 31)
-
-
-_FIRST_LAYOUT, _SECOND_LAYOUT = _first_layout(), _second_layout()
-
-
-def _laid_out(coefficients: np.ndarray, layout: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The matrix of a layout for the given coefficients."""
-    index, factor = layout
-    out = coefficients.take(index)
-    out *= factor
-    return out
+def _kron(m, k) -> np.ndarray:
+    """The Kronecker product of two 2 × 2 matrices: entry (2i + p, 2j + q)
+    is m[i, j] times k[p, q]."""
+    return (np.asarray(m)[:, None, :, None] * np.asarray(k)[None, :, None, :]).reshape(4, 4)
 
 
 @lru_cache
-def _bracket_products(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two products of ``_Sectors.bracket``, 12 × 16 and 13 × 14.
+def _sector_maps(d: int) -> tuple[np.ndarray, ...]:
+    """The constants of the complete program at d (module docstring),
+    read-only and shared by every ``_Sectors`` at d, in the order
+    ``_Sectors.__init__`` names them.
+    """
+    n = d * d
+    r = math.sqrt(n - 1.0)
+    # ‖P_0‖² = ‖X‖² + (d² − 1)‖Y‖², and P_k is P_0 conjugated by a unitary.
+    metric = np.array([1.0, n - 1.0]).reshape(2, 1, 1, 1)
+    root = np.array([1.0, r]).reshape(2, 1, 1, 1)
+    eye = np.eye(d)
+    off = eye == 0
+    # B = Q + diag(P) scattered back: its diagonal to P, the rest to Q.
+    split = np.array([eye, off])
+    # The identity on A2B2: every P is 1, every Q is 0.
+    unit = np.zeros((2, d, d))
+    unit[0] = 1.0
+    # The affine step (X, Y) -= E/n is the map shift on (X, Y) plus unit/n.
+    shift = np.array([[1.0 - 1.0 / n, -(n - 1.0) / n], [-1.0 / n, 1.0 - (n - 1.0) / n]])
+    # mix takes (X, Y) to (M_s, M_a) entry by entry, and to_ppt then
+    # (P, Q) to (P + Q, P − Q), the eigenvalues of the 2 × 2 blocks;
+    # unmix and from_ppt map back.
+    to_ppt = _kron(np.array([[1.0, d - 1.0], [-1.0, d + 1.0]]) / d, _SIGNS)
+    from_ppt = _kron(np.array([[d + 1.0, 1.0 - d], [1.0, 1.0]]) / 4, _SIGNS)
+
+    # The weighted state carries the Y rows times r; the PSD input takes the
+    # rows (Q_X, Q_Y, P_X, P_Y).
+    weights, psd = np.array([1.0, 1.0, r, r]), _EYE4[[1, 3, 0, 2]]
+    # The first product, 12 × 17, maps z − u_i to x_i: the affine map
+    # (weighted in and out), and the PSD input and the PPT eigenvalues, both
+    # unweighted.
+    (s0, s1), (s2, s3) = shift.tolist()
+    into = np.array(
+        [_kron([[s0, s1 / r], [r * s2, s3]], np.eye(2)), psd / weights, to_ppt / weights]
+    )
+    first = np.zeros((12, 17))
+    first[:, :16] = (into[:, :, None] * _SELECT[:, None, :, None]).reshape(12, 16)
+    # The ones carry the affine constant unit/n to the rows X_P and Y_P.
+    first[0, 16], first[2, 16] = 1.0 / n, r / n
+    # The second, 32 × 31, maps x_i back to the weighted rows: the affine
+    # projection as it is, the PSD and the PPT projections by psd's
+    # transpose and by from_ppt, then weighted, and takes them by the
+    # consensus update into both g and f.
+    back = np.array([_EYE4, psd.T * weights[:, None], from_ppt * weights[:, None]])
+    second = np.empty((32, 31))
+    second[:, :19] = _SECOND_HEAD
+    update = (_UPDATE[:, None, :, None] * back.swapaxes(0, 1)).reshape(16, 12)
+    second[:16, 19:] = second[16:, 19:] = update
+
+    maps = (
+        metric, root, eye, off, split, unit, unit / n, shift, to_ppt, from_ppt,
+        first, second, *_bracket_products(d, to_ppt, from_ppt),
+    )
+    for array in maps:
+        array.flags.writeable = False
+    return maps
+
+
+def _bracket_products(
+    d: int, to_ppt: np.ndarray, from_ppt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two products of ``_Sectors.bracket``, 12 × 16 and 13 × 14, for
+    the table of ``_sector_maps``: they read its to_ppt and from_ppt, so the
+    bracket maps to and from the PPT eigenvalues as ``_Sectors.step`` does.
 
     The first maps the weighted state (z, u₁, u₂, u₃) to the Q rows, then
     the P rows, of u₂ − z and of z, unweighted, and to the PPT eigenvalues
@@ -556,9 +532,6 @@ def _bracket_products(d: int) -> tuple[np.ndarray, np.ndarray]:
     average of C + y₂ + y₃.
     """
     n = d * d
-    signs = np.array(_SIGNS)
-    to_ppt = np.kron(np.array([[1.0, d - 1.0], [-1.0, d + 1.0]]) / d, signs)
-    from_ppt = np.kron(np.array([[d + 1.0, 1.0 - d], [1.0, 1.0]]) / 4, signs)
     # Rows X_P, X_Q, Y_P, Y_Q of z, u₂ and u₃, unweighted.
     r = math.sqrt(n - 1.0)
     z, u2, u3 = np.zeros((3, 4, 16))
@@ -581,8 +554,6 @@ def _bracket_products(d: int) -> tuple[np.ndarray, np.ndarray]:
         gap[1], gap[3], total[1], gap[0], gap[2], total[0],
         total[0] + total[1], total[0] - total[1], to_ppt @ v, mean[0],
     ])
-    # Every solve at this d shares them.
-    first.flags.writeable = second.flags.writeable = False
     return first, second
 
 
@@ -597,35 +568,17 @@ class _Sectors(_Coordinates):
     def __init__(self, spec: ResourceSpectrum):
         d = self.d = spec.dim
         n = self.n = d * d
-        r = math.sqrt(n - 1.0)
         self.weight = float(d)
-        # ‖P_0‖² = ‖X‖² + (d² − 1)‖Y‖², and P_k is P_0 conjugated by a unitary.
-        self.metric = np.array([1.0, n - 1.0]).reshape(2, 1, 1, 1)
-        self.root = np.array([1.0, r]).reshape(2, 1, 1, 1)
+        # The constants every solve at d shares (``_sector_maps``): ``step``
+        # reads the two products _first and _second, the second writing
+        # (g, f) as 32 rows, and ``bracket`` the last two.
+        (
+            self.metric, self.root, self.eye, self.off, self.split, self.unit, self.offset,
+            self.shift, self.to_ppt, self.from_ppt,
+            self._first, self._second, self._bracket_first, self._bracket_second,
+        ) = _sector_maps(d)
+        self.image_shape = (32, n)
         self.a = np.asarray(spec.coeffs, dtype=float)
-        self.eye = np.eye(d)
-        self.off = self.eye == 0
-        # B = Q + diag(P) scattered back: its diagonal to P, the rest to Q.
-        self.split = np.array([self.eye, self.off])
-        # The identity on A2B2: every P is 1, every Q is 0.
-        self.unit = np.zeros((2, d, d))
-        self.unit[0] = 1.0
-        # The affine step (X, Y) -= E/n is the map shift on (X, Y) plus unit/n.
-        shift = 1.0 - 1.0 / n, -(n - 1.0) / n, -1.0 / n, 1.0 - (n - 1.0) / n
-        # mix takes (X, Y) to (M_s, M_a) entry by entry, and to_ppt then
-        # (P, Q) to (P + Q, P − Q), the eigenvalues of the 2 × 2 blocks;
-        # unmix and from_ppt map back.
-        mix = 1.0 / d, (d - 1.0) / d, -1.0 / d, (d + 1.0) / d
-        unmix = (d + 1.0) / 4, (1.0 - d) / 4
-        coefficients = np.array([
-            1.0, r, 1.0 / r, *shift, shift[1] / r, r * shift[2],
-            *mix, mix[1] / r, mix[3] / r,
-            *unmix, 0.25, r * 0.25, 1.0 / n, r / n,
-        ])
-        self.shift = _laid_out(coefficients, _SHIFT_LAYOUT)
-        self.offset = self.unit / n
-        self.to_ppt = _laid_out(coefficients, _TO_PPT_LAYOUT)
-        self.from_ppt = _laid_out(coefficients, _FROM_PPT_LAYOUT)
         tau = self.a[:, None] * self.a / n
         self.cost = np.zeros((2, 2, d, d))
         np.multiply(tau, self.eye, out=self.cost[0, 0])
@@ -633,12 +586,6 @@ class _Sectors(_Coordinates):
         # The full-space norm of the cost is d‖τ‖_F = d |a|²/n.
         self.penalty = STEP * self.weight * float(self.a @ self.a) / n
         self.drive = self.cost / (3.0 * self.penalty)
-
-        # The two products of ``step`` on the weighted rows (``_first_layout``
-        # and ``_second_layout``); the second writes (g, f) as 32 rows.
-        self._first = _laid_out(coefficients, _FIRST_LAYOUT)
-        self._second = _laid_out(coefficients, _SECOND_LAYOUT)
-        self.image_shape = (32, n)
 
         # The work buffer: the state s (z, u₁, u₂, u₃), a row of ones, the
         # drive's rows X_P and X_Q (it has no Y part), the rows x and a row
@@ -761,9 +708,8 @@ class _Sectors(_Coordinates):
         feasible point is read from ⟨τ, X⟩ and ⟨τ, Y⟩ of the clip of z.
         """
         d, n, rho = self.d, self.n, self.penalty
-        first, second = _bracket_products(d)
         work = np.empty((27, n))
-        np.dot(first, f.reshape(16, n), out=work[:12])
+        np.dot(self._bracket_first, f.reshape(16, n), out=work[:12])
         np.divide(self.cost[0].reshape(2, n), rho, out=work[12:14])
         # The Q rows 0-3 and P rows 4-7 of the inputs: trading their
         # diagonals puts the four blocks in the Q rows, as in ``step``.
@@ -777,7 +723,7 @@ class _Sectors(_Coordinates):
         tx, ty = (blocks[2:] @ self.a @ self.a).tolist()
         diagonals[...] = diagonals[::-1]
         out = work[14:]
-        np.dot(second, work[:14], out=out)
+        np.dot(self._bracket_second, work[:14], out=out)
         # δ(I, I) makes the clip of z PPT; S/d² and its partial transpose
         # gain δ on every P and every eigenvalue.
         delta = max(0.0, -float(out[8:12].min())) + _MARGIN
@@ -824,7 +770,9 @@ def solve_primal_ppt(
     bracket. A complete program runs the same iterations on the (P, Q)
     arrays of X and Y.
     """
-    if not (isinstance(accuracy, Real) and math.isfinite(accuracy) and accuracy > 0):
+    if isinstance(accuracy, bool) or not (
+        isinstance(accuracy, Real) and math.isfinite(accuracy) and accuracy > 0
+    ):
         raise ValueError(f"accuracy must be finite and positive, got {accuracy!r}")
     if isinstance(max_iters, bool) or not isinstance(max_iters, Integral) or max_iters < 1:
         raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")

@@ -890,6 +890,43 @@ class TestBoundEigensolver:
             assert (np.geterr(), np.geterrcall()) == before
 
 
+class TestSectorMaps:
+    """The constants of the complete program at one d are built once and
+    shared, read-only, by every solve at that d (``sdp._sector_maps``)."""
+
+    SHARED = (
+        "metric", "root", "eye", "off", "split", "unit", "offset", "shift", "to_ppt", "from_ppt",
+        "_first", "_second", "_bracket_first", "_bracket_second",
+    )
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_two_spectra_share_one_read_only_table(self, d):
+        uniform = _Sectors(ResourceSpectrum.uniform(d))
+        skewed = _Sectors(random_spectrum(d, np.random.default_rng(d)))
+        table = sdp._sector_maps(d)
+        assert len(table) == len(self.SHARED)
+        for name, array in zip(self.SHARED, table):
+            assert getattr(uniform, name) is array and getattr(skewed, name) is array
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        # What depends on the spectrum, and the work buffer, are each solve's own.
+        assert not np.array_equal(uniform.cost, skewed.cost)
+        assert not np.shares_memory(uniform._work, skewed._work)
+
+    @pytest.mark.parametrize("entry", [0, 1])
+    def test_a_poisoned_solve_leaves_the_next_one_unchanged(self, entry):
+        """A solve with a NaN in its drive (on a block's diagonal, or off it)
+        raises; the same complete solve at d = 3 then returns every field,
+        bit for bit, as it did before it."""
+        basis = weyl_basis(3)
+        before = _bits(solve_primal_ppt(basis, QUTRIT_SPEC))
+        coords = _Sectors(QUTRIT_SPEC)
+        coords._work[17, entry] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            _consensus(coords, DEFAULT_ACCURACY, 100)
+        assert _bits(solve_primal_ppt(basis, QUTRIT_SPEC)) == before
+
+
 class TestProblemValidation:
     def test_bad_options(self):
         with pytest.raises(ValueError):
@@ -897,7 +934,9 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             solve_primal_ppt(weyl_basis(2), BELL_SPEC, 3, max_iters=0)
 
-    @pytest.mark.parametrize("accuracy", [float("nan"), float("inf"), -float("inf"), -1e-4, "1e-4"])
+    @pytest.mark.parametrize(
+        "accuracy", [float("nan"), float("inf"), -float("inf"), -1e-4, "1e-4", True]
+    )
     def test_accuracy_must_be_finite_and_positive(self, accuracy):
         with pytest.raises(ValueError, match="accuracy must be finite and positive"):
             solve_primal_ppt(weyl_basis(2), BELL_SPEC, accuracy=accuracy)
