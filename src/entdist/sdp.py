@@ -3,9 +3,10 @@
 ``solve_primal_ppt(basis, spec, n_states)`` poses the program for the first
 N states of a maximally entangled basis on a pure resource, with uniform
 priors, and picks its coordinates: the complete program (N = d²) runs on
-the Schmidt sectors below and builds no state, and a subset runs operator
-by operator on the density operators of its ensemble. ``solve_bytes``
-estimates what either keeps in memory.
+the Schmidt sectors below, builds no state and returns the (P, Q) arrays
+of its last iterate, and a subset runs operator by operator on the density
+operators of its ensemble. ``solve_bytes`` estimates what either keeps in
+memory.
 
 The primal is solved by a three-block consensus splitting: one block keeps
 the measurement operators summing to the identity, one keeps each operator
@@ -102,9 +103,7 @@ of the cost stack, ``weight`` · √(Σ metric·|cost|²): 1/d for a complete
 program and 1/√N for N pure states with uniform priors. Every set of
 coordinates of one program computes the same ρ. The drive cost/(3ρ) then
 keeps its strength against the penalty as d grows; ADMM's rate depends on
-that ratio (Boyd et al. 2011, §3.4.1). With ρ fixed at 0.5 the complete
-solves of the uniform spectrum and two random ones took up to 2,600
-iterations at d = 16; now they take 50–225 up to d = 16.
+that ratio (Boyd et al. 2011, §3.4.1).
 
 The loop is a fixed-point iteration s → f(s) on the state s = (z, duals),
 and each iteration extrapolates by a type-II Anderson step of memory 2
@@ -128,8 +127,8 @@ and the 1 × 1 or 2 × 2 fit is solved inline on the Gram matrix's floats.
 The stop test reads f(s): the primal residual, the cone violation and the
 spread of the three blocks about z, all in the full-space norm, and then,
 for a complete program, a certified bracket [lower, upper] on its optimum
-(``bracket``) and, for a subset, the objective change over the stall
-window. Every check reports the ADMM dual residual √3·‖z' − z‖/ρ, but no
+(``bracket``) and, for a subset, the objective change since the previous
+check. Every check reports the ADMM dual residual √3·‖z' − z‖/ρ, but no
 stop test waits on it. The bracket holds a feasible point of each program:
 
 - Upper: the consensus multipliers give a dual point (O'Donoghue, Chu,
@@ -160,18 +159,15 @@ accuracy. The bracket is computed only at checks whose residuals pass,
 and at the last iterate, so a capped solve reports one too. At d = 12 and
 the random spectrum of seed 0 the residuals pass at iteration 750 with
 the value 4.9e-5 below the optimum, the gap reads 0.56, and it holds the
-solve to 825. At d ≤ 3 most solves stop at iteration 50, where the stall
-window held them to 75: it compares the objective with its value 25
-iterations earlier, then still 2e-3 to 5e-3 off. The first check reads
-no residuals unless it is the last or a trace row is due: a subset's
-stall window is not full there, and no complete program's residuals have
-passed there at the default accuracy (d = 2…16 at the uniform and random
-spectra; at accuracy 1e-2 one of nine small solves would stop there). A
-subset keeps the stall window. Its dual residual falls slowly after the
-value has settled (d = 3, N = 5: 1.9e-3 at 125 iterations, with the value
-1.5e-5 from where it ends at 9,550), so a gap there would wait as long
-until the penalty adapts (ROADMAP item 4), and N < d² operators have no
-twirl average.
+solve to 825. The first check reads no residuals unless it is the last or
+a trace row is due: a subset has no earlier objective to compare there,
+and no complete program's residuals have passed there at the default
+accuracy (d = 2…16 at the uniform and random spectra; at accuracy 1e-2
+one of nine small solves would stop there). A subset keeps the stall
+test. Its dual residual falls slowly after the value has settled (d = 3,
+N = 5: 1.9e-3 at 125 iterations, with the value 1.5e-5 from where it ends
+at 9,550), so a gap there would wait as long until the penalty adapts
+(ROADMAP item 4), and N < d² operators have no twirl average.
 """
 
 from __future__ import annotations
@@ -233,26 +229,26 @@ _MIN_FIT = 0.1
 _MAX_STEP = 10.0
 _FLOOR = 1e-26
 
-_CHECK_EVERY = 25
-_TRACE_EVERY = 100
 # A subset's stop test reads the objective change since the previous check;
 # its primal and consensus residuals bind later than a longer window would.
 # A complete program stops on the certified gap instead.
-_STALL_WINDOW = 25
-# The bracket's margin for eigensolver rounding (``_Coordinates.bracket``):
+_CHECK_EVERY = 25
+_TRACE_EVERY = 100
+# The bracket's margin for eigensolver rounding (``_Sectors.bracket``):
 # each extreme eigenvalue it reads moves outward by _MARGIN times the scale
 # of its operators, 1 for the clipped measurement and its sum (about I) and
 # 1/d² for the dual's, whose cost is τ/d².
 _MARGIN = 1e-12
 
-# Arrays of 16 d⁴ bytes the complete solve holds: the dense pair (X, Y) it
-# returns is one, and its O(d²) sector arrays shrink against it as d grows;
-# tracemalloc peaks at 2.5 of them at d = 8 and 1.3 at d = 16.
-_PAIR_ARRAYS = 5
-# Bytes a complete solve holds besides them: its work buffer, the Anderson
-# step's six rows of 16 d² entries, its small fixed arrays and its trace.
-# They set the peak below d = 6: 28 kB at d = 2 and 41 kB (10.0 arrays) at
-# d = 4, where the pair counts 1 kB and 4 kB.
+# Rows of d² floats (8 d² bytes each) a complete solve holds: its work
+# buffer (32), the Anderson step's six rows of 16 (96), the bracket's work
+# (27) and the temporaries of its checks and rounding. With the table of
+# ``_sector_maps`` built in the solve, tracemalloc peaks at 202, 193 and
+# 189 of them at d = 16, 32 and 64, the small arrays below included.
+_SECTOR_ROWS = 208
+# Bytes a complete solve holds besides them: its small fixed arrays, the
+# table's products and its trace. They set the peak at small d: 33 kB at
+# d = 2 and 48 kB at d = 4, where the rows count 7 kB and 27 kB.
 _SECTOR_BYTES = 2**15
 # Arrays of 16 d⁸ bytes per operator that an operator-by-operator solve
 # holds: its state and cost, the Anderson step's six rows (the map's image
@@ -264,25 +260,24 @@ _OPERATOR_ARRAYS = 39
 def solve_bytes(dim: int, n_states: int) -> int:
     """Estimated peak bytes of the arrays ``solve_primal_ppt`` builds.
 
-    The complete program (n_states = d²) holds its sector arrays and the
-    d² × d² pair it returns; a subset holds a fixed number of d⁴ × d⁴
+    The complete program (n_states = d²) holds a fixed number of rows of d²
+    entries and some small arrays; a subset holds a fixed number of d⁴ × d⁴
     matrices per operator. Neither counts the basis it is given.
     """
     if n_states == dim * dim:
-        return 16 * dim**4 * _PAIR_ARRAYS + _SECTOR_BYTES
+        return 8 * dim**2 * _SECTOR_ROWS + _SECTOR_BYTES
     return 16 * dim**8 * _OPERATOR_ARRAYS * n_states
 
 
 @dataclass(frozen=True)
 class SDPResult:
-    """Solver output; the residuals are those of the last iterate.
+    """Solver output; the residuals are those of the last iterate, which
+    ``operators`` holds.
 
-    For a subset of N states, ``operators`` holds that iterate's N operators
-    P_k. For a complete program it holds the real pair (X, Y), from which
-    P_k = W_k (Φ_0 ⊗ X + (I − Φ_0) ⊗ Y) W_k† for any complete basis, and
-    which matches the residuals to rounding: its |ii⟩ diagonal is P, so it
-    drops the iterate's rounding-level Q diagonal (up to 3.3e-17 at d = 3,
-    random seed 4).
+    For a subset of N states that is its N operators P_k. For a complete
+    program it is the (P, Q) arrays of X and Y, two real (2, d, d) arrays
+    (module docstring), from which P_k = W_k (Φ_0 ⊗ X + (I − Φ_0) ⊗ Y) W_k†
+    for any complete basis.
     """
 
     primal_value: float
@@ -307,13 +302,9 @@ class _Coordinates:
     norm is the Frobenius norm on the full space.
     ``to_blocks`` maps the stack onto matrices that are all PSD exactly
     when every partial transpose is, and ``from_blocks`` maps them back.
-    ``operators`` gives the matrices a result returns. ``gap_stop`` says
-    whether the program is complete, so that the stop test reads the
-    certified gap of ``bracket`` (``_consensus``), and ``penalty`` is the
-    ADMM penalty ρ of the module docstring. ``bracket`` reads the
-    ``average`` of a stack, every operator replaced by their mean (the
-    twirl average of a complete program), and its ``trace``, the sum of
-    the operators' traces on the full space.
+    ``gap_stop`` says whether the stop test reads the certified gap of
+    ``bracket``, as a complete program's does (``_consensus``), and
+    ``penalty`` is the ADMM penalty ρ of the module docstring.
 
     The loop iterates the state s = (z, three duals) held in ``state``,
     each stack times √metric (``root``), so that ``weight`` times its plain
@@ -322,7 +313,6 @@ class _Coordinates:
     """
 
     metric = 1.0
-    gap_stop = True
 
     @cached_property
     def root(self) -> np.ndarray:
@@ -372,50 +362,24 @@ class _Coordinates:
         primal = self.weight * float(np.linalg.norm(self.deviation(stack)))
         return primal, min(0.0, self.cone_min(stack))
 
-    def operators(self, stack: np.ndarray) -> tuple[np.ndarray, ...]:
-        return tuple(stack)
-
-    def bracket(self, f: np.ndarray) -> tuple[float, float]:
-        """Certified bounds [lower, upper] on the optimum of a complete program,
-        read from a state f = (z, u₁, u₂, u₃) as the loop holds it, each
-        stack times √metric (module docstring)."""
-        z, _, u2, u3 = f / self.root
-        n = self.n
-        psd_in, ppt_in = z - u2, z - u3
-        y2 = self.penalty * (self.psd_clip(psd_in) - psd_in)
-        y3 = self.penalty * (self.ppt_clip(ppt_in) - ppt_in)
-        mean = self.average(self.cost + y2 + y3)
-        shift = max(0.0, -self.min_eigenvalue(mean - self.cost - y3)) + _MARGIN / n
-        # Tr(M₀ + εI), M₀ the mean operator, on the space of dimension n².
-        upper = self.trace(mean) / n + n * n * shift
-        clipped = self.psd_clip(z)
-        clipped += (max(0.0, -self.cone_min(clipped)) + _MARGIN) * n * self.start()
-        # c = max(λ_max S, λ_max S^Γ) for S = n times the mean operator.
-        scale = -n * self.cone_min(-self.average(clipped)) + _MARGIN
-        return self.objective(self.affine(clipped / scale)), upper
-
 
 class _Operators(_Coordinates):
-    """A program iterated on every operator P_k; ``cost`` stacks p_k ρ_k."""
+    """A program iterated on every operator P_k; ``cost`` stacks p_k ρ_k.
+
+    ``solve_primal_ppt`` builds it only for a subset, which has no bracket.
+    """
 
     weight = 1.0
+    gap_stop = False
 
     def __init__(self, cost: np.ndarray):
         self.cost = cost
         self.n = len(cost)
         # Each operator acts on A1⊗A2⊗B1⊗B2, of dimension d⁴.
         self.d = math.isqrt(math.isqrt(cost.shape[1]))
-        # A complete basis: d² states.
-        self.gap_stop = self.n == self.d**2
 
     def deviation(self, stack: np.ndarray) -> np.ndarray:
         return stack.sum(axis=0) - np.eye(stack.shape[1])
-
-    def average(self, stack: np.ndarray) -> np.ndarray:
-        return np.repeat(stack.mean(axis=0, keepdims=True), len(stack), axis=0)
-
-    def trace(self, stack: np.ndarray) -> float:
-        return float(np.trace(stack, axis1=1, axis2=2).sum().real)
 
     def step(self, out: np.ndarray) -> None:
         # The metric is 1, so the state needs no weighting.
@@ -565,6 +529,8 @@ class _Sectors(_Coordinates):
     the state weighs the Y rows by r = √(d² − 1).
     """
 
+    gap_stop = True
+
     def __init__(self, spec: ResourceSpectrum):
         d = self.d = spec.dim
         n = self.n = d * d
@@ -695,7 +661,9 @@ class _Sectors(_Coordinates):
         return primal, min(0.0, self.cone_min(stack))
 
     def bracket(self, f: np.ndarray) -> tuple[float, float]:
-        """``_Coordinates.bracket`` in two products around one eigh and one
+        """Certified bounds [lower, upper] on the optimum (module docstring),
+        read from a state f = (z, u₁, u₂, u₃) as the loop holds it, each
+        stack times √metric, in two products around one eigh and one
         eigvalsh of d × d blocks (``_bracket_products``).
 
         y₂ = ρ·clip(u₂ − z) and y₃ = ρ·clip₃(u₃ − z), with clip₃ the PPT
@@ -738,15 +706,6 @@ class _Sectors(_Coordinates):
         lower = (tx + delta * norm) / scale + (norm - total / scale) / n
         return lower, n * rho * float(out[12].sum()) + n * n * shift
 
-    def operators(self, stack: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The dense pair (X, Y) on A2B2, with |ij⟩ at index i·d + j."""
-        d, n = self.d, self.n
-        dense = np.zeros((2, n, n))
-        # |ii⟩ is at index i·(d + 1): the block, then every diagonal entry.
-        dense[:, :: d + 1, :: d + 1] = stack[:, 1]
-        dense.reshape(2, -1)[:, :: n + 1] = stack[:, 0].reshape(2, n)
-        return tuple(dense)
-
 
 def solve_primal_ppt(
     basis: MaxEntBasis,
@@ -764,8 +723,8 @@ def solve_primal_ppt(
     consensus residual drop below the target accuracy and, for a complete
     program, its certified bracket [lower_bound, upper_bound] on the
     optimum is at most the accuracy wide, or, for a subset, the relative
-    objective change over the stall window is below it, checking every few
-    iterations; hitting the iteration cap returns the last iterate with
+    objective change since the previous check is below it, checking every
+    few iterations; hitting the iteration cap returns the last iterate with
     converged=False rather than raising, a complete program's with its
     bracket. A complete program runs the same iterations on the (P, Q)
     arrays of X and Y.
@@ -815,7 +774,7 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
     differences Δg_j in the full-space Frobenius norm, which on the weighted
     state is ``weight`` times the plain one, so every set of coordinates of
     one program takes the same steps. Every check unweights z of f(s), the
-    operators the solve returns; a complete program's checks read the
+    iterate the solve returns; a complete program's checks read the
     bracket from f(s) (module docstring).
     """
     # z starts at start() and the duals at zero.
@@ -842,8 +801,8 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
     scale = coords.weight**2
     quarter = s_flat.size // 4
 
-    history: list[float] = []
-    lag = _STALL_WINDOW // _CHECK_EVERY
+    # A subset stops on the objective change since the previous check.
+    previous = np.inf
     trace: list[dict] = []
     gap_stop = coords.gap_stop
     lower = upper = None
@@ -890,14 +849,12 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
                 obj = coords.objective(z)
                 _require_finite(obj)
                 floor = _FLOOR * max(scale * gram[5][5], 1.0)
-                history.append(obj)
-                full = len(history) > lag
                 last = it == max_iters
                 # The first check reads no residuals unless a trace row is due
-                # or the loop ends there: a subset's stall window reads inf
-                # until it is full, and no complete program's residuals have
-                # passed there at the default accuracy (module docstring).
-                if full or it % _TRACE_EVERY == 0 or last:
+                # or the loop ends there: a subset's objective change reads inf
+                # there, and no complete program's residuals have passed there
+                # at the default accuracy (module docstring).
+                if it > _CHECK_EVERY or it % _TRACE_EVERY == 0 or last:
                     primal_res, cone_res = coords.residuals(z)
                     # The ADMM dual residual and the spread of the blocks about z.
                     dual_res = (
@@ -914,7 +871,7 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
                             _require_finite(lower, upper)
                             converged = converged and upper - lower <= accuracy
                     else:
-                        change = abs(obj - history[-1 - lag]) / max(1.0, abs(obj)) if full else np.inf
+                        change = abs(obj - previous) / max(1.0, abs(obj))
                         converged = max(primal_res, -cone_res, change, consensus_res) < accuracy
                     if it % _TRACE_EVERY == 0 or converged or last:
                         row = {
@@ -928,6 +885,7 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
                         trace.append(row)
                     if converged or last:
                         break
+                previous = obj
 
             if gg > _GROWTH * gg_prev:
                 held0 = held1 = False
@@ -975,7 +933,7 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
     return SDPResult(
         primal_value=obj,
         rounded_value=coords.objective(rounded),
-        operators=coords.operators(z),
+        operators=tuple(z),
         primal_residual=primal_res,
         cone_residual=cone_res,
         iterations=it,

@@ -12,7 +12,10 @@ ran with the step's memory a list of slots:
   ``load_basis_file`` (the package's two-step basis file reader in one call);
 - dense builds of kets, projectors and certificate pieces,
   ``fresh_upsilon_report``, ``svd_feasibility_margins``, ``plain_consensus``
-  and ``list_memory_consensus``.
+  and ``list_memory_consensus``;
+- the complete program on dense matrices: ``DenseOperators``, whose
+  certified bracket reads d⁴ × d⁴ operators, and ``dense_pair``, the pair
+  (X, Y) that a complete result's (P, Q) arrays stand for.
 """
 
 import math
@@ -25,12 +28,13 @@ from entdist.sdp import (
     _CHECK_EVERY,
     _FLOOR,
     _GROWTH,
+    _MARGIN,
     _MAX_STEP,
     _MIN_FIT,
     _ROUNDING,
-    _STALL_WINDOW,
     _TRACE_EVERY,
     SDPResult,
+    _Operators,
     _raise_nonconvergence,
     _require_finite,
 )
@@ -47,6 +51,12 @@ from entdist.tensor import frobenius
 
 # B1 <-> A2 exchange on the (A1, B1, A2, B2) ordering.
 SWAP_B1_A2 = (0, 2, 1, 3)
+
+# The subset stop test of the loops below compares the objective with its
+# value _STALL_WINDOW iterations earlier, read from a list of the objectives
+# at every check; ``sdp._consensus`` keeps only the previous check's, since
+# the window is one check.
+_STALL_WINDOW = 25
 
 
 def partial_transpose(M: np.ndarray, dims: Iterable[int], factors: Iterable[int]) -> np.ndarray:
@@ -320,6 +330,62 @@ def closed_form_ppt_clip(stack: np.ndarray) -> np.ndarray:
     return (unmix @ mixed.reshape(2, -1)).reshape(stack.shape)
 
 
+class DenseOperators(_Operators):
+    """``sdp._Operators`` with the certified bracket of a complete program
+    read from its d⁴ × d⁴ operators, the oracle for ``_Sectors.bracket``.
+
+    ``bracket`` reads the ``average`` of a stack, every operator replaced by
+    their mean (the twirl average of a complete program), and its
+    ``trace``, the sum of the operators' traces on the full space; a
+    subclass on other coordinates gives its own. ``gap_stop`` says whether
+    the program is complete, so that the stop test reads the certified gap.
+    """
+
+    @property
+    def gap_stop(self) -> bool:
+        # A complete basis: d² states.
+        return self.n == self.d**2
+
+    def average(self, stack: np.ndarray) -> np.ndarray:
+        return np.repeat(stack.mean(axis=0, keepdims=True), len(stack), axis=0)
+
+    def trace(self, stack: np.ndarray) -> float:
+        return float(np.trace(stack, axis1=1, axis2=2).sum().real)
+
+    def bracket(self, f: np.ndarray) -> tuple[float, float]:
+        """Certified bounds [lower, upper] on the optimum of a complete program,
+        read from a state f = (z, u₁, u₂, u₃) as the loop holds it, each
+        stack times √metric (the module docstring of ``entdist.sdp``)."""
+        z, _, u2, u3 = f / self.root
+        n = self.n
+        psd_in, ppt_in = z - u2, z - u3
+        y2 = self.penalty * (self.psd_clip(psd_in) - psd_in)
+        y3 = self.penalty * (self.ppt_clip(ppt_in) - ppt_in)
+        mean = self.average(self.cost + y2 + y3)
+        shift = max(0.0, -self.min_eigenvalue(mean - self.cost - y3)) + _MARGIN / n
+        # Tr(M₀ + εI), M₀ the mean operator, on the space of dimension n².
+        upper = self.trace(mean) / n + n * n * shift
+        clipped = self.psd_clip(z)
+        clipped += (max(0.0, -self.cone_min(clipped)) + _MARGIN) * n * self.start()
+        # c = max(λ_max S, λ_max S^Γ) for S = n times the mean operator.
+        scale = -n * self.cone_min(-self.average(clipped)) + _MARGIN
+        return self.objective(self.affine(clipped / scale)), upper
+
+
+def dense_pair(sectors) -> tuple[np.ndarray, np.ndarray]:
+    """The dense pair (X, Y) on A2B2, with |ij⟩ at index i·d + j, of the
+    (P, Q) arrays of X and Y: a complete result's ``operators``, or one
+    (2, 2, d, d) stack of them."""
+    stack = np.stack(sectors)
+    d = stack.shape[-1]
+    n = d * d
+    dense = np.zeros((2, n, n))
+    # |ii⟩ is at index i·(d + 1): the block, then every diagonal entry.
+    dense[:, :: d + 1, :: d + 1] = stack[:, 1]
+    dense.reshape(2, -1)[:, :: n + 1] = stack[:, 0].reshape(2, n)
+    return tuple(dense)
+
+
 def plain_consensus(coords, accuracy: float, max_iters: int):
     """The consensus splitting of ``entdist.sdp`` without its Anderson step.
 
@@ -378,7 +444,7 @@ def plain_consensus(coords, accuracy: float, max_iters: int):
     return SDPResult(
         primal_value=obj,
         rounded_value=coords.objective(coords.ppt_clip(coords.psd_clip(coords.affine(z)))),
-        operators=coords.operators(z),
+        operators=tuple(z),
         primal_residual=primal,
         cone_residual=cone,
         iterations=it,
@@ -524,7 +590,7 @@ def list_memory_consensus(coords, accuracy: float, max_iters: int) -> SDPResult:
     return SDPResult(
         primal_value=obj,
         rounded_value=coords.objective(rounded),
-        operators=coords.operators(z),
+        operators=tuple(z),
         primal_residual=primal_res,
         cone_residual=cone_res,
         iterations=it,

@@ -502,18 +502,17 @@ class TestSizeEstimate:
     def test_counts_dense_matrices(self):
         matrix = 16 * 3**8
         basis = 16 * 16 * 3**4
-        # A complete solve holds 5 arrays of 16 d^4 bytes for its sector
-        # arrays and the dense pair (X, Y), and 32 kB of small arrays; sdp
-        # adds the 16 of the basis.
-        pair = 16 * 3**4 * (16 + 5) + 2**15
-        assert solve_bytes(3, 9) == 16 * 3**4 * 5 + 2**15
+        # A complete solve holds 208 rows of d^2 floats and 32 kB of small
+        # arrays; sdp adds the 16 basis-sized arrays.
+        complete = 8 * 3**2 * 208 + 2**15
+        assert solve_bytes(3, 9) == complete
         # An operator-by-operator solve holds 39 operator-sized arrays per
         # operator, its state and cost among them.
         assert solve_bytes(3, 8) == 39 * 8 * matrix
         assert dense_bytes("sdp", 3, 8) == 39 * 8 * matrix + basis
-        assert dense_bytes("sdp", 3, 9) == pair
+        assert dense_bytes("sdp", 3, 9) == complete + basis
         # sandwich adds the certificate route, which holds basis-sized arrays
-        assert dense_bytes("sandwich", 3, 9) == pair + basis
+        assert dense_bytes("sandwich", 3, 9) == complete + 2 * basis
         assert dense_bytes("sandwich", 3, 8) == 39 * 8 * matrix + 2 * basis
 
     def test_limit_separates_the_sizes_that_run_from_the_ones_that_cannot(self):
@@ -521,11 +520,11 @@ class TestSizeEstimate:
         assert dense_bytes("certificate", 5, 25) < MAX_DENSE_BYTES
         assert dense_bytes("sdp", 6, 35) > MAX_DENSE_BYTES
         assert dense_bytes("sdp", 16, 256) < MAX_DENSE_BYTES
-        assert dense_bytes("sdp", 59, 59**2) < MAX_DENSE_BYTES
-        assert dense_bytes("sdp", 60, 60**2) > MAX_DENSE_BYTES
+        assert dense_bytes("sdp", 63, 63**2) < MAX_DENSE_BYTES
+        assert dense_bytes("sdp", 64, 64**2) > MAX_DENSE_BYTES
         assert dense_bytes("sandwich", 16, 256) < MAX_DENSE_BYTES
-        assert dense_bytes("sandwich", 51, 51**2) < MAX_DENSE_BYTES
-        assert dense_bytes("sandwich", 52, 52**2) > MAX_DENSE_BYTES
+        assert dense_bytes("sandwich", 53, 53**2) < MAX_DENSE_BYTES
+        assert dense_bytes("sandwich", 54, 54**2) > MAX_DENSE_BYTES
 
     def test_fef_counts_the_spectrum(self):
         assert dense_bytes("fef", 10**4, 10**8) == 400 * 10**4

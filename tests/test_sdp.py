@@ -36,8 +36,10 @@ from entdist.states import (
 )
 from oracles import (
     SWAP_B1_A2,
+    DenseOperators,
     closed_form_ppt_clip,
     conjugated_basis,
+    dense_pair,
     haar_random_unitary,
     list_memory_consensus,
     max_ent_state,
@@ -95,9 +97,11 @@ def expand_pair(pair, basis: MaxEntBasis) -> list[np.ndarray]:
 
 
 def operators_of(ens) -> _Operators:
-    """The program of an ensemble in the coordinates of every operator P_k."""
+    """The program of an ensemble in the coordinates of every operator P_k;
+    a complete one reads its bracket from the operators (``DenseOperators``)."""
     cost = np.asarray(ens.priors)[:, None, None] * ens.density_operators()
-    return _Operators(cost)
+    complete = len(cost) == ens.resource.dim**2
+    return (DenseOperators if complete else _Operators)(cost)
 
 
 def solve_densely(ens, accuracy=DEFAULT_ACCURACY, max_iters=DEFAULT_MAX_ITERS):
@@ -116,7 +120,7 @@ def weighted_step(coords, out: np.ndarray) -> None:
     np.subtract(f, coords.state, out=g)
 
 
-class _Pair(_Coordinates):
+class _Pair(DenseOperators):
     """The complete program iterated on the dense pair (X, Y), the oracle
     for its solve on the (P, Q) arrays.
 
@@ -217,7 +221,7 @@ class TestSolver:
         ens = build_ensemble(weyl_basis(2), BELL_SPEC, 4)
         rotated = np.asarray(ens.priors)[:, None, None] * (v @ ens.density_operators() @ v.conj().T)
         base = solve_densely(ens)
-        moved = _consensus(_Operators(rotated), DEFAULT_ACCURACY, DEFAULT_MAX_ITERS)
+        moved = _consensus(DenseOperators(rotated), DEFAULT_ACCURACY, DEFAULT_MAX_ITERS)
         assert abs(base.primal_value - moved.primal_value) < 2e-4
 
     def test_trace_rows(self, bell_result):
@@ -270,8 +274,8 @@ class TestCovariantPath:
         names = ("primal_value", "rounded_value", "primal_residual", "cone_residual")
         for name in (*names, "lower_bound", "upper_bound"):
             assert abs(getattr(a, name) - getattr(b, name)) <= 1e-10, name
-        assert [x.shape for x in a.operators] == [(d * d, d * d)] * 2
-        expanded = expand_pair(a.operators, basis)
+        assert [x.shape for x in a.operators] == [(2, d, d)] * 2
+        expanded = expand_pair(dense_pair(a.operators), basis)
         assert len(expanded) == len(b.operators) == d * d
         for x, y in zip(expanded, b.operators):
             assert np.max(np.abs(x - y)) <= 1e-10
@@ -302,7 +306,7 @@ class TestCovariantPath:
             for name in ("objective", "primal_residual", "cone_residual"):
                 assert abs(row_a[name] - row_b[name]) <= 1e-12, name
         assert len(a.operators) == len(b.operators) == 2
-        for x, y in zip(a.operators, b.operators):
+        for x, y in zip(dense_pair(a.operators), b.operators):
             assert x.shape == y.shape == (d * d, d * d)
             assert np.max(np.abs(x - y)) <= 1e-10
 
@@ -318,6 +322,20 @@ class TestCovariantPath:
             for x, y in zip(result.operators, results[0].operators, strict=True):
                 assert np.array_equal(x, y)
 
+    @pytest.mark.parametrize("d, seed", [(3, 4), (5, 1), (6, 4), (7, None), (8, 3)])
+    def test_a_complete_result_holds_the_iterate_it_reports(self, d, seed):
+        """The (P, Q) arrays of X and Y a complete solve returns give its
+        reported residuals bit for bit, with the rounding-level entries of
+        Q's diagonal that a dense pair (X, Y) cannot hold."""
+        if seed is None:
+            spec = ResourceSpectrum.uniform(d)
+        else:
+            spec = random_spectrum(d, np.random.default_rng(seed))
+        result = solve_primal_ppt(weyl_basis(d), spec)
+        assert [x.shape for x in result.operators] == [(2, d, d)] * 2
+        residuals = _Sectors(spec).residuals(np.stack(result.operators))
+        assert (result.primal_residual, result.cone_residual) == residuals
+
     def test_incomplete_set_is_solved_in_full(self):
         result = solve_primal_ppt(weyl_basis(2), BELL_SPEC, 3)
         assert [x.shape for x in result.operators] == [(16, 16)] * 3
@@ -332,7 +350,7 @@ class TestCovariantPath:
         monkeypatch.setattr(sdp, "build_ensemble", never)
         result = solve_primal_ppt(weyl_basis(4), ResourceSpectrum.uniform(4))
         assert result.converged
-        assert [x.shape for x in result.operators] == [(16, 16)] * 2
+        assert [x.shape for x in result.operators] == [(2, 4, 4)] * 2
 
     @pytest.mark.parametrize("n_states", [3, None])
     def test_both_paths_refuse_a_spectrum_of_another_dimension(self, n_states):
@@ -593,9 +611,6 @@ class _Scripted(_Coordinates):
 
     psd_clip = ppt_clip = affine
 
-    def operators(self, stack: np.ndarray) -> tuple[np.ndarray, ...]:
-        return (stack,)
-
 
 class TestAndersonMemory:
     """The two slot flags of ``_consensus`` against the list memory of
@@ -697,7 +712,7 @@ class TestFusedMap:
 
 
 class TestCompleteSolveMemory:
-    @pytest.mark.parametrize("d", [4, 8, 16])
+    @pytest.mark.parametrize("d", [4, 8, 16, 32])
     @pytest.mark.parametrize("seed", [None, 1])
     def test_peak_stays_within_the_size_estimate(self, d, seed):
         """The tracemalloc peak of a complete solve, which ``solve_bytes``
@@ -739,9 +754,9 @@ class TestPPTClip:
         for _ in range(10):
             stack = _symmetric_stack(d, rng)
             out = coords.ppt_clip(stack)
-            blocks = pair.to_blocks(np.stack(coords.operators(out)))
+            blocks = pair.to_blocks(np.stack(dense_pair(out)))
             assert np.linalg.eigvalsh(blocks).min() >= -1e-14
-            before = pair.to_blocks(np.stack(coords.operators(stack)))
+            before = pair.to_blocks(np.stack(dense_pair(stack)))
             assert np.linalg.eigvalsh(before).min() < -0.01
 
     def test_needs_no_eigensolver(self, monkeypatch):
@@ -765,7 +780,7 @@ class TestPPTClip:
         else:
             spec = random_spectrum(d, np.random.default_rng(90 + d))
         result = solve_primal_ppt(weyl_basis(d), spec)
-        for op in result.operators:
+        for op in dense_pair(result.operators):
             p = np.diag(op).reshape(d, d)
             assert np.max(np.abs(p - p.T)) <= 1e-15
 
@@ -818,12 +833,7 @@ class TestPPTClip:
         assert result.converged != capped
         assert capped == (result.iterations == max_iters)
         assert result.lower_bound <= fef(spec) <= result.upper_bound
-        # z from the returned pair: P on the diagonal, Q off it on span{|ii⟩}.
-        pair = np.array(result.operators)
-        z = np.empty((2, 2, d, d))
-        z[:, 0] = np.diagonal(pair, axis1=1, axis2=2).reshape(2, d, d)
-        z[:, 1] = np.where(np.eye(d, dtype=bool), 0.0, pair[:, :: d + 1, :: d + 1])
-        residuals = _Sectors(spec).residuals(z)
+        residuals = _Sectors(spec).residuals(np.stack(result.operators))
         assert (result.primal_residual, result.cone_residual) == residuals
 
     def test_a_bracket_that_does_not_stop_the_solve(self, monkeypatch):
