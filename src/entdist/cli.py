@@ -36,7 +36,7 @@ from .protocol import (
     sample_protocol_success,
     simulate_protocol,
 )
-from .sdp import sandwich_report, solve_bytes, solve_primal_ppt
+from .sdp import DEFAULT_MAX_ITERS, sandwich_report, solve_bytes, solve_primal_ppt
 from .states import (
     MaxEntBasis,
     ResourceSpectrum,
@@ -70,6 +70,10 @@ _BASIS_ARRAYS = 16
 # the report; tracemalloc peaks at 1,650-1,850 of them per point at 50-3,000
 # steps, with or without --sdp (less with --csv).
 _SWEEP_ROW_BYTES = 2000
+# Refuse a run that would take hours: a sampled shot takes 14-28 ns and a
+# sweep step 0.1 ms, or about 1.2 ms with --sdp, at d = 2.
+MAX_SHOTS = 10**9
+MAX_STEPS = 10**5
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,36 +120,45 @@ def parse_spectrum(text: str, dim: int, amplitudes: bool, seed: int) -> Resource
     return ResourceSpectrum.from_probabilities(values)
 
 
-def dense_bytes(command: str, dim: int, n_states: int) -> int:
+def dense_bytes(
+    command: str, dim: int, n_states: int, max_iters: int = DEFAULT_MAX_ITERS
+) -> int:
     """Estimated peak bytes of the dense arrays a run holds.
 
     fef holds only the d Schmidt coefficients. basis, protocol, bounds,
     certificate and verify hold a fixed number of basis-sized arrays: the
     basis, the (N, d, d) stack of the ensemble factors psi_k and stacks of
     d x d matrices derived from them. sdp holds the basis and what
-    ``solve_bytes`` counts for the solve; sandwich adds the certificate
-    route to its solve.
+    ``solve_bytes`` counts for a solve of up to ``max_iters`` iterations;
+    sandwich adds the certificate route to its solve.
     """
     if command == "fef":
         return _SPECTRUM_BYTES * dim
     basis = 16 * dim**4 * _BASIS_ARRAYS
     if command in ("basis", "protocol", "bounds", "certificate", "verify"):
         return basis
-    solver = basis + solve_bytes(dim, n_states)
+    solver = basis + solve_bytes(dim, n_states, max_iters)
     return {"sdp": solver, "sandwich": solver + basis}[command]
 
 
-def _check_size(command: str, dim: int, n_states: int, sdp: bool, steps: int) -> None:
+def _check_size(
+    command: str,
+    dim: int,
+    n_states: int,
+    sdp: bool,
+    steps: int,
+    max_iters: int = DEFAULT_MAX_ITERS,
+) -> None:
     # A sweep runs all three routes on the complete basis, like sandwich, and
-    # holds its grid and rows. A scan holds what bounds holds; with --sdp its
-    # largest solve is N = d^2 - 1.
+    # holds its grid and rows; its solves run one at a time. A scan holds
+    # what bounds holds; with --sdp its largest solve is N = d^2 - 1.
     if command == "sweep":
-        need = dense_bytes("sandwich", dim, dim * dim) + _SWEEP_ROW_BYTES * steps
+        need = dense_bytes("sandwich", dim, dim * dim, max_iters) + _SWEEP_ROW_BYTES * steps
         what = f"sweep with {steps} steps"
     else:
         if command == "scan":
             command, n_states = ("sdp", dim * dim - 1) if sdp else ("bounds", dim * dim)
-        need = dense_bytes(command, dim, n_states)
+        need = dense_bytes(command, dim, n_states, max_iters)
         what = f"{command} at d={dim}" + ("" if command == "fef" else f" with {n_states} states")
     if need > MAX_DENSE_BYTES:
         raise ValueError(
@@ -184,8 +197,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError("--max-iters must be at least 1")
     if args.shots < 0:
         raise ValueError(f"--shots must not be negative, got {args.shots}")
-    if args.shots >= 2**63:
-        raise ValueError(f"--shots must be below 2**63, got {args.shots}")
+    if args.shots > MAX_SHOTS:
+        raise ValueError(f"--shots must be at most {MAX_SHOTS}, got {args.shots}")
     if args.steps < 2:
         raise ValueError(f"--steps must be at least 2, got {args.steps}")
 
@@ -193,7 +206,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if getattr(args, flag) == "":
             raise ValueError(f"--{flag} needs a file name, got an empty path")
 
-    _check_size(args.command, dim, n_states, args.sdp, args.steps)
+    _check_size(args.command, dim, n_states, args.sdp, args.steps, args.max_iters)
+    # After the size guard, which names the memory a longer sweep would need.
+    if args.steps > MAX_STEPS:
+        raise ValueError(f"--steps must be at most {MAX_STEPS}, got {args.steps}")
 
     # Only after the size guard: the spectrum alone holds d numbers.
     spectrum_label = args.spectrum if args.spectrum is not None else "uniform"
@@ -242,8 +258,9 @@ def _json_value(obj):
     """A report dataclass, numpy scalar or array as the dict, Python value or
     list ``json`` encodes.
 
-    The JSON encoder calls it only on what it cannot encode itself; numpy
-    float64 is a float and is encoded as one.
+    The report writer, like json.dumps given it as ``default``, calls it only
+    on what it cannot encode itself; numpy float64 is a float and is encoded
+    as one.
     """
     if dataclasses.is_dataclass(obj):
         return fields_of(obj)
@@ -254,11 +271,69 @@ def _json_value(obj):
     raise TypeError(f"object of type {type(obj).__name__} is not JSON serializable")
 
 
+_QUOTE = json.encoder.encode_basestring_ascii
+_FLOAT = float.__repr__
+_INT = int.__repr__
+
+
+def _json_text(obj, newline: str) -> str:
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+    default=_json_value)`` writes it, byte for byte, with the same ValueError
+    on a NaN or an infinity; ``newline`` is the line break and indent that
+    precede its closing bracket (``"\\n"`` at the top level). Dict keys must
+    be strings, as every report's are.
+
+    With an indent json.dumps runs its pure-Python encoder, which makes a
+    generator for every list and dict and yields every separator on its own;
+    this writer builds each container's text with one join, and a list of
+    floats, such as a spectrum, with one join of their reprs.
+    """
+    if isinstance(obj, str):
+        return _QUOTE(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return _INT(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        return _FLOAT(obj)
+    inner = newline + "  "
+    separator = "," + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if isinstance(obj[0], float):
+            try:
+                text = separator.join(map(_FLOAT, obj))
+            except TypeError:  # an item that is not a float
+                pass
+            else:
+                if "n" not in text:  # a finite float's repr has none; nan and inf do
+                    return "[" + inner + text + newline + "]"
+        text = separator.join([_json_text(value, inner) for value in obj])
+        return "[" + inner + text + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        text = separator.join(
+            [_QUOTE(key) + ": " + _json_text(value, inner) for key, value in sorted(obj.items())]
+        )
+        return "{" + inner + text + newline + "}"
+    return _json_text(_json_value(obj), newline)
+
+
 def emit(config: RunConfig, payload: dict, rows: list[dict]) -> None:
     """Write the report; one holding a non-finite number is a numerical failure.
 
-    The whole text is formatted before anything is written, so a refused
-    report leaves stdout empty.
+    The JSON report is the text of ``json.dumps(payload, sort_keys=True,
+    indent=2)`` plus a line break, written by ``_json_text``. The whole text
+    is formatted before anything is written, so a refused report leaves
+    stdout empty.
     """
     if config.csv:
         rows = [
@@ -278,12 +353,7 @@ def emit(config: RunConfig, payload: dict, rows: list[dict]) -> None:
         text = buffer.getvalue()
     else:
         try:
-            text = (
-                json.dumps(
-                    payload, sort_keys=True, indent=2, allow_nan=False, default=_json_value
-                )
-                + "\n"
-            )
+            text = _json_text(payload, "\n") + "\n"
         except ValueError as exc:
             raise RuntimeError(f"report holds a non-finite number: {exc}") from exc
     if config.out is not None:
@@ -452,9 +522,13 @@ def cmd_sandwich(config: RunConfig):
     return code, payload, rows
 
 
-def _table(config: RunConfig, rows: list[dict], results: list, **fields):
-    """Report of a sweep or scan; with --sdp, any unconverged solve exits 1."""
-    converged = all(result.converged for result in results)
+def _table(config: RunConfig, rows: list[dict], solves: list[bool], **fields):
+    """Report of a sweep or scan; with --sdp, any unconverged solve exits 1.
+
+    ``solves`` holds whether each solve converged: a solve's result, its
+    trace included, is dropped once its row is written.
+    """
+    converged = all(solves)
     payload = {"command": config.command, "dim": config.dim, **fields, "rows": rows}
     if config.sdp:
         payload.update(
@@ -465,7 +539,7 @@ def _table(config: RunConfig, rows: list[dict], results: list, **fields):
 
 def cmd_sweep(config: RunConfig):
     basis = config.basis
-    rows, results = [], []
+    rows, solves = [], []
     for p1 in np.linspace(0.5, 1.0, config.steps):
         spec = ResourceSpectrum.from_probabilities([p1, 1.0 - p1])
         row = {
@@ -476,19 +550,18 @@ def cmd_sweep(config: RunConfig):
             "sdp": None,
         }
         if config.sdp:
-            results.append(
-                solve_primal_ppt(
-                    basis, spec, accuracy=config.accuracy, max_iters=config.max_iters
-                )
+            result = solve_primal_ppt(
+                basis, spec, accuracy=config.accuracy, max_iters=config.max_iters
             )
-            row["sdp"] = results[-1].primal_value
+            solves.append(result.converged)
+            row["sdp"] = result.primal_value
         rows.append(row)
-    return _table(config, rows, results, steps=config.steps)
+    return _table(config, rows, solves, steps=config.steps)
 
 
 def cmd_scan(config: RunConfig):
     basis, spec, d = config.basis, config.spec, config.dim
-    rows, results = [], []
+    rows, solves = [], []
     completions = incomplete_bounds_sweep(basis, spec)
     projectors = incomplete_bounds_sweep(basis, spec, strategy="projector")
     for completion, projector in zip(completions, projectors):
@@ -502,16 +575,15 @@ def cmd_scan(config: RunConfig):
             "sdp": None,
         }
         if config.sdp:
-            results.append(
-                solve_primal_ppt(
-                    basis, spec, n, accuracy=config.accuracy, max_iters=config.max_iters
-                )
+            result = solve_primal_ppt(
+                basis, spec, n, accuracy=config.accuracy, max_iters=config.max_iters
             )
-            row["sdp"] = results[-1].primal_value
+            solves.append(result.converged)
+            row["sdp"] = result.primal_value
         rows.append(row)
         elapsed = time.perf_counter() - start
         print(f"scan: N={n} in {elapsed:.2f} s (N = {d + 1}..{d * d})", file=sys.stderr)
-    return _table(config, rows, results, **_spectrum_fields(spec))
+    return _table(config, rows, solves, **_spectrum_fields(spec))
 
 
 def _verify_one(config: RunConfig, label: str, spec: ResourceSpectrum) -> list[dict]:
@@ -672,7 +744,9 @@ _COMMAND_FLAGS = {
 
 # Built once per process: building it costs more than a small d = 2 run.
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict, dict]:
+    """The full parser, each subcommand's parser by name, and the default of
+    every flag by destination."""
     parser = argparse.ArgumentParser(
         prog="entdist",
         description="three independent routes to the entanglement-assisted "
@@ -687,11 +761,42 @@ def build_parser() -> argparse.ArgumentParser:
             action = p.add_argument(flag, **_FLAGS[flag])
             defaults[action.dest] = action.default
     parser.set_defaults(**defaults)
-    return parser
+    return parser, sub.choices, defaults
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """The namespace ``build_parser().parse_args(argv)`` returns, in one pass.
+
+    The full parser scans argv, hands every argument after the subcommand
+    to that subcommand's parser and copies the namespace it returns into its
+    own. Here the subcommand's parser parses into a namespace that already
+    holds the command and every default; it prints its help and its errors
+    as it does under the full parser. Without a subcommand first, or with
+    an argument the subcommand does not take, the full parser runs, so
+    help, usage, error text and exit codes stay the full parser's.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    _, subparsers, defaults = _parsers()
+    if argv and argv[0] in subparsers:
+        namespace = argparse.Namespace(command=argv[0], **defaults)
+        args, unrecognized = subparsers[argv[0]].parse_known_args(argv[1:], namespace)
+        if not unrecognized:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one subcommand and return its exit code.
+
+    argv is parsed in one pass (``parse_args``) and resolved into a
+    RunConfig; the handler's report is written by ``emit``. Help exits 0 and
+    a flag the subcommand does not take exits 2, both through argparse.
+    """
+    args = parse_args(argv)
     try:
         config = resolve_config(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -246,10 +246,15 @@ _MARGIN = 1e-12
 # ``_sector_maps`` built in the solve, tracemalloc peaks at 202, 193 and
 # 189 of them at d = 16, 32 and 64, the small arrays below included.
 _SECTOR_ROWS = 208
-# Bytes a complete solve holds besides them: its small fixed arrays, the
-# table's products and its trace. They set the peak at small d: 33 kB at
-# d = 2 and 48 kB at d = 4, where the rows count 7 kB and 27 kB.
+# Bytes a complete solve holds besides them: its small fixed arrays and the
+# table's products. They set the peak at small d: 33 kB at d = 2 and 48 kB
+# at d = 4, where the rows count 7 kB and 27 kB.
 _SECTOR_BYTES = 2**15
+# Bytes of one row of a solve's trace, which gains a row every _TRACE_EVERY
+# iterations and one at the end: a d = 2 solve capped at 50,000 iterations
+# peaks at 228 kB in tracemalloc, 430 bytes for each of its 500 rows above
+# the 13 kB of a solve that stops at iteration 50.
+_TRACE_ROW_BYTES = 430
 # Arrays of 16 d⁸ bytes per operator that an operator-by-operator solve
 # holds: its state and cost, the Anderson step's six rows (the map's image
 # among them), four arrays each, and the projections' temporaries;
@@ -257,16 +262,18 @@ _SECTOR_BYTES = 2**15
 _OPERATOR_ARRAYS = 39
 
 
-def solve_bytes(dim: int, n_states: int) -> int:
-    """Estimated peak bytes of the arrays ``solve_primal_ppt`` builds.
+def solve_bytes(dim: int, n_states: int, max_iters: int = DEFAULT_MAX_ITERS) -> int:
+    """Estimated peak bytes of what ``solve_primal_ppt`` builds.
 
     The complete program (n_states = d²) holds a fixed number of rows of d²
     entries and some small arrays; a subset holds a fixed number of d⁴ × d⁴
-    matrices per operator. Neither counts the basis it is given.
+    matrices per operator. Either holds the trace of a solve that runs to
+    ``max_iters``. Neither counts the basis it is given.
     """
+    trace = _TRACE_ROW_BYTES * (max_iters // _TRACE_EVERY + 1)
     if n_states == dim * dim:
-        return 8 * dim**2 * _SECTOR_ROWS + _SECTOR_BYTES
-    return 16 * dim**8 * _OPERATOR_ARRAYS * n_states
+        return 8 * dim**2 * _SECTOR_ROWS + _SECTOR_BYTES + trace
+    return 16 * dim**8 * _OPERATOR_ARRAYS * n_states + trace
 
 
 @dataclass(frozen=True)

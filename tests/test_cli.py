@@ -3,16 +3,21 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
+import math
 import re
+import shlex
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import entdist.cli as cli
 from entdist.cli import (
@@ -205,12 +210,31 @@ class TestExitCodes:
                 assert err == "error: --seed must be a non-negative integer, got -1\n"
 
     def test_shots_beyond_a_64_bit_count_are_refused(self, capsys):
-        # The multinomial draw takes a 64-bit count and raised OverflowError.
+        # The multinomial draw takes a 64-bit count and raised OverflowError;
+        # the run-time bound on --shots refuses such counts long before.
         for shots in (2**63, 99999999999999999999):
             code, out, err = run(capsys, "protocol", "--dim", "2", "--shots", str(shots))
             assert code == EXIT_INPUT
             assert out == ""
-            assert err == f"error: --shots must be below 2**63, got {shots}\n"
+            assert err == f"error: --shots must be at most 1000000000, got {shots}\n"
+
+    @pytest.mark.parametrize(
+        "command, flag, limit",
+        [("protocol", "--shots", 10**9), ("sweep", "--steps", 10**5)],
+    )
+    def test_a_run_that_would_take_hours_is_refused(self, capsys, command, flag, limit):
+        """10^9 shots take about 20 s and 10^5 sweep steps about 10 s, or
+        2 min with --sdp; ten times as many would take minutes to hours.
+        Both bounds fit in memory, so only the run-time bound refuses."""
+        config = cli.resolve_config(cli.parse_args([command, flag, str(limit)]))
+        assert getattr(config, flag[2:]) == limit
+        for value in (limit + 1, 10 * limit):
+            start = time.perf_counter()
+            code, out, err = run(capsys, command, flag, str(value))
+            assert time.perf_counter() - start < 0.5
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert err == f"error: {flag} must be at most {limit}, got {value}\n"
 
     def test_starved_solver_is_a_numerical_failure(self, capsys):
         code, _, err = run(
@@ -502,18 +526,23 @@ class TestSizeEstimate:
     def test_counts_dense_matrices(self):
         matrix = 16 * 3**8
         basis = 16 * 16 * 3**4
+        # Either solve holds a trace row of 430 bytes every 100 iterations
+        # and one at the end: 501 of them at the default 50,000.
+        trace = 430 * 501
         # A complete solve holds 208 rows of d^2 floats and 32 kB of small
         # arrays; sdp adds the 16 basis-sized arrays.
-        complete = 8 * 3**2 * 208 + 2**15
+        complete = 8 * 3**2 * 208 + 2**15 + trace
         assert solve_bytes(3, 9) == complete
+        assert solve_bytes(3, 9, 99) == complete - 430 * 500
         # An operator-by-operator solve holds 39 operator-sized arrays per
         # operator, its state and cost among them.
-        assert solve_bytes(3, 8) == 39 * 8 * matrix
-        assert dense_bytes("sdp", 3, 8) == 39 * 8 * matrix + basis
+        assert solve_bytes(3, 8) == 39 * 8 * matrix + trace
+        assert dense_bytes("sdp", 3, 8) == 39 * 8 * matrix + trace + basis
         assert dense_bytes("sdp", 3, 9) == complete + basis
+        assert dense_bytes("sdp", 3, 9, 10**6) == complete + 430 * 9500 + basis
         # sandwich adds the certificate route, which holds basis-sized arrays
         assert dense_bytes("sandwich", 3, 9) == complete + 2 * basis
-        assert dense_bytes("sandwich", 3, 8) == 39 * 8 * matrix + 2 * basis
+        assert dense_bytes("sandwich", 3, 8) == 39 * 8 * matrix + trace + 2 * basis
 
     def test_limit_separates_the_sizes_that_run_from_the_ones_that_cannot(self):
         assert dense_bytes("sandwich", 5, 25) < MAX_DENSE_BYTES
@@ -999,3 +1028,208 @@ def test_fuzzed_arguments_exit_cleanly(tmp_path_factory, command_line):
         assert out.getvalue() == "", argv
     elif out.getvalue() and "--csv" not in switches:
         json.loads(out.getvalue())
+
+
+# --- The report writer and the one-pass parser against their oracles ---
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# Every `entdist ...` line of the README, without the program name and the
+# trailing comment.
+_README_EXAMPLES = [
+    shlex.split(line.split("#", 1)[0])[1:]
+    for line in README.read_text(encoding="utf-8").splitlines()
+    if line.startswith("entdist ")
+]
+
+
+def _comma(p) -> str:
+    return ",".join(repr(float(x)) for x in p)
+
+
+def _workload_argvs(basis_file) -> list[list[str]]:
+    """One command line of each shape the benchmark's workloads run
+    (perfbench/run.py): squared weights written with every digit, the
+    solver's accuracy passed explicitly."""
+    qubit = ["--dim", "2", "--spectrum", _comma([0.7290648102466375, 0.2709351897533625])]
+    solver = ["--accuracy", "0.0001"]
+    return [
+        ["sandwich", "--dim", "3", "--spectrum", _comma([0.5534, 0.2953, 0.1513]), *solver],
+        ["certificate", "--dim", "5", "--spectrum", _comma([0.31, 0.07, 0.22, 0.15, 0.25])],
+        ["fef", *qubit],
+        ["protocol", *qubit],
+        ["certificate", *qubit],
+        ["sdp", *qubit, *solver],
+        ["sandwich", *qubit, *solver],
+        ["bounds", *qubit, "--n-states", "3", "--strategy", "completion"],
+        ["bounds", *qubit, "--n-states", "3", "--strategy", "projector"],
+        ["protocol", *qubit, "--shots", "2000", "--seed", "606842135"],
+        ["sandwich", *qubit, "--basis-file", str(basis_file), *solver],
+        ["verify", "--dim", "2", "--spectrum", "0.5,0.5", "--seed", "21371133"],
+    ]
+
+
+@pytest.fixture(scope="module")
+def basis_file(tmp_path_factory):
+    """The d = 2 Weyl basis conjugated by a Haar-random unitary."""
+    from oracles import conjugated_basis, haar_random_unitary
+
+    from entdist.states import dump_basis_file, weyl_basis
+
+    path = tmp_path_factory.mktemp("basis") / "haar2.json"
+    rng = np.random.default_rng(5)
+    dump_basis_file(conjugated_basis(weyl_basis(2), haar_random_unitary(2, rng)), path)
+    return path
+
+
+def _oracle(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False, default=cli._json_value)
+
+
+def _outcome(write, payload):
+    """The text ``write`` makes of ``payload``, or the ValueError it raises."""
+    try:
+        return write(payload)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Report:
+    value: object
+    values: tuple
+    kept: object = dataclasses.field(default=None, repr=False)
+
+
+# Characters that JSON escapes or that ensure_ascii writes as \u escapes.
+_TRICKY = st.sampled_from(['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "☃", "😀"])
+_TEXT = st.text(st.characters() | _TRICKY, max_size=6)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e308, -1e308, 0.1]
+)
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf]).flatmap(
+    lambda x: st.sampled_from([x, np.float64(x), np.float32(x)])
+)
+
+
+def _payloads(non_finite: bool):
+    """Nested report-like values: what the writer must format as json.dumps
+    does, with or without NaN and infinities among the leaves."""
+    floats = _FINITE | _NON_FINITE if non_finite else _FINITE
+    leaves = st.one_of(
+        _TEXT,
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(2**63, 2**80) | st.integers(-(2**80), -(2**63)),
+        floats,
+        floats.map(np.float64),
+        st.floats(width=32, allow_nan=non_finite, allow_infinity=non_finite).map(np.float32),
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+        st.booleans().map(np.bool_),
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=3), elements=floats),
+        hnp.arrays(np.int64, st.integers(0, 3)),
+        st.lists(floats, max_size=5),
+        st.just([]),
+        st.just({}),
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(_TEXT, inner, max_size=4)
+        | st.builds(_Report, inner, st.lists(inner, max_size=2).map(tuple), inner),
+        max_leaves=12,
+    )
+
+
+class TestJsonWriter:
+    """``_json_text`` against the json.dumps call it replaces."""
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(payload=_payloads(non_finite=False))
+    def test_matches_json_dumps(self, payload):
+        assert cli._json_text(payload, "\n") == _oracle(payload)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(payload=_payloads(non_finite=True), bad=_NON_FINITE)
+    def test_refuses_a_non_finite_number_as_json_dumps_does(self, payload, bad):
+        # The first non-finite number in key order is named, wherever it is.
+        payload = [payload, {"value": bad}]
+        with pytest.raises(ValueError, match="^Out of range float values"):
+            _oracle(payload)
+        assert _outcome(lambda p: cli._json_text(p, "\n"), payload) == _outcome(_oracle, payload)
+
+    @pytest.mark.parametrize("argv", _README_EXAMPLES, ids=" ".join)
+    def test_every_readme_report(self, capsys, argv):
+        if argv[0] == "scan" and "--sdp" in argv:
+            # Its subset solves take about 30 s uncapped; a cap changes the
+            # numbers, not the report's shape.
+            argv = [*argv, "--max-iters", "25"]
+        self._check(capsys, argv)
+
+    def test_every_workload_report(self, capsys, basis_file):
+        for argv in _workload_argvs(basis_file):
+            self._check(capsys, argv)
+
+    @staticmethod
+    def _check(capsys, argv):
+        """The payload's text is the oracle's, and a JSON run prints it."""
+        config = cli.resolve_config(cli.parse_args(argv))
+        _, payload, _ = cli._HANDLERS[config.command](config)
+        expected = _oracle(payload) + "\n"
+        assert cli._json_text(payload, "\n") + "\n" == expected
+        if not config.csv:
+            capsys.readouterr()
+            main(argv)
+            assert capsys.readouterr().out == expected
+
+
+def _full_parse(capsys, argv):
+    """(namespace or exit code, stdout, stderr) of the full parser."""
+    try:
+        result = vars(cli.build_parser().parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return (result, *capsys.readouterr())
+
+
+class TestParseOnce:
+    """``parse_args`` against ``build_parser().parse_args``."""
+
+    @pytest.mark.parametrize("argv", _README_EXAMPLES, ids=" ".join)
+    def test_readme_examples(self, capsys, monkeypatch, argv):
+        self._check_one_pass(capsys, monkeypatch, argv)
+
+    def test_workload_argvs(self, capsys, monkeypatch, basis_file):
+        for argv in _workload_argvs(basis_file):
+            self._check_one_pass(capsys, monkeypatch, argv)
+
+    @pytest.mark.parametrize("command", list(cli._COMMAND_FLAGS))
+    def test_each_subcommand_without_flags(self, capsys, monkeypatch, command):
+        self._check_one_pass(capsys, monkeypatch, [command])
+
+    @staticmethod
+    def _check_one_pass(capsys, monkeypatch, argv):
+        expected = _full_parse(capsys, argv)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the full parser ran")
+
+        # The namespace comes from the subcommand's parser alone.
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.build_parser(), "parse_args", refuse)
+            args = cli.parse_args(argv)
+        assert (vars(args), *capsys.readouterr()) == expected
+        assert list(vars(args)) == list(expected[0])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["--help"], ["bogus"], ["fef", "-h"], ["fef", "--dim", "x"], ["fef", "--accuracy", "1"]],
+        ids=" ".join,
+    )
+    def test_help_usage_and_errors(self, capsys, argv):
+        code, out, err = _full_parse(capsys, argv)
+        assert code in (EXIT_OK, EXIT_INPUT) and out + err
+        with pytest.raises(SystemExit) as exit_info:
+            cli.parse_args(argv)
+        assert (exit_info.value.code, *capsys.readouterr()) == (code, out, err)

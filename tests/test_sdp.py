@@ -731,6 +731,22 @@ class TestCompleteSolveMemory:
         assert result.converged
         assert peak <= solve_bytes(d, d * d)
 
+    def test_a_capped_solve_stays_within_the_size_estimate(self):
+        """A solve that never converges keeps a trace row every 100
+        iterations up to its cap: 500 rows at 50,000, which peak at 228 kB
+        against an estimate of 39 kB that counted none of them."""
+        basis = weyl_basis(2)
+        spec = ResourceSpectrum.from_probabilities([0.8, 0.2])
+        tracemalloc.start()
+        try:
+            result = solve_primal_ppt(basis, spec, accuracy=1e-15, max_iters=50000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not result.converged
+        assert len(result.trace) == 500
+        assert solve_bytes(2, 4, 100) < peak <= solve_bytes(2, 4, 50000)
+
 
 class TestPPTClip:
     """The clip in the eigenbasis (|ij⟩ ± |ji⟩)/√2 against the closed form."""
