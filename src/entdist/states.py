@@ -132,13 +132,13 @@ def validate_basis(unitaries) -> BasisValidation:
     if not np.isfinite(stack).all():
         bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
         raise ValueError(f"unitary {bad[0]} has a non-finite entry")
-    products = stack.conj().swapaxes(1, 2) @ stack
+    conj = stack.conj()
+    products = conj.swapaxes(1, 2) @ stack
     products.flags.writeable = False
     unit_defect = float(np.abs(products - np.eye(d)).max())
     # gram[i, j] = Tr(U_i^dagger U_j), one product over the flattened stack;
     # the defect is the largest |gram[i, j]| of its strict upper triangle.
-    flat = stack.reshape(n, d * d)
-    gram = flat.conj() @ flat.T
+    gram = conj.reshape(n, d * d) @ stack.reshape(n, d * d).T
     index = np.arange(n)
     orth_defect = float(np.abs(gram)[index[:, None] < index].max(initial=0.0))
     complete = n == d * d

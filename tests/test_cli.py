@@ -649,6 +649,18 @@ class TestCommands:
         assert payload["passed"]
         assert all(check["passed"] for check in payload["checks"])
 
+    def test_verify_basis_validation_can_fail(self, monkeypatch):
+        # The basis is built and accepted; the check then reads a tolerance
+        # that its defects do not meet.
+        config = cli.resolve_config(cli.parse_args(["verify", "--dim", "3"]))
+        monkeypatch.setattr(cli, "BASIS_DEFECT_TOL", 0.0)
+        code, payload, _ = cli._HANDLERS["verify"](config)
+        check = payload["checks"][0]
+        assert check["check"] == "basis_validation"
+        assert check["passed"] is False
+        assert payload["passed"] is False
+        assert code == EXIT_NUMERICAL
+
     def test_verify_preset_sweep(self, capsys):
         payload = run_json(capsys, "verify", "--dim", "2", "--seed", "1")
         assert payload["passed"]
@@ -1233,3 +1245,116 @@ class TestParseOnce:
         with pytest.raises(SystemExit) as exit_info:
             cli.parse_args(argv)
         assert (exit_info.value.code, *capsys.readouterr()) == (code, out, err)
+
+
+# Option values of every kind: valid for some action, of the wrong type,
+# out of its choices, negative, "-", empty, flag-like and non-finite.
+_WILD_VALUES = st.one_of(
+    st.integers(-12, 40).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(
+        ["", "-", "--", "-1", "-0.5", "-h", "--help", "--dim", "--bogus", "-x",
+         "x", "1.5", " 3", "3 ", "1_0", "completion", "projector", "uniform",
+         "random", "0.8,0.2", "report.json"]
+    ),
+)
+
+
+def _valid_value(flag):
+    """Values the flag's action accepts: its type's, or one of its choices."""
+    options = cli._FLAGS[flag]
+    if "choices" in options:
+        return st.sampled_from(options["choices"])
+    if options.get("type") is int:
+        return st.integers(0, 40).map(str)
+    if options.get("type") is float:
+        return st.floats(1e-12, 1.0).map(repr)
+    return st.sampled_from(["0.8,0.2", "uniform", "random", "basis.json", "x"])
+
+
+def _flag_and_value(flag, value):
+    """The flag and its value as an argv holds them; a flag takes none."""
+    return [flag] if cli._FLAGS[flag].get("action") == "store_true" else [flag, value]
+
+
+@st.composite
+def _parser_argvs(draw):
+    """An argv of a subcommand's flags with accepted values, into which up to
+    two other arguments are put: a flag with a value of any kind, as
+    ``--flag=value`` or abbreviated, a flag with no value, a flag the
+    subcommand is not offered, a stray value, or ``-h``."""
+    command = draw(
+        st.sampled_from(list(cli._COMMAND_FLAGS))
+        | st.sampled_from(["bogus", "-h", "--help", "--dim", "fe"])
+    )
+    offered = [*cli._COMMAND_FLAGS.get(command, ()), "--out", "--csv"]
+    items = []
+    for _ in range(draw(st.integers(0, 4))):
+        flag = draw(st.sampled_from(offered))  # repeats too
+        items.append(_flag_and_value(flag, draw(_valid_value(flag))))
+    for _ in range(draw(st.integers(0, 2))):
+        flag = draw(st.sampled_from(offered) | st.sampled_from(list(cli._FLAGS)))
+        value = draw(_valid_value(flag) | _WILD_VALUES)
+        form = draw(
+            st.sampled_from(["exact", "with value", "equals", "abbreviated", "bare", "stray", "help"])
+        )
+        item = {
+            "exact": _flag_and_value(flag, value),
+            "with value": [flag, value],
+            "equals": [f"{flag}={value}"],
+            "abbreviated": [flag[: draw(st.integers(3, len(flag) - 1))], value],
+            "bare": [flag],
+            "stray": [value],
+            "help": [draw(st.sampled_from(["-h", "--help"]))],
+        }[form]
+        items.insert(draw(st.integers(0, len(items))), item)
+    head = [command] if draw(st.integers(0, 9)) else []
+    return head + [arg for item in items for arg in item]
+
+
+def _parse_outcome(parse, argv):
+    """(namespace items or exit code, stdout, stderr) of one parse.
+
+    A value is held by its type and repr, so that two NaNs compare equal.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = [(k, type(v), repr(v)) for k, v in vars(parse(argv)).items()]
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestExactMatchParity:
+    """``parse_args``, by exact match or by the full parser, against the
+    full parser on drawn command lines: the same namespace (keys, order,
+    values), or the same exit code, stdout and stderr."""
+
+    @settings(max_examples=1500, deadline=None, database=None, derandomize=True)
+    @given(argv=_parser_argvs())
+    def test_matches_the_full_parser(self, argv):
+        expected = _parse_outcome(cli.build_parser().parse_args, list(argv))
+        assert _parse_outcome(cli.parse_args, argv) == expected
+
+    @settings(max_examples=600, deadline=None, database=None, derandomize=True)
+    @given(
+        option=st.sampled_from(
+            [(c, f) for c, flags in cli._COMMAND_FLAGS.items() for f in (*flags, "--out", "--csv")]
+        ),
+        value=_WILD_VALUES,
+    )
+    def test_one_flag_with_a_value_of_any_kind(self, option, value):
+        argv = [*option, value]
+        assert _parse_outcome(cli.parse_args, argv) == _parse_outcome(
+            cli.build_parser().parse_args, argv
+        )
+
+    def test_well_formed_lines_match_exactly(self):
+        assert cli._exact_match(["sdp", "--dim", "3", "--accuracy", "1e-05", "--csv"]) is not None
+        for argv in (
+            ["fef", "--dim=3"], ["fef", "--di", "3"], ["fef", "--seed", "-1"],
+            ["fef", "--dim"], ["fef", "--dim", "x"], ["bounds", "--strategy", "x"],
+            ["fef", "-h"], ["fef", "--shots", "3"], ["fef", "--csv", "3"], ["bogus"], [],
+        ):
+            assert cli._exact_match(argv) is None, argv
