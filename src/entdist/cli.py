@@ -421,7 +421,7 @@ def cmd_protocol(config: RunConfig):
     }
     if config.shots > 0:
         rng = np.random.default_rng(config.seed)
-        sampled = sample_protocol_success(config.basis, config.spec, config.shots, rng)
+        sampled = sample_protocol_success(run, config.shots, rng)
         payload["shots"] = config.shots
         payload["seed"] = config.seed
         payload["sampled_value"] = sampled
@@ -563,8 +563,9 @@ def cmd_sweep(config: RunConfig):
 def cmd_scan(config: RunConfig):
     basis, spec, d = config.basis, config.spec, config.dim
     rows, solves = [], []
-    completions = incomplete_bounds_sweep(basis, spec)
-    projectors = incomplete_bounds_sweep(basis, spec, strategy="projector")
+    run = simulate_protocol(basis, spec)
+    completions = incomplete_bounds_sweep(run)
+    projectors = incomplete_bounds_sweep(run, strategy="projector")
     for completion, projector in zip(completions, projectors):
         n = completion.n_states
         start = time.perf_counter()
@@ -606,8 +607,9 @@ def _verify_one(config: RunConfig, label: str, spec: ResourceSpectrum) -> list[d
     )
     check("protocol_per_term", run.max_term_deviation <= 1e-10, run.max_term_deviation)
 
-    gram_diag = float(np.max(np.abs(np.diag(run.residuals.gram) - 1.0)))
-    check("gram_normalized", gram_diag <= 1e-12, gram_diag)
+    # Each outcome row sums to its residual's squared norm.
+    norm_defect = float(np.max(np.abs(run.outcomes.sum(axis=1) - 1.0)))
+    check("gram_normalized", norm_defect <= 1e-12, norm_defect)
 
     cert = build_certificate(basis, spec)
     ens = build_ensemble(basis, spec, d * d)
@@ -626,7 +628,7 @@ def _verify_one(config: RunConfig, label: str, spec: ResourceSpectrum) -> list[d
 
     bounds_ok = True
     worst = 0.0
-    for b in incomplete_bounds_sweep(basis, spec):
+    for b in incomplete_bounds_sweep(run):
         slack = max(fef(spec) - b.lower, b.lower - b.upper, b.upper - 1.0)
         worst = max(worst, slack)
         bounds_ok = bounds_ok and slack <= 1e-12

@@ -12,65 +12,60 @@ and the scaled certificate trace gives the matching upper bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .measures import fef
 from .states import MaxEntBasis, ResourceSpectrum, problem_size
-from .tensor import require_hermitian
 
-GRAM_TOL = 1e-12
+NORM_TOL = 1e-12
 TIE_TOL = 1e-12
 # Measurement outcomes sample_protocol_success draws per call: each holds
 # about 16 bytes while it is drawn.
 _DRAW_CHUNK = 2**16
 
 
-@dataclass(frozen=True)
-class ResidualEnsemble:
-    """Post-teleportation kets, one per row of ``gammas``, and their Gram matrix."""
-
-    dim: int
-    gammas: np.ndarray
-    gram: np.ndarray
-
-    def __post_init__(self):
-        require_hermitian(self.gram)
-        if np.max(np.abs(np.diag(self.gram) - 1.0)) > GRAM_TOL:
-            raise ValueError("residual states must be normalized")
-
-    def __len__(self) -> int:
-        return len(self.gammas)
-
-
 def teleport_residuals(
     basis: MaxEntBasis, spec: ResourceSpectrum, n_states: int | None = None
-) -> ResidualEnsemble:
+) -> np.ndarray:
     """Residuals gamma_i = sum_k a_k |k> (x) U_i|k> for the first n_states,
-    with their Gram matrix."""
+    one per row of an (N, d^2) array."""
     d = basis.dim
     n_states = problem_size(basis, spec, n_states)
     a = np.asarray(spec.coeffs)
     unitaries = basis.unitaries[:n_states]
-    gammas = (a[:, None] * unitaries.transpose(0, 2, 1)).reshape(n_states, d * d)
-    return ResidualEnsemble(dim=d, gammas=gammas, gram=gammas.conj() @ gammas.T)
+    return (a[:, None] * unitaries.transpose(0, 2, 1)).reshape(n_states, d * d)
 
 
-def _outcome_matrix(basis: MaxEntBasis, residuals: ResidualEnsemble) -> np.ndarray:
-    """P[i, j] = |<psi_j|gamma_i>|^2: residual i measured in the whole basis."""
-    return np.abs(residuals.gammas @ basis.kets().conj().T) ** 2
+def _outcome_matrix(
+    basis: MaxEntBasis, spec: ResourceSpectrum, n_states: int | None = None
+) -> np.ndarray:
+    """P[i, j] = |<psi_j|gamma_i>|^2: residual i of the first n_states
+    measured in the whole basis.
+
+    Row i sums to <gamma_i|gamma_i> by Parseval over the complete basis, so
+    checking that every row sums to one is the residuals' normalization
+    check.
+    """
+    gammas = teleport_residuals(basis, spec, n_states)
+    outcomes = np.abs(gammas @ basis.kets().conj().T) ** 2
+    off = np.flatnonzero(np.abs(outcomes.sum(axis=1) - 1.0) > NORM_TOL)
+    if off.size:
+        raise ValueError(f"outcome distribution for state {off[0]} is not normalized")
+    return outcomes
 
 
 @dataclass(frozen=True)
 class ProtocolRun:
-    """Exact single-lab simulation of the discrimination measurement."""
+    """Exact single-lab simulation of the discrimination measurement, with
+    the outcome matrix every protocol number is read from."""
 
     dim: int
     value: float
     per_state: tuple[float, ...]
     expected: float
-    residuals: ResidualEnsemble
+    outcomes: np.ndarray = field(repr=False)
 
     @property
     def max_term_deviation(self) -> float:
@@ -85,31 +80,19 @@ def simulate_protocol(basis: MaxEntBasis, spec: ResourceSpectrum) -> ProtocolRun
     receiving lab; outcome i on residual i counts as success. Outcome
     distributions are checked to sum to one.
     """
-    residuals = teleport_residuals(basis, spec)
-    outcomes = _outcome_matrix(basis, residuals)
-    off = np.flatnonzero(np.abs(outcomes.sum(axis=1) - 1.0) > 1e-12)
-    if off.size:
-        raise ValueError(f"outcome distribution for state {off[0]} is not normalized")
+    outcomes = _outcome_matrix(basis, spec)
     per_state = tuple(float(p) for p in np.diag(outcomes))
     return ProtocolRun(
         dim=basis.dim,
         value=float(np.mean(per_state)),
         per_state=per_state,
         expected=fef(spec),
-        residuals=residuals,
+        outcomes=outcomes,
     )
 
 
-def protocol_success(basis: MaxEntBasis, spec: ResourceSpectrum) -> float:
-    """Exact success probability of the teleportation protocol."""
-    return simulate_protocol(basis, spec).value
-
-
 def sample_protocol_success(
-    basis: MaxEntBasis,
-    spec: ResourceSpectrum,
-    shots: int,
-    rng: np.random.Generator,
+    run: ProtocolRun, shots: int, rng: np.random.Generator
 ) -> float:
     """Monte-Carlo estimate: draw inputs uniformly, sample the measurement.
 
@@ -118,8 +101,8 @@ def sample_protocol_success(
     """
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
-    n = len(basis)
-    outcomes = _outcome_matrix(basis, teleport_residuals(basis, spec))
+    outcomes = run.outcomes
+    n = len(outcomes)
     counts = rng.multinomial(shots, [1.0 / n] * n)
     hits = 0
     for i, draws in enumerate(counts):
@@ -176,23 +159,24 @@ def incomplete_bounds(
     is enforced.
     """
     _check_strategy(strategy)
-    outcomes = _outcome_matrix(basis, teleport_residuals(basis, spec, n_states))
-    return _bounds(outcomes, spec, strategy)
+    outcomes = _outcome_matrix(basis, spec, n_states)
+    return _bounds(outcomes, spec.dim, fef(spec), strategy)
 
 
 def incomplete_bounds_sweep(
-    basis: MaxEntBasis, spec: ResourceSpectrum, strategy: str = "completion"
+    run: ProtocolRun, strategy: str = "completion"
 ) -> tuple[IncompleteBounds, ...]:
     """``incomplete_bounds`` for every N from d + 1 to d^2, in that order.
 
-    Row i of the outcome matrix depends only on residual i, so one matrix
-    for the whole basis serves every N: the first N states read its first N
-    rows.
+    Row i of the outcome matrix depends only on residual i, so the run's
+    matrix for the whole basis serves every N: the first N states read its
+    first N rows.
     """
     _check_strategy(strategy)
-    d = basis.dim
-    outcomes = _outcome_matrix(basis, teleport_residuals(basis, spec))
-    return tuple(_bounds(outcomes[:n], spec, strategy) for n in range(d + 1, d * d + 1))
+    d = run.dim
+    return tuple(
+        _bounds(run.outcomes[:n], d, run.expected, strategy) for n in range(d + 1, d * d + 1)
+    )
 
 
 def _check_strategy(strategy: str) -> None:
@@ -200,9 +184,9 @@ def _check_strategy(strategy: str) -> None:
         raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _bounds(outcomes: np.ndarray, spec: ResourceSpectrum, strategy: str) -> IncompleteBounds:
+def _bounds(outcomes: np.ndarray, d: int, fef_value: float, strategy: str) -> IncompleteBounds:
     """The bounds of ``incomplete_bounds`` from the outcome rows of the N residuals."""
-    n_states, d = len(outcomes), spec.dim
+    n_states = len(outcomes)
     # One column per completion outcome, one row per residual that may claim it.
     scores = outcomes[:, n_states:]
     if strategy == "projector":
@@ -211,7 +195,6 @@ def _bounds(outcomes: np.ndarray, spec: ResourceSpectrum, strategy: str) -> Inco
     assignments = np.argmax(scores >= best - TIE_TOL, axis=0)
     overlaps = [float(m) for m in best]
 
-    fef_value = fef(spec)
     lower = fef_value + sum(overlaps) / n_states
     upper = min(1.0, (d * d / n_states) * fef_value)
     if lower > upper + 1e-12:

@@ -182,7 +182,7 @@ from numpy.linalg import _umath_linalg
 
 from .certificate import FeasibilityReport, build_certificate, verify_dual_feasibility
 from .measures import fef
-from .protocol import incomplete_bounds, protocol_success
+from .protocol import incomplete_bounds, simulate_protocol
 from .states import MaxEntBasis, ResourceSpectrum, build_ensemble, problem_size
 from .tensor import psd_clip
 
@@ -1001,7 +1001,7 @@ def sandwich_report(
     upper = min(1.0, upper_unclipped)
 
     if n_states == d * d:
-        lower = protocol_success(basis, spec)
+        lower = simulate_protocol(basis, spec).value
     else:
         lower = incomplete_bounds(basis, spec, n_states, strategy=strategy).lower
 

@@ -16,7 +16,7 @@ from entdist.certificate import (
     verify_dual_feasibility,
 )
 from entdist.measures import fef
-from entdist.protocol import incomplete_bounds, protocol_success, teleport_residuals
+from entdist.protocol import incomplete_bounds, simulate_protocol, teleport_residuals
 from entdist.sdp import DEFAULT_ACCURACY, sandwich_report, solve_primal_ppt
 from entdist.states import (
     ResourceSpectrum,
@@ -70,7 +70,7 @@ def test_criterion_1_bell_sandwich(acceptance_log):
     """d=2, squared weights (0.8, 0.2): all three routes give 0.9."""
     start = time.perf_counter()
     basis = weyl_basis(2)
-    protocol = protocol_success(basis, BELL_SPEC)
+    protocol = simulate_protocol(basis, BELL_SPEC).value
     cert = build_certificate(basis, BELL_SPEC)
     sdp = sdp_value(basis, BELL_SPEC, 4)
     elapsed = time.perf_counter() - start
@@ -102,7 +102,7 @@ def test_criterion_2_qutrit_sweep(acceptance_log):
     for _, spec in d3_spectra():
         target = fef(spec)
         worst_protocol = max(
-            worst_protocol, abs(protocol_success(basis, spec) - target)
+            worst_protocol, abs(simulate_protocol(basis, spec).value - target)
         )
         cert = build_certificate(basis, spec)
         ens = build_ensemble(basis, spec, 9)
@@ -138,7 +138,7 @@ def test_criterion_3_endpoints(acceptance_log):
             ("product", ResourceSpectrum.product(d), 1.0 / d),
             ("maxent", ResourceSpectrum.uniform(d), 1.0),
         ):
-            protocol = protocol_success(basis, spec)
+            protocol = simulate_protocol(basis, spec).value
             trace = build_certificate(basis, spec).trace_value
             sdp = sdp_value(basis, spec, d * d)
             ok = ok and abs(protocol - target) <= 1e-10
@@ -250,7 +250,10 @@ def test_criterion_8_basis_independence(acceptance_log):
         rotated = conjugated_basis(plain, haar_random_unitary(d, rng))
         worst = max(
             worst,
-            abs(protocol_success(plain, spec) - protocol_success(rotated, spec)),
+            abs(
+                simulate_protocol(plain, spec).value
+                - simulate_protocol(rotated, spec).value
+            ),
             abs(
                 build_certificate(plain, spec).trace_value
                 - build_certificate(rotated, spec).trace_value
@@ -282,14 +285,15 @@ def test_criterion_9_gram_cross_check(acceptance_log):
         d = 2 + case % 2
         basis = conjugated_basis(weyl_basis(d), haar_random_unitary(d, rng))
         spec = random_spectrum(d, rng)
-        res = teleport_residuals(basis, spec)
+        gammas = teleport_residuals(basis, spec)
+        gram = gammas.conj() @ gammas.T
         closed = residual_gram(basis, spec, d * d)
         direct = np.array(
-            [[np.vdot(g, h) for h in res.gammas] for g in res.gammas]
+            [[np.vdot(g, h) for h in gammas] for g in gammas]
         )
         worst = max(
             worst,
-            float(np.max(np.abs(res.gram - closed))),
+            float(np.max(np.abs(gram - closed))),
             float(np.max(np.abs(direct - closed))),
         )
     ok = worst <= 1e-12

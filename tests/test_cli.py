@@ -503,6 +503,50 @@ class TestHelp:
         assert set(listed) == {*cli._COMMAND_FLAGS[command], "--out", "--csv", "--help"}
 
 
+class TestOutcomeMatrix:
+    """Every protocol number of a run is read from one outcome matrix per
+    (basis, spectrum)."""
+
+    UNNORMALIZED = [
+        ("protocol", "--dim", "2", "--spectrum", "0.8,0.2"),
+        ("bounds", "--dim", "2", "--spectrum", "0.8,0.2", "--n-states", "3"),
+        ("verify", "--dim", "2", "--spectrum", "0.8,0.2"),
+        ("scan", "--dim", "2", "--spectrum", "0.8,0.2"),
+    ]
+
+    @pytest.mark.parametrize("argv", UNNORMALIZED, ids=lambda argv: argv[0])
+    def test_an_unnormalized_residual_is_refused(self, capsys, unnormalized_residual, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "error: outcome distribution for state 1 is not normalized\n"
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (("protocol", "--shots", "100"), 1),
+            (("scan", "--dim", "3"), 1),
+            # one per preset spectrum: uniform, product, random
+            (("verify", "--dim", "2"), 3),
+        ],
+        ids=["protocol", "scan", "verify"],
+    )
+    def test_one_outcome_matrix_per_spectrum(self, capsys, monkeypatch, argv, calls):
+        import entdist.protocol as protocol
+
+        formed = []
+        exact = protocol._outcome_matrix
+
+        def counted(*args):
+            formed.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(protocol, "_outcome_matrix", counted)
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_OK, err
+        assert len(formed) == calls
+
+
 class TestBasisUse:
     def test_fef_builds_no_basis(self, capsys, monkeypatch):
         def never(*args, **kwargs):

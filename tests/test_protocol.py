@@ -8,7 +8,6 @@ from entdist.measures import fef
 from entdist.protocol import (
     incomplete_bounds,
     incomplete_bounds_sweep,
-    protocol_success,
     sample_protocol_success,
     simulate_protocol,
     teleport_residuals,
@@ -19,23 +18,28 @@ from oracles import conjugated_basis, haar_random_unitary, residual_gram
 BELL_SPEC = ResourceSpectrum.from_probabilities([0.8, 0.2])
 
 
+def _gram(gammas):
+    """Inner products <gamma_i|gamma_j> of the residual rows."""
+    return gammas.conj() @ gammas.T
+
+
 class TestResiduals:
     def test_gram_formula_example(self):
         """Against the clock generator the overlap is a1^2 - a2^2."""
-        res = teleport_residuals(weyl_basis(2), BELL_SPEC)
-        assert res.gram[0, 1] == pytest.approx(0.8 - 0.2, abs=1e-12)
+        gram = _gram(teleport_residuals(weyl_basis(2), BELL_SPEC))
+        assert gram[0, 1] == pytest.approx(0.8 - 0.2, abs=1e-12)
 
     def test_max_entangled_gram_is_identity(self):
         for d in (2, 3):
-            res = teleport_residuals(weyl_basis(d), ResourceSpectrum.uniform(d))
-            assert np.allclose(res.gram, np.eye(d * d), atol=1e-12)
+            gram = _gram(teleport_residuals(weyl_basis(d), ResourceSpectrum.uniform(d)))
+            assert np.allclose(gram, np.eye(d * d), atol=1e-12)
 
     def test_product_resource_residuals(self):
         """One Schmidt term survives: gamma_i = |0> (x) U_i|0>."""
         d = 3
         basis = weyl_basis(d)
         res = teleport_residuals(basis, ResourceSpectrum.product(d))
-        for gamma, u in zip(res.gammas, basis.unitaries):
+        for gamma, u in zip(res, basis.unitaries):
             expect = np.zeros(d * d, dtype=complex)
             expect[:d] = u[:, 0]
             assert np.allclose(gamma, expect, atol=1e-12)
@@ -43,7 +47,7 @@ class TestResiduals:
     def test_truncated_set(self):
         res = teleport_residuals(weyl_basis(2), BELL_SPEC, 3)
         assert len(res) == 3
-        assert res.gram.shape == (3, 3)
+        assert _gram(res).shape == (3, 3)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 3))
@@ -51,14 +55,14 @@ class TestResiduals:
         rng = np.random.default_rng(seed)
         basis = conjugated_basis(weyl_basis(d), haar_random_unitary(d, rng))
         spec = random_spectrum(d, rng)
-        res = teleport_residuals(basis, spec)
-        assert np.max(np.abs(res.gram - residual_gram(basis, spec, d * d))) <= 1e-12
-        assert np.max(np.abs(np.diag(res.gram) - 1.0)) < 1e-12
+        gram = _gram(teleport_residuals(basis, spec))
+        assert np.max(np.abs(gram - residual_gram(basis, spec, d * d))) <= 1e-12
+        assert np.max(np.abs(np.diag(gram) - 1.0)) < 1e-12
 
 
 class TestProtocol:
     def test_benchmark_value(self):
-        assert protocol_success(weyl_basis(2), BELL_SPEC) == pytest.approx(
+        assert simulate_protocol(weyl_basis(2), BELL_SPEC).value == pytest.approx(
             0.9, abs=1e-12
         )
 
@@ -70,10 +74,10 @@ class TestProtocol:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_endpoints(self, d):
-        assert protocol_success(weyl_basis(d), ResourceSpectrum.uniform(d)) == (
+        assert simulate_protocol(weyl_basis(d), ResourceSpectrum.uniform(d)).value == (
             pytest.approx(1.0, abs=1e-10)
         )
-        assert protocol_success(weyl_basis(d), ResourceSpectrum.product(d)) == (
+        assert simulate_protocol(weyl_basis(d), ResourceSpectrum.product(d)).value == (
             pytest.approx(1.0 / d, abs=1e-10)
         )
 
@@ -89,12 +93,12 @@ class TestProtocol:
 
     def test_sampling_converges(self):
         estimate = sample_protocol_success(
-            weyl_basis(2), BELL_SPEC, 100_000, np.random.default_rng(20)
+            simulate_protocol(weyl_basis(2), BELL_SPEC), 100_000, np.random.default_rng(20)
         )
         assert abs(estimate - 0.9) < 1e-2
 
     def test_sampling_is_seeded(self):
-        args = (weyl_basis(2), BELL_SPEC, 1000)
+        args = (simulate_protocol(weyl_basis(2), BELL_SPEC), 1000)
         a = sample_protocol_success(*args, np.random.default_rng(5))
         b = sample_protocol_success(*args, np.random.default_rng(5))
         assert a == b
@@ -104,11 +108,12 @@ class TestProtocol:
 
         for seed, d in [(0, 2), (1, 3), (7, 2), (11, 3)]:
             spec = random_spectrum(d, np.random.default_rng(seed))
+            run = simulate_protocol(weyl_basis(d), spec)
             values = []
             for chunk in (10**9, 2**16, 1000, 7):
                 monkeypatch.setattr(protocol, "_DRAW_CHUNK", chunk)
                 values.append(
-                    sample_protocol_success(weyl_basis(d), spec, 20_011, np.random.default_rng(seed))
+                    sample_protocol_success(run, 20_011, np.random.default_rng(seed))
                 )
             assert values == [values[0]] * 4
 
@@ -116,11 +121,10 @@ class TestProtocol:
         """A single draw per row would hold about 16 bytes a shot, 19 MiB here."""
         import tracemalloc
 
+        run = simulate_protocol(weyl_basis(2), BELL_SPEC)
         tracemalloc.start()
         try:
-            estimate = sample_protocol_success(
-                weyl_basis(2), BELL_SPEC, 5_000_000, np.random.default_rng(3)
-            )
+            estimate = sample_protocol_success(run, 5_000_000, np.random.default_rng(3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -130,8 +134,19 @@ class TestProtocol:
     def test_sampling_rejects_zero_shots(self):
         with pytest.raises(ValueError):
             sample_protocol_success(
-                weyl_basis(2), BELL_SPEC, 0, np.random.default_rng(0)
+                simulate_protocol(weyl_basis(2), BELL_SPEC), 0, np.random.default_rng(0)
             )
+
+
+class TestNormalizationCheck:
+    def test_simulation_refuses_an_unnormalized_residual(self, unnormalized_residual):
+        with pytest.raises(ValueError, match="^outcome distribution for state 1 is not normalized$"):
+            simulate_protocol(weyl_basis(2), BELL_SPEC)
+
+    @pytest.mark.parametrize("strategy", ["completion", "projector"])
+    def test_bounds_refuse_an_unnormalized_residual(self, unnormalized_residual, strategy):
+        with pytest.raises(ValueError, match="^outcome distribution for state 1 is not normalized$"):
+            incomplete_bounds(weyl_basis(2), BELL_SPEC, 3, strategy)
 
 
 class TestIncompleteBounds:
@@ -194,7 +209,7 @@ class TestIncompleteBounds:
         rng = np.random.default_rng(120 + d)
         spec = random_spectrum(d, rng)
         basis = conjugated_basis(weyl_basis(d), haar_random_unitary(d, rng))
-        sweep = incomplete_bounds_sweep(basis, spec, strategy)
+        sweep = incomplete_bounds_sweep(simulate_protocol(basis, spec), strategy)
         assert [b.n_states for b in sweep] == list(range(d + 1, d * d + 1))
         for b in sweep:
             one = incomplete_bounds(basis, spec, b.n_states, strategy)
@@ -211,9 +226,9 @@ class TestIncompleteBounds:
 
     def test_sweep_checks_its_arguments(self):
         with pytest.raises(ValueError, match="does not match basis"):
-            incomplete_bounds_sweep(weyl_basis(2), ResourceSpectrum.uniform(3))
+            incomplete_bounds_sweep(simulate_protocol(weyl_basis(2), ResourceSpectrum.uniform(3)))
         with pytest.raises(ValueError, match="unknown strategy"):
-            incomplete_bounds_sweep(weyl_basis(2), BELL_SPEC, "greedy")
+            incomplete_bounds_sweep(simulate_protocol(weyl_basis(2), BELL_SPEC), "greedy")
 
 
 def test_tie_break_picks_lowest_index():
@@ -269,7 +284,7 @@ def test_outcome_matrix_matches_the_per_pair_loops(basis, spec):
     per_state, gram, _, _, _ = _loop_oracle(basis, spec, d * d, "completion")
     run = simulate_protocol(basis, spec)
     assert np.max(np.abs(np.array(run.per_state) - per_state)) <= 1e-14
-    assert np.max(np.abs(run.residuals.gram - gram)) <= 1e-14
+    assert np.max(np.abs(_gram(teleport_residuals(basis, spec)) - gram)) <= 1e-14
     for n in range(1, d * d):
         for strategy in ("completion", "projector"):
             _, _, lower, overlaps, columns = _loop_oracle(basis, spec, n, strategy)
