@@ -190,11 +190,12 @@ def _decomposition_residuals(cert: DualCertificate, ens: Ensemble) -> list[float
     c = cert.coefficient
     x = c * (cert.weights * _P_ONLY - gamma - half_a)
     p = np.asarray(ens.priors)
-    # the (N, 2, d, d) stacks are formed in place; Z_k is real, so its
-    # squared entries are z * z
+    # the (N, 2, d, d) stacks are formed in place; Z_k is real, so
+    # Re<X, Z_k> is one product with the real part of X, and its squared
+    # entries are z * z
     z = p[:, None, None, None] * tau_t
     np.subtract(c * d * (gamma - half_a), z, out=z)
-    cross = np.einsum("tij,ktij->k", x.conj(), z).real
+    cross = z.reshape(len(z), -1) @ x.real.reshape(-1)
     z *= z
     magnitude = np.abs(ens.psi)
     magnitude *= magnitude

@@ -81,11 +81,11 @@ def simulate_protocol(basis: MaxEntBasis, spec: ResourceSpectrum) -> ProtocolRun
     distributions are checked to sum to one.
     """
     outcomes = _outcome_matrix(basis, spec)
-    per_state = tuple(float(p) for p in np.diag(outcomes))
+    diagonal = outcomes.diagonal()
     return ProtocolRun(
         dim=basis.dim,
-        value=float(np.mean(per_state)),
-        per_state=per_state,
+        value=float(diagonal.mean()),
+        per_state=tuple(diagonal.tolist()),
         expected=fef(spec),
         outcomes=outcomes,
     )

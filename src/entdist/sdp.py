@@ -241,11 +241,12 @@ _TRACE_EVERY = 100
 _MARGIN = 1e-12
 
 # Rows of d² floats (8 d² bytes each) a complete solve holds: its work
-# buffer (32), the Anderson step's six rows of 16 (96), the bracket's work
-# (27) and the temporaries of its checks and rounding. With the table of
-# ``_sector_maps`` built in the solve, tracemalloc peaks at 202, 193 and
-# 189 of them at d = 16, 32 and 64, the small arrays below included.
-_SECTOR_ROWS = 208
+# buffer (32), the Anderson step's six rows of 16 and their zero seventh
+# (112), the bracket's work (27) and the temporaries of its checks and
+# rounding. With the table of ``_sector_maps`` built in the solve,
+# tracemalloc peaks at 218, 209 and 205 of them at d = 16, 32 and 64, the
+# small arrays below included.
+_SECTOR_ROWS = 224
 # Bytes a complete solve holds besides them: its small fixed arrays and the
 # table's products. They set the peak at small d: 33 kB at d = 2 and 48 kB
 # at d = 4, where the rows count 7 kB and 27 kB.
@@ -257,9 +258,10 @@ _SECTOR_BYTES = 2**15
 _TRACE_ROW_BYTES = 430
 # Arrays of 16 d⁸ bytes per operator that an operator-by-operator solve
 # holds: its state and cost, the Anderson step's six rows (the map's image
-# among them), four arrays each, and the projections' temporaries;
-# tracemalloc peaks at 37.0-38.3 of them at d = 2, 3.
-_OPERATOR_ARRAYS = 39
+# among them) and their zero seventh, four arrays each, and the
+# projections' temporaries; tracemalloc peaks at 41.0-41.9 of them at
+# d = 2, 3.
+_OPERATOR_ARRAYS = 43
 
 
 def solve_bytes(dim: int, n_states: int, max_iters: int = DEFAULT_MAX_ITERS) -> int:
@@ -795,9 +797,11 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
     # are g and f, which the step writes in place. Each pair is contiguous,
     # so one operation updates both differences of a slot. The state is
     # weighted, so the rows' plain inner products are the weighted ones.
-    rows = np.zeros((3, 2, s_flat.size))
-    flat = rows.reshape(6, -1)
-    flat_t, products = flat.T, np.empty((6, 6))
+    # A zero seventh row makes the Gram a gemm; rows by their own transpose run as slower syrk.
+    ext = np.zeros((7, s_flat.size))
+    flat = ext[:6]
+    rows = flat.reshape(3, 2, -1)
+    ext_t, products = ext.T, np.empty((6, 7))
     slots, latest = (rows[0], rows[1]), rows[2]
     g, f_flat = latest
     out = latest.view(s.dtype).reshape(coords.image_shape)
@@ -848,7 +852,7 @@ def _consensus(coords: _Coordinates, accuracy: float, max_iters: int) -> SDPResu
                 # held now, or slot 0 alone when none was.
                 held1 = held0 or held1
                 held0 = True
-            gram = np.dot(flat, flat_t, products).tolist()
+            gram = np.dot(flat, ext_t, products).tolist()
             gg = gram[4][4]
 
             if it % _CHECK_EVERY == 0 or it == max_iters:

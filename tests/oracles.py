@@ -464,7 +464,11 @@ def list_memory_consensus(coords, accuracy: float, max_iters: int) -> SDPResult:
     level, and ``_anderson_weights`` solves the fit. Its stop test is the
     package's: a complete program stops on the certified gap of
     ``coords.bracket``, and a subset on the stall window as that loop did.
-    The loop must take the same steps bit for bit.
+    The loop must take the same steps bit for bit, so its Gram is the
+    package's product too: the six rows by the seven of a buffer whose
+    seventh row is zero, one BLAS gemm. The six rows by their own transpose
+    go to syrk, whose sums differ in the last bits (at d = 2, uniform, in
+    the 15th digit) and so move the steps.
     """
     # z starts at start() and the duals at zero.
     s = coords.state
@@ -477,9 +481,10 @@ def list_memory_consensus(coords, accuracy: float, max_iters: int) -> SDPResult:
     # are g and f, which the step writes in place. Each pair is contiguous,
     # so one operation updates both differences of a slot. The state is
     # weighted, so the rows' plain inner products are the weighted ones.
-    rows = np.zeros((3, 2, s_flat.size))
-    flat = rows.reshape(6, -1)
-    flat_t, products = flat.T, np.empty((6, 6))
+    ext = np.zeros((7, s_flat.size))
+    flat = ext[:6]
+    rows = flat.reshape(3, 2, -1)
+    ext_t, products = ext.T, np.empty((6, 7))
     slots, newest = (rows[0], rows[1]), rows[2]
     g, f_flat = newest
     out = newest.view(s.dtype).reshape(coords.image_shape)
@@ -518,7 +523,7 @@ def list_memory_consensus(coords, accuracy: float, max_iters: int) -> SDPResult:
                 apply(out)
                 np.add(slot, newest, out=slot)
                 memory = memory[-1:] + [j]
-            gram = flat.dot(flat_t, products).tolist()
+            gram = flat.dot(ext_t, products).tolist()
             gg = gram[4][4]
 
             if it % _CHECK_EVERY == 0 or it == max_iters:

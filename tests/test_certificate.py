@@ -1,8 +1,10 @@
 """Dual certificate: construction, feasibility, and structural identities."""
 
 import contextlib
+import inspect
 import io
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -525,14 +527,8 @@ def _residual_cases():
         yield pytest.param(*case.values, "resource", id=f"{case.id}-resource")
 
 
-@pytest.mark.parametrize("basis, spec, n, variant", list(_residual_cases()))
-def test_one_kron_residual_matches_the_per_pair_sum(basis, spec, n, variant):
-    """The closed-form residual against dense krons, one per projector.
-
-    Dirichlet priors, tampered weights and another resource break the
-    identity, so the residual reads well above rounding and every term of it
-    is compared.
-    """
+def _residual_inputs(basis, spec, n, variant):
+    """The certificate and ensemble of a ``_residual_cases`` variant."""
     cert = build_certificate(basis, spec, n)
     priors = (1.0 / n,) * n
     if variant == "resource":
@@ -543,9 +539,20 @@ def test_one_kron_residual_matches_the_per_pair_sum(basis, spec, n, variant):
         bent = cert.weights.astype(complex)
         bent[0, 1] += 0.1 + 0.1j
         object.__setattr__(cert, "weights", bent)
-    ens = Ensemble(psi=build_ensemble(basis, spec, n).psi, resource=spec, priors=priors)
+    return cert, Ensemble(psi=build_ensemble(basis, spec, n).psi, resource=spec, priors=priors)
+
+
+@pytest.mark.parametrize("basis, spec, n, variant", list(_residual_cases()))
+def test_one_kron_residual_matches_the_per_pair_sum(basis, spec, n, variant):
+    """The closed-form residual against dense krons, one per projector.
+
+    Dirichlet priors, tampered weights and another resource break the
+    identity, so the residual reads well above rounding and every term of it
+    is compared.
+    """
+    cert, ens = _residual_inputs(basis, spec, n, variant)
     got = np.array(_decomposition_residuals(cert, ens))
-    want = np.array(_per_pair_residuals(cert, basis, spec, priors))
+    want = np.array(_per_pair_residuals(cert, basis, ens.resource, ens.priors))
     assert len(got) == n
     if variant == "uniform":
         assert np.max(np.abs(got - want)) <= 1e-14
@@ -553,6 +560,53 @@ def test_one_kron_residual_matches_the_per_pair_sum(basis, spec, n, variant):
     else:
         assert got.min() > 1e-3
         assert np.max(np.abs(got - want) / want) <= 1e-10
+
+
+def _locals_before(func, marker, call):
+    """Run ``call()`` and return copies of ``func``'s locals as they stand
+    just before the first line of its source that contains ``marker`` runs."""
+    lines, start = inspect.getsourcelines(func)
+    target = start + next(i for i, line in enumerate(lines) if marker in line)
+    seen = {}
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == target and not seen:
+            for name, value in frame.f_locals.items():
+                seen[name] = np.copy(value) if isinstance(value, np.ndarray) else value
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is func.__code__ else None)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return seen
+
+
+@pytest.mark.parametrize("basis, spec, n, variant", list(_residual_cases()))
+def test_cross_term_is_the_einsum(basis, spec, n, variant):
+    """Re<X, Z_k> as one product of the Z stack with the real part of X
+    against the einsum it replaced, on the arrays the residual forms. X is
+    zero for the weights a a^T of a built certificate, so the weights are
+    also bent by a complex matrix whose real and imaginary parts differ, and
+    Z_k is nonzero only for priors other than the certificate's."""
+    cert, ens = _residual_inputs(basis, spec, n, variant)
+    d = basis.dim
+    rng = np.random.default_rng(420 + n)
+    bend = rng.uniform(-0.1, 0.1, (d, d)) + 1j * rng.uniform(-0.1, 0.1, (d, d))
+    for weights in (cert.weights, cert.weights + bend):
+        object.__setattr__(cert, "weights", weights)
+        at = _locals_before(
+            _decomposition_residuals, "z *= z", lambda: _decomposition_residuals(cert, ens)
+        )
+        want = np.einsum("tij,ktij->k", at["x"].conj(), at["z"]).real
+        assert at["cross"].shape == (n,)
+        assert np.max(np.abs(at["cross"] - want)) <= 1e-18
+    if variant == "dirichlet":
+        # Z_k = (c d - p_k) T(tau tau^dag) vanishes where p_k = c d, as it is
+        # for the other variants' uniform priors
+        assert np.min(np.abs(want)) > 1e-9
 
 
 def test_d6_check_stays_below_one_dense_operator():

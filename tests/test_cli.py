@@ -402,7 +402,7 @@ class TestExitCodes:
         code, out, err = run(capsys, "scan", "--dim", "6", "--sdp")
         assert code == EXIT_INPUT
         assert out == ""
-        assert "error:" in err and "34.2 GiB" in err
+        assert "error:" in err and "37.7 GiB" in err
 
     def test_failed_parse_leaves_the_cached_parser_usable(self, capsys):
         assert cli.build_parser() is cli.build_parser()
@@ -573,20 +573,20 @@ class TestSizeEstimate:
         # Either solve holds a trace row of 430 bytes every 100 iterations
         # and one at the end: 501 of them at the default 50,000.
         trace = 430 * 501
-        # A complete solve holds 208 rows of d^2 floats and 32 kB of small
+        # A complete solve holds 224 rows of d^2 floats and 32 kB of small
         # arrays; sdp adds the 16 basis-sized arrays.
-        complete = 8 * 3**2 * 208 + 2**15 + trace
+        complete = 8 * 3**2 * 224 + 2**15 + trace
         assert solve_bytes(3, 9) == complete
         assert solve_bytes(3, 9, 99) == complete - 430 * 500
-        # An operator-by-operator solve holds 39 operator-sized arrays per
+        # An operator-by-operator solve holds 43 operator-sized arrays per
         # operator, its state and cost among them.
-        assert solve_bytes(3, 8) == 39 * 8 * matrix + trace
-        assert dense_bytes("sdp", 3, 8) == 39 * 8 * matrix + trace + basis
+        assert solve_bytes(3, 8) == 43 * 8 * matrix + trace
+        assert dense_bytes("sdp", 3, 8) == 43 * 8 * matrix + trace + basis
         assert dense_bytes("sdp", 3, 9) == complete + basis
         assert dense_bytes("sdp", 3, 9, 10**6) == complete + 430 * 9500 + basis
         # sandwich adds the certificate route, which holds basis-sized arrays
         assert dense_bytes("sandwich", 3, 9) == complete + 2 * basis
-        assert dense_bytes("sandwich", 3, 8) == 39 * 8 * matrix + trace + 2 * basis
+        assert dense_bytes("sandwich", 3, 8) == 43 * 8 * matrix + trace + 2 * basis
 
     def test_limit_separates_the_sizes_that_run_from_the_ones_that_cannot(self):
         assert dense_bytes("sandwich", 5, 25) < MAX_DENSE_BYTES

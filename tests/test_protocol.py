@@ -12,8 +12,8 @@ from entdist.protocol import (
     simulate_protocol,
     teleport_residuals,
 )
-from entdist.states import ResourceSpectrum, random_spectrum, weyl_basis
-from oracles import conjugated_basis, haar_random_unitary, residual_gram
+from entdist.states import ResourceSpectrum, dump_basis_file, random_spectrum, weyl_basis
+from oracles import conjugated_basis, haar_random_unitary, load_basis_file, residual_gram
 
 BELL_SPEC = ResourceSpectrum.from_probabilities([0.8, 0.2])
 
@@ -90,6 +90,20 @@ class TestProtocol:
         run = simulate_protocol(basis, spec)
         assert abs(run.value - fef(spec)) < 1e-10
         assert run.max_term_deviation < 1e-10
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_value_is_the_mean_of_the_diagonal_bit_for_bit(self, d, tmp_path):
+        """The run reads the outcome matrix's diagonal as a view and its
+        ``.mean()``: the same bits as ``np.diag`` and ``np.mean`` of the
+        per-state tuple, on the Weyl basis and a Haar-conjugated basis file."""
+        rng = np.random.default_rng(700 + d)
+        path = tmp_path / "haar.json"
+        dump_basis_file(conjugated_basis(weyl_basis(d), haar_random_unitary(d, rng)), path)
+        for basis in (weyl_basis(d), load_basis_file(path)):
+            for spec in (random_spectrum(d, rng), ResourceSpectrum.uniform(d)):
+                run = simulate_protocol(basis, spec)
+                assert run.per_state == tuple(float(p) for p in np.diag(run.outcomes))
+                assert repr(run.value) == repr(float(np.mean(run.per_state)))
 
     def test_sampling_converges(self):
         estimate = sample_protocol_success(

@@ -137,6 +137,21 @@ def test_permute_rejects_non_permutations():
         permute_factors(np.zeros((3, 4, 4), dtype=complex), (2, 2), (1, 0))
 
 
+@pytest.mark.parametrize("shape", [(5, 5), (3, 4, 4), (2, 2, 6, 6), (7,)])
+@pytest.mark.parametrize("kind", ["real", "complex", "complex-transposed"])
+def test_frobenius_is_the_norm_bit_for_bit(shape, kind):
+    """``frobenius`` takes the dot products and sqrt ``np.linalg.norm`` takes,
+    on matrices, stacks and views that are not C-contiguous."""
+    rng = np.random.default_rng(sum(shape))
+    for scale in (1.0, 1e-150, 1e150):
+        m = rng.standard_normal(shape) * scale
+        if kind != "real":
+            m = m + 1j * rng.standard_normal(shape) * scale
+        if kind == "complex-transposed":
+            m = m.T
+        assert repr(frobenius(m)) == repr(float(np.linalg.norm(m)))
+
+
 def test_hermiticity_defect_and_checks():
     h = np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex)
     require_hermitian(h)
